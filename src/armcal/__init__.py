@@ -49,7 +49,6 @@ from .regressor import (
     StackedSystem,
     Wrench,
     elastostatic_regressor,
-    geometric_regressor,
     stack_system,
 )
 from .simulator import (
@@ -92,7 +91,6 @@ __all__ = [
     "elastostatic_regressor",
     "estimate_dispersions",
     "forward_kinematics",
-    "geometric_regressor",
     "irls",
     "joint_jacobian",
     "monte_carlo_compare",

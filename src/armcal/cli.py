@@ -10,14 +10,13 @@ stderr, ``ERROR <CODE>: message``, and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reference, reports
-from .errors import CalibrationError
+from .errors import CalibrationError, MeasurementFormatError
 from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
@@ -53,6 +52,33 @@ def _add_common_estimator_args(p: argparse.ArgumentParser) -> None:
                    help="reweighting stop tolerance on parameter change (default 1e-3)")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="reweighting iteration cap (default 20)")
+
+
+class _UsageError(Exception):
+    """An invalid flag value or combination: reported as E_USAGE, exit 2."""
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    if not ok:
+        raise _UsageError(f"{flag} must be {rule}, got {value}")
+
+
+def _check_estimator_args(args) -> None:
+    _require(math.isfinite(args.sigma0) and args.sigma0 > 0.0, "--sigma0", "positive", args.sigma0)
+    _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative", args.lam)
+    _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
+
+
+def _check_records(records, model, source) -> None:
+    """Reject records naming joints or markers that the model does not have."""
+    n_markers = len(model.markers)
+    for rec in records:
+        where = f"{source}: config {rec.config}, marker {rec.marker}, rep {rec.repetition}"
+        if rec.q.shape[0] != model.n_joints:
+            raise MeasurementFormatError(f"{where}: {rec.q.shape[0]} angles for {model.n_joints} joints")
+        for index in (rec.marker, rec.load.application_marker):
+            if not 0 <= index < n_markers:
+                raise MeasurementFormatError(f"{where}: marker {index} not in the model's 0..{n_markers - 1}")
 
 
 def _out_dir(args) -> Path:
@@ -105,21 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_estimator_args(args)
+    params = args.params.split(",") if args.params else None
+    if args.mode in ("geometric", "combined") and not params:
+        raise _UsageError(f"--mode {args.mode} requires --params")
     model = _load_model(args)
+    ids_ok = set(model.parameter_ids()).issuperset(params or ())
+    _require(ids_ok, "--params", "parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
     records = load_measurements(args.measurements)
+    _check_records(records, model, args.measurements)
     noise = load_noise_table(args.noise) if args.noise else deflection_dispersions(records)
     sigma0 = args.sigma0 * _UM
 
-    configs = {}
-    for rec in records:
-        configs.setdefault(rec.config, rec.q)
-    cmap = ComplianceParameterMap.from_configurations(
-        [configs[c] for c in sorted(configs)]
-    )
-    params = args.params.split(",") if args.params else None
-    if args.mode in ("geometric", "combined") and not params:
-        print(f"ERROR E_USAGE: --mode {args.mode} requires --params", file=sys.stderr)
-        return 2
+    cmap = ComplianceParameterMap.from_configurations([rec.q for rec in records])
     sys_ = stack_system(records, model, cmap, noise, mode=args.mode,
                         params=params, sigma_floor=sigma0)
 
@@ -147,6 +171,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args)
+    n_markers = len(model.markers)
+    _require(1 <= args.markers <= n_markers, "--markers", f"in 1..{n_markers}", args.markers)
+    _require(args.repetitions >= 1, "--repetitions", "at least 1", args.repetitions)
+    _require(args.seed >= 0, "--seed", "non-negative", args.seed)
+    _require(math.isfinite(args.mass) and args.mass >= 0.0, "--mass", "non-negative", args.mass)
     noise = load_noise_table(args.noise) if args.noise else None
     design = reference.study_design(
         seed=args.seed,
@@ -170,6 +199,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_estimator_args(args)
+    _require(args.trials >= 2, "--trials", "at least 2", args.trials)
+    _require(args.seed >= 0, "--seed", "non-negative", args.seed)
     model = _load_model(args)
     design = reference.study_design(seed=args.seed)
     mc = monte_carlo_compare(
@@ -196,6 +228,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except _UsageError as exc:
+        print(f"ERROR E_USAGE: {exc}", file=sys.stderr)
+        return 2
     except CalibrationError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RankDeficientError
-from .noise import DEFAULT_SIGMA0
+from .noise import DEFAULT_SIGMA0, grouped_std
 from .regressor import StackedSystem
 
 #: Relative singular-value cutoff below which a direction counts as collapsed.
@@ -167,13 +167,6 @@ def wls_estimate(sys: StackedSystem, weights: np.ndarray) -> EstimationResult:
     return _weighted_solve(sys, weights, "wls")
 
 
-def _group_rows(row_tags: Sequence) -> list[np.ndarray]:
-    groups: dict[tuple, list[int]] = {}
-    for i, (cfg, _, axis) in enumerate(row_tags):
-        groups.setdefault((cfg, axis), []).append(i)
-    return [np.asarray(ix) for ix in groups.values()]
-
-
 def irls(
     sys: StackedSystem,
     sigma0: float = DEFAULT_SIGMA0,
@@ -186,7 +179,8 @@ def irls(
     Iteration 1 weights come from the system's own sigma vector.  Every later
     iteration re-estimates the per-(configuration, axis) dispersions from the
     previous residuals (sample std over that group's markers x repetitions,
-    floored at ``sigma0``), rebuilds the saturating weights and re-solves.
+    floored at ``sigma0``; a one-row group raises ``ValueError``), rebuilds
+    the saturating weights and re-solves.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
@@ -196,10 +190,6 @@ def irls(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    groups = _group_rows(sys.row_tags)
-    for ix in groups:
-        if ix.size < 2:
-            raise ValueError("every (configuration, axis) group needs >= 2 rows for reweighting")
 
     sigma_t = np.array(sys.sigma)
     trace: list[IterationSnapshot] = []
@@ -229,10 +219,7 @@ def irls(
                 converged = True
                 reason = "tolerance"
                 break
-        sigma_next = np.empty_like(sigma_t)
-        for ix in groups:
-            sigma_next[ix] = np.std(result.residuals[ix], ddof=1)
-        sigma_t = np.maximum(sigma_next, sigma0)
+        sigma_t = np.maximum(grouped_std(result.residuals, sys.group)[sys.group], sigma0)
 
     assert result is not None
     return replace(result, iterations=tuple(trace), converged=converged, stop_reason=reason)

@@ -36,17 +36,21 @@ import numpy as np
 from .errors import MeasurementFormatError, ModelFormatError, NoiseFormatError
 from .kinematics import Joint, ManipulatorModel, transform
 from .noise import NoiseModel
-from .regressor import ExperimentRecord, Wrench
+from .regressor import BUCKET_TOL, ExperimentRecord, Wrench
 
 _UM = 1e-6
 
 
 def write_text(path: str | Path, text: str) -> Path:
-    """Atomic write: the file appears complete or not at all."""
+    """Atomic write via a uniquely named temporary file next to ``path``, removed on failure."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -132,13 +136,15 @@ def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorMod
         raise err(f"{source}: {exc}") from None
 
 
-def load_model(path: str | Path) -> ManipulatorModel:
-    path = Path(path)
+def _read_lines(path: Path, error, what: str) -> list[str]:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from None
-    return parse_model(text.splitlines(), source=str(path))
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_model(path: str | Path) -> ManipulatorModel:
+    return parse_model(_read_lines(Path(path), ModelFormatError, "model file"), source=str(path))
 
 
 def _rpy_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
@@ -204,6 +210,8 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
     header: list[str] | None = None
     n_joints = 0
     records: list[ExperimentRecord] = []
+    keys: dict[tuple[int, int, int], int] = {}  # (config, marker, rep) -> line
+    postures: dict[int, tuple[np.ndarray, int]] = {}  # config -> (q, line)
     for lineno, line in _data_lines(lines):
         tokens = line.split()
         if header is None:
@@ -218,12 +226,18 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
             )
         try:
             config, marker, rep = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            fmarker = int(tokens[3 + n_joints + 3])
             vals = [float(t) for t in tokens[3:]]
         except ValueError:
-            raise err(f"{source}:{lineno}: non-numeric value") from None
+            raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
         q = np.deg2rad(vals[:n_joints])
+        first = keys.setdefault((config, marker, rep), lineno)
+        if first != lineno:
+            raise err(f"{source}:{lineno}: config {config}, marker {marker}, rep {rep} repeats line {first}")
+        q_first, q_line = postures.setdefault(config, (q, lineno))
+        if np.max(np.abs(q - q_first)) > BUCKET_TOL:
+            raise err(f"{source}:{lineno}: config {config} joint angles differ from line {q_line}")
         fx, fy, fz = vals[n_joints : n_joints + 3]
-        fmarker = int(tokens[3 + n_joints + 3])
         rest = vals[n_joints + 4 :]
         p0 = np.array(rest[0:3]) * _UM
         p = np.array(rest[3:6]) * _UM
@@ -249,12 +263,8 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
 
 
 def load_measurements(path: str | Path) -> list[ExperimentRecord]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MeasurementFormatError(f"cannot read measurement file {path}: {exc}") from None
-    return parse_measurements(text.splitlines(), source=str(path))
+    lines = _read_lines(Path(path), MeasurementFormatError, "measurement file")
+    return parse_measurements(lines, source=str(path))
 
 
 def format_noise_table(noise: NoiseModel) -> str:
@@ -308,12 +318,7 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
 
 
 def load_noise_table(path: str | Path) -> NoiseModel:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise NoiseFormatError(f"cannot read noise table {path}: {exc}") from None
-    return parse_noise_table(text.splitlines(), source=str(path))
+    return parse_noise_table(_read_lines(Path(path), NoiseFormatError, "noise table"), source=str(path))
 
 
 def format_ground_truth(names: Sequence[str], values_si: np.ndarray) -> str:

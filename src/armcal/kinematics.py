@@ -294,8 +294,3 @@ def perturbed(model: ManipulatorModel, deltas: Mapping[str, float]) -> Manipulat
             joints[j] = replace(joints[j], **{field: getattr(joints[j], field) + delta})
     return ManipulatorModel(joints=tuple(joints), base=model.base, tool=tool, markers=model.markers)
 
-
-def chain_pose(model: ManipulatorModel, q) -> np.ndarray:
-    """World transform of the tool frame (4x4), mostly for diagnostics."""
-    q = _check_q(model, q)
-    return _frames(model, q)[-1] @ model.tool

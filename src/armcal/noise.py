@@ -6,13 +6,16 @@ than pooled.  A :class:`NoiseModel` maps configuration ids to per-axis
 standard deviations of one stacked observation row (for deflection studies
 that is the dispersion of the loaded-minus-unloaded difference, which is what
 gets regressed).
+
+Stacked rows carry int arrays of configuration ids and axes (0..2, indexing
+:data:`AXES`); :func:`grouped_std` estimates one dispersion per group of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -70,15 +73,6 @@ class NoiseModel:
         return cls(entries={cfg: s.copy() for cfg in configs})
 
 
-def _sigma_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if n < 2:
-        raise ReplicateCountError(f"need at least 2 replicates to estimate a dispersion, got {n}")
-    s = np.std(values, axis=0, ddof=1)
-    return s, s / math.sqrt(2.0 * (n - 1))
-
-
 def estimate_dispersions(groups: Mapping[int, np.ndarray]) -> NoiseModel:
     """Unbiased per-axis sample dispersions from replicate groups.
 
@@ -94,32 +88,13 @@ def estimate_dispersions(groups: Mapping[int, np.ndarray]) -> NoiseModel:
             raise ValueError(f"group {cfg!r}: replicates must form an (n, 3) array")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"group {cfg!r}: replicates contain non-finite values")
-        entries[cfg], uncert[cfg] = _sigma_and_se(values)
+        n = values.shape[0]
+        if n < 2:
+            raise ReplicateCountError(f"need at least 2 replicates to estimate a dispersion, got {n}")
+        entries[cfg] = np.std(values, axis=0, ddof=1)
+        uncert[cfg] = entries[cfg] / math.sqrt(2.0 * (n - 1))
     if not entries:
         raise ValueError("no replicate groups supplied")
-    return NoiseModel(entries=entries, uncertainty=uncert)
-
-
-def dispersions_from_rows(values: np.ndarray, row_tags: Sequence) -> NoiseModel:
-    """Dispersions of flat per-axis rows grouped by (configuration, axis).
-
-    ``row_tags`` pairs each scalar in ``values`` with a (config, marker, axis)
-    tag; all markers and repetitions of one configuration pool into one group
-    per axis.  Used to re-estimate noise from fit residuals.
-    """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != len(row_tags):
-        raise ValueError("values and row_tags length mismatch")
-    buckets: dict[tuple[int, str], list[float]] = {}
-    for v, tag in zip(values, row_tags):
-        cfg, _, axis = tag
-        buckets.setdefault((cfg, axis), []).append(v)
-    entries: dict[int, np.ndarray] = {}
-    uncert: dict[int, np.ndarray] = {}
-    for (cfg, axis), vals in buckets.items():
-        s, se = _sigma_and_se(np.asarray(vals))  # scalar std about the group mean
-        entries.setdefault(cfg, np.zeros(3))[AXES.index(axis)] = s
-        uncert.setdefault(cfg, np.zeros(3))[AXES.index(axis)] = se
     return NoiseModel(entries=entries, uncertainty=uncert)
 
 
@@ -137,16 +112,39 @@ def deflection_dispersions(records) -> NoiseModel:
     return estimate_dispersions({cfg: np.asarray(v) for cfg, v in groups.items()})
 
 
-def build_sigma(noise: NoiseModel, row_tags: Sequence, floor: float = DEFAULT_SIGMA0) -> np.ndarray:
-    """Stacked per-row sigma vector for a system, floored at ``floor``.
+def build_sigma(
+    noise: NoiseModel, config: np.ndarray, axis: np.ndarray, floor: float = DEFAULT_SIGMA0
+) -> np.ndarray:
+    """Per-row sigma of configuration ``config[i]`` on axis ``axis[i]``, floored at ``floor``.
 
     The floor (default 10 um, the tracker's claimed precision) guarantees
     strictly positive entries so downstream weight rules never divide by zero.
     """
     if floor <= 0.0:
         raise ValueError("sigma floor must be positive")
-    out = np.empty(len(row_tags))
-    for i, tag in enumerate(row_tags):
-        cfg, _, axis = tag
-        out[i] = noise.sigma(cfg)[AXES.index(axis)]
-    return np.maximum(out, floor)
+    ids, row_cfg = np.unique(np.asarray(config, dtype=int), return_inverse=True)
+    table = np.array([noise.sigma(int(c)) for c in ids]).reshape(-1, 3)
+    return np.maximum(table[row_cfg.reshape(-1), np.asarray(axis, dtype=int)], floor)
+
+
+def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Sample std (ddof=1) of the ``values`` in each group, indexed by group.
+
+    Entry g is 0.0 if no ``group[i]`` equals g.  Groups of one size share one
+    ``np.std`` call, so each entry equals ``np.std`` of its group bit for bit.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    group = np.asarray(group).reshape(-1)
+    if values.shape != group.shape:
+        raise ValueError("values and group length mismatch")
+    counts = np.bincount(group)
+    if np.any(counts == 1):
+        raise ValueError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")
+    order = np.argsort(group, kind="stable")
+    size_of = counts[group[order]]  # group size of each row, in group order
+    out = np.zeros(counts.shape[0])
+    for size in set(counts[counts > 0].tolist()):
+        ids = np.flatnonzero(counts == size)
+        rows = order[size_of == size].reshape(ids.shape[0], size)
+        out[ids] = np.std(values[rows], axis=1, ddof=1)
+    return out

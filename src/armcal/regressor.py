@@ -18,11 +18,11 @@ system ``B x = dp`` with a per-row sigma vector, sorted deterministically by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
+from .errors import BucketMatchError, UnderDeterminedError
 from .kinematics import ManipulatorModel, forward_kinematics, joint_jacobian, parameter_jacobian
 from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, build_sigma
 
@@ -76,11 +76,8 @@ class ExperimentRecord:
         for name, arr in (("q", q), ("p0", p0), ("p", p)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"record field {name} contains non-finite values")
-        for name, arr in (("q", q), ("p0", p0), ("p", p)):
             arr.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p", p)
+            object.__setattr__(self, name, arr)
 
     @property
     def deflection(self) -> np.ndarray:
@@ -189,13 +186,6 @@ def elastostatic_regressor(
     return A
 
 
-def geometric_regressor(model: ManipulatorModel, q, marker: int, params: Sequence[str]) -> np.ndarray:
-    """3 x |params| regressor mapping geometric deviations to position error."""
-    return parameter_jacobian(model, q, marker, params)
-
-
-RowTag = tuple[int, int, str]
-
 Mode = Literal["elastostatic", "geometric", "combined"]
 
 
@@ -203,37 +193,47 @@ Mode = Literal["elastostatic", "geometric", "combined"]
 class StackedSystem:
     """Tall linear system ``B x = dp`` with per-row dispersions.
 
-    ``row_tags`` aligns each scalar row with its (config, marker, axis)
-    origin; ``columns`` names the entries of ``x``.
+    Row i stems from configuration ``config[i]``, tool marker ``marker[i]``
+    and measurement axis ``axis[i]`` (0..2, an index into ``noise.AXES``).
+    ``group[i]`` numbers the row's (configuration, axis) pair, the unit that
+    carries one dispersion; it is derived from ``config`` and ``axis`` and
+    feeds :func:`armcal.noise.grouped_std`.  ``columns`` names the entries of
+    ``x``.  All arrays are read-only.
     """
 
     B: np.ndarray
     dp: np.ndarray
     sigma: np.ndarray
-    row_tags: tuple[RowTag, ...]
+    config: np.ndarray
+    marker: np.ndarray
+    axis: np.ndarray
     columns: tuple[str, ...]
     mode: str = "elastostatic"
+    group: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
         dp = np.asarray(self.dp, dtype=float).reshape(-1)
         sigma = np.asarray(self.sigma, dtype=float).reshape(-1)
+        config, marker, axis = (
+            np.asarray(a, dtype=int).reshape(-1) for a in (self.config, self.marker, self.axis)
+        )
         m, n = B.shape
-        if dp.shape[0] != m or sigma.shape[0] != m or len(self.row_tags) != m:
-            raise ValueError("B, dp, sigma and row_tags disagree on the row count")
+        if any(a.shape[0] != m for a in (dp, sigma, config, marker, axis)):
+            raise ValueError("B, dp, sigma, config, marker and axis disagree on the row count")
+        if np.any((axis < 0) | (axis >= len(AXES))):
+            raise ValueError("axis entries must index x, y, z (0..2)")
         if len(self.columns) != n:
             raise ValueError("columns must name every parameter")
         if np.any(sigma <= 0.0):
             raise ValueError("sigma entries must be strictly positive")
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(dp)) and np.all(np.isfinite(sigma))):
             raise ValueError("stacked system contains non-finite values")
-        B.setflags(write=False)
-        dp.setflags(write=False)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "row_tags", tuple(tuple(t) for t in self.row_tags))
+        group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
+        for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
+                          ("marker", marker), ("axis", axis), ("group", group)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "columns", tuple(self.columns))
 
     @property
@@ -265,9 +265,10 @@ def stack_system(
       so the unknowns are the concatenation (geometric first).
 
     Records are sorted by (config, marker, repetition) and axes expand x, y, z
-    so the row order never depends on input order.  Repeated experiments are
-    stacked as independent rows, not averaged: averaging would hide the very
-    replicate scatter the weighting stage feeds on.
+    so the row order never depends on input order; the system's ``config``,
+    ``marker`` and ``axis`` arrays record each row's origin.  Repeated
+    experiments are stacked as independent rows, not averaged: averaging
+    would hide the very replicate scatter the weighting stage feeds on.
     """
     if not records:
         raise ValueError("no records to stack")
@@ -292,30 +293,20 @@ def stack_system(
 
     blocks: list[np.ndarray] = []
     obs: list[np.ndarray] = []
-    tags: list[RowTag] = []
-    n_geo = len(params) if params else 0
     for rec in ordered:
-        tag_block = [(rec.config, rec.marker, axis) for axis in AXES]
         if mode == "elastostatic":
-            A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
-            blocks.append(A)
+            blocks.append(elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker))
             obs.append(rec.deflection)
-            tags.extend(tag_block)
             continue
         fk = forward_kinematics(model, rec.q, rec.marker).position
-        J = geometric_regressor(model, rec.q, rec.marker, params)
+        J = parameter_jacobian(model, rec.q, rec.marker, params)
         if mode == "geometric":
             blocks.append(J)
             obs.append(rec.p0 - fk)
-            tags.extend(tag_block)
         else:
             A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
-            unloaded = np.hstack([J, np.zeros_like(A)])
-            loaded = np.hstack([J, A])
-            blocks.extend([unloaded, loaded])
+            blocks.extend([np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])])
             obs.extend([rec.p0 - fk, rec.p - fk])
-            tags.extend(tag_block)
-            tags.extend(tag_block)
 
     B = np.vstack(blocks)
     dp = np.concatenate(obs)
@@ -323,5 +314,11 @@ def stack_system(
         raise UnderDeterminedError(
             f"{B.shape[0]} scalar equations cannot determine {B.shape[1]} parameters"
         )
-    sigma = build_sigma(noise, tags, floor=sigma_floor)
-    return StackedSystem(B=B, dp=dp, sigma=sigma, row_tags=tuple(tags), columns=columns, mode=mode)
+    # each record contributes one 3-row block, or two (unloaded, loaded) when combined
+    blocks_per_record = 2 if mode == "combined" else 1
+    config = np.repeat([rec.config for rec in ordered], 3 * blocks_per_record)
+    marker = np.repeat([rec.marker for rec in ordered], 3 * blocks_per_record)
+    axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(ordered))
+    sigma = build_sigma(noise, config, axis, floor=sigma_floor)
+    return StackedSystem(B=B, dp=dp, sigma=sigma, config=config, marker=marker, axis=axis,
+                         columns=columns, mode=mode)

@@ -9,7 +9,7 @@ is deterministic: identical inputs give byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,10 +92,11 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
     """Per-row diagnostics for the final solve (residuals in um)."""
     lines = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
-    for (cfg, marker, axis), sig, w, r in zip(
-        sys.row_tags, result.sigma, result.weights, result.residuals
+    for cfg, marker, axis, sig, w, r in zip(
+        sys.config.tolist(), sys.marker.tolist(), sys.axis.tolist(),
+        result.sigma, result.weights, result.residuals,
     ):
-        lines.append(f"{cfg}\t{marker}\t{axis}\t{_fmt(sig / _UM)}\t{_fmt(w)}\t{_fmt(r / _UM)}")
+        lines.append(f"{cfg}\t{marker}\t{AXES[axis]}\t{_fmt(sig / _UM)}\t{_fmt(w)}\t{_fmt(r / _UM)}")
     return write_text(out_dir / "residuals.tsv", "\n".join(lines) + "\n")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -25,14 +25,13 @@ from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
-    EstimationResult,
     irls,
     ols_estimate,
     optimal_weights,
     wls_estimate,
 )
 from .kinematics import ManipulatorModel, forward_kinematics, parameter_jacobian
-from .noise import DEFAULT_SIGMA0, NoiseModel
+from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
 from .regressor import (
     ComplianceParameterMap,
     ExperimentRecord,
@@ -171,23 +170,9 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> list[
 
 def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSystem:
     """Stacked elastostatic system with clean deflections but the design's sigmas."""
-    silent = replace(
-        design,
-        noise=NoiseModel.uniform(design.config_ids, 0.0),
-        mass_range_kg=design.mass_range_kg,
-    )
+    silent = replace(design, noise=NoiseModel.uniform(design.config_ids, 0.0))
     records = simulate_measurements(silent, model)
     return stack_system(records, model, design.cmap, design.noise)
-
-
-def _raw_dispersion_sigma(
-    dp: np.ndarray, group_rows: Sequence[np.ndarray], floor: float
-) -> np.ndarray:
-    """Per-row sigma from the non-compensated scatter of each (config, axis) group."""
-    sigma = np.empty_like(dp)
-    for ix in group_rows:
-        sigma[ix] = np.std(dp[ix], ddof=1)
-    return np.maximum(sigma, floor)
 
 
 @dataclass(frozen=True)
@@ -262,10 +247,6 @@ def monte_carlo_compare(
     dp_clean = base.dp
     sigma_true = base.sigma
     w_opt = optimal_weights(sigma_true)
-    groups: dict[tuple, list[int]] = {}
-    for i, (cfg, _, axis) in enumerate(base.row_tags):
-        groups.setdefault((cfg, axis), []).append(i)
-    group_rows = [np.asarray(ix) for ix in groups.values()]
 
     ref_ols = ols_estimate(base)
     ref_wls = wls_estimate(base, w_opt)
@@ -284,7 +265,7 @@ def monte_carlo_compare(
             sys_t = replace(base, dp=dp)
             res_o = ols_estimate(sys_t)
             res_w = wls_estimate(sys_t, w_opt)
-            sigma_raw = _raw_dispersion_sigma(dp, group_rows, sigma0)
+            sigma_raw = np.maximum(grouped_std(dp, base.group)[base.group], sigma0)
             res_i = irls(
                 replace(sys_t, sigma=sigma_raw),
                 sigma0=sigma0,

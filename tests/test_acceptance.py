@@ -38,12 +38,12 @@ def rel_norm(approx, exact):
 
 def make_system(B, dp, sigma, columns=None):
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    axes = ("x", "y", "z")
-    tags = tuple((1 + i // 3, 0, axes[i % 3]) for i in range(B.shape[0]))
+    rows = np.arange(B.shape[0])
     if columns is None:
         columns = tuple(f"c{j}" for j in range(B.shape[1]))
     return StackedSystem(B=B, dp=np.asarray(dp, float), sigma=np.asarray(sigma, float),
-                         row_tags=tags, columns=columns)
+                         config=1 + rows // 3, marker=np.zeros_like(rows), axis=rows % 3,
+                         columns=columns)
 
 
 def random_system(rng, m=12, n=3):

@@ -282,6 +282,84 @@ class TestErrorPaths:
         assert "ERROR E_RANK_DEFICIENT:" in capsys.readouterr().err
 
 
+    @staticmethod
+    def _with_token(study_dir, tmp_path, row, column, value):
+        """Copy of the study's measurement file with one data-row field replaced."""
+        lines = (study_dir / "measurements.tsv").read_text().splitlines()
+        tokens = lines[row].split()
+        tokens[column] = value
+        lines[row] = " ".join(tokens)
+        path = tmp_path / "edited.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def _calibrate_error(self, measurements, study_dir, tmp_path, capsys):
+        code = run_cli(
+            "calibrate", "--measurements", str(measurements),
+            "--noise", str(study_dir / "noise.tsv"), "--out", str(tmp_path / "out"),
+        )
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one line, no traceback
+        return code, err
+
+    def test_fractional_fmarker(self, study_dir, tmp_path, capsys):
+        # line 5 of the file: columns config marker rep q1..q6 fx fy fz fmarker ...
+        edited = self._with_token(study_dir, tmp_path, 4, 12, "0.5")
+        code, err = self._calibrate_error(edited, study_dir, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("ERROR E_MEASUREMENT_FORMAT:")
+        assert ":5:" in err
+
+    def test_marker_absent_from_model(self, study_dir, tmp_path, capsys):
+        edited = self._with_token(study_dir, tmp_path, 4, 1, "7")  # 3-marker model
+        code, err = self._calibrate_error(edited, study_dir, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("ERROR E_MEASUREMENT_FORMAT:")
+        assert "marker 7 not in the model's 0..2" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("simulate", "--markers", "7"), "--markers"),
+            (("simulate", "--markers", "0"), "--markers"),
+            (("simulate", "--repetitions", "0"), "--repetitions"),
+            (("simulate", "--mass", "-1"), "--mass"),
+            (("simulate", "--seed", "-1"), "--seed"),
+            (("compare", "--seed", "-1"), "--seed"),
+            (("compare", "--trials", "1"), "--trials"),
+            (("compare", "--max-iter", "0"), "--max-iter"),
+            (("compare", "--sigma0", "0"), "--sigma0"),
+            (("compare", "--lambda", "-1"), "--lambda"),
+        ],
+    )
+    def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR E_USAGE: {flag} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
+        code = run_cli(
+            "calibrate", "--measurements", str(study_dir / "measurements.tsv"),
+            "--mode", "geometric", "--params", "a2,foo", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR E_USAGE: --params ")
+        assert err.count("\n") == 1
+
+    def test_invalid_estimator_flag_on_calibrate(self, study_dir, tmp_path, capsys):
+        code = run_cli(
+            "calibrate", "--measurements", str(study_dir / "measurements.tsv"),
+            "--max-iter", "0", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR E_USAGE: --max-iter ")
+
+
 class TestCompare:
     def test_smoke_run_writes_reports(self, tmp_path):
         assert run_cli("compare", "--trials", "20", "--out", str(tmp_path)) == 0

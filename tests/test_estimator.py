@@ -31,12 +31,12 @@ UM = 1e-6
 
 def make_system(B, dp, sigma, columns=None):
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    axes = ("x", "y", "z")
-    tags = tuple((1 + i // 3, 0, axes[i % 3]) for i in range(B.shape[0]))
+    rows = np.arange(B.shape[0])
     if columns is None:
         columns = tuple(f"c{j}" for j in range(B.shape[1]))
     return StackedSystem(B=B, dp=np.asarray(dp, float), sigma=np.asarray(sigma, float),
-                         row_tags=tags, columns=columns)
+                         config=1 + rows // 3, marker=np.zeros_like(rows), axis=rows % 3,
+                         columns=columns)
 
 
 def random_system(rng, m=20, n=4, sigma_range=(0.5, 3.0)):
@@ -359,7 +359,9 @@ class TestIRLS:
             B=B,
             dp=np.zeros(4),
             sigma=np.ones(4),
-            row_tags=((1, 0, "x"), (1, 0, "x"), (1, 0, "y"), (1, 0, "y")),
+            config=[1, 1, 1, 1],
+            marker=[0, 0, 0, 0],
+            axis=[0, 0, 1, 1],
             columns=("ka", "kb"),
         )
         with pytest.raises(RankDeficientError):

@@ -1,5 +1,8 @@
 """Text formats: write/read round trips and rejection of malformed input."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -145,6 +148,42 @@ class TestMeasurementFormat:
         with pytest.raises(MeasurementFormatError, match="non-numeric"):
             parse_measurements(lines)
 
+    def test_non_integer_fmarker_names_line(self, records):
+        lines = format_measurements(records).splitlines()
+        tokens = lines[4].split()
+        tokens[12] = "0.5"  # fmarker column
+        lines[4] = " ".join(tokens)
+        with pytest.raises(MeasurementFormatError, match="non-integer index") as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert "bad.tsv:5" in str(exc.value)
+
+    def test_duplicate_key_names_both_lines(self, records):
+        lines = format_measurements(records).splitlines()
+        lines.append(lines[3])  # config 1, marker 0, rep 2 a second time
+        with pytest.raises(MeasurementFormatError, match="repeats line 4") as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert f"bad.tsv:{len(lines)}:" in str(exc.value)
+        assert "config 1, marker 0, rep 2" in str(exc.value)
+
+    @staticmethod
+    def _shift_q1(line, delta_deg):
+        tokens = line.split()
+        tokens[3] = repr(float(tokens[3]) + delta_deg)
+        return " ".join(tokens)
+
+    def test_configuration_with_two_postures_names_both_lines(self, records):
+        lines = format_measurements(records).splitlines()
+        lines[3] = self._shift_q1(lines[3], 1e-3)  # 1.7e-5 rad, above BUCKET_TOL
+        with pytest.raises(MeasurementFormatError, match="differ from line 3") as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert "bad.tsv:4:" in str(exc.value)
+        assert "config 1" in str(exc.value)
+
+    def test_posture_within_bucket_tolerance_accepted(self, records):
+        lines = format_measurements(records).splitlines()
+        lines[3] = self._shift_q1(lines[3], 1e-5)  # 1.7e-7 rad, below BUCKET_TOL
+        assert len(parse_measurements(lines)) == len(records)
+
     def test_missing_header_rejected(self, records):
         lines = format_measurements(records).splitlines()
         with pytest.raises(MeasurementFormatError, match="header"):
@@ -220,6 +259,29 @@ class TestAtomicWrite:
         write_text(target, "payload\n")
         assert target.read_text() == "payload\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_leftover_temporary_name_does_not_block(self, tmp_path):
+        target = tmp_path / "parameters.txt"
+        (tmp_path / "parameters.txt.tmp").mkdir()  # residue of an older writer
+        write_text(target, "payload\n")
+        assert target.read_text() == "payload\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parameters.txt", "parameters.txt.tmp"]
+
+    def test_failed_write_removes_temporary(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(OSError):
+            write_text(target, "payload\n")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            target = write_text(tmp_path / "out.txt", "payload\n")
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
     def test_overwrites_in_place(self, tmp_path):
         target = tmp_path / "out.txt"

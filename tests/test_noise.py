@@ -9,14 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from armcal import reference
 from armcal.errors import MissingNoiseError, ReplicateCountError
 from armcal.noise import (
-    AXES,
     DEFAULT_SIGMA0,
     NoiseModel,
     build_sigma,
     deflection_dispersions,
-    dispersions_from_rows,
     estimate_dispersions,
+    grouped_std,
 )
+from armcal.regressor import StackedSystem
 from armcal.simulator import simulate_measurements
 
 UM = 1e-6
@@ -103,34 +103,40 @@ class TestNoiseModel:
 class TestBuildSigma:
     def test_rows_follow_config_and_axis(self):
         noise = reference.noise_model()
-        tags = [(1, 0, ax) for ax in AXES] + [(2, 1, ax) for ax in AXES]
-        sigma = build_sigma(noise, tags)
+        sigma = build_sigma(noise, [1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2])
         assert_allclose(sigma[:3], np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
         assert_allclose(sigma[3:], np.array([57.0, 86.0, 118.0]) * UM, rtol=1e-12)
 
     def test_uniform_model_collapses_to_constant_diagonal(self):
         noise = NoiseModel.uniform([1, 2], 40 * UM)
-        tags = [(c, 0, ax) for c in (1, 2) for ax in AXES]
-        assert_array_equal(build_sigma(noise, tags), np.full(6, 40 * UM))
+        config = np.repeat([1, 2], 3)
+        axis = np.tile(np.arange(3), 2)
+        assert_array_equal(build_sigma(noise, config, axis), np.full(6, 40 * UM))
 
     def test_zero_entries_floored_at_default(self):
         noise = NoiseModel.uniform([1], 0.0)
-        sigma = build_sigma(noise, [(1, 0, "x")])
+        sigma = build_sigma(noise, [1], [0])
         assert_array_equal(sigma, np.array([DEFAULT_SIGMA0]))
         assert DEFAULT_SIGMA0 == 1e-5  # the 10 um precision floor
 
     def test_custom_floor(self):
         noise = NoiseModel(entries={1: np.array([5.0, 80.0, 0.0]) * UM})
-        sigma = build_sigma(noise, [(1, 0, ax) for ax in AXES], floor=20 * UM)
+        sigma = build_sigma(noise, [1, 1, 1], [0, 1, 2], floor=20 * UM)
         assert_allclose(sigma, np.array([20.0, 80.0, 20.0]) * UM, rtol=1e-12)
 
     def test_floor_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            build_sigma(NoiseModel.uniform([1], UM), [(1, 0, "x")], floor=0.0)
+            build_sigma(NoiseModel.uniform([1], UM), [1], [0], floor=0.0)
 
     def test_missing_tag_propagates(self):
-        with pytest.raises(MissingNoiseError):
-            build_sigma(NoiseModel.uniform([1], UM), [(9, 0, "x")])
+        with pytest.raises(MissingNoiseError, match="configuration 9"):
+            build_sigma(NoiseModel.uniform([1], UM), [1, 9], [0, 0])
+
+    def test_interleaved_configurations_keep_row_order(self):
+        noise = reference.noise_model()
+        sigma = build_sigma(noise, [3, 1, 3, 1], [2, 0, 0, 2])
+        expected = np.array([44.0, 150.0, 97.0, 33.0]) * UM
+        assert_allclose(sigma, expected, rtol=1e-12)
 
 
 class TestGroupedDispersions:
@@ -138,17 +144,37 @@ class TestGroupedDispersions:
         rng = np.random.default_rng(42)
         values = rng.normal(size=12)
         # config 1 x-axis rows from two markers pool into one group
-        tags = [(1, m, "x") for m in (0, 1) for _ in range(3)] + [
-            (2, 0, "y") for _ in range(6)
-        ]
-        model = dispersions_from_rows(values, tags)
-        assert_allclose(model.sigma(1)[0], np.std(values[:6], ddof=1), rtol=1e-12)
-        assert_allclose(model.sigma(2)[1], np.std(values[6:], ddof=1), rtol=1e-12)
-        assert model.sigma(1)[1] == 0.0  # axis never observed stays zero
+        sys = StackedSystem(
+            B=np.ones((12, 1)),
+            dp=values,
+            sigma=np.ones(12),
+            config=[1] * 6 + [2] * 6,
+            marker=[0, 0, 0, 1, 1, 1] + [0] * 6,
+            axis=[0] * 6 + [1] * 6,
+            columns=("k",),
+        )
+        std = grouped_std(values, sys.group)
+        assert_allclose(std[sys.group[0]], np.std(values[:6], ddof=1), rtol=1e-12)
+        assert_allclose(std[sys.group[6]], np.std(values[6:], ddof=1), rtol=1e-12)
+        assert std[1] == 0.0  # axis y of config 1 never observed: stays zero
+
+    def test_unequal_group_sizes_match_per_group_std(self):
+        rng = np.random.default_rng(7)
+        sizes = [2, 5, 18, 3, 18, 40]
+        group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        values = rng.normal(size=group.shape[0]) * 50 * UM
+        expected = [np.std(values[group == g], ddof=1) for g in range(len(sizes))]
+        assert_allclose(grouped_std(values, group), expected, rtol=1e-12)
+        # each group is reduced by np.std itself, so equality is exact
+        assert_array_equal(grouped_std(values, group), expected)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            dispersions_from_rows(np.zeros(3), [(1, 0, "x")])
+            grouped_std(np.zeros(3), np.array([0]))
+
+    def test_single_row_group_rejected(self):
+        with pytest.raises(ValueError, match=">= 2 rows"):
+            grouped_std(np.zeros(3), np.array([0, 0, 1]))
 
     def test_deflection_dispersions_match_manual_pooling(self, nominal_model):
         design = reference.study_design(seed=5, markers=2, repetitions=4)

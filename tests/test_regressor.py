@@ -1,5 +1,7 @@
 """Observation-equation construction: compliance/geometry columns and stacking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,7 +17,6 @@ from armcal.regressor import (
     StackedSystem,
     Wrench,
     elastostatic_regressor,
-    geometric_regressor,
     stack_system,
 )
 from armcal.simulator import simulate_measurements
@@ -167,23 +168,17 @@ class TestElastostaticRegressor:
 
 
 class TestGeometricRegressor:
-    def test_delegates_to_parameter_jacobian(self, nominal_model):
-        q = reference.configurations_rad()[3]
-        params = ["a2", "d3", "theta4", "tool_y"]
-        assert_array_equal(
-            geometric_regressor(nominal_model, q, 1, params),
-            parameter_jacobian(nominal_model, q, 1, params),
-        )
+    """The geometric regressor block of a record is ``parameter_jacobian``."""
 
     def test_zero_deviation_predicts_zero_shift(self, nominal_model):
         q = reference.configurations_rad()[0]
-        J = geometric_regressor(nominal_model, q, 0, list(nominal_model.parameter_ids()))
+        J = parameter_jacobian(nominal_model, q, 0, list(nominal_model.parameter_ids()))
         assert_array_equal(J @ np.zeros(J.shape[1]), np.zeros(3))
 
     def test_first_order_prediction_matches_fk_difference(self, nominal_model):
         delta = 1e-5
         q = reference.configurations_rad()[2]
-        J = geometric_regressor(nominal_model, q, 0, ["a2"])
+        J = parameter_jacobian(nominal_model, q, 0, ["a2"])
         predicted = J[:, 0] * delta
         shifted = perturbed(nominal_model, {"a2": delta})
         actual = (
@@ -198,7 +193,9 @@ class TestStackSystem:
         assert bundled_system.n_equations == 810
         assert bundled_system.n_parameters == 9
         assert bundled_system.B.shape == (810, 9)
-        assert len(bundled_system.row_tags) == 810
+        for rows in (bundled_system.config, bundled_system.marker, bundled_system.axis,
+                     bundled_system.group):
+            assert rows.shape == (810,)
         assert bundled_system.mode == "elastostatic"
         assert bundled_system.columns == (
             "k2_1", "k2_2", "k2_3", "k2_4", "k2_5", "k3", "k4", "k5", "k6",
@@ -214,7 +211,25 @@ class TestStackSystem:
             design.noise,
         )
         assert sys.n_equations == 3
-        assert sys.row_tags == ((1, 0, "x"), (1, 0, "y"), (1, 0, "z"))
+        assert_array_equal(sys.config, [1, 1, 1])
+        assert_array_equal(sys.marker, [0, 0, 0])
+        assert_array_equal(sys.axis, [0, 1, 2])  # x, y, z
+
+    def test_group_numbers_config_axis_pairs(self, bundled_system):
+        sys = bundled_system
+        # configuration 1 (rows 0..53): 3 markers x 6 repetitions per axis
+        assert_array_equal(np.bincount(sys.group), np.full(45, 18))
+        pairs = {(c, a): g for c, a, g in zip(sys.config, sys.axis, sys.group)}
+        assert len(pairs) == len(set(pairs.values())) == 45
+        assert sys.group[0] == sys.group[3 * 6]  # marker 1, same axis
+        assert sys.group[0] != sys.group[1]  # same record, next axis
+
+    def test_replace_shares_row_metadata(self, bundled_system):
+        sys2 = replace(bundled_system, dp=np.zeros(810))
+        for name in ("config", "marker", "axis"):
+            assert np.shares_memory(getattr(sys2, name), getattr(bundled_system, name))
+            assert not getattr(sys2, name).flags.writeable
+        assert_array_equal(sys2.group, bundled_system.group)
 
     def test_row_order_independent_of_input_order(
         self, bundled_records, nominal_model, bundled_design, bundled_system
@@ -228,7 +243,8 @@ class TestStackSystem:
         assert_array_equal(sys2.B, bundled_system.B)
         assert_array_equal(sys2.dp, bundled_system.dp)
         assert_array_equal(sys2.sigma, bundled_system.sigma)
-        assert sys2.row_tags == bundled_system.row_tags
+        for name in ("config", "marker", "axis", "group"):
+            assert_array_equal(getattr(sys2, name), getattr(bundled_system, name))
         x1 = ols_estimate(bundled_system).x_hat
         x2 = ols_estimate(sys2).x_hat
         assert_allclose(x2, x1, rtol=1e-12)
@@ -319,12 +335,18 @@ class TestStackSystem:
             B=np.ones((3, 1)),
             dp=np.zeros(3),
             sigma=np.ones(3),
-            row_tags=((1, 0, "x"), (1, 0, "y"), (1, 0, "z")),
+            config=[1, 1, 1],
+            marker=[0, 0, 0],
+            axis=[0, 1, 2],
             columns=("k1",),
         )
         StackedSystem(**good)
         with pytest.raises(ValueError, match="row count"):
             StackedSystem(**{**good, "dp": np.zeros(2)})
+        with pytest.raises(ValueError, match="row count"):
+            StackedSystem(**{**good, "axis": [0, 1]})
+        with pytest.raises(ValueError, match="axis entries"):
+            StackedSystem(**{**good, "axis": [0, 1, 3]})
         with pytest.raises(ValueError, match="strictly positive"):
             StackedSystem(**{**good, "sigma": np.array([1.0, 0.0, 1.0])})
         with pytest.raises(ValueError, match="name every parameter"):
