@@ -58,6 +58,13 @@ class _UsageError(Exception):
     """An invalid flag value or combination: reported as E_USAGE, exit 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors become one coded E_USAGE line, not a usage block."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _require(ok: bool, flag: str, rule: str, value) -> None:
     if not ok:
         raise _UsageError(f"{flag} must be {rule}, got {value}")
@@ -67,6 +74,8 @@ def _check_estimator_args(args) -> None:
     _require(math.isfinite(args.sigma0) and args.sigma0 > 0.0, "--sigma0", "positive", args.sigma0)
     _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
+    _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
+             "non-negative (or non-finite for a single pass)", args.rel_tol)
 
 
 def _check_records(records, model, source) -> None:
@@ -92,7 +101,7 @@ def _load_model(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="armcal",
         description="Geometric and elastostatic calibration of serial manipulators "
         "with dispersion-aware weighted least squares.",
@@ -220,13 +229,13 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "calibrate": _cmd_calibrate,
-        "simulate": _cmd_simulate,
-        "compare": _cmd_compare,
-    }[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "calibrate": _cmd_calibrate,
+            "simulate": _cmd_simulate,
+            "compare": _cmd_compare,
+        }[args.command]
         return handler(args)
     except _UsageError as exc:
         print(f"ERROR E_USAGE: {exc}", file=sys.stderr)

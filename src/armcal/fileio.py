@@ -27,6 +27,7 @@ Noise tables carry per-configuration dispersions in micrometers::
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -333,12 +334,23 @@ def write_ground_truth(path: str | Path, names: Sequence[str], values_si: np.nda
 
 
 def load_ground_truth(path: str | Path) -> dict[str, float]:
+    err = MeasurementFormatError
     out: dict[str, float] = {}
-    for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8").splitlines()):
+    for lineno, line in _data_lines(_read_lines(Path(path), err, "ground-truth file")):
         tokens = line.split()
         if tokens[0] == "parameter":
             continue
+        where = f"{path}:{lineno}"
         if len(tokens) != 2:
-            raise NoiseFormatError(f"{path}:{lineno}: expected 'name value' rows")
-        out[tokens[0]] = float(tokens[1])
+            raise err(f"{where}: expected 'name value' rows")
+        name, text = tokens
+        try:
+            value = float(text)
+        except ValueError:
+            raise err(f"{where}: non-numeric value {text!r}") from None
+        if not math.isfinite(value):
+            raise err(f"{where}: value {text!r} is not finite")
+        if name in out:
+            raise err(f"{where}: repeated parameter {name!r}")
+        out[name] = value
     return out

@@ -216,15 +216,12 @@ def joint_jacobian(model: ManipulatorModel, q, marker: int = 0) -> np.ndarray:
     frames = _frames(model, q)
     T = frames[-1] @ model.tool
     p = T[:3, :3] @ model.markers[marker] + T[:3, 3]
+    axes = np.array(frames[1:])  # (n, 4, 4) joint frames
+    z, o = axes[:, :3, 2], axes[:, :3, 3]
+    revolute = np.array([joint.kind == REVOLUTE for joint in model.joints])
     J = np.zeros((6, model.n_joints))
-    for j, joint in enumerate(model.joints):
-        z = frames[j + 1][:3, 2]
-        o = frames[j + 1][:3, 3]
-        if joint.kind == REVOLUTE:
-            J[:3, j] = np.cross(z, p - o)
-            J[3:, j] = z
-        else:
-            J[:3, j] = z
+    J[:3] = np.where(revolute, np.cross(z, p - o).T, z.T)
+    J[3:, revolute] = z[revolute].T
     return J
 
 

@@ -245,6 +245,18 @@ class StackedSystem:
         return self.B.shape[1]
 
 
+def _posture_blocks(model, rec, cmap, mode, params) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Nominal marker position (None in elastostatic mode) and row blocks of one record."""
+    if mode == "elastostatic":
+        return None, [elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)]
+    fk = forward_kinematics(model, rec.q, rec.marker).position
+    J = parameter_jacobian(model, rec.q, rec.marker, params)
+    if mode == "geometric":
+        return fk, [J]
+    A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
+    return fk, [np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])]
+
+
 def stack_system(
     records: Sequence[ExperimentRecord],
     model: ManipulatorModel,
@@ -269,6 +281,11 @@ def stack_system(
     ``marker`` and ``axis`` arrays record each row's origin.  Repeated
     experiments are stacked as independent rows, not averaged: averaging
     would hide the very replicate scatter the weighting stage feeds on.
+
+    Kinematics and regressor blocks are built once per distinct posture
+    within a call, keyed on the values that determine them (joint vector,
+    observed marker, wrench and its application marker, not the
+    configuration id), and reused for every repetition of that posture.
     """
     if not records:
         raise ValueError("no records to stack")
@@ -293,19 +310,18 @@ def stack_system(
 
     blocks: list[np.ndarray] = []
     obs: list[np.ndarray] = []
+    postures: dict[tuple, tuple] = {}  # repetitions share the blocks of their posture
     for rec in ordered:
+        key = (rec.q.tobytes(), rec.marker, rec.load.vector.tobytes(), rec.load.application_marker)
+        if key not in postures:
+            postures[key] = _posture_blocks(model, rec, cmap, mode, params)
+        fk, rows = postures[key]
+        blocks.extend(rows)
         if mode == "elastostatic":
-            blocks.append(elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker))
             obs.append(rec.deflection)
-            continue
-        fk = forward_kinematics(model, rec.q, rec.marker).position
-        J = parameter_jacobian(model, rec.q, rec.marker, params)
-        if mode == "geometric":
-            blocks.append(J)
+        elif mode == "geometric":
             obs.append(rec.p0 - fk)
         else:
-            A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
-            blocks.extend([np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])])
             obs.extend([rec.p0 - fk, rec.p - fk])
 
     B = np.vstack(blocks)

@@ -144,6 +144,21 @@ class TestCalibrate:
         assert trace[0].split("\t")[0] == "iteration"
         assert (tmp_path / "trace.txt").exists()
 
+    @pytest.mark.parametrize("rel_tol", ["inf", "-inf", "nan"])
+    def test_non_finite_rel_tol_requests_a_single_pass(self, rel_tol, study_dir, tmp_path):
+        assert (
+            run_cli(
+                "calibrate",
+                "--measurements", str(study_dir / "measurements.tsv"),
+                "--noise", str(study_dir / "noise.tsv"),
+                "--method", "irls",
+                f"--rel-tol={rel_tol}",
+                "--out", str(tmp_path),
+            )
+            == 0
+        )
+        assert len((tmp_path / "trace.tsv").read_text().splitlines()) == 1 + 1
+
     def test_irls_defaults_match_in_process(self, study_dir, tmp_path):
         assert (
             run_cli(
@@ -331,6 +346,7 @@ class TestErrorPaths:
             (("compare", "--max-iter", "0"), "--max-iter"),
             (("compare", "--sigma0", "0"), "--sigma0"),
             (("compare", "--lambda", "-1"), "--lambda"),
+            (("compare", "--rel-tol", "-1"), "--rel-tol"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):
@@ -340,6 +356,23 @@ class TestErrorPaths:
         assert err.startswith(f"ERROR E_USAGE: {flag} ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("compare", "--trials", "abc"), "armcal compare: argument --trials: invalid int value: 'abc'"),
+            (("calibrate", "--bogus"),
+             "armcal calibrate: the following arguments are required: --measurements"),
+            (("calibrate", "--measurements", "m.tsv", "--bogus"), "armcal: unrecognized arguments: --bogus"),
+            ((), "armcal: the following arguments are required: command"),
+        ],
+        ids=["non-integer", "missing-required", "unknown-flag", "no-command"],
+    )
+    def test_parser_errors_are_one_coded_line(self, argv, message, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ERROR E_USAGE: {message}\n"
+        assert captured.out == ""
 
     def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
         code = run_cli(

@@ -252,6 +252,26 @@ class TestGroundTruthFormat:
         loaded = load_ground_truth(path)
         assert loaded == {"k2_1": 0.287e-6, "k3": 0.416e-6}
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("k3 abc", "non-numeric value 'abc'"),
+            ("k3 nan", "value 'nan' is not finite"),
+            ("k3 -inf", "value '-inf' is not finite"),
+            ("k2_1 1e-7", "repeated parameter 'k2_1'"),
+            ("k3 1e-7 2e-7", "expected 'name value' rows"),
+        ],
+    )
+    def test_malformed_rows_name_file_and_line(self, row, message, tmp_path):
+        path = tmp_path / "truth.tsv"
+        path.write_text("parameter value\nk2_1 2.87e-07\n" + row + "\n")
+        with pytest.raises(MeasurementFormatError, match=f"truth.tsv:3: {message}"):
+            load_ground_truth(path)
+
+    def test_unreadable_path_reports_format_error(self, tmp_path):
+        with pytest.raises(MeasurementFormatError, match="cannot read"):
+            load_ground_truth(tmp_path / "absent.tsv")
+
 
 class TestAtomicWrite:
     def test_no_temporary_residue(self, tmp_path):

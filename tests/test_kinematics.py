@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own composition code:
 poses are rebuilt by multiplying elementary rotation/translation matrices
 one by one, and every Jacobian is checked against central finite
-differences of the forward kinematics.
+differences of the forward kinematics.  The one exception is the bit-exact
+check of ``joint_jacobian``'s column assembly, which starts from the
+library's own joint frames so that only the assembly is compared.
 """
 
 import math
@@ -19,6 +21,7 @@ from armcal.kinematics import (
     Pose,
     PRISMATIC,
     REVOLUTE,
+    _frames,
     forward_kinematics,
     joint_jacobian,
     parameter_jacobian,
@@ -191,6 +194,29 @@ class TestJointJacobian:
             J = joint_jacobian(nominal_model, q, marker=2)
             J_fd = fd_joint_jacobian(nominal_model, q, marker=2)
             assert rel_norm_error(J_fd, J[:3]) < 1e-6
+
+    def test_bit_equal_to_per_column_formula(self, make_chain):
+        """Each column is z x (p - o) and z (revolute) or z and 0 (prismatic), exactly."""
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(20):
+            model = make_chain(rng, prismatic_prob=0.3)
+            q = rng.uniform(-np.pi, np.pi, size=model.n_joints)
+            marker = int(rng.integers(len(model.markers)))
+            frames = _frames(model, q)
+            T = frames[-1] @ model.tool
+            p = T[:3, :3] @ model.markers[marker] + T[:3, 3]
+            oracle = np.zeros((6, model.n_joints))
+            for j, joint in enumerate(model.joints):
+                z, o = frames[j + 1][:3, 2], frames[j + 1][:3, 3]
+                kinds.add(joint.kind)
+                if joint.kind == REVOLUTE:
+                    oracle[:3, j] = np.cross(z, p - o)
+                    oracle[3:, j] = z
+                else:
+                    oracle[:3, j] = z
+            assert np.array_equal(joint_jacobian(model, q, marker), oracle)
+        assert kinds == {REVOLUTE, PRISMATIC}
 
 
 class TestParameterJacobian:

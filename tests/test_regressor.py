@@ -1,16 +1,24 @@
 """Observation-equation construction: compliance/geometry columns and stacking."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from armcal import reference
+from armcal import reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
 from armcal.estimator import ols_estimate
-from armcal.kinematics import forward_kinematics, joint_jacobian, parameter_jacobian, perturbed
-from armcal.noise import NoiseModel
+from armcal.kinematics import (
+    PRISMATIC,
+    REVOLUTE,
+    forward_kinematics,
+    joint_jacobian,
+    parameter_jacobian,
+    perturbed,
+)
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma
 from armcal.regressor import (
     ComplianceParameterMap,
     ExperimentRecord,
@@ -353,6 +361,123 @@ class TestStackSystem:
             StackedSystem(**{**good, "columns": ("k1", "k2")})
         with pytest.raises(ValueError, match="non-finite"):
             StackedSystem(**{**good, "dp": np.array([0.0, np.nan, 0.0])})
+
+
+GEOMETRIC_PARAMS = ["a2", "d3", "theta4", "tool_x"]
+
+
+def per_record_reference(records, model, cmap, noise, mode, params):
+    """The stacked rows built record by record from the public functions."""
+    ordered = sorted(records, key=lambda r: (r.config, r.marker, r.repetition))
+    blocks, obs = [], []
+    for rec in ordered:
+        if mode != "elastostatic":
+            fk = forward_kinematics(model, rec.q, rec.marker).position
+            J = parameter_jacobian(model, rec.q, rec.marker, params)
+        if mode != "geometric":
+            A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
+        if mode == "elastostatic":
+            blocks.append(A)
+            obs.append(rec.p - rec.p0)
+        elif mode == "geometric":
+            blocks.append(J)
+            obs.append(rec.p0 - fk)
+        else:
+            blocks += [np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])]
+            obs += [rec.p0 - fk, rec.p - fk]
+    rows_per_record = 6 if mode == "combined" else 3
+    config = np.repeat([rec.config for rec in ordered], rows_per_record)
+    marker = np.repeat([rec.marker for rec in ordered], rows_per_record)
+    axis = np.tile([0, 1, 2], len(blocks))
+    sigma = build_sigma(noise, config, axis, floor=DEFAULT_SIGMA0)
+    return dict(B=np.vstack(blocks), dp=np.concatenate(obs), sigma=sigma,
+                config=config, marker=marker, axis=axis)
+
+
+def shared_posture_study(model, rng):
+    """Records whose postures repeat across configuration ids, loads and markers.
+
+    Configurations 1-3 share one joint vector: 2 carries a lighter load than
+    1, and 3 the same force as 1 applied at another marker.  Configuration 4
+    changes its load between repetitions.  Every configuration is observed
+    at two markers, so a posture key that dropped the joint vector, the
+    observed marker, the wrench or its application marker would reuse a
+    wrong block.
+    """
+    q_a, q_b = (rng.uniform(-1.0, 1.0, size=model.n_joints) for _ in range(2))
+    heavy = Wrench(force=[0.0, 0.0, -2600.0])
+    light = Wrench(force=[0.0, 0.0, -900.0])
+    elsewhere = Wrench(force=[0.0, 0.0, -2600.0], application_marker=1)
+    layout = {1: (q_a, [heavy] * 3), 2: (q_a, [light] * 3), 3: (q_a, [elsewhere] * 3),
+              4: (q_b, [heavy, light, heavy])}
+    records = []
+    for cfg, (q, loads) in layout.items():
+        for marker in (0, 1):
+            for rep, load in enumerate(loads, start=1):
+                p0 = rng.normal(size=3)
+                records.append(ExperimentRecord(
+                    config=cfg, q=q, load=load, marker=marker, repetition=rep,
+                    p0=p0, p=p0 + rng.normal(scale=1e-4, size=3)))
+    cmap = ComplianceParameterMap.from_configurations([q_a, q_b])
+    noise = NoiseModel({cfg: rng.uniform(5e-6, 2e-5, size=3) for cfg in layout})
+    return records, cmap, noise
+
+
+class TestPostureReuse:
+    """stack_system builds each posture's blocks once; rows must not change."""
+
+    @pytest.fixture(params=["bundled", "shared-nominal", "shared-prismatic"])
+    def study(self, request, bundled_records, bundled_design, nominal_model, make_chain):
+        rng = np.random.default_rng(23)
+        if request.param == "bundled":
+            records, cmap, noise, model = (bundled_records, bundled_design.cmap,
+                                           bundled_design.noise, nominal_model)
+        elif request.param == "shared-nominal":
+            model = nominal_model
+            records, cmap, noise = shared_posture_study(model, rng)
+        else:
+            model = make_chain(rng, prismatic_prob=0.3)
+            assert {j.kind for j in model.joints} == {REVOLUTE, PRISMATIC}
+            records, cmap, noise = shared_posture_study(model, rng)
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        return shuffled, model, cmap, noise
+
+    @pytest.mark.parametrize("mode", ["elastostatic", "geometric", "combined"])
+    def test_rows_equal_per_record_reference(self, study, mode):
+        records, model, cmap, noise = study
+        params = None if mode == "elastostatic" else GEOMETRIC_PARAMS
+        sys = stack_system(records, model, cmap, noise, mode=mode, params=params)
+        expected = per_record_reference(records, model, cmap, noise, mode, params)
+        for name, value in expected.items():
+            assert np.array_equal(getattr(sys, name), value), name
+
+    @pytest.mark.parametrize(
+        "mode, params, expected",
+        [
+            ("elastostatic", None, dict(elastostatic_regressor=45, joint_jacobian=75,
+                                        forward_kinematics=0, parameter_jacobian=0)),
+            ("combined", GEOMETRIC_PARAMS, dict(elastostatic_regressor=45, joint_jacobian=75,
+                                                forward_kinematics=45, parameter_jacobian=45)),
+        ],
+    )
+    def test_bundled_study_builds_each_posture_once(
+        self, mode, params, expected, bundled_records, nominal_model, bundled_design, monkeypatch
+    ):
+        # 15 configurations x 3 markers = 45 postures; markers 1 and 2 also
+        # need the Jacobian of the load's marker 0, hence 45 + 30 Jacobians
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in expected:
+            monkeypatch.setattr(regressor, name, counted(name, getattr(regressor, name)))
+        stack_system(bundled_records, nominal_model, bundled_design.cmap,
+                     bundled_design.noise, mode=mode, params=params)
+        assert {name: calls[name] for name in expected} == expected
 
 
 class TestExperimentRecord:
