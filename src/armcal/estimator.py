@@ -102,6 +102,61 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
     return " ".join(f"{v[i]:+.2f}*{names[i]}" for i in keep)
 
 
+def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray):
+    """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B``.
+
+    ``w`` and ``sigma`` are (T, m) stacks, one row per trial, and one
+    ``np.linalg.svd`` call factors them all.  Returns ``U, s, Vt, cov,
+    errors``: ``errors[t]`` is the exception trial t's solve raises (an
+    identically zero or rank-deficient regressor, a negative covariance
+    diagonal) or None.  A failed trial's singular values are set to infinity
+    so its solution reads zero instead of overflowing.
+    """
+    n = sys.n_parameters
+    U, s, Vt = np.linalg.svd(sys.B * w[:, :, None], full_matrices=False)
+    rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
+    rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
+    errors: list[Exception | None] = [None] * len(s)
+    for t in np.flatnonzero(rank < n):
+        if s[t, 0] == 0.0:
+            errors[t] = RankDeficientError("weighted regressor is identically zero")
+            continue
+        directions = tuple(_describe_direction(Vt[t, i], sys.columns) for i in range(rank[t], n))
+        errors[t] = RankDeficientError(
+            f"information matrix is rank deficient ({rank[t]}/{n}); "
+            f"unidentifiable: {'; '.join(directions)}",
+            directions=directions,
+        )
+    for t in np.flatnonzero((rank == n) & (rel[:, -1] < RANK_WARN)):
+        warnings.warn(
+            "information matrix is near rank deficiency "
+            f"(relative singular value {rel[t, -1]:.2e}); weakest direction: "
+            f"{_describe_direction(Vt[t, -1], sys.columns)}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    s[rank < n] = np.inf
+
+    G = Vt.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])  # pinv of each w[t] * B
+    ws = w * sigma
+    cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    for t in np.flatnonzero(np.any(np.diagonal(cov, axis1=1, axis2=2) < 0.0, axis=1)):
+        errors[t] = RuntimeError("covariance diagonal went negative; system is numerically unusable")
+    return U, s, Vt, cov, errors
+
+
+def _apply(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, yw: np.ndarray) -> np.ndarray:
+    """Solutions ``V ((U' yw[t]) / s)`` of a (T, m) stack of weighted observations.
+
+    The factors may hold one slice shared by every trial.  Each trial is its
+    own matrix-vector product in this association order, so a stacked solve
+    equals the one-trial solve bit for bit.
+    """
+    c = (U.transpose(0, 2, 1) @ yw[:, :, None])[:, :, 0] / s
+    return (Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
+
+
 def _weighted_solve(
     sys: StackedSystem, weights: np.ndarray, method: str
 ) -> EstimationResult:
@@ -113,43 +168,15 @@ def _weighted_solve(
     if not np.any(w > 0.0):
         raise ValueError("all rows have zero weight")
 
-    Bw = sys.B * w[:, None]
-    yw = sys.dp * w
-    U, s, Vt = np.linalg.svd(Bw, full_matrices=False)
-    if s[0] == 0.0:
-        raise RankDeficientError("weighted regressor is identically zero")
-    rel = s / s[0]
-    n = sys.n_parameters
-    rank = int(np.count_nonzero(rel > RANK_CUTOFF))
-    if rank < n:
-        directions = tuple(_describe_direction(Vt[i], sys.columns) for i in range(rank, n))
-        raise RankDeficientError(
-            f"information matrix is rank deficient ({rank}/{n}); "
-            f"unidentifiable: {'; '.join(directions)}",
-            directions=directions,
-        )
-    if rel[-1] < RANK_WARN:
-        warnings.warn(
-            "information matrix is near rank deficiency "
-            f"(relative singular value {rel[-1]:.2e}); weakest direction: "
-            f"{_describe_direction(Vt[-1], sys.columns)}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    x = Vt.T @ ((U.T @ yw) / s)
-    G = Vt.T @ (U.T / s[:, None])  # pinv of the weighted regressor
-    ws = w * sys.sigma
-    cov = (G * ws[None, :] ** 2) @ G.T
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov)
-    if np.any(diag < 0.0):
-        raise RuntimeError("covariance diagonal went negative; system is numerically unusable")
+    U, s, Vt, cov, errors = _factor(sys, w[None], sys.sigma[None])
+    if errors[0] is not None:
+        raise errors[0]
+    x = _apply(U, s, Vt, (sys.dp * w)[None])[0]
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x,
-        covariance=cov,
-        ci3=3.0 * np.sqrt(diag),
+        covariance=cov[0],
+        ci3=3.0 * np.sqrt(np.diag(cov[0])),
         residuals=sys.B @ x - sys.dp,
         method=method,
         weights=w,
@@ -179,47 +206,88 @@ def irls(
     Iteration 1 weights come from the system's own sigma vector.  Every later
     iteration re-estimates the per-(configuration, axis) dispersions from the
     previous residuals (sample std over that group's markers x repetitions,
-    floored at ``sigma0``; a one-row group raises ``ValueError``), rebuilds
-    the saturating weights and re-solves.
+    floored at ``sigma0``; a one-row group raises ``ReplicateCountError``),
+    rebuilds the saturating weights and re-solves.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
     requests a single weighted pass.  If a later iteration loses rank, the
     last valid iterate is returned flagged (``converged=False``,
     ``stop_reason='rank_loss'``).
+
+    This is the one-trial case of the stacked loop the Monte Carlo comparison
+    runs over blocks of trials; there every trial keeps its own stop
+    iteration and stop reason.
+    """
+    fit = _irls_stack(sys, sys.dp[None], sys.sigma[None], sigma0, lam, rel_tol, max_iter)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _irls_stack(
+    sys: StackedSystem,
+    y: np.ndarray,
+    sigma: np.ndarray,
+    sigma0: float,
+    lam: float,
+    rel_tol: float,
+    max_iter: int,
+) -> list[EstimationResult | Exception]:
+    """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
+
+    ``sigma`` holds each trial's starting dispersions.  Each iteration solves
+    the trials still running with one stacked SVD; a trial leaves the stack
+    when it stops.  Returns per trial its final result, or the exception its
+    solve raised (rank loss at iteration 1, a negative covariance diagonal).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-
-    sigma_t = np.array(sys.sigma)
-    trace: list[IterationSnapshot] = []
-    result: EstimationResult | None = None
-    converged = False
-    reason = "max_iter"
-    for t in range(1, max_iter + 1):
-        weights = robust_weights(sigma_t, sigma0, lam)
-        try:
-            step = _weighted_solve(replace(sys, sigma=sigma_t), weights, "irls")
-        except RankDeficientError:
-            if result is None:
-                raise
-            reason = "rank_loss"
-            break
-        prev = result
-        result = step
-        trace.append(IterationSnapshot(index=t, x_hat=step.x_hat, ci3=step.ci3))
-        if not math.isfinite(rel_tol):
-            converged = True
-            reason = "single_pass"
-            break
+    single_pass = not math.isfinite(rel_tol)
+    final: list[EstimationResult | Exception | None] = [None] * y.shape[0]
+    trace: list[list[IterationSnapshot]] = [[] for _ in final]
+    live = np.arange(y.shape[0])  # trials still iterating
+    prev = None  # their estimates from the previous iteration
+    sigma_t = sigma
+    for it in range(1, max_iter + 1):
+        w = robust_weights(sigma_t, sigma0, lam)
+        U, s, Vt, cov, errors = _factor(sys, w, sigma_t)
+        x = _apply(U, s, Vt, y[live] * w)
+        residuals = (sys.B @ x[:, :, None])[:, :, 0] - y[live]
+        ci3 = 3.0 * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
         if prev is not None:
-            denom = np.maximum(np.abs(prev.x_hat), 1e-300)
-            change = float(np.max(np.abs(step.x_hat - prev.x_hat) / denom))
-            if change < rel_tol:
-                converged = True
+            change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
+        keep = np.zeros(live.shape[0], dtype=bool)
+        for j, t in enumerate(live):
+            if errors[j] is not None:
+                if prev is None or not isinstance(errors[j], RankDeficientError):
+                    final[t] = errors[j]
+                else:
+                    final[t] = replace(final[t], converged=False, stop_reason="rank_loss")
+                continue
+            trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
+            if single_pass:
+                reason = "single_pass"
+            elif prev is not None and change[j] < rel_tol:
                 reason = "tolerance"
-                break
-        sigma_t = np.maximum(grouped_std(result.residuals, sys.group)[sys.group], sigma0)
-
-    assert result is not None
-    return replace(result, iterations=tuple(trace), converged=converged, stop_reason=reason)
+            else:
+                reason = "max_iter"
+            keep[j] = reason == "max_iter"
+            final[t] = EstimationResult(
+                parameters=sys.columns,
+                x_hat=x[j],
+                covariance=cov[j],
+                ci3=ci3[j],
+                residuals=residuals[j],
+                method="irls",
+                weights=w[j],
+                sigma=sigma_t[j],
+                converged=reason != "max_iter",
+                stop_reason=reason,
+            )
+        live, prev = live[keep], x[keep]
+        if not live.size:
+            break
+        sigma_t = np.maximum(grouped_std(residuals[keep], sys.group)[:, sys.group], sigma0)
+    return [fit if isinstance(fit, Exception) else replace(fit, iterations=tuple(snaps))
+            for fit, snaps in zip(final, trace)]

@@ -128,23 +128,28 @@ def build_sigma(
 
 
 def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Sample std (ddof=1) of the ``values`` in each group, indexed by group.
+    """Sample std (ddof=1) of the ``values`` in each group, along the last axis.
 
-    Entry g is 0.0 if no ``group[i]`` equals g.  Groups of one size share one
-    ``np.std`` call, so each entry equals ``np.std`` of its group bit for bit.
+    ``group[i]`` numbers the group of ``values[..., i]``; the result's last
+    axis is indexed by group, and entry g is 0.0 if no ``group[i]`` equals g.
+    A group of one row raises :class:`ReplicateCountError`.  Groups of one
+    size share one ``np.std`` call over a contiguous gather, so each entry
+    equals ``np.std`` of its group bit for bit.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float)
     group = np.asarray(group).reshape(-1)
-    if values.shape != group.shape:
+    if values.shape[-1:] != group.shape:
         raise ValueError("values and group length mismatch")
     counts = np.bincount(group)
     if np.any(counts == 1):
-        raise ValueError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")
+        raise ReplicateCountError(
+            "every (configuration, axis) group needs >= 2 rows to estimate a dispersion"
+        )
     order = np.argsort(group, kind="stable")
     size_of = counts[group[order]]  # group size of each row, in group order
-    out = np.zeros(counts.shape[0])
+    out = np.zeros(values.shape[:-1] + counts.shape)
     for size in set(counts[counts > 0].tolist()):
         ids = np.flatnonzero(counts == size)
         rows = order[size_of == size].reshape(ids.shape[0], size)
-        out[ids] = np.std(values[rows], axis=1, ddof=1)
+        out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
     return out

@@ -169,7 +169,8 @@ def write_compare_report(out_dir: Path, mc: MonteCarloReport) -> list[Path]:
         f"# {mc.trials} trials, {mc.n_failed} failed; "
         f"WLS CI nested in OLS CI in {mc.nested_all_fraction * 100.0:.1f}% of trials\n"
     )
-    txt = summary + _table(header, rows)
+    failed = "".join(f"# failed trial {t}: {kind}: {message}\n" for t, kind, message in mc.failures)
+    txt = summary + failed + _table(header, rows)
 
     # average convergence trace across trials (truncated to the shortest run)
     min_len = min((t.shape[0] for t in mc.irls_ci_traces), default=0)

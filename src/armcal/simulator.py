@@ -20,12 +20,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CalibrationError
 from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
-    irls,
+    _apply,
+    _factor,
+    _irls_stack,
     ols_estimate,
     optimal_weights,
     wls_estimate,
@@ -42,6 +43,11 @@ from .regressor import (
 )
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
+
+#: Byte budget of one (trials, rows, parameters) stack in the Monte Carlo
+#: comparison; it sets how many trials are solved together, so memory does
+#: not grow with the trial count.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,9 @@ class MonteCarloReport:
     per-trial analytic half-widths with matching shape.  ``predicted_cov``
     carries the closed-form covariances evaluated with the design's true
     noise: the unweighted sandwich for OLS, the reduced inverse-dispersion
-    form for WLS.
+    form for WLS.  ``failures`` lists each failed trial as (trial index,
+    exception class name, message); ``n_failed`` is its length.  The IRLS
+    arrays hold each successful trial's own iteration count, stop and trace.
 
     A trial nests parameter j when ``|x_wls - x_ols| + ci3_wls <= ci3_ols``,
     i.e. the WLS 3-sigma interval lies inside the OLS one.
@@ -196,7 +204,7 @@ class MonteCarloReport:
     parameters: tuple[str, ...]
     truth: np.ndarray
     trials: int
-    n_failed: int
+    failures: tuple[tuple[int, str, str], ...]
     estimates: Mapping[str, np.ndarray]
     ci3: Mapping[str, np.ndarray]
     predicted_cov: Mapping[str, np.ndarray]
@@ -205,6 +213,10 @@ class MonteCarloReport:
     irls_converged: np.ndarray
     nested_per_param: np.ndarray
     nested_all_fraction: float
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
     def empirical_mean(self, method: str) -> np.ndarray:
         return np.mean(self.estimates[method], axis=0)
@@ -236,66 +248,80 @@ def monte_carlo_compare(
 
     The regressor depends only on geometry and configurations, so it is built
     once; each trial redraws the deflection noise (std = the design sigmas,
-    matching the two-draw difference of :func:`simulate_measurements`) and
-    re-solves.  WLS uses inverse-dispersion weights from the design's true
-    noise; IRLS starts blind, from the raw per-configuration scatter of that
-    trial's deflections.  Failed trials are recorded; more than 5% aborts.
+    matching the two-draw difference of :func:`simulate_measurements`) from
+    its own ``default_rng((seed, trial))`` stream and re-solves.  WLS uses
+    inverse-dispersion weights from the design's true noise; IRLS starts
+    blind, from the raw per-(configuration, axis) scatter of that trial's
+    deflections.
+
+    Trials are solved together in fixed blocks (a few trials each, sized by a
+    byte budget), drawn block by block.  OLS and WLS share ``B`` and their
+    weights across trials, so each is one SVD plus a stacked product; IRLS
+    runs one stacked SVD per iteration over the block's still-running
+    trials, each keeping its own stop iteration and reason.  Every estimate
+    equals the one-trial solve of that trial bit for bit.  Failed trials are
+    recorded with their reason; more than 5% aborts.  A design with a
+    one-row (configuration, axis) group raises ``ReplicateCountError``
+    before any trial.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
-    dp_clean = base.dp
-    sigma_true = base.sigma
+    dp_clean, sigma_true, group = base.dp, base.sigma, base.group
     w_opt = optimal_weights(sigma_true)
 
     ref_ols = ols_estimate(base)
     ref_wls = wls_estimate(base, w_opt)
+    fixed = {}
+    for name, w in (("ols", np.ones_like(sigma_true)), ("wls", w_opt)):
+        U, s, Vt, _, _ = _factor(base, w[None], sigma_true[None])
+        fixed[name] = (U, s, Vt, w)
 
     collected: dict[str, list[np.ndarray]] = {"ols": [], "wls": [], "irls": []}
-    ci_collected: dict[str, list[np.ndarray]] = {"ols": [], "wls": [], "irls": []}
+    irls_ci3: list[np.ndarray] = []
     traces: list[np.ndarray] = []
     iteration_counts: list[int] = []
     converged_flags: list[bool] = []
-    nested_rows: list[np.ndarray] = []
-    n_failed = 0
-    for t in range(trials):
-        rng = np.random.default_rng((design.seed, t))
-        dp = dp_clean + rng.normal(size=dp_clean.shape) * sigma_true
+    failures: list[tuple[int, str, str]] = []
+    block = max(1, _BLOCK_BYTES // base.B.nbytes)
+    for start in range(0, trials, block):
+        block_trials = range(start, min(start + block, trials))
+        noise = np.array([np.random.default_rng((design.seed, t)).normal(size=dp_clean.shape)
+                          for t in block_trials])
+        dp = dp_clean + noise * sigma_true
+        sigma_raw = np.maximum(grouped_std(dp, group)[:, group], sigma0)
+        x = {name: _apply(U, s, Vt, dp * w) for name, (U, s, Vt, w) in fixed.items()}
         try:
-            sys_t = replace(base, dp=dp)
-            res_o = ols_estimate(sys_t)
-            res_w = wls_estimate(sys_t, w_opt)
-            sigma_raw = np.maximum(grouped_std(dp, base.group)[base.group], sigma0)
-            res_i = irls(
-                replace(sys_t, sigma=sigma_raw),
-                sigma0=sigma0,
-                lam=lam,
-                rel_tol=rel_tol,
-                max_iter=max_iter,
-            )
-        except (CalibrationError, RuntimeError, np.linalg.LinAlgError):
-            n_failed += 1
-            continue
-        for name, res in (("ols", res_o), ("wls", res_w), ("irls", res_i)):
-            collected[name].append(res.x_hat)
-            ci_collected[name].append(res.ci3)
-        traces.append(np.array([snap.ci3 for snap in res_i.iterations]))
-        iteration_counts.append(len(res_i.iterations))
-        converged_flags.append(res_i.converged)
-        nested_rows.append(
-            np.abs(res_w.x_hat - res_o.x_hat) + res_w.ci3 <= res_o.ci3
-        )
-    if n_failed > 0.05 * trials:
-        raise RuntimeError(f"{n_failed}/{trials} Monte Carlo trials failed; aborting")
+            fits = _irls_stack(base, dp, sigma_raw, sigma0, lam, rel_tol, max_iter)
+        except np.linalg.LinAlgError as exc:  # the stacked SVD fails as a whole
+            fits = [exc] * len(block_trials)
+        for j, (t, fit) in enumerate(zip(block_trials, fits)):
+            if isinstance(fit, Exception):
+                failures.append((t, type(fit).__name__, str(fit)))
+                continue
+            collected["ols"].append(x["ols"][j])
+            collected["wls"].append(x["wls"][j])
+            collected["irls"].append(fit.x_hat)
+            irls_ci3.append(fit.ci3)
+            traces.append(np.array([snap.ci3 for snap in fit.iterations]))
+            iteration_counts.append(len(fit.iterations))
+            converged_flags.append(fit.converged)
+    if len(failures) > 0.05 * trials:
+        t, kind, message = failures[0]
+        raise RuntimeError(f"{len(failures)}/{trials} Monte Carlo trials failed; aborting "
+                           f"(first: trial {t}, {kind}: {message})")
 
-    nested = np.asarray(nested_rows)
+    estimates = {k: np.asarray(v) for k, v in collected.items()}
+    n_ok = len(irls_ci3)
+    nested = np.abs(estimates["wls"] - estimates["ols"]) + ref_wls.ci3 <= ref_ols.ci3
     return MonteCarloReport(
         parameters=base.columns,
         truth=np.array(design.ground_truth.values),
         trials=trials,
-        n_failed=n_failed,
-        estimates={k: np.asarray(v) for k, v in collected.items()},
-        ci3={k: np.asarray(v) for k, v in ci_collected.items()},
+        failures=tuple(failures),
+        estimates=estimates,
+        ci3={"ols": np.tile(ref_ols.ci3, (n_ok, 1)), "wls": np.tile(ref_wls.ci3, (n_ok, 1)),
+             "irls": np.asarray(irls_ci3)},
         predicted_cov={"ols": ref_ols.covariance, "wls": ref_wls.covariance},
         irls_ci_traces=tuple(traces),
         irls_iterations=np.asarray(iteration_counts),

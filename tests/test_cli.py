@@ -297,6 +297,25 @@ class TestErrorPaths:
         assert "ERROR E_RANK_DEFICIENT:" in capsys.readouterr().err
 
 
+    def test_replicate_starved_study_under_irls(self, tmp_path, capsys):
+        # one marker, one repetition: every (configuration, axis) group is one row
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--markers", "1", "--repetitions", "1",
+                       "--out", str(study)) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "calibrate",
+            "--measurements", str(study / "measurements.tsv"),
+            "--noise", str(study / "noise.tsv"),
+            "--method", "irls",
+            "--out", str(tmp_path / "out"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR E_REPLICATES:")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _with_token(study_dir, tmp_path, row, column, value):
         """Copy of the study's measurement file with one data-row field replaced."""
@@ -477,3 +496,23 @@ class TestReportHelpers:
         )
         for name, (est, _) in reported.items():
             assert est == pytest.approx(truth[name], rel=0.2)
+
+    def test_compare_report_lists_failed_trials_only_when_any(self, tmp_path):
+        from dataclasses import replace
+
+        from armcal.reports import write_compare_report
+        from armcal.simulator import monte_carlo_compare
+
+        mc = monte_carlo_compare(reference.study_design(seed=0), reference.nominal_model(),
+                                 trials=4)
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "failed").mkdir()
+        write_compare_report(tmp_path / "clean", mc)
+        clean = (tmp_path / "clean" / "comparison.txt").read_text()
+        assert "failed trial" not in clean
+        failed = replace(mc, failures=((2, "RankDeficientError", "rank deficient (8/9)"),))
+        write_compare_report(tmp_path / "failed", failed)
+        lines = (tmp_path / "failed" / "comparison.txt").read_text().splitlines()
+        assert lines[0].startswith("# 4 trials, 1 failed;")
+        assert lines[1] == "# failed trial 2: RankDeficientError: rank deficient (8/9)"
+        assert lines[2:] == clean.splitlines()[1:]

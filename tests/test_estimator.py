@@ -1,6 +1,7 @@
 """Least-squares solvers, weighting rules, covariances and the reweighting loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import armcal.estimator as estimator_mod
 from armcal import reference
-from armcal.errors import RankDeficientError
+from armcal.errors import RankDeficientError, ReplicateCountError
 from armcal.estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
@@ -338,16 +339,19 @@ class TestIRLS:
         assert res.stop_reason == "max_iter"
 
     def test_rank_loss_returns_last_valid_iterate(self, noisy_system, monkeypatch):
-        real_solve = estimator_mod._weighted_solve
+        # irls factors every iteration's weighted regressor through _factor,
+        # which reports a rank failure per trial instead of raising it
+        real_factor = estimator_mod._factor
         calls = {"n": 0}
 
-        def failing_solve(sys, weights, method):
+        def failing_factor(sys, w, sigma):
             calls["n"] += 1
+            U, s, Vt, cov, errors = real_factor(sys, w, sigma)
             if calls["n"] >= 2:
-                raise RankDeficientError("synthetic rank collapse")
-            return real_solve(sys, weights, method)
+                errors = [RankDeficientError("synthetic rank collapse")] * len(errors)
+            return U, s, Vt, cov, errors
 
-        monkeypatch.setattr(estimator_mod, "_weighted_solve", failing_solve)
+        monkeypatch.setattr(estimator_mod, "_factor", failing_factor)
         res = irls(noisy_system, rel_tol=0.0, max_iter=5)
         assert len(res.iterations) == 1
         assert not res.converged
@@ -370,8 +374,37 @@ class TestIRLS:
     def test_replicate_starved_groups_rejected(self):
         # each (config, axis) group holds a single row: nothing to re-estimate
         sys = make_system(np.ones((3, 1)), np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError, match=">= 2 rows"):
+        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
             irls(sys)
+
+    def test_stacked_trials_keep_their_own_stop(self):
+        # Three (configuration, axis) groups of six rows; only the middle group
+        # informs kb.  In trial 0 that group's rows disagree by +-1e11, so its
+        # re-learnt dispersion drives its weights to ~1e-11 and a later
+        # iteration loses rank, while the other trials reweight on.
+        axis = np.repeat([0, 1, 2], 6)
+        B = np.random.default_rng(3).normal(size=(18, 3))
+        B[axis != 1, 1] = 0.0
+        sys = StackedSystem(B=B, dp=np.zeros(18), sigma=np.ones(18), config=[1] * 18,
+                            marker=[0] * 18, axis=axis, columns=("ka", "kb", "kc"))
+        rng = np.random.default_rng(3)
+        scale = np.array([0.3, 1.0, 3.0])[axis] * np.array([[1.0], [1.0], [4.0], [0.2]])
+        y = B @ np.array([2.0, -1.0, 0.5]) + rng.normal(size=(4, 18)) * scale
+        y[0, axis == 1] = 1e11 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        kw = dict(sigma0=0.1, lam=1.0, rel_tol=1e-6, max_iter=20)
+        fits = estimator_mod._irls_stack(sys, y, np.ones((4, 18)), **kw)
+        assert [f.stop_reason for f in fits] == ["rank_loss", "max_iter", "tolerance", "tolerance"]
+        assert [len(f.iterations) for f in fits] == [4, 20, 9, 5]
+        for t, fit in enumerate(fits):
+            ref = irls(replace(sys, dp=y[t]), **kw)
+            assert (fit.stop_reason, fit.converged) == (ref.stop_reason, ref.converged)
+            for name in ("x_hat", "covariance", "ci3", "residuals", "weights", "sigma"):
+                assert_array_equal(getattr(fit, name), getattr(ref, name))
+            assert len(fit.iterations) == len(ref.iterations)
+            for a, b in zip(fit.iterations, ref.iterations):
+                assert a.index == b.index
+                assert_array_equal(a.x_hat, b.x_hat)
+                assert_array_equal(a.ci3, b.ci3)
 
     def test_max_iter_validated(self, noisy_system):
         with pytest.raises(ValueError, match="max_iter"):

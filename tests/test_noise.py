@@ -173,7 +173,7 @@ class TestGroupedDispersions:
             grouped_std(np.zeros(3), np.array([0]))
 
     def test_single_row_group_rejected(self):
-        with pytest.raises(ValueError, match=">= 2 rows"):
+        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
             grouped_std(np.zeros(3), np.array([0, 0, 1]))
 
     def test_deflection_dispersions_match_manual_pooling(self, nominal_model):

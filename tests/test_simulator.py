@@ -1,15 +1,17 @@
 """Synthetic-study generation and the Monte Carlo method comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import armcal.simulator as simulator_mod
 from armcal import reference
-from armcal.errors import CalibrationError, MissingNoiseError
-from armcal.estimator import ols_estimate, optimal_weights, wls_estimate
+from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
+from armcal.estimator import irls, ols_estimate, optimal_weights, wls_estimate
 from armcal.kinematics import forward_kinematics, parameter_jacobian
-from armcal.noise import NoiseModel
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
 from armcal.regressor import stack_system
 from armcal.simulator import (
     ComplianceVector,
@@ -289,38 +291,109 @@ class TestMonteCarloCompare:
     def test_failed_trials_recorded_up_to_the_abort_threshold(
         self, bundled_design, nominal_model, monkeypatch
     ):
-        real = simulator_mod.ols_estimate
+        # trials fail where each trial's own IRLS outcome is read: the
+        # first block's trials 0 and 1 come back as exceptions
+        real = simulator_mod._irls_stack
         calls = {"n": 0}
 
-        def flaky(sys):
+        def flaky(*args):
+            fits = real(*args)
             calls["n"] += 1
-            # call 1 solves the reference system; trials start at call 2
-            if calls["n"] in (2, 3):
-                raise CalibrationError("synthetic trial failure")
-            return real(sys)
+            if calls["n"] == 1:
+                fits[:2] = [CalibrationError("synthetic trial failure")] * 2
+            return fits
 
-        monkeypatch.setattr(simulator_mod, "ols_estimate", flaky)
+        monkeypatch.setattr(simulator_mod, "_irls_stack", flaky)
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=50)
         assert mc.n_failed == 2
         assert mc.estimates["ols"].shape == (48, 9)
+        assert mc.failures == (
+            (0, "CalibrationError", "synthetic trial failure"),
+            (1, "CalibrationError", "synthetic trial failure"),
+        )
 
     def test_too_many_failures_abort(self, bundled_design, nominal_model, monkeypatch):
-        real = simulator_mod.ols_estimate
-        calls = {"n": 0}
+        real = simulator_mod._irls_stack
 
-        def broken(sys):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise CalibrationError("synthetic trial failure")
-            return real(sys)
+        def broken(*args):
+            return [CalibrationError("synthetic trial failure") for _ in real(*args)]
 
-        monkeypatch.setattr(simulator_mod, "ols_estimate", broken)
+        monkeypatch.setattr(simulator_mod, "_irls_stack", broken)
         with pytest.raises(RuntimeError, match="trials failed"):
             monte_carlo_compare(bundled_design, nominal_model, trials=50)
 
     def test_trial_count_validated(self, bundled_design, nominal_model):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_compare(bundled_design, nominal_model, trials=1)
+
+
+def per_trial_reference(design, model, trials, sigma0=DEFAULT_SIGMA0, **irls_kw):
+    """Each trial solved on its own through the public one-trial estimators."""
+    base = noise_free_system(design, model)
+    w_opt = optimal_weights(base.sigma)
+    fits = []
+    for t in range(trials):
+        rng = np.random.default_rng((design.seed, t))
+        sys_t = replace(base, dp=base.dp + rng.normal(size=base.dp.shape) * base.sigma)
+        sigma_raw = np.maximum(grouped_std(sys_t.dp, base.group)[base.group], sigma0)
+        fits.append((
+            ols_estimate(sys_t),
+            wls_estimate(sys_t, w_opt),
+            irls(replace(sys_t, sigma=sigma_raw), sigma0=sigma0, **irls_kw),
+        ))
+    return fits
+
+
+class TestBatchedEquivalence:
+    """The blocked Monte Carlo solves equal per-trial public solves bit for bit."""
+
+    TRIALS = 10
+
+    @pytest.mark.parametrize(
+        "irls_kw",
+        [{}, {"max_iter": 1}, {"rel_tol": np.inf}],
+        ids=["default", "max_iter=1", "rel_tol=inf"],
+    )
+    def test_matches_per_trial_solves(self, irls_kw, bundled_design, nominal_model):
+        base = noise_free_system(bundled_design, nominal_model)
+        # the last block is a partial one
+        assert self.TRIALS % max(1, simulator_mod._BLOCK_BYTES // base.B.nbytes) != 0
+        mc = monte_carlo_compare(bundled_design, nominal_model, trials=self.TRIALS, **irls_kw)
+        ref = per_trial_reference(bundled_design, nominal_model, self.TRIALS, **irls_kw)
+        assert mc.failures == ()
+        for k, method in enumerate(("ols", "wls", "irls")):
+            assert_array_equal(mc.estimates[method], np.array([r[k].x_hat for r in ref]))
+            assert_array_equal(mc.ci3[method], np.array([r[k].ci3 for r in ref]))
+        irls_ref = [r[2] for r in ref]
+        assert_array_equal(mc.irls_iterations, [len(r.iterations) for r in irls_ref])
+        assert_array_equal(mc.irls_converged, [r.converged for r in irls_ref])
+        for trace, r in zip(mc.irls_ci_traces, irls_ref):
+            assert_array_equal(trace, np.array([snap.ci3 for snap in r.iterations]))
+        nested = [np.abs(w.x_hat - o.x_hat) + w.ci3 <= o.ci3 for o, w, _ in ref]
+        assert_array_equal(mc.nested_per_param, np.mean(nested, axis=0))
+        if not irls_kw:
+            assert len(set(mc.irls_iterations.tolist())) > 1  # trials stop at different iterations
+        else:
+            assert np.all(mc.irls_iterations == 1)
+            assert {r.stop_reason for r in irls_ref} == {
+                "max_iter" if "max_iter" in irls_kw else "single_pass"
+            }
+
+    def test_replicate_starved_design_raises_before_any_trial(
+        self, nominal_model, monkeypatch
+    ):
+        calls = {"n": 0}
+        real = simulator_mod._irls_stack
+
+        def counted(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(simulator_mod, "_irls_stack", counted)
+        design = quiet_design(markers=1, repetitions=1)
+        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
+            monte_carlo_compare(design, nominal_model, trials=10)
+        assert calls["n"] == 0
 
 
 class TestReferenceStudy:
