@@ -19,7 +19,6 @@ from .errors import (
 from .estimator import (
     EstimationResult,
     IterationSnapshot,
-    confidence_intervals,
     irls,
     ols_estimate,
     optimal_weights,
@@ -45,9 +44,8 @@ from .noise import (
 )
 from .regressor import (
     ComplianceParameterMap,
-    ExperimentRecord,
     StackedSystem,
-    Wrench,
+    Study,
     elastostatic_regressor,
     stack_system,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "ComplianceVector",
     "DEFAULT_SIGMA0",
     "EstimationResult",
-    "ExperimentRecord",
     "IterationSnapshot",
     "Joint",
     "ManipulatorModel",
@@ -82,11 +79,10 @@ __all__ = [
     "RankDeficientError",
     "ReplicateCountError",
     "StackedSystem",
+    "Study",
     "StudyDesign",
     "UnderDeterminedError",
-    "Wrench",
     "build_sigma",
-    "confidence_intervals",
     "deflection_dispersions",
     "elastostatic_regressor",
     "estimate_dispersions",

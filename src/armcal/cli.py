@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import reference, reports
 from .errors import CalibrationError, MeasurementFormatError
 from .estimator import (
@@ -78,16 +80,18 @@ def _check_estimator_args(args) -> None:
              "non-negative (or non-finite for a single pass)", args.rel_tol)
 
 
-def _check_records(records, model, source) -> None:
-    """Reject records naming joints or markers that the model does not have."""
+def _check_study(study, model, source) -> None:
+    """Reject rows naming joints or markers that the model does not have."""
+    where = lambda i: f"{source}: config {study.config[i]}, marker {study.marker[i]}, rep {study.rep[i]}"
     n_markers = len(model.markers)
-    for rec in records:
-        where = f"{source}: config {rec.config}, marker {rec.marker}, rep {rec.repetition}"
-        if rec.q.shape[0] != model.n_joints:
-            raise MeasurementFormatError(f"{where}: {rec.q.shape[0]} angles for {model.n_joints} joints")
-        for index in (rec.marker, rec.load.application_marker):
-            if not 0 <= index < n_markers:
-                raise MeasurementFormatError(f"{where}: marker {index} not in the model's 0..{n_markers - 1}")
+    if study.q.shape[1] != model.n_joints:
+        raise MeasurementFormatError(f"{where(0)}: {study.q.shape[1]} angles for {model.n_joints} joints")
+    outside = (study.marker < 0) | (study.marker >= n_markers)
+    index = np.where(outside, study.marker, study.fmarker)  # the first bad index of each row
+    bad = np.flatnonzero((index < 0) | (index >= n_markers))
+    if bad.size:
+        i = bad[0]
+        raise MeasurementFormatError(f"{where(i)}: marker {index[i]} not in the model's 0..{n_markers - 1}")
 
 
 def _out_dir(args) -> Path:
@@ -147,13 +151,13 @@ def _cmd_calibrate(args) -> int:
     model = _load_model(args)
     ids_ok = set(model.parameter_ids()).issuperset(params or ())
     _require(ids_ok, "--params", "parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
-    records = load_measurements(args.measurements)
-    _check_records(records, model, args.measurements)
-    noise = load_noise_table(args.noise) if args.noise else deflection_dispersions(records)
+    study = load_measurements(args.measurements)
+    _check_study(study, model, args.measurements)
+    noise = load_noise_table(args.noise) if args.noise else deflection_dispersions(study.config, study.deflection)
     sigma0 = args.sigma0 * _UM
 
-    cmap = ComplianceParameterMap.from_configurations([rec.q for rec in records])
-    sys_ = stack_system(records, model, cmap, noise, mode=args.mode,
+    cmap = ComplianceParameterMap.from_configurations(study.q)
+    sys_ = stack_system(study, model, cmap, noise, mode=args.mode,
                         params=params, sigma_floor=sigma0)
 
     results = [ols_estimate(sys_)]
@@ -193,10 +197,10 @@ def _cmd_simulate(args) -> int:
         mass_kg=args.mass,
         noise=noise,
     )
-    records = simulate_measurements(design, model)
+    study = simulate_measurements(design, model)
     out = _out_dir(args)
     written = [
-        write_measurements(out / "measurements.tsv", records),
+        write_measurements(out / "measurements.tsv", study),
         write_noise_table(out / "noise.tsv", design.noise),
         write_ground_truth(
             out / "ground_truth.tsv", design.cmap.parameter_names, design.ground_truth.values

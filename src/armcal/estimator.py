@@ -64,11 +64,6 @@ class EstimationResult:
     stop_reason: str = ""
 
 
-def confidence_intervals(result: EstimationResult) -> np.ndarray:
-    """(n, 2) array of [low, high] three-sigma bounds per parameter."""
-    return np.column_stack([result.x_hat - result.ci3, result.x_hat + result.ci3])
-
-
 def optimal_weights(sigma: np.ndarray, a: float = 1.0) -> np.ndarray:
     """Inverse-dispersion weights w_i = a / sigma_i (a > 0 is a free scale)."""
     sigma = np.asarray(sigma, dtype=float)
@@ -286,7 +281,7 @@ def _irls_stack(
                 stop_reason=reason,
             )
         live, prev = live[keep], x[keep]
-        if not live.size:
+        if not live.size or it == max_iter:  # no iteration follows: skip the re-estimate
             break
         sigma_t = np.maximum(grouped_std(residuals[keep], sys.group)[:, sys.group], sigma0)
     return [fit if isinstance(fit, Exception) else replace(fit, iterations=tuple(snaps))

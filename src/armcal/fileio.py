@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import MeasurementFormatError, ModelFormatError, NoiseFormatError
 from .kinematics import Joint, ManipulatorModel, transform
 from .noise import NoiseModel
-from .regressor import BUCKET_TOL, ExperimentRecord, Wrench
+from .regressor import BUCKET_TOL, Study
 
 _UM = 1e-6
 
@@ -57,6 +58,14 @@ def write_text(path: str | Path, text: str) -> Path:
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _repr_columns(*blocks: np.ndarray) -> list[Iterable[str]]:
+    """``repr`` of every value, one iterable of strings per column of each 1-D or (N, k) block.
+
+    ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.
+    """
+    return [map(repr, col.tolist()) for b in blocks for col in np.atleast_2d(np.asarray(b).T)]
 
 
 def _data_lines(lines: Iterable[str]):
@@ -183,36 +192,39 @@ def _measurement_header(n_joints: int) -> list[str]:
             "p0x", "p0y", "p0z", "px", "py", "pz"]
 
 
-def format_measurements(records: Sequence[ExperimentRecord]) -> str:
-    if not records:
+def format_measurements(study: Study) -> str:
+    if not len(study):
         raise ValueError("no records to write")
-    n_joints = records[0].q.shape[0]
+    s = study.take(np.lexsort((study.rep, study.marker, study.config)))
+    columns = _repr_columns(s.config, s.marker, s.rep, np.rad2deg(s.q), s.force, s.fmarker,
+                            s.p0 / _UM, s.p / _UM)
     lines = [
         "# armcal measurements: angles deg, forces N, positions um",
-        " ".join(_measurement_header(n_joints)),
+        " ".join(_measurement_header(s.q.shape[1])),
+        *map(" ".join, zip(*columns)),
     ]
-    for r in sorted(records, key=lambda r: (r.config, r.marker, r.repetition)):
-        row = [str(r.config), str(r.marker), str(r.repetition)]
-        row += [_fmt(v) for v in np.rad2deg(r.q)]
-        row += [_fmt(v) for v in r.load.force]
-        row.append(str(r.load.application_marker))
-        row += [_fmt(v) for v in r.p0 / _UM]
-        row += [_fmt(v) for v in r.p / _UM]
-        lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 
 
-def write_measurements(path: str | Path, records: Sequence[ExperimentRecord]) -> Path:
-    return write_text(path, format_measurements(records))
+def write_measurements(path: str | Path, study: Study) -> Path:
+    return write_text(path, format_measurements(study))
 
 
-def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> list[ExperimentRecord]:
+def _first_of_key(keys: np.ndarray) -> np.ndarray:
+    """For each row of ``keys``, the index of the first row with the same key."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> Study:
+    """Parse into a :class:`Study` in file order.  Checks run file-wide in turn
+    (column counts, numbers, finiteness, distinct keys, one posture per
+    configuration); the first fault found names its line."""
     err = MeasurementFormatError
     header: list[str] | None = None
     n_joints = 0
-    records: list[ExperimentRecord] = []
-    keys: dict[tuple[int, int, int], int] = {}  # (config, marker, rep) -> line
-    postures: dict[int, tuple[np.ndarray, int]] = {}  # config -> (q, line)
+    rows: list[list[str]] = []
+    linenos: list[int] = []
     for lineno, line in _data_lines(lines):
         tokens = line.split()
         if header is None:
@@ -225,45 +237,51 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
             raise err(
                 f"{source}:{lineno}: expected {len(header)} columns, got {len(tokens)}"
             )
-        try:
-            config, marker, rep = int(tokens[0]), int(tokens[1]), int(tokens[2])
-            fmarker = int(tokens[3 + n_joints + 3])
-            vals = [float(t) for t in tokens[3:]]
-        except ValueError:
-            raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
-        q = np.deg2rad(vals[:n_joints])
-        first = keys.setdefault((config, marker, rep), lineno)
-        if first != lineno:
-            raise err(f"{source}:{lineno}: config {config}, marker {marker}, rep {rep} repeats line {first}")
-        q_first, q_line = postures.setdefault(config, (q, lineno))
-        if np.max(np.abs(q - q_first)) > BUCKET_TOL:
-            raise err(f"{source}:{lineno}: config {config} joint angles differ from line {q_line}")
-        fx, fy, fz = vals[n_joints : n_joints + 3]
-        rest = vals[n_joints + 4 :]
-        p0 = np.array(rest[0:3]) * _UM
-        p = np.array(rest[3:6]) * _UM
-        try:
-            records.append(
-                ExperimentRecord(
-                    config=config,
-                    q=q,
-                    load=Wrench(force=np.array([fx, fy, fz]), application_marker=fmarker),
-                    marker=marker,
-                    repetition=rep,
-                    p0=p0,
-                    p=p,
-                )
-            )
-        except ValueError as exc:
-            raise err(f"{source}:{lineno}: {exc}") from None
+        rows.append(tokens)
+        linenos.append(lineno)
     if header is None:
         raise err(f"{source}: file has no header line")
-    if not records:
+    if not rows:
         raise err(f"{source}: file has no measurement rows")
-    return records
+
+    fm = header.index("fmarker")
+    value_cols = [*range(3, fm), *range(fm + 1, len(header))]
+    ints, floats = itemgetter(0, 1, 2, fm), itemgetter(*value_cols)
+    try:
+        index = np.array(list(map(ints, rows)), dtype=int)
+        values = np.array(list(map(floats, rows)), dtype=float)
+    except (ValueError, OverflowError):
+        for lineno, tokens in zip(linenos, rows):  # find the line numpy refused
+            try:
+                np.array(ints(tokens), dtype=int), np.array(floats(tokens), dtype=float)
+            except (ValueError, OverflowError):
+                raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
+        raise
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise err(f"{source}:{linenos[i]}: {header[value_cols[j]]} {rows[i][value_cols[j]]} is not finite")
+
+    first = _first_of_key(index[:, :3])
+    repeats = np.flatnonzero(first != np.arange(len(rows)))
+    if repeats.size:
+        i = repeats[0]
+        config, marker, rep = index[i, :3].tolist()
+        raise err(f"{source}:{linenos[i]}: config {config}, marker {marker}, rep {rep} "
+                  f"repeats line {linenos[first[i]]}")
+    q = np.deg2rad(values[:, :n_joints])
+    first = _first_of_key(index[:, :1])
+    moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
+    if moved.size:
+        i = moved[0]
+        raise err(f"{source}:{linenos[i]}: config {index[i, 0]} joint angles differ from line "
+                  f"{linenos[first[i]]}")
+    return Study(config=index[:, 0], marker=index[:, 1], rep=index[:, 2], q=q,
+                 force=values[:, n_joints:n_joints + 3], fmarker=index[:, 3],
+                 p0=values[:, n_joints + 3:n_joints + 6] * _UM, p=values[:, n_joints + 6:] * _UM)
 
 
-def load_measurements(path: str | Path) -> list[ExperimentRecord]:
+def load_measurements(path: str | Path) -> Study:
     lines = _read_lines(Path(path), MeasurementFormatError, "measurement file")
     return parse_measurements(lines, source=str(path))
 

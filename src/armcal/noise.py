@@ -98,18 +98,18 @@ def estimate_dispersions(groups: Mapping[int, np.ndarray]) -> NoiseModel:
     return NoiseModel(entries=entries, uncertainty=uncert)
 
 
-def deflection_dispersions(records) -> NoiseModel:
+def deflection_dispersions(config: np.ndarray, deflection: np.ndarray) -> NoiseModel:
     """Noise model from raw deflection replicates of an experiment.
 
-    Pools the loaded-minus-unloaded differences of all markers and
-    repetitions of each configuration.  Before any fit has been run this is
-    the non-compensated dispersion (marker-to-marker signal spread included),
-    which is the usual starting point when the tracker noise is unknown.
+    Pools the loaded-minus-unloaded differences ``deflection[i]`` (meters) of
+    all rows of each configuration ``config[i]``.  Before any fit has been
+    run this is the non-compensated dispersion (marker-to-marker signal
+    spread included), which is the usual starting point when the tracker
+    noise is unknown.
     """
-    groups: dict[int, list[np.ndarray]] = {}
-    for rec in records:
-        groups.setdefault(rec.config, []).append(rec.p - rec.p0)
-    return estimate_dispersions({cfg: np.asarray(v) for cfg, v in groups.items()})
+    config = np.asarray(config, dtype=int).reshape(-1)
+    deflection = np.asarray(deflection, dtype=float)
+    return estimate_dispersions({c: deflection[config == c] for c in sorted(set(config.tolist()))})
 
 
 def build_sigma(

@@ -10,14 +10,15 @@ second joint's compliance is allowed to depend on its own angle (gravity
 loading of the link changes the effective stiffness), which is modelled by
 bucketing: each declared reference angle owns a separate parameter.
 
-``stack_system`` assembles the per-record 3-row blocks into one tall linear
-system ``B x = dp`` with a per-row sigma vector, sorted deterministically by
-(configuration, marker, repetition, axis) regardless of input order.
+``stack_system`` assembles the 3-row blocks of a :class:`Study`'s rows into
+one tall linear system ``B x = dp`` with a per-row sigma vector, sorted
+deterministically by (configuration, marker, repetition, axis) regardless of
+input order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -31,57 +32,49 @@ BUCKET_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class Wrench:
-    """External load: force/torque (N, N m) applied at one tool marker."""
+class Study:
+    """A deflection experiment as one read-only table of columns.
 
-    force: np.ndarray
-    application_marker: int = 0
-    torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        f = np.asarray(self.force, dtype=float).reshape(3)
-        t = np.asarray(self.torque, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
-            raise ValueError("wrench components must be finite")
-        f.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "force", f)
-        object.__setattr__(self, "torque", t)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One loaded/unloaded position pair for a (config, marker, repetition).
-
-    Positions are meters in the measurement frame; ``p0`` is the unloaded
-    marker position, ``p`` the position under ``load``.
+    Row i is one loaded/unloaded position pair of configuration
+    ``config[i]``, tool marker ``marker[i]`` and repetition ``rep[i]``:
+    joint angles ``q`` (N, joints, radians), the force ``force`` (N, 3,
+    newtons) applied at marker ``fmarker[i]``, the unloaded marker position
+    ``p0`` and the loaded one ``p`` (N, 3, meters in the measurement frame).
+    Columns are copied, must agree on the row count and hold finite values.
     """
 
-    config: int
+    config: np.ndarray
+    marker: np.ndarray
+    rep: np.ndarray
     q: np.ndarray
-    load: Wrench
-    marker: int
-    repetition: int
+    force: np.ndarray
+    fmarker: np.ndarray
     p0: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(-1)
-        p0 = np.asarray(self.p0, dtype=float).reshape(3)
-        p = np.asarray(self.p, dtype=float).reshape(3)
-        for name, arr in (("q", q), ("p0", p0), ("p", p)):
+        n = len(self.config)
+        for f in fields(self):
+            index = f.name in ("config", "marker", "rep", "fmarker")
+            arr = np.array(getattr(self, f.name), dtype=int if index else float)
+            shape = (n,) if index else (n, 3)  # q: (n, joints)
+            if arr.shape[:1] != (n,) or arr.ndim != len(shape) or (f.name != "q" and arr.shape != shape):
+                raise ValueError(f"study column {f.name} has shape {arr.shape} for {n} rows")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"record field {name} contains non-finite values")
+                raise ValueError(f"study column {f.name} contains non-finite values")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, f.name, arr)
+
+    def __len__(self) -> int:
+        return len(self.config)
 
     @property
     def deflection(self) -> np.ndarray:
         return self.p - self.p0
+
+    def take(self, rows) -> "Study":
+        """The rows ``rows`` (an index array, mask or slice) as a new study."""
+        return Study(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -144,14 +137,15 @@ class ComplianceParameterMap:
     @classmethod
     def from_configurations(
         cls,
-        configurations: Sequence[np.ndarray],
+        configurations: Sequence[np.ndarray] | np.ndarray,
         bucket_joint: int = 1,
         tail_joints: Sequence[int] = (2, 3, 4, 5),
     ) -> "ComplianceParameterMap":
-        """Derive bucket levels from the distinct bucket-joint angles seen in a study."""
+        """Bucket levels from the distinct bucket-joint angles of the rows of ``configurations``."""
+        angles = np.asarray(configurations, dtype=float)[:, bucket_joint]
+        distinct, first = np.unique(angles, return_index=True)
         levels: list[float] = []
-        for q in configurations:
-            angle = float(np.asarray(q, dtype=float)[bucket_joint])
+        for angle in distinct[np.argsort(first)].tolist():  # in order of first appearance
             if not any(abs(angle - v) <= BUCKET_TOL for v in levels):
                 levels.append(angle)
         return cls(bucket_levels=tuple(sorted(levels)), tail_joints=tuple(tail_joints), bucket_joint=bucket_joint)
@@ -160,24 +154,26 @@ class ComplianceParameterMap:
 def elastostatic_regressor(
     model: ManipulatorModel,
     q,
-    load: Wrench,
+    wrench,
+    fmarker: int,
     cmap: ComplianceParameterMap,
     marker: int,
 ) -> np.ndarray:
     """3 x n_k regressor mapping joint compliances to the marker deflection.
 
-    Joint torques are taken at the wrench's application marker; the observed
-    deflection is that of ``marker``.  Columns of joints outside the map stay
-    zero-free (no column at all), and the bucketed joint writes only into the
-    column of its matching level.
+    ``wrench`` is the external load as a 6-vector (force in N, then torque
+    in N m) applied at tool marker ``fmarker``; joint torques are taken
+    there, while the observed deflection is that of ``marker``.  Columns of
+    joints outside the map stay zero-free (no column at all), and the
+    bucketed joint writes only into the column of its matching level.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
+    wrench = np.asarray(wrench, dtype=float).reshape(6)
+    if not np.all(np.isfinite(wrench)):
+        raise ValueError("wrench components must be finite")
     J_obs = joint_jacobian(model, q, marker)
-    if load.application_marker == marker:
-        J_app = J_obs
-    else:
-        J_app = joint_jacobian(model, q, load.application_marker)
-    torques = J_app.T @ load.vector  # tau = J^T w, one entry per joint
+    J_app = J_obs if fmarker == marker else joint_jacobian(model, q, fmarker)
+    torques = J_app.T @ wrench  # tau = J^T w, one entry per joint
     A = np.zeros((3, cmap.n_parameters))
     for j in range(model.n_joints):
         col = cmap.column_of(j, q[j])
@@ -245,20 +241,20 @@ class StackedSystem:
         return self.B.shape[1]
 
 
-def _posture_blocks(model, rec, cmap, mode, params) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Nominal marker position (None in elastostatic mode) and row blocks of one record."""
+def _posture_blocks(model, q, marker, wrench, fmarker, cmap, mode, params):
+    """Nominal marker position (None in elastostatic mode) and row block of one posture."""
     if mode == "elastostatic":
-        return None, [elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)]
-    fk = forward_kinematics(model, rec.q, rec.marker).position
-    J = parameter_jacobian(model, rec.q, rec.marker, params)
+        return None, elastostatic_regressor(model, q, wrench, fmarker, cmap, marker)
+    fk = forward_kinematics(model, q, marker).position
+    J = parameter_jacobian(model, q, marker, params)
     if mode == "geometric":
-        return fk, [J]
-    A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
-    return fk, [np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])]
+        return fk, J
+    A = elastostatic_regressor(model, q, wrench, fmarker, cmap, marker)
+    return fk, np.vstack([np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])])
 
 
 def stack_system(
-    records: Sequence[ExperimentRecord],
+    study: Study,
     model: ManipulatorModel,
     cmap: ComplianceParameterMap | None,
     noise: NoiseModel,
@@ -266,28 +262,28 @@ def stack_system(
     params: Sequence[str] | None = None,
     sigma_floor: float = DEFAULT_SIGMA0,
 ) -> StackedSystem:
-    """Assemble per-record observation blocks into one stacked system.
+    """Assemble the study's per-row observation blocks into one stacked system.
 
     * ``elastostatic``: observations are deflections ``p - p0``, columns are
       the compliance parameters of ``cmap``.
     * ``geometric``: observations are ``p0`` minus the nominal forward
       kinematics, columns are the geometric parameters in ``params``.
-    * ``combined``: each record contributes an unloaded block ``[J | 0]``
+    * ``combined``: each row contributes an unloaded block ``[J | 0]``
       against ``p0 - fk`` and a loaded block ``[J | A]`` against ``p - fk``,
       so the unknowns are the concatenation (geometric first).
 
-    Records are sorted by (config, marker, repetition) and axes expand x, y, z
-    so the row order never depends on input order; the system's ``config``,
+    Rows are sorted by (config, marker, rep) and axes expand x, y, z so the
+    row order never depends on input order; the system's ``config``,
     ``marker`` and ``axis`` arrays record each row's origin.  Repeated
     experiments are stacked as independent rows, not averaged: averaging
     would hide the very replicate scatter the weighting stage feeds on.
 
     Kinematics and regressor blocks are built once per distinct posture
-    within a call, keyed on the values that determine them (joint vector,
-    observed marker, wrench and its application marker, not the
-    configuration id), and reused for every repetition of that posture.
+    within a call, keyed on the bits of the values that determine them
+    (joint vector, observed marker, force and its application marker, not
+    the configuration id), and reused for every repetition of that posture.
     """
-    if not records:
+    if not len(study):
         raise ValueError("no records to stack")
     if mode not in ("elastostatic", "geometric", "combined"):
         raise ValueError(f"unknown stacking mode {mode!r}")
@@ -298,7 +294,7 @@ def stack_system(
             raise ValueError(f"{mode} stacking needs a geometric parameter selection")
         params = list(params)
 
-    ordered = sorted(records, key=lambda r: (r.config, r.marker, r.repetition))
+    s = study.take(np.lexsort((study.rep, study.marker, study.config)))
 
     columns: tuple[str, ...]
     if mode == "elastostatic":
@@ -308,33 +304,30 @@ def stack_system(
     else:
         columns = tuple(params) + cmap.parameter_names
 
-    blocks: list[np.ndarray] = []
-    obs: list[np.ndarray] = []
-    postures: dict[tuple, tuple] = {}  # repetitions share the blocks of their posture
-    for rec in ordered:
-        key = (rec.q.tobytes(), rec.marker, rec.load.vector.tobytes(), rec.load.application_marker)
-        if key not in postures:
-            postures[key] = _posture_blocks(model, rec, cmap, mode, params)
-        fk, rows = postures[key]
-        blocks.extend(rows)
-        if mode == "elastostatic":
-            obs.append(rec.deflection)
-        elif mode == "geometric":
-            obs.append(rec.p0 - fk)
-        else:
-            obs.extend([rec.p0 - fk, rec.p - fk])
-
-    B = np.vstack(blocks)
-    dp = np.concatenate(obs)
+    bits = np.column_stack([s.q.view(np.int64), s.marker, s.force.view(np.int64), s.fmarker])
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    fks, blocks = [None] * len(first), [None] * len(first)
+    for u in np.argsort(first).tolist():  # postures in row order
+        i = int(first[u])
+        wrench = np.concatenate([s.force[i], np.zeros(3)])
+        fks[u], blocks[u] = _posture_blocks(model, s.q[i], int(s.marker[i]), wrench,
+                                            int(s.fmarker[i]), cmap, mode, params)
+    inverse = inverse.reshape(-1)
+    B = np.stack(blocks)[inverse].reshape(-1, len(columns))
     if B.shape[0] < B.shape[1]:
         raise UnderDeterminedError(
             f"{B.shape[0]} scalar equations cannot determine {B.shape[1]} parameters"
         )
-    # each record contributes one 3-row block, or two (unloaded, loaded) when combined
+    if mode == "elastostatic":
+        dp = s.deflection
+    else:
+        fk = np.stack(fks)[inverse]
+        dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
+    # each row contributes one 3-row block, or two (unloaded, loaded) when combined
     blocks_per_record = 2 if mode == "combined" else 1
-    config = np.repeat([rec.config for rec in ordered], 3 * blocks_per_record)
-    marker = np.repeat([rec.marker for rec in ordered], 3 * blocks_per_record)
-    axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(ordered))
+    config = np.repeat(s.config, 3 * blocks_per_record)
+    marker = np.repeat(s.marker, 3 * blocks_per_record)
+    axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(s))
     sigma = build_sigma(noise, config, axis, floor=sigma_floor)
-    return StackedSystem(B=B, dp=dp, sigma=sigma, config=config, marker=marker, axis=axis,
+    return StackedSystem(B=B, dp=dp.reshape(-1), sigma=sigma, config=config, marker=marker, axis=axis,
                          columns=columns, mode=mode)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import EstimationResult
-from .fileio import write_text, _fmt
+from .fileio import _fmt, _repr_columns, write_text
 from .noise import AXES
 from .regressor import StackedSystem
 from .simulator import ComplianceVector, MonteCarloReport
@@ -91,12 +91,12 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
     """Per-row diagnostics for the final solve (residuals in um)."""
-    lines = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
-    for cfg, marker, axis, sig, w, r in zip(
-        sys.config.tolist(), sys.marker.tolist(), sys.axis.tolist(),
-        result.sigma, result.weights, result.residuals,
-    ):
-        lines.append(f"{cfg}\t{marker}\t{AXES[axis]}\t{_fmt(sig / _UM)}\t{_fmt(w)}\t{_fmt(r / _UM)}")
+    columns = [
+        *_repr_columns(sys.config, sys.marker),
+        map(AXES.__getitem__, sys.axis.tolist()),
+        *_repr_columns(result.sigma / _UM, result.weights, result.residuals / _UM),
+    ]
+    lines = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um", *map("\t".join, zip(*columns))]
     return write_text(out_dir / "residuals.tsv", "\n".join(lines) + "\n")
 
 

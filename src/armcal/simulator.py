@@ -35,9 +35,8 @@ from .kinematics import ManipulatorModel, forward_kinematics, parameter_jacobian
 from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
 from .regressor import (
     ComplianceParameterMap,
-    ExperimentRecord,
     StackedSystem,
-    Wrench,
+    Study,
     elastostatic_regressor,
     stack_system,
 )
@@ -124,13 +123,14 @@ class StudyDesign:
         return tuple(range(1, len(self.configurations) + 1))
 
 
-def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> list[ExperimentRecord]:
-    """Generate one full study: (config x marker x repetition) records.
+def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study:
+    """Generate one full study: a row per (config, marker, repetition).
 
     With all sigmas zero and zero compliances the loaded and unloaded
-    positions coincide exactly.  Records come out sorted by (config, marker,
-    repetition); draws are consumed in that fixed order, so identical seeds
-    reproduce identical records bit for bit.
+    positions coincide exactly.  Rows come out sorted by (config, marker,
+    repetition); draws are consumed in that fixed order (per configuration
+    the load mass, then the unloaded and loaded noise 3-vectors of each
+    row), so identical seeds reproduce identical studies bit for bit.
     """
     if design.markers > len(model.markers):
         raise ValueError(f"design asks for {design.markers} markers, model has {len(model.markers)}")
@@ -141,44 +141,37 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> list[
     k = design.ground_truth.values
     geo = design.geometry_error
     geo_params = sorted(geo) if geo else None
-    records: list[ExperimentRecord] = []
+    lo, hi = design.mass_range_kg
+    forces, p0, p = [], [], []
     for cfg_id, q in zip(design.config_ids, design.configurations):
-        lo, hi = design.mass_range_kg
         mass = lo + (hi - lo) * rng.uniform()
-        load = Wrench(
-            force=np.array([0.0, 0.0, -mass * STANDARD_GRAVITY]),
-            application_marker=design.attachment_marker,
-        )
-        half_sigma = design.noise.sigma(cfg_id) / math.sqrt(2.0)
+        wrench = np.array([0.0, 0.0, -mass * STANDARD_GRAVITY, 0.0, 0.0, 0.0])
+        forces.append(wrench[:3])
+        unloaded, deflection = np.empty((design.markers, 3)), np.empty((design.markers, 3))
         for marker in range(design.markers):
-            fk = forward_kinematics(model, q, marker).position
             shift = np.zeros(3)
             if geo_params:
                 J = parameter_jacobian(model, q, marker, geo_params)
-                shift = J @ np.array([geo[p] for p in geo_params])
-            deflection = elastostatic_regressor(model, q, load, design.cmap, marker) @ k
-            for rep in range(1, design.repetitions + 1):
-                eps0 = rng.normal(size=3) * half_sigma
-                eps1 = rng.normal(size=3) * half_sigma
-                records.append(
-                    ExperimentRecord(
-                        config=cfg_id,
-                        q=q,
-                        load=load,
-                        marker=marker,
-                        repetition=rep,
-                        p0=fk + shift + eps0,
-                        p=fk + shift + deflection + eps1,
-                    )
-                )
-    return records
+                shift = J @ np.array([geo[name] for name in geo_params])
+            unloaded[marker] = forward_kinematics(model, q, marker).position + shift
+            deflection[marker] = elastostatic_regressor(
+                model, q, wrench, design.attachment_marker, design.cmap, marker) @ k
+        # one draw equals the row-by-row 3-vectors (unloaded, then loaded) in order
+        eps = rng.normal(size=(design.markers, design.repetitions, 2, 3))
+        eps *= design.noise.sigma(cfg_id) / math.sqrt(2.0)
+        p0.append(unloaded[:, None] + eps[:, :, 0])
+        p.append(unloaded[:, None] + deflection[:, None] + eps[:, :, 1])
+    cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
+    return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
+                 q=np.asarray(design.configurations)[cfg], force=np.asarray(forces)[cfg],
+                 fmarker=np.full(cfg.shape, design.attachment_marker),
+                 p0=np.reshape(p0, (-1, 3)), p=np.reshape(p, (-1, 3)))
 
 
 def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSystem:
     """Stacked elastostatic system with clean deflections but the design's sigmas."""
     silent = replace(design, noise=NoiseModel.uniform(design.config_ids, 0.0))
-    records = simulate_measurements(silent, model)
-    return stack_system(records, model, design.cmap, design.noise)
+    return stack_system(simulate_measurements(silent, model), model, design.cmap, design.noise)
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,14 @@ def bundled_design():
 
 
 @pytest.fixture(scope="session")
-def bundled_records(bundled_design, nominal_model):
+def bundled_study(bundled_design, nominal_model):
     return simulate_measurements(bundled_design, nominal_model)
 
 
 @pytest.fixture(scope="session")
-def bundled_system(bundled_records, nominal_model, bundled_design):
+def bundled_system(bundled_study, nominal_model, bundled_design):
     return stack_system(
-        bundled_records, nominal_model, bundled_design.cmap, bundled_design.noise
+        bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise
     )
 
 

@@ -273,10 +273,7 @@ def test_10_pipeline_counts_and_byte_determinism(tmp_path):
     from armcal.regressor import ComplianceParameterMap
 
     records = load_measurements(dirs[0][0] / "measurements.tsv")
-    configs = {}
-    for rec in records:
-        configs.setdefault(rec.config, rec.q)
-    cmap = ComplianceParameterMap.from_configurations([configs[c] for c in sorted(configs)])
+    cmap = ComplianceParameterMap.from_configurations(records.q)
     sys = stack_system(records, reference.nominal_model(), cmap,
                        load_noise_table(dirs[0][0] / "noise.tsv"))
 

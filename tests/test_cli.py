@@ -20,16 +20,11 @@ def run_cli(*argv):
 
 def stacked_from_files(measurements, noise_path):
     """Rebuild the calibrate subcommand's stacked system from its inputs."""
-    records = load_measurements(measurements)
+    study = load_measurements(measurements)
     noise = load_noise_table(noise_path)
-    configs = {}
-    for rec in records:
-        configs.setdefault(rec.config, rec.q)
-    cmap = ComplianceParameterMap.from_configurations(
-        [configs[c] for c in sorted(configs)]
-    )
+    cmap = ComplianceParameterMap.from_configurations(study.q)
     return stack_system(
-        records, reference.nominal_model(), cmap, noise, sigma_floor=CLI_SIGMA0
+        study, reference.nominal_model(), cmap, noise, sigma_floor=CLI_SIGMA0
     )
 
 
@@ -77,8 +72,8 @@ class TestSimulate:
 
     def test_mass_flag_scales_the_load(self, tmp_path):
         assert run_cli("simulate", "--mass", "100", "--out", str(tmp_path)) == 0
-        records = load_measurements(tmp_path / "measurements.tsv")
-        assert records[0].load.force[2] == pytest.approx(-100.0 * 9.80665, rel=1e-12)
+        study = load_measurements(tmp_path / "measurements.tsv")
+        assert study.force[0, 2] == pytest.approx(-100.0 * 9.80665, rel=1e-12)
 
 
 class TestCalibrate:
@@ -282,9 +277,9 @@ class TestErrorPaths:
 
     def test_rank_deficiency_surfaces_code(self, study_dir, tmp_path, capsys):
         # duplicated parameter columns make the design exactly singular
-        records = load_measurements(study_dir / "measurements.tsv")
+        study = load_measurements(study_dir / "measurements.tsv")
         one = tmp_path / "one.tsv"
-        write_measurements(one, records[:2])
+        write_measurements(one, study.take(slice(2)))
         code = run_cli(
             "calibrate",
             "--measurements", str(one),
@@ -316,6 +311,22 @@ class TestErrorPaths:
         assert err.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out").exists()
 
+    def test_single_irls_pass_needs_no_replicates(self, tmp_path, capsys):
+        # the same starved study solves when no re-estimate follows the one iteration
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--markers", "1", "--repetitions", "1",
+                       "--out", str(study)) == 0
+        code = run_cli(
+            "calibrate",
+            "--measurements", str(study / "measurements.tsv"),
+            "--noise", str(study / "noise.tsv"),
+            "--method", "irls",
+            "--max-iter", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "trace.tsv").read_text().count("\n") == 2  # header + 1
+
     @staticmethod
     def _with_token(study_dir, tmp_path, row, column, value):
         """Copy of the study's measurement file with one data-row field replaced."""
@@ -343,6 +354,16 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("ERROR E_MEASUREMENT_FORMAT:")
         assert ":5:" in err
+
+    @pytest.mark.parametrize("row, column, value", [(40, 13, "nan"), (50, 11, "1e400")])
+    def test_non_finite_measurement_value(self, row, column, value, study_dir, tmp_path, capsys):
+        # columns 13 and 11 are p0x and fz; data row k sits on line k + 1
+        edited = self._with_token(study_dir, tmp_path, row, column, value)
+        code, err = self._calibrate_error(edited, study_dir, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("ERROR E_MEASUREMENT_FORMAT:")
+        assert f":{row + 1}:" in err
+        assert "not finite" in err
 
     def test_marker_absent_from_model(self, study_dir, tmp_path, capsys):
         edited = self._with_token(study_dir, tmp_path, 4, 1, "7")  # 3-marker model
@@ -496,6 +517,22 @@ class TestReportHelpers:
         )
         for name, (est, _) in reported.items():
             assert est == pytest.approx(truth[name], rel=0.2)
+
+    def test_residual_report_matches_per_row_formatting(self, bundled_system, tmp_path):
+        from armcal.reports import write_residual_report
+
+        sys = bundled_system
+        res = wls_estimate(sys, robust_weights(sys.sigma))
+        # reference: one row at a time, every float through repr(float(.))
+        expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
+        for i in range(sys.n_equations):
+            expected.append("\t".join([
+                str(sys.config[i]), str(sys.marker[i]), "xyz"[sys.axis[i]],
+                repr(float(res.sigma[i] / 1e-6)), repr(float(res.weights[i])),
+                repr(float(res.residuals[i] / 1e-6)),
+            ]))
+        path = write_residual_report(tmp_path, sys, res)
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_compare_report_lists_failed_trials_only_when_any(self, tmp_path):
         from dataclasses import replace

@@ -15,8 +15,6 @@ from armcal.estimator import (
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
     DEFAULT_SIGMA0,
-    EstimationResult,
-    confidence_intervals,
     irls,
     ols_estimate,
     optimal_weights,
@@ -253,19 +251,6 @@ class TestRankHandling:
 
 
 class TestEstimationResult:
-    def test_confidence_interval_arithmetic(self):
-        res = EstimationResult(
-            parameters=("k",),
-            x_hat=np.array([0.3]),
-            covariance=np.array([[1e-4]]),
-            ci3=np.array([0.03]),
-            residuals=np.zeros(2),
-            method="wls",
-            weights=np.ones(2),
-            sigma=np.ones(2),
-        )
-        assert_allclose(confidence_intervals(res), [[0.27, 0.33]], rtol=1e-12)
-
     def test_residuals_definition(self):
         rng = np.random.default_rng(17)
         sys = random_system(rng)
@@ -376,6 +361,15 @@ class TestIRLS:
         sys = make_system(np.ones((3, 1)), np.zeros(3), np.ones(3))
         with pytest.raises(ReplicateCountError, match=">= 2 rows"):
             irls(sys)
+
+    def test_last_iteration_skips_the_re_estimate(self):
+        # one-row groups cannot be re-estimated, but max_iter=1 needs no re-estimate
+        sys = make_system(np.ones((3, 1)), np.zeros(3), np.ones(3))
+        fit = irls(sys, max_iter=1)
+        assert fit.stop_reason == "max_iter"
+        assert not fit.converged
+        assert len(fit.iterations) == 1
+        assert_array_equal(fit.x_hat, irls(sys, rel_tol=np.inf).x_hat)
 
     def test_stacked_trials_keep_their_own_stop(self):
         # Three (configuration, axis) groups of six rows; only the middle group

@@ -106,50 +106,65 @@ class TestModelFormat:
 
 
 @pytest.fixture(scope="module")
-def records(nominal_model):
+def study(nominal_model):
     design = reference.study_design(seed=11, markers=2, repetitions=2)
     return simulate_measurements(design, nominal_model)
 
 
 class TestMeasurementFormat:
-    def test_round_trip(self, records, tmp_path):
-        path = write_measurements(tmp_path / "m.tsv", records)
+    def test_round_trip(self, study, tmp_path):
+        path = write_measurements(tmp_path / "m.tsv", study)
         again = load_measurements(path)
-        assert len(again) == len(records)
-        for a, b in zip(again, records):
-            assert (a.config, a.marker, a.repetition) == (b.config, b.marker, b.repetition)
-            assert_allclose(a.q, b.q, rtol=1e-12, atol=1e-15)
-            assert_allclose(a.p0, b.p0, rtol=1e-12)
-            assert_allclose(a.p, b.p, rtol=1e-12)
-            assert_allclose(a.load.force, b.load.force, rtol=1e-15, atol=0)
-            assert a.load.application_marker == b.load.application_marker
+        assert len(again) == len(study)
+        for name in ("config", "marker", "rep", "fmarker"):
+            assert_array_equal(getattr(again, name), getattr(study, name))
+        assert_allclose(again.q, study.q, rtol=1e-12, atol=1e-15)
+        assert_allclose(again.p0, study.p0, rtol=1e-12)
+        assert_allclose(again.p, study.p, rtol=1e-12)
+        assert_allclose(again.force, study.force, rtol=1e-15, atol=0)
 
-    def test_header_names_columns(self, records):
-        header = format_measurements(records).splitlines()[1]
+    def test_header_names_columns(self, study):
+        header = format_measurements(study).splitlines()[1]
         assert header.split() == [
             "config", "marker", "rep", "q1", "q2", "q3", "q4", "q5", "q6",
             "fx", "fy", "fz", "fmarker", "p0x", "p0y", "p0z", "px", "py", "pz",
         ]
 
-    def test_rows_sorted_regardless_of_input_order(self, records):
-        reordered = list(reversed(records))
-        assert format_measurements(reordered) == format_measurements(records)
+    def test_text_matches_per_row_formatting(self, study):
+        # reference: one row at a time, every float through repr(float(.))
+        order = sorted(range(len(study)),
+                       key=lambda i: (study.config[i], study.marker[i], study.rep[i]))
+        rows = []
+        for i in order:
+            cells = [str(study.config[i]), str(study.marker[i]), str(study.rep[i])]
+            cells += [repr(float(v)) for v in np.rad2deg(study.q[i])]
+            cells += [repr(float(v)) for v in study.force[i]]
+            cells.append(str(study.fmarker[i]))
+            cells += [repr(float(v)) for v in study.p0[i] / UM]
+            cells += [repr(float(v)) for v in study.p[i] / UM]
+            rows.append(" ".join(cells))
+        shuffled = study.take(np.random.default_rng(1).permutation(len(study)))
+        assert format_measurements(shuffled).splitlines()[2:] == rows
 
-    def test_malformed_row_names_line(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_rows_sorted_regardless_of_input_order(self, study):
+        reordered = study.take(slice(None, None, -1))
+        assert format_measurements(reordered) == format_measurements(study)
+
+    def test_malformed_row_names_line(self, study):
+        lines = format_measurements(study).splitlines()
         lines[5] = lines[5] + " surplus"
         with pytest.raises(MeasurementFormatError, match="columns") as exc:
             parse_measurements(lines, source="bad.tsv")
         assert "bad.tsv:6" in str(exc.value)
 
-    def test_non_numeric_value_names_line(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_non_numeric_value_names_line(self, study):
+        lines = format_measurements(study).splitlines()
         lines[3] = lines[3].replace(lines[3].split()[4], "oops", 1)
         with pytest.raises(MeasurementFormatError, match="non-numeric"):
             parse_measurements(lines)
 
-    def test_non_integer_fmarker_names_line(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_non_integer_fmarker_names_line(self, study):
+        lines = format_measurements(study).splitlines()
         tokens = lines[4].split()
         tokens[12] = "0.5"  # fmarker column
         lines[4] = " ".join(tokens)
@@ -157,8 +172,17 @@ class TestMeasurementFormat:
             parse_measurements(lines, source="bad.tsv")
         assert "bad.tsv:5" in str(exc.value)
 
-    def test_duplicate_key_names_both_lines(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_index_beyond_int64_names_line(self, study):
+        lines = format_measurements(study).splitlines()
+        tokens = lines[6].split()
+        tokens[0] = "99999999999999999999"  # config
+        lines[6] = " ".join(tokens)
+        with pytest.raises(MeasurementFormatError, match="non-integer index") as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert "bad.tsv:7" in str(exc.value)
+
+    def test_duplicate_key_names_both_lines(self, study):
+        lines = format_measurements(study).splitlines()
         lines.append(lines[3])  # config 1, marker 0, rep 2 a second time
         with pytest.raises(MeasurementFormatError, match="repeats line 4") as exc:
             parse_measurements(lines, source="bad.tsv")
@@ -171,21 +195,21 @@ class TestMeasurementFormat:
         tokens[3] = repr(float(tokens[3]) + delta_deg)
         return " ".join(tokens)
 
-    def test_configuration_with_two_postures_names_both_lines(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_configuration_with_two_postures_names_both_lines(self, study):
+        lines = format_measurements(study).splitlines()
         lines[3] = self._shift_q1(lines[3], 1e-3)  # 1.7e-5 rad, above BUCKET_TOL
         with pytest.raises(MeasurementFormatError, match="differ from line 3") as exc:
             parse_measurements(lines, source="bad.tsv")
         assert "bad.tsv:4:" in str(exc.value)
         assert "config 1" in str(exc.value)
 
-    def test_posture_within_bucket_tolerance_accepted(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_posture_within_bucket_tolerance_accepted(self, study):
+        lines = format_measurements(study).splitlines()
         lines[3] = self._shift_q1(lines[3], 1e-5)  # 1.7e-7 rad, below BUCKET_TOL
-        assert len(parse_measurements(lines)) == len(records)
+        assert len(parse_measurements(lines)) == len(study)
 
-    def test_missing_header_rejected(self, records):
-        lines = format_measurements(records).splitlines()
+    def test_missing_header_rejected(self, study):
+        lines = format_measurements(study).splitlines()
         with pytest.raises(MeasurementFormatError, match="header"):
             parse_measurements(lines[2:3])
 
@@ -193,8 +217,8 @@ class TestMeasurementFormat:
         with pytest.raises(MeasurementFormatError, match="no header"):
             parse_measurements(["# nothing here"])
 
-    def test_header_only_rejected(self, records):
-        header = format_measurements(records).splitlines()[1]
+    def test_header_only_rejected(self, study):
+        header = format_measurements(study).splitlines()[1]
         with pytest.raises(MeasurementFormatError, match="no measurement rows"):
             parse_measurements([header])
 

@@ -178,17 +178,17 @@ class TestGroupedDispersions:
 
     def test_deflection_dispersions_match_manual_pooling(self, nominal_model):
         design = reference.study_design(seed=5, markers=2, repetitions=4)
-        records = simulate_measurements(design, nominal_model)
-        model = deflection_dispersions(records)
+        study = simulate_measurements(design, nominal_model)
+        model = deflection_dispersions(study.config, study.p - study.p0)
         for cfg in (1, 8, 15):
             stacked = np.array(
-                [r.p - r.p0 for r in records if r.config == cfg]
+                [study.p[i] - study.p0[i] for i in range(len(study)) if study.config[i] == cfg]
             )  # (markers * reps, 3)
             assert stacked.shape[0] == 8
             assert_allclose(model.sigma(cfg), np.std(stacked, axis=0, ddof=1), rtol=1e-12)
 
     def test_deflection_dispersions_need_replicates(self, nominal_model):
         design = reference.study_design(seed=5, markers=1, repetitions=1)
-        records = simulate_measurements(design, nominal_model)
+        study = simulate_measurements(design, nominal_model)
         with pytest.raises(ReplicateCountError):
-            deflection_dispersions(records)
+            deflection_dispersions(study.config, study.p - study.p0)

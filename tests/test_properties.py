@@ -1,0 +1,124 @@
+"""Property tests: file round trips, fuzzed measurement text, row-order independence."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from armcal import reference
+from armcal.errors import CalibrationError
+from armcal.fileio import (
+    format_measurements,
+    format_noise_table,
+    parse_measurements,
+    parse_noise_table,
+)
+from armcal.noise import NoiseModel
+from armcal.regressor import Study, stack_system
+from armcal.simulator import simulate_measurements
+
+# deterministic examples, no example database on disk
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+def within_ulps(actual, expected, ulps):
+    """Every entry of ``actual`` within ``ulps`` units in the last place of ``expected``."""
+    gap = np.abs(np.asarray(actual) - expected)
+    return bool(np.all(gap <= ulps * np.spacing(np.abs(expected))))
+
+
+@st.composite
+def studies(draw):
+    """Small studies with distinct (config, marker, rep) keys and one posture per config."""
+    n_joints = draw(st.integers(1, 7))
+    keys = draw(st.lists(st.tuples(st.integers(-5, 500), st.integers(0, 4), st.integers(0, 50)),
+                         min_size=1, max_size=12, unique=True))
+    posture = {c: draw(st.lists(finite(-10.0, 10.0), min_size=n_joints, max_size=n_joints))
+               for c in sorted({c for c, _, _ in keys})}
+    n = len(keys)
+
+    def block(lo, hi):
+        return draw(st.lists(st.lists(finite(lo, hi), min_size=3, max_size=3), min_size=n, max_size=n))
+
+    config, marker, rep = zip(*keys)
+    return Study(config=config, marker=marker, rep=rep, q=[posture[c] for c in config],
+                 force=block(-1e6, 1e6), fmarker=draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                 p0=block(-10.0, 10.0), p=block(-10.0, 10.0))
+
+
+@PROPERTY
+@given(studies())
+def test_measurement_round_trip(study):
+    again = parse_measurements(format_measurements(study).splitlines())
+    expected = study.take(np.lexsort((study.rep, study.marker, study.config)))
+    for name in ("config", "marker", "rep", "fmarker", "force"):
+        assert_array_equal(getattr(again, name), getattr(expected, name))
+    # degrees and micrometers in the file: one rounding each way, so within 2 ulps
+    for name in ("q", "p0", "p"):
+        assert within_ulps(getattr(again, name), getattr(expected, name), 2), name
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(-5, 500), st.lists(finite(0.0, 1.0), min_size=6, max_size=6),
+                       min_size=1, max_size=10),
+       st.booleans())
+def test_noise_table_round_trip(table, with_uncertainty):
+    noise = NoiseModel(entries={c: v[:3] for c, v in table.items()},
+                       uncertainty={c: v[3:] for c, v in table.items()} if with_uncertainty else None)
+    again = parse_noise_table(format_noise_table(noise).splitlines())
+    assert sorted(again.entries) == sorted(noise.entries)
+    for c, values in table.items():
+        assert within_ulps(again.entries[c], values[:3], 2)
+        assert within_ulps(again.uncertainty[c], values[3:] if with_uncertainty else np.zeros(3), 2)
+
+
+@pytest.fixture(scope="module")
+def measurement_lines(nominal_model):
+    design = reference.study_design(seed=4, markers=2, repetitions=2)
+    return format_measurements(simulate_measurements(design, nominal_model)).splitlines()[:8]
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["0", "-1", "7", "1.5", "nan", "inf", "-inf", "1e400", "1_000", "0x10",
+                     "99999999999999999999", "q7", "config", "#", "", "fmarker"]),
+    st.text(alphabet="0123456789.e+-_xnaif# \t", max_size=8),
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
+       st.lists(st.integers(0, 7), max_size=2))
+def test_fuzzed_measurement_text_fails_only_with_coded_errors(measurement_lines, edits, duplicated):
+    lines = list(measurement_lines)
+    for row, column, token in edits:
+        tokens = lines[row].split() or [""]
+        tokens[column % len(tokens)] = token
+        lines[row] = " ".join(tokens)
+    lines += [lines[row] for row in duplicated]
+    try:
+        parse_measurements(lines)
+    except CalibrationError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def small_study(nominal_model):
+    return simulate_measurements(reference.study_design(seed=6, markers=2, repetitions=2), nominal_model)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(st.randoms(use_true_random=False), st.sampled_from(["elastostatic", "combined"]))
+def test_stack_system_ignores_row_order(small_study, nominal_model, bundled_design, random, mode):
+    order = list(range(len(small_study)))
+    random.shuffle(order)
+    params = ["a2", "tool_x"] if mode == "combined" else None
+    cmap, noise = bundled_design.cmap, bundled_design.noise
+    expected = stack_system(small_study, nominal_model, cmap, noise, mode=mode, params=params)
+    sys = stack_system(small_study.take(order), nominal_model, cmap, noise, mode=mode, params=params)
+    for name in ("B", "dp", "sigma", "config", "marker", "axis"):
+        assert_array_equal(getattr(sys, name), getattr(expected, name))

@@ -21,26 +21,40 @@ from armcal.kinematics import (
 from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma
 from armcal.regressor import (
     ComplianceParameterMap,
-    ExperimentRecord,
     StackedSystem,
-    Wrench,
+    Study,
     elastostatic_regressor,
     stack_system,
 )
 from armcal.simulator import simulate_measurements
 
 
+def one_row_study(force=(0.0, 0.0, -1.0), p0=(1.0, 2.0, 3.0), p=(1.5, 1.5, 3.25), n_joints=6):
+    return Study(config=[1], marker=[0], rep=[1], q=np.zeros((1, n_joints)), force=[force],
+                 fmarker=[0], p0=[p0], p=[p])
+
+
 class TestWrench:
-    def test_vector_layout(self):
-        w = Wrench(force=[1.0, 2.0, 3.0], torque=[4.0, 5.0, 6.0])
-        assert_array_equal(w.vector, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    """The wrench of ``elastostatic_regressor``: a 6-vector, force then torque."""
 
-    def test_default_torque_is_zero(self):
-        assert_array_equal(Wrench(force=[0.0, 0.0, -9.8]).torque, np.zeros(3))
+    def test_vector_layout(self, link1, link1_cmap):
+        # the marker sits 1 m along x of a joint about z: a force of 10 N
+        # along y and a torque of 10 N m about z load the joint alike
+        by_force = elastostatic_regressor(link1, [0.0], [0.0, 10.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, 0)
+        by_torque = elastostatic_regressor(link1, [0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 10.0], 0, link1_cmap, 0)
+        assert_allclose(by_torque, by_force, atol=1e-12)
+        assert_allclose(by_torque[:, 0], [0.0, 10.0, 0.0], atol=1e-12)
 
-    def test_rejects_non_finite_force(self):
+    def test_default_torque_is_zero(self, link1, link1_cmap):
+        # a study has no torque column: its force is applied with zero torque
+        study = one_row_study(force=(0.0, 10.0, 0.0), n_joints=1)
+        sys = stack_system(study, link1, link1_cmap, NoiseModel.uniform([1], 1e-5))
+        expected = elastostatic_regressor(link1, [0.0], [0.0, 10.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, 0)
+        assert_array_equal(sys.B, expected)
+
+    def test_rejects_non_finite_force(self, link1, link1_cmap):
         with pytest.raises(ValueError, match="finite"):
-            Wrench(force=[np.inf, 0.0, 0.0])
+            elastostatic_regressor(link1, [0.0], [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, 0)
 
 
 class TestComplianceParameterMap:
@@ -100,14 +114,12 @@ class TestComplianceParameterMap:
 
 class TestElastostaticRegressor:
     def test_single_joint_column(self, link1, link1_cmap):
-        A = elastostatic_regressor(
-            link1, [0.0], Wrench(force=[0.0, 10.0, 0.0]), link1_cmap, marker=0
-        )
+        A = elastostatic_regressor(link1, [0.0], [0.0, 10.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, marker=0)
         assert A.shape == (3, 1)
         assert_allclose(A[:, 0], [0.0, 10.0, 0.0], atol=1e-12)
 
     def test_zero_force_gives_zero_matrix(self, link1, link1_cmap):
-        A = elastostatic_regressor(link1, [0.7], Wrench(force=np.zeros(3)), link1_cmap, 0)
+        A = elastostatic_regressor(link1, [0.7], np.zeros(6), 0, link1_cmap, 0)
         assert_array_equal(A, np.zeros((3, 1)))
 
     def test_term_by_term_oracle(self, make_chain):
@@ -117,36 +129,29 @@ class TestElastostaticRegressor:
             n = model.n_joints
             cmap = ComplianceParameterMap(tail_joints=tuple(range(n)))
             q = rng.uniform(-np.pi, np.pi, size=n)
-            load = Wrench(
-                force=rng.uniform(-500.0, 500.0, size=3),
-                torque=rng.uniform(-50.0, 50.0, size=3),
-                application_marker=0,
-            )
+            wrench = np.concatenate([rng.uniform(-500.0, 500.0, size=3),  # force, then torque
+                                     rng.uniform(-50.0, 50.0, size=3)])
             k = rng.uniform(1e-7, 5e-6, size=n)
-            A = elastostatic_regressor(model, q, load, cmap, marker=0)
+            A = elastostatic_regressor(model, q, wrench, 0, cmap, marker=0)
             J = joint_jacobian(model, q, 0)
             expected = np.zeros(3)
             for j in range(n):
-                expected += k[j] * J[:3, j] * float(J[:, j] @ load.vector)
+                expected += k[j] * J[:3, j] * float(J[:, j] @ wrench)
             assert_allclose(A @ k, expected, rtol=1e-12, atol=1e-18)
 
     def test_linear_in_the_wrench(self, link1, link1_cmap):
-        base = elastostatic_regressor(
-            link1, [0.3], Wrench(force=[0.0, 10.0, 0.0]), link1_cmap, 0
-        )
-        doubled = elastostatic_regressor(
-            link1, [0.3], Wrench(force=[0.0, 20.0, 0.0]), link1_cmap, 0
-        )
+        base = elastostatic_regressor(link1, [0.3], [0.0, 10.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, 0)
+        doubled = elastostatic_regressor(link1, [0.3], [0.0, 20.0, 0.0, 0.0, 0.0, 0.0], 0, link1_cmap, 0)
         assert_array_equal(doubled, 2.0 * base)
 
     def test_torques_taken_at_application_marker(self, nominal_model):
         cmap = reference.compliance_map()
         q = reference.configurations_rad()[0]
-        load = Wrench(force=[0.0, 0.0, -2600.0], application_marker=0)
-        A = elastostatic_regressor(nominal_model, q, load, cmap, marker=2)
+        wrench = np.array([0.0, 0.0, -2600.0, 0.0, 0.0, 0.0])
+        A = elastostatic_regressor(nominal_model, q, wrench, 0, cmap, marker=2)
         J_obs = joint_jacobian(nominal_model, q, 2)
         J_app = joint_jacobian(nominal_model, q, 0)
-        torques = J_app.T @ load.vector
+        torques = J_app.T @ wrench
         expected = np.zeros_like(A)
         for j in range(nominal_model.n_joints):
             col = cmap.column_of(j, q[j])
@@ -156,10 +161,10 @@ class TestElastostaticRegressor:
 
     def test_bucket_exclusivity(self, nominal_model):
         cmap = reference.compliance_map()
-        load = Wrench(force=[0.0, 0.0, -2600.0])
+        wrench = np.array([0.0, 0.0, -2600.0, 0.0, 0.0, 0.0])
         n_buckets = len(cmap.bucket_levels)
         for q in reference.configurations_rad():
-            A = elastostatic_regressor(nominal_model, q, load, cmap, marker=0)
+            A = elastostatic_regressor(nominal_model, q, wrench, 0, cmap, marker=0)
             bucket_cols = A[:, :n_buckets]
             nonzero = [c for c in range(n_buckets) if np.any(bucket_cols[:, c] != 0.0)]
             assert len(nonzero) == 1
@@ -170,9 +175,7 @@ class TestElastostaticRegressor:
         q = np.array(reference.configurations_rad()[0])
         q[1] += 0.01  # off every declared level
         with pytest.raises(BucketMatchError):
-            elastostatic_regressor(
-                nominal_model, q, Wrench(force=[0.0, 0.0, -1.0]), cmap, 0
-            )
+            elastostatic_regressor(nominal_model, q, [0.0, 0.0, -1.0, 0.0, 0.0, 0.0], 0, cmap, 0)
 
 
 class TestGeometricRegressor:
@@ -211,9 +214,9 @@ class TestStackSystem:
 
     def test_single_record_rows_and_tags(self, nominal_model):
         design = reference.study_design(seed=1, markers=1, repetitions=1)
-        rec = simulate_measurements(design, nominal_model)[0]
+        first = simulate_measurements(design, nominal_model).take([0])
         sys = stack_system(
-            [rec],
+            first,
             nominal_model,
             ComplianceParameterMap(tail_joints=(2, 3, 4)),
             design.noise,
@@ -240,11 +243,10 @@ class TestStackSystem:
         assert_array_equal(sys2.group, bundled_system.group)
 
     def test_row_order_independent_of_input_order(
-        self, bundled_records, nominal_model, bundled_design, bundled_system
+        self, bundled_study, nominal_model, bundled_design, bundled_system
     ):
         rng = np.random.default_rng(42)
-        shuffled = list(bundled_records)
-        rng.shuffle(shuffled)
+        shuffled = bundled_study.take(rng.permutation(len(bundled_study)))
         sys2 = stack_system(
             shuffled, nominal_model, bundled_design.cmap, bundled_design.noise
         )
@@ -259,16 +261,16 @@ class TestStackSystem:
 
     def test_under_determined_stack_rejected(self, nominal_model, bundled_design):
         design = reference.study_design(seed=1, markers=1, repetitions=1)
-        records = simulate_measurements(design, nominal_model)[:2]  # 6 rows < 9 params
+        records = simulate_measurements(design, nominal_model).take(slice(2))  # 6 rows < 9 params
         with pytest.raises(UnderDeterminedError, match="cannot determine"):
             stack_system(records, nominal_model, bundled_design.cmap, design.noise)
 
     def test_missing_noise_entry_rejected(
-        self, bundled_records, nominal_model, bundled_design
+        self, bundled_study, nominal_model, bundled_design
     ):
         partial = NoiseModel(entries={1: np.full(3, 1e-5)})
         with pytest.raises(MissingNoiseError, match="configuration 2"):
-            stack_system(bundled_records, nominal_model, bundled_design.cmap, partial)
+            stack_system(bundled_study, nominal_model, bundled_design.cmap, partial)
 
     def test_sigma_rows_follow_configuration_and_axis(self, bundled_system):
         # configuration 1 carries dispersions (150, 64, 33) um on x, y, z
@@ -297,9 +299,9 @@ class TestStackSystem:
         )
         assert sys.columns == ("a2", "d4", "tool_x")
         assert sys.n_equations == 3 * len(records)
-        rec = min(records, key=lambda r: (r.config, r.marker, r.repetition))
-        fk = forward_kinematics(nominal_model, rec.q, rec.marker).position
-        assert_allclose(sys.dp[:3], rec.p0 - fk, atol=1e-18)
+        first = np.lexsort((records.rep, records.marker, records.config))[0]
+        fk = forward_kinematics(nominal_model, records.q[first], records.marker[first]).position
+        assert_allclose(sys.dp[:3], records.p0[first] - fk, atol=1e-18)
 
     def test_combined_mode_layout(self, nominal_model):
         design = reference.study_design(seed=4, markers=1, repetitions=2)
@@ -317,25 +319,26 @@ class TestStackSystem:
         assert_array_equal(sys.B[:3, 2:], np.zeros((3, 9)))
         assert np.any(sys.B[3:6, 2:] != 0.0)
 
-    def test_modes_validated(self, bundled_records, nominal_model, bundled_design):
+    def test_modes_validated(self, bundled_study, nominal_model, bundled_design):
         with pytest.raises(ValueError, match="unknown stacking mode"):
             stack_system(
-                bundled_records, nominal_model, bundled_design.cmap,
+                bundled_study, nominal_model, bundled_design.cmap,
                 bundled_design.noise, mode="mixed",
             )
         with pytest.raises(ValueError, match="geometric parameter selection"):
             stack_system(
-                bundled_records, nominal_model, bundled_design.cmap,
+                bundled_study, nominal_model, bundled_design.cmap,
                 bundled_design.noise, mode="geometric",
             )
         with pytest.raises(ValueError, match="compliance parameter map"):
             stack_system(
-                bundled_records, nominal_model, None, bundled_design.noise,
+                bundled_study, nominal_model, None, bundled_design.noise,
                 mode="elastostatic",
             )
         with pytest.raises(ValueError, match="no records"):
             stack_system(
-                [], nominal_model, bundled_design.cmap, bundled_design.noise
+                bundled_study.take(slice(0)), nominal_model, bundled_design.cmap,
+                bundled_design.noise,
             )
 
     def test_stacked_system_validation(self):
@@ -366,28 +369,31 @@ class TestStackSystem:
 GEOMETRIC_PARAMS = ["a2", "d3", "theta4", "tool_x"]
 
 
-def per_record_reference(records, model, cmap, noise, mode, params):
+def per_record_reference(study, model, cmap, noise, mode, params):
     """The stacked rows built record by record from the public functions."""
-    ordered = sorted(records, key=lambda r: (r.config, r.marker, r.repetition))
+    ordered = sorted(range(len(study)),
+                     key=lambda i: (study.config[i], study.marker[i], study.rep[i]))
     blocks, obs = [], []
-    for rec in ordered:
+    for i in ordered:
+        q, marker, p0, p = study.q[i], int(study.marker[i]), study.p0[i], study.p[i]
         if mode != "elastostatic":
-            fk = forward_kinematics(model, rec.q, rec.marker).position
-            J = parameter_jacobian(model, rec.q, rec.marker, params)
+            fk = forward_kinematics(model, q, marker).position
+            J = parameter_jacobian(model, q, marker, params)
         if mode != "geometric":
-            A = elastostatic_regressor(model, rec.q, rec.load, cmap, rec.marker)
+            wrench = np.concatenate([study.force[i], np.zeros(3)])
+            A = elastostatic_regressor(model, q, wrench, int(study.fmarker[i]), cmap, marker)
         if mode == "elastostatic":
             blocks.append(A)
-            obs.append(rec.p - rec.p0)
+            obs.append(p - p0)
         elif mode == "geometric":
             blocks.append(J)
-            obs.append(rec.p0 - fk)
+            obs.append(p0 - fk)
         else:
             blocks += [np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])]
-            obs += [rec.p0 - fk, rec.p - fk]
+            obs += [p0 - fk, p - fk]
     rows_per_record = 6 if mode == "combined" else 3
-    config = np.repeat([rec.config for rec in ordered], rows_per_record)
-    marker = np.repeat([rec.marker for rec in ordered], rows_per_record)
+    config = np.repeat(study.config[ordered], rows_per_record)
+    marker = np.repeat(study.marker[ordered], rows_per_record)
     axis = np.tile([0, 1, 2], len(blocks))
     sigma = build_sigma(noise, config, axis, floor=DEFAULT_SIGMA0)
     return dict(B=np.vstack(blocks), dp=np.concatenate(obs), sigma=sigma,
@@ -405,32 +411,32 @@ def shared_posture_study(model, rng):
     wrong block.
     """
     q_a, q_b = (rng.uniform(-1.0, 1.0, size=model.n_joints) for _ in range(2))
-    heavy = Wrench(force=[0.0, 0.0, -2600.0])
-    light = Wrench(force=[0.0, 0.0, -900.0])
-    elsewhere = Wrench(force=[0.0, 0.0, -2600.0], application_marker=1)
+    heavy = ([0.0, 0.0, -2600.0], 0)  # (force, application marker)
+    light = ([0.0, 0.0, -900.0], 0)
+    elsewhere = ([0.0, 0.0, -2600.0], 1)
     layout = {1: (q_a, [heavy] * 3), 2: (q_a, [light] * 3), 3: (q_a, [elsewhere] * 3),
               4: (q_b, [heavy, light, heavy])}
-    records = []
+    rows = []
     for cfg, (q, loads) in layout.items():
         for marker in (0, 1):
-            for rep, load in enumerate(loads, start=1):
+            for rep, (force, fmarker) in enumerate(loads, start=1):
                 p0 = rng.normal(size=3)
-                records.append(ExperimentRecord(
-                    config=cfg, q=q, load=load, marker=marker, repetition=rep,
-                    p0=p0, p=p0 + rng.normal(scale=1e-4, size=3)))
+                rows.append((cfg, marker, rep, q, force, fmarker, p0,
+                             p0 + rng.normal(scale=1e-4, size=3)))
+    study = Study(*map(np.array, zip(*rows)))
     cmap = ComplianceParameterMap.from_configurations([q_a, q_b])
     noise = NoiseModel({cfg: rng.uniform(5e-6, 2e-5, size=3) for cfg in layout})
-    return records, cmap, noise
+    return study, cmap, noise
 
 
 class TestPostureReuse:
     """stack_system builds each posture's blocks once; rows must not change."""
 
     @pytest.fixture(params=["bundled", "shared-nominal", "shared-prismatic"])
-    def study(self, request, bundled_records, bundled_design, nominal_model, make_chain):
+    def study(self, request, bundled_study, bundled_design, nominal_model, make_chain):
         rng = np.random.default_rng(23)
         if request.param == "bundled":
-            records, cmap, noise, model = (bundled_records, bundled_design.cmap,
+            records, cmap, noise, model = (bundled_study, bundled_design.cmap,
                                            bundled_design.noise, nominal_model)
         elif request.param == "shared-nominal":
             model = nominal_model
@@ -439,7 +445,7 @@ class TestPostureReuse:
             model = make_chain(rng, prismatic_prob=0.3)
             assert {j.kind for j in model.joints} == {REVOLUTE, PRISMATIC}
             records, cmap, noise = shared_posture_study(model, rng)
-        shuffled = [records[i] for i in rng.permutation(len(records))]
+        shuffled = records.take(rng.permutation(len(records)))
         return shuffled, model, cmap, noise
 
     @pytest.mark.parametrize("mode", ["elastostatic", "geometric", "combined"])
@@ -461,7 +467,7 @@ class TestPostureReuse:
         ],
     )
     def test_bundled_study_builds_each_posture_once(
-        self, mode, params, expected, bundled_records, nominal_model, bundled_design, monkeypatch
+        self, mode, params, expected, bundled_study, nominal_model, bundled_design, monkeypatch
     ):
         # 15 configurations x 3 markers = 45 postures; markers 1 and 2 also
         # need the Jacobian of the load's marker 0, hence 45 + 30 Jacobians
@@ -475,32 +481,37 @@ class TestPostureReuse:
 
         for name in expected:
             monkeypatch.setattr(regressor, name, counted(name, getattr(regressor, name)))
-        stack_system(bundled_records, nominal_model, bundled_design.cmap,
+        stack_system(bundled_study, nominal_model, bundled_design.cmap,
                      bundled_design.noise, mode=mode, params=params)
         assert {name: calls[name] for name in expected} == expected
 
 
-class TestExperimentRecord:
+class TestStudy:
     def test_deflection_is_loaded_minus_unloaded(self):
-        rec = ExperimentRecord(
-            config=1,
-            q=np.zeros(6),
-            load=Wrench(force=[0.0, 0.0, -1.0]),
-            marker=0,
-            repetition=1,
-            p0=np.array([1.0, 2.0, 3.0]),
-            p=np.array([1.5, 1.5, 3.25]),
-        )
-        assert_allclose(rec.deflection, [0.5, -0.5, 0.25], atol=0)
+        assert_allclose(one_row_study().deflection, [[0.5, -0.5, 0.25]], atol=0)
 
     def test_rejects_non_finite_positions(self):
         with pytest.raises(ValueError, match="p0"):
-            ExperimentRecord(
-                config=1,
-                q=np.zeros(6),
-                load=Wrench(force=np.zeros(3)),
-                marker=0,
-                repetition=1,
-                p0=np.array([np.nan, 0.0, 0.0]),
-                p=np.zeros(3),
-            )
+            one_row_study(p0=(np.nan, 0.0, 0.0))
+
+    def test_rejects_columns_of_another_length(self):
+        study = one_row_study()
+        with pytest.raises(ValueError, match="force"):
+            replace(study, force=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="q"):
+            replace(study, q=np.zeros(6))
+
+    def test_columns_are_read_only_copies(self):
+        p = np.array([[1.5, 1.5, 3.25]])
+        study = replace(one_row_study(), p=p)
+        p[0, 0] = 0.0
+        assert study.p[0, 0] == 1.5
+        assert not study.p.flags.writeable
+        assert study.config.dtype == study.fmarker.dtype == np.int64
+
+    def test_take_selects_and_reorders_rows(self, bundled_study):
+        rows = np.array([5, 0, 3])
+        part = bundled_study.take(rows)
+        assert len(part) == 3
+        for name in ("config", "marker", "rep", "q", "force", "fmarker", "p0", "p"):
+            assert_array_equal(getattr(part, name), getattr(bundled_study, name)[rows])

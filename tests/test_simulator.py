@@ -12,7 +12,7 @@ from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountErr
 from armcal.estimator import irls, ols_estimate, optimal_weights, wls_estimate
 from armcal.kinematics import forward_kinematics, parameter_jacobian
 from armcal.noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
-from armcal.regressor import stack_system
+from armcal.regressor import elastostatic_regressor, stack_system
 from armcal.simulator import (
     ComplianceVector,
     STANDARD_GRAVITY,
@@ -77,29 +77,31 @@ class TestStudyDesignValidation:
 
 
 class TestSimulateMeasurements:
-    def test_default_study_counts(self, bundled_records):
-        assert len(bundled_records) == 270
-        keys = {(r.config, r.marker, r.repetition) for r in bundled_records}
+    def test_default_study_counts(self, bundled_study):
+        study = bundled_study
+        assert len(study) == 270
+        keys = set(zip(study.config.tolist(), study.marker.tolist(), study.rep.tolist()))
         assert len(keys) == 270
-        assert {r.config for r in bundled_records} == set(range(1, 16))
-        assert {r.marker for r in bundled_records} == {0, 1, 2}
-        assert {r.repetition for r in bundled_records} == {1, 2, 3, 4, 5, 6}
+        assert set(study.config.tolist()) == set(range(1, 16))
+        assert set(study.marker.tolist()) == {0, 1, 2}
+        assert set(study.rep.tolist()) == {1, 2, 3, 4, 5, 6}
 
     def test_records_sorted_and_config_geometry_consistent(
-        self, bundled_records, bundled_design
+        self, bundled_study, bundled_design
     ):
-        keys = [(r.config, r.marker, r.repetition) for r in bundled_records]
+        study = bundled_study
+        keys = list(zip(study.config.tolist(), study.marker.tolist(), study.rep.tolist()))
         assert keys == sorted(keys)
-        for r in bundled_records[:20]:
-            assert_array_equal(r.q, bundled_design.configurations[r.config - 1])
+        for i in range(20):
+            assert_array_equal(study.q[i], bundled_design.configurations[study.config[i] - 1])
 
     def test_zero_noise_zero_load_collapses(self, nominal_model):
         design = quiet_design(
             noise=NoiseModel.uniform(range(1, 16), 0.0),
             mass_range_kg=(0.0, 0.0),
         )
-        for rec in simulate_measurements(design, nominal_model):
-            assert_array_equal(rec.p, rec.p0)
+        study = simulate_measurements(design, nominal_model)
+        assert_array_equal(study.p, study.p0)
 
     def test_zero_noise_loaded_recovers_truth(self, nominal_model):
         design = quiet_design(noise=NoiseModel.uniform(range(1, 16), 0.0))
@@ -111,27 +113,25 @@ class TestSimulateMeasurements:
     def test_same_seed_bitwise_identical(self, nominal_model):
         a = simulate_measurements(reference.study_design(seed=123), nominal_model)
         b = simulate_measurements(reference.study_design(seed=123), nominal_model)
-        for ra, rb in zip(a, b):
-            assert_array_equal(ra.p0, rb.p0)
-            assert_array_equal(ra.p, rb.p)
-            assert_array_equal(ra.load.force, rb.load.force)
+        assert_array_equal(a.p0, b.p0)
+        assert_array_equal(a.p, b.p)
+        assert_array_equal(a.force, b.force)
 
     def test_different_seeds_differ(self, nominal_model):
         a = simulate_measurements(reference.study_design(seed=1), nominal_model)
         b = simulate_measurements(reference.study_design(seed=2), nominal_model)
-        assert any(np.any(ra.p0 != rb.p0) for ra, rb in zip(a, b))
+        assert np.any(a.p0 != b.p0)
 
     def test_load_is_vertical_gravity_within_mass_range(self, nominal_model):
         design = quiet_design(mass_range_kg=(250.0, 280.0), repetitions=2)
-        records = simulate_measurements(design, nominal_model)
+        study = simulate_measurements(design, nominal_model)
         by_config = {}
-        for rec in records:
-            by_config.setdefault(rec.config, set()).add(tuple(rec.load.force))
-            assert rec.load.force[0] == 0.0 and rec.load.force[1] == 0.0
-            mass = -rec.load.force[2] / STANDARD_GRAVITY
-            assert 250.0 <= mass <= 280.0
-            assert rec.load.application_marker == 0
-            assert_array_equal(rec.load.torque, np.zeros(3))
+        for cfg, force in zip(study.config.tolist(), study.force.tolist()):
+            by_config.setdefault(cfg, set()).add(tuple(force))
+        assert np.all(study.force[:, :2] == 0.0)
+        mass = -study.force[:, 2] / STANDARD_GRAVITY
+        assert np.all((250.0 <= mass) & (mass <= 280.0))
+        assert_array_equal(study.fmarker, np.zeros(len(study)))
         # one mass draw per configuration, shared across markers/repetitions
         assert all(len(forces) == 1 for forces in by_config.values())
 
@@ -140,12 +140,12 @@ class TestSimulateMeasurements:
         from dataclasses import replace
 
         shifted_design = replace(clean, geometry_error={"a2": 2e-4, "d3": -1e-4})
-        recs = simulate_measurements(clean, nominal_model)
-        recs_g = simulate_measurements(shifted_design, nominal_model)
-        for rec, rec_g in zip(recs, recs_g):
-            assert_array_equal(rec_g.p - rec_g.p0, rec.p - rec.p0)
-            shift = rec_g.p0 - rec.p0
-            J = parameter_jacobian(nominal_model, rec.q, rec.marker, ["a2", "d3"])
+        study = simulate_measurements(clean, nominal_model)
+        study_g = simulate_measurements(shifted_design, nominal_model)
+        assert_array_equal(study_g.p - study_g.p0, study.p - study.p0)
+        for i in range(len(study)):
+            shift = study_g.p0[i] - study.p0[i]
+            J = parameter_jacobian(nominal_model, study.q[i], study.marker[i], ["a2", "d3"])
             assert_allclose(shift, J @ np.array([2e-4, -1e-4]), atol=1e-18)
 
     def test_combined_mode_recovers_geometry_and_compliance(self, nominal_model):
@@ -176,9 +176,9 @@ class TestSimulateMeasurements:
             mass_range_kg=(0.0, 0.0),
             seed=42,
         )
-        records = simulate_measurements(design, nominal_model)
+        study = simulate_measurements(design, nominal_model)
         fk = forward_kinematics(nominal_model, design.configurations[0], 0).position
-        eps = np.array([np.concatenate([r.p0 - fk, r.p - fk]) for r in records])
+        eps = np.hstack([study.p0 - fk, study.p - fk])
         corr = np.corrcoef(eps, rowvar=False)
         off_diag = corr[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 0.1
@@ -197,10 +197,36 @@ class TestSimulateMeasurements:
             mass_range_kg=(0.0, 0.0),
             seed=3,
         )
-        records = simulate_measurements(design, nominal_model)
-        deflections = np.array([r.p - r.p0 for r in records])
+        study = simulate_measurements(design, nominal_model)
+        deflections = study.p - study.p0
         observed = np.std(deflections, axis=0, ddof=1)
         assert_allclose(observed, np.array([150.0, 64.0, 33.0]) * UM, rtol=0.03)
+
+    def test_draws_follow_the_row_order(self, nominal_model):
+        # reference: per row, the unloaded then the loaded noise 3-vector,
+        # after each configuration's load-mass draw
+        design = replace(quiet_design(markers=2, repetitions=3, seed=9),
+                         mass_range_kg=(200.0, 300.0), geometry_error={"a2": 1e-4})
+        study = simulate_measurements(design, nominal_model)
+        rng = np.random.default_rng(design.seed)
+        k, i = design.ground_truth.values, 0
+        for cfg, q in zip(design.config_ids, design.configurations):
+            mass = 200.0 + 100.0 * rng.uniform()
+            wrench = np.array([0.0, 0.0, -mass * STANDARD_GRAVITY, 0.0, 0.0, 0.0])
+            half_sigma = design.noise.sigma(cfg) / np.sqrt(2.0)
+            for marker in range(design.markers):
+                shift = parameter_jacobian(nominal_model, q, marker, ["a2"]) @ np.array([1e-4])
+                fk = forward_kinematics(nominal_model, q, marker).position
+                deflection = elastostatic_regressor(nominal_model, q, wrench, 0, design.cmap, marker) @ k
+                for rep in range(1, design.repetitions + 1):
+                    eps0 = rng.normal(size=3) * half_sigma
+                    eps1 = rng.normal(size=3) * half_sigma
+                    assert (study.config[i], study.marker[i], study.rep[i]) == (cfg, marker, rep)
+                    assert_array_equal(study.force[i], wrench[:3])
+                    assert_array_equal(study.p0[i], fk + shift + eps0)
+                    assert_array_equal(study.p[i], fk + shift + deflection + eps1)
+                    i += 1
+        assert i == len(study)
 
     def test_marker_budget_validated(self, nominal_model):
         with pytest.raises(ValueError, match="markers"):
