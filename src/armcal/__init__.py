@@ -40,7 +40,6 @@ from .noise import (
     NoiseModel,
     build_sigma,
     deflection_dispersions,
-    estimate_dispersions,
 )
 from .regressor import (
     ComplianceParameterMap,
@@ -85,7 +84,6 @@ __all__ = [
     "build_sigma",
     "deflection_dispersions",
     "elastostatic_regressor",
-    "estimate_dispersions",
     "forward_kinematics",
     "irls",
     "joint_jacobian",

@@ -20,7 +20,8 @@ per (configuration, marker, repetition)::
 
     config marker rep q1 .. qN fx fy fz fmarker p0x p0y p0z px py pz
 
-Noise tables carry per-configuration dispersions in micrometers::
+Noise tables carry per-configuration dispersions in micrometers, with or
+without the three standard-error columns in every row::
 
     config sigma_x sigma_y sigma_z [se_x se_y se_z]
 """
@@ -286,21 +287,16 @@ def load_measurements(path: str | Path) -> Study:
     return parse_measurements(lines, source=str(path))
 
 
+_NOISE_HEADER = ["config", "sigma_x", "sigma_y", "sigma_z", "se_x", "se_y", "se_z"]
+
+
 def format_noise_table(noise: NoiseModel) -> str:
+    se = noise.se if noise.se is not None else np.zeros_like(noise.sigma)
     lines = [
         "# armcal noise table: per-configuration deflection dispersions, um",
-        "config sigma_x sigma_y sigma_z se_x se_y se_z",
+        " ".join(_NOISE_HEADER),
+        *map(" ".join, zip(*_repr_columns(noise.config, noise.sigma / _UM, se / _UM))),
     ]
-    for cfg in sorted(noise.entries):
-        sig = noise.entries[cfg] / _UM
-        se = (
-            noise.uncertainty[cfg] / _UM
-            if noise.uncertainty is not None and cfg in noise.uncertainty
-            else np.zeros(3)
-        )
-        lines.append(
-            f"{cfg} " + " ".join(_fmt(v) for v in sig) + " " + " ".join(_fmt(v) for v in se)
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -309,31 +305,43 @@ def write_noise_table(path: str | Path, noise: NoiseModel) -> Path:
 
 
 def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
+    """Parse into a :class:`NoiseModel`.  Each row's column count (that of the
+    first row) and numbers are checked in file order, then values (finite,
+    non-negative) and ids (distinct) file-wide; a fault names its line."""
     err = NoiseFormatError
-    entries: dict[int, np.ndarray] = {}
-    uncert: dict[int, np.ndarray] = {}
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    config, values = [], []
     for lineno, line in _data_lines(lines):
         tokens = line.split()
-        if tokens and tokens[0] == "config":  # header line
+        if tokens[0] == "config":  # header line
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")
+        if rows and len(tokens) != len(rows[0]):
+            raise err(f"{source}:{lineno}: expected {len(rows[0])} columns as on line {linenos[0]}, "
+                      f"got {len(tokens)}")
         try:
-            cfg = int(tokens[0])
-            vals = [float(t) for t in tokens[1:]]
-        except ValueError:
-            raise err(f"{source}:{lineno}: non-numeric value") from None
-        if cfg in entries:
-            raise err(f"{source}:{lineno}: duplicate entry for configuration {cfg}")
-        entries[cfg] = np.array(vals[:3]) * _UM
-        if len(vals) == 6:
-            uncert[cfg] = np.array(vals[3:]) * _UM
-    if not entries:
+            config.append(np.array(tokens[0], dtype=int))
+            values.append(np.array(tokens[1:], dtype=float))
+        except (ValueError, OverflowError):
+            raise err(f"{source}:{lineno}: non-numeric value or configuration id beyond int64") from None
+        rows.append(tokens)
+        linenos.append(lineno)
+    if not rows:
         raise err(f"{source}: table has no entries")
-    try:
-        return NoiseModel(entries=entries, uncertainty=uncert or None)
-    except ValueError as exc:
-        raise err(f"{source}: {exc}") from None
+
+    config, values = np.array(config), np.array(values)
+    bad = ~np.isfinite(values) | (values < 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise err(f"{source}:{linenos[i]}: {_NOISE_HEADER[j + 1]} {rows[i][j + 1]} must be finite and >= 0")
+    repeats = np.flatnonzero(_first_of_key(config[:, None]) != np.arange(len(rows)))
+    if repeats.size:
+        i = repeats[0]
+        raise err(f"{source}:{linenos[i]}: duplicate entry for configuration {config[i]}")
+    values *= _UM
+    return NoiseModel(config=config, sigma=values[:, :3], se=values[:, 3:] if values.shape[1] == 6 else None)
 
 
 def load_noise_table(path: str | Path) -> NoiseModel:

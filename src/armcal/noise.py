@@ -2,10 +2,10 @@
 
 The laser tracker's error level depends strongly on where the reflector sits
 in the work cell, so dispersions are kept per (configuration, axis) rather
-than pooled.  A :class:`NoiseModel` maps configuration ids to per-axis
-standard deviations of one stacked observation row (for deflection studies
-that is the dispersion of the loaded-minus-unloaded difference, which is what
-gets regressed).
+than pooled.  A :class:`NoiseModel` is a table of per-axis standard
+deviations of one stacked observation row per configuration id (for
+deflection studies that is the dispersion of the loaded-minus-unloaded
+difference, which is what gets regressed).
 
 Stacked rows carry int arrays of configuration ids and axes (0..2, indexing
 :data:`AXES`); :func:`grouped_std` estimates one dispersion per group of rows.
@@ -13,9 +13,8 @@ Stacked rows carry int arrays of configuration ids and axes (0..2, indexing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -29,87 +28,75 @@ DEFAULT_SIGMA0 = 10e-6
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-configuration, per-axis standard deviations, in meters.
+    """Per-configuration, per-axis standard deviations as one read-only table.
 
-    ``uncertainty`` optionally carries the standard error of each sigma
-    estimate (same shape), from the chi-distribution large-sample formula
-    se(sigma) = sigma / sqrt(2 (n - 1)).
+    Row i holds configuration ``config[i]`` (distinct int ids, stored in
+    ascending order), its per-axis standard deviations ``sigma[i]`` and
+    optionally ``se[i]``, the standard error of each estimate from the
+    chi-distribution large-sample formula se(sigma) = sigma / sqrt(2 (n - 1)).
+    ``sigma`` and ``se`` are (K, 3) arrays in meters, finite and >= 0.
     """
 
-    entries: Mapping[int, np.ndarray]
-    uncertainty: Mapping[int, np.ndarray] | None = None
+    config: np.ndarray
+    sigma: np.ndarray
+    se: np.ndarray | None = None
 
     def __post_init__(self):
-        frozen = {}
-        for cfg, sig in self.entries.items():
-            s = np.asarray(sig, dtype=float).reshape(3)
-            if not np.all(np.isfinite(s)) or np.any(s < 0.0):
-                raise ValueError(f"noise entry for configuration {cfg!r} must be finite and >= 0")
-            s.setflags(write=False)
-            frozen[cfg] = s
-        object.__setattr__(self, "entries", frozen)
-        if self.uncertainty is not None:
-            frozen_u = {}
-            for cfg, u in self.uncertainty.items():
-                a = np.asarray(u, dtype=float).reshape(3)
-                a.setflags(write=False)
-                frozen_u[cfg] = a
-            object.__setattr__(self, "uncertainty", frozen_u)
+        config = np.array(self.config, dtype=int).reshape(-1)
+        order = np.argsort(config)
+        config = config[order]
+        if not config.size:
+            raise ValueError("noise table has no configurations")
+        repeated = config[1:][config[1:] == config[:-1]]
+        if repeated.size:
+            raise ValueError(f"configuration {repeated[0]} is listed twice")
+        config.setflags(write=False)
+        object.__setattr__(self, "config", config)
+        for name in ("sigma", "se"):
+            if getattr(self, name) is None:
+                continue
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != (config.size, 3):
+                raise ValueError(f"noise column {name} has shape {arr.shape} for {config.size} configurations")
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+                raise ValueError(f"noise column {name} must be finite and >= 0")
+            arr = arr[order]
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    def sigma(self, config: int) -> np.ndarray:
-        try:
-            return self.entries[config]
-        except KeyError:
-            raise MissingNoiseError(f"no noise entry for configuration {config!r}") from None
-
-    @property
-    def configurations(self) -> tuple[int, ...]:
-        return tuple(self.entries)
+    def rows(self, config) -> np.ndarray:
+        """Table row of each configuration id in ``config`` (same shape)."""
+        ids = np.asarray(config, dtype=int)
+        k = np.minimum(np.searchsorted(self.config, ids), self.config.size - 1)
+        missing = self.config[k] != ids
+        if np.any(missing):
+            raise MissingNoiseError(f"no noise entry for configuration {ids[missing].flat[0]}")
+        return k
 
     @classmethod
     def uniform(cls, configs: Iterable[int], sigma: float) -> "NoiseModel":
         """One common sigma on every axis of every listed configuration."""
-        s = np.full(3, float(sigma))
-        return cls(entries={cfg: s.copy() for cfg in configs})
-
-
-def estimate_dispersions(groups: Mapping[int, np.ndarray]) -> NoiseModel:
-    """Unbiased per-axis sample dispersions from replicate groups.
-
-    ``groups`` maps a configuration id to an (n_i, 3) array of replicate
-    3-vectors (meters).  Replicates are differenced about their own group
-    mean, so a constant offset common to a group does not contribute.
-    """
-    entries: dict[int, np.ndarray] = {}
-    uncert: dict[int, np.ndarray] = {}
-    for cfg, values in groups.items():
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != 3:
-            raise ValueError(f"group {cfg!r}: replicates must form an (n, 3) array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"group {cfg!r}: replicates contain non-finite values")
-        n = values.shape[0]
-        if n < 2:
-            raise ReplicateCountError(f"need at least 2 replicates to estimate a dispersion, got {n}")
-        entries[cfg] = np.std(values, axis=0, ddof=1)
-        uncert[cfg] = entries[cfg] / math.sqrt(2.0 * (n - 1))
-    if not entries:
-        raise ValueError("no replicate groups supplied")
-    return NoiseModel(entries=entries, uncertainty=uncert)
+        config = np.array(configs, dtype=int).reshape(-1)
+        return cls(config=config, sigma=np.full((config.size, 3), float(sigma)))
 
 
 def deflection_dispersions(config: np.ndarray, deflection: np.ndarray) -> NoiseModel:
     """Noise model from raw deflection replicates of an experiment.
 
     Pools the loaded-minus-unloaded differences ``deflection[i]`` (meters) of
-    all rows of each configuration ``config[i]``.  Before any fit has been
-    run this is the non-compensated dispersion (marker-to-marker signal
-    spread included), which is the usual starting point when the tracker
-    noise is unknown.
+    all rows of each configuration ``config[i]`` into one unbiased sample
+    dispersion per (configuration, axis), about the group's own mean.  Before
+    any fit has been run this is the non-compensated dispersion
+    (marker-to-marker signal spread included), which is the usual starting
+    point when the tracker noise is unknown.  A configuration with one row
+    raises :class:`ReplicateCountError`.
     """
-    config = np.asarray(config, dtype=int).reshape(-1)
-    deflection = np.asarray(deflection, dtype=float)
-    return estimate_dispersions({c: deflection[config == c] for c in sorted(set(config.tolist()))})
+    ids, row = np.unique(np.asarray(config, dtype=int).reshape(-1), return_inverse=True)
+    row = row.reshape(-1)
+    group = (row[:, None] * len(AXES) + np.arange(len(AXES))).reshape(-1)
+    sigma = grouped_std(np.asarray(deflection, dtype=float).reshape(-1), group).reshape(-1, len(AXES))
+    n = np.bincount(row)
+    return NoiseModel(config=ids, sigma=sigma, se=sigma / np.sqrt(2.0 * (n - 1))[:, None])
 
 
 def build_sigma(
@@ -122,9 +109,7 @@ def build_sigma(
     """
     if floor <= 0.0:
         raise ValueError("sigma floor must be positive")
-    ids, row_cfg = np.unique(np.asarray(config, dtype=int), return_inverse=True)
-    table = np.array([noise.sigma(int(c)) for c in ids]).reshape(-1, 3)
-    return np.maximum(table[row_cfg.reshape(-1), np.asarray(axis, dtype=int)], floor)
+    return np.maximum(noise.sigma[noise.rows(config), axis], floor)
 
 
 def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:

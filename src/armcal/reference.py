@@ -115,11 +115,8 @@ def compliance_map() -> ComplianceParameterMap:
 
 
 def noise_model() -> NoiseModel:
-    ids = range(1, len(NOISE_UM) + 1)
-    return NoiseModel(
-        entries={i: NOISE_UM[i - 1] * 1e-6 for i in ids},
-        uncertainty={i: NOISE_SE_UM[i - 1] * 1e-6 for i in ids},
-    )
+    return NoiseModel(config=np.arange(1, len(NOISE_UM) + 1), sigma=NOISE_UM * 1e-6,
+                      se=NOISE_SE_UM * 1e-6)
 
 
 def ground_truth() -> ComplianceVector:

@@ -113,8 +113,7 @@ class StudyDesign:
         if len(self.ground_truth.values) != self.cmap.n_parameters:
             raise ValueError("ground truth length does not match the compliance map")
         object.__setattr__(self, "configurations", tuple(configs))
-        for cfg_id in range(1, len(configs) + 1):
-            self.noise.sigma(cfg_id)  # raises MissingNoiseError on gaps
+        self.noise.rows(self.config_ids)  # raises MissingNoiseError on gaps
         if self.geometry_error is not None:
             object.__setattr__(self, "geometry_error", dict(self.geometry_error))
 
@@ -142,8 +141,9 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     geo = design.geometry_error
     geo_params = sorted(geo) if geo else None
     lo, hi = design.mass_range_kg
+    half_sigma = design.noise.sigma[design.noise.rows(design.config_ids)] / math.sqrt(2.0)
     forces, p0, p = [], [], []
-    for cfg_id, q in zip(design.config_ids, design.configurations):
+    for q, half in zip(design.configurations, half_sigma):
         mass = lo + (hi - lo) * rng.uniform()
         wrench = np.array([0.0, 0.0, -mass * STANDARD_GRAVITY, 0.0, 0.0, 0.0])
         forces.append(wrench[:3])
@@ -158,7 +158,7 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
                 model, q, wrench, design.attachment_marker, design.cmap, marker) @ k
         # one draw equals the row-by-row 3-vectors (unloaded, then loaded) in order
         eps = rng.normal(size=(design.markers, design.repetitions, 2, 3))
-        eps *= design.noise.sigma(cfg_id) / math.sqrt(2.0)
+        eps *= half
         p0.append(unloaded[:, None] + eps[:, :, 0])
         p.append(unloaded[:, None] + deflection[:, None] + eps[:, :, 1])
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)

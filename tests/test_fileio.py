@@ -228,27 +228,42 @@ class TestNoiseTableFormat:
         noise = reference.noise_model()
         text = format_noise_table(noise)
         again = parse_noise_table(text.splitlines())
-        assert again.configurations == noise.configurations
-        for cfg in noise.configurations:
-            assert_allclose(again.sigma(cfg), noise.sigma(cfg), rtol=1e-12)
-            assert_allclose(again.uncertainty[cfg], noise.uncertainty[cfg], rtol=1e-12)
+        assert_array_equal(again.config, noise.config)
+        assert_allclose(again.sigma, noise.sigma, rtol=1e-12)
+        assert_allclose(again.se, noise.se, rtol=1e-12)
 
     def test_four_column_form_accepted(self):
         model = parse_noise_table(["config sigma_x sigma_y sigma_z", "3 150 64 33"])
-        assert_allclose(model.sigma(3), np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
-        assert model.uncertainty is None
+        assert_allclose(model.sigma[model.rows(3)], np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
+        assert model.se is None
+        assert format_noise_table(model).splitlines()[2] == "3 150.0 64.0 33.0 0.0 0.0 0.0"
 
     @pytest.mark.parametrize(
         "row, message",
         [
             ("1 2 3", "expected 4 or 7 columns"),
             ("1 a b c", "non-numeric"),
+            ("1 -5 10 10", "sigma_x -5 must be finite and >= 0"),
+            ("1 10 nan 10", "sigma_y nan must be finite and >= 0"),
+            ("1 10 10 1e400", "sigma_z 1e400 must be finite and >= 0"),
+            ("1 10 10 10 nan -3 inf", "se_x nan must be finite and >= 0"),
+            ("1 10 10 10 1 -3 1", "se_y -3 must be finite and >= 0"),
+            ("1 10 10 10 1 1 inf", "se_z inf must be finite and >= 0"),
+            ("99999999999999999999 10 10 10", "configuration id beyond int64"),
         ],
     )
     def test_malformed_rows_rejected(self, row, message):
         with pytest.raises(NoiseFormatError, match=message) as exc:
             parse_noise_table(["config sigma_x sigma_y sigma_z", row], source="n.tsv")
         assert "n.tsv:2" in str(exc.value)
+
+    @pytest.mark.parametrize("first, second", [("1 10 10 10 1 1 1", "2 10 10 10"),
+                                               ("1 10 10 10", "2 10 10 10 1 1 1")])
+    def test_mixed_column_counts_rejected(self, first, second):
+        lines = ["config sigma_x sigma_y sigma_z", first, "# comment", second]
+        with pytest.raises(NoiseFormatError, match="as on line 2") as exc:
+            parse_noise_table(lines, source="n.tsv")
+        assert "n.tsv:4:" in str(exc.value)
 
     def test_duplicate_configuration_rejected(self):
         with pytest.raises(NoiseFormatError, match="duplicate"):

@@ -13,7 +13,6 @@ from armcal.noise import (
     NoiseModel,
     build_sigma,
     deflection_dispersions,
-    estimate_dispersions,
     grouped_std,
 )
 from armcal.regressor import StackedSystem
@@ -22,45 +21,52 @@ from armcal.simulator import simulate_measurements
 UM = 1e-6
 
 
+def dispersions_of(values):
+    """The noise model of one configuration whose deflection rows are ``values``."""
+    return deflection_dispersions(np.ones(len(values), dtype=int), values)
+
+
 class TestEstimateDispersions:
+    """Dispersions estimated from replicates by ``deflection_dispersions``."""
+
     def test_identical_replicates_give_zero(self):
-        model = estimate_dispersions({1: np.tile([1.0, -2.0, 0.5], (6, 1))})
-        assert_array_equal(model.sigma(1), np.zeros(3))
+        model = dispersions_of(np.tile([1.0, -2.0, 0.5], (6, 1)))
+        assert_array_equal(model.sigma[model.rows(1)], np.zeros(3))
 
     def test_two_point_hand_computed_std(self):
         # sample std of {0, 2} um about the mean 1 um is sqrt(2) um
-        model = estimate_dispersions({1: np.array([[0.0, 0.0, 0.0], [2 * UM, 0.0, 0.0]])})
-        assert_allclose(model.sigma(1), [math.sqrt(2.0) * UM, 0.0, 0.0], rtol=1e-15)
+        model = dispersions_of(np.array([[0.0, 0.0, 0.0], [2 * UM, 0.0, 0.0]]))
+        assert_allclose(model.sigma[model.rows(1)], [math.sqrt(2.0) * UM, 0.0, 0.0], rtol=1e-15)
         assert_allclose(
-            model.uncertainty[1][0], math.sqrt(2.0) * UM / math.sqrt(2.0), rtol=1e-15
+            model.se[model.rows(1), 0], math.sqrt(2.0) * UM / math.sqrt(2.0), rtol=1e-15
         )
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(42)
         values = rng.normal(size=(12, 3)) * 50 * UM
         offset = np.array([0.125, -0.25, 0.5])  # exactly representable shifts
-        a = estimate_dispersions({1: values})
-        b = estimate_dispersions({1: values + offset})
-        assert_allclose(b.sigma(1), a.sigma(1), rtol=1e-9)
+        a = dispersions_of(values)
+        b = dispersions_of(values + offset)
+        assert_allclose(b.sigma, a.sigma, rtol=1e-9)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
         values = rng.normal(size=(9, 3))
-        a = estimate_dispersions({1: values})
-        b = estimate_dispersions({1: values * 2.0})
-        assert_array_equal(b.sigma(1), 2.0 * a.sigma(1))
+        a = dispersions_of(values)
+        b = dispersions_of(values * 2.0)
+        assert_array_equal(b.sigma, 2.0 * a.sigma)
 
     def test_single_replicate_rejected(self):
-        with pytest.raises(ReplicateCountError, match="at least 2"):
-            estimate_dispersions({1: np.zeros((1, 3))})
+        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
+            dispersions_of(np.zeros((1, 3)))
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match=r"\(n, 3\)"):
-            estimate_dispersions({1: np.zeros((4, 2))})
-        with pytest.raises(ValueError, match="non-finite"):
-            estimate_dispersions({1: np.full((3, 3), np.nan)})
-        with pytest.raises(ValueError, match="no replicate groups"):
-            estimate_dispersions({})
+        with pytest.raises(ValueError, match="length mismatch"):
+            dispersions_of(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            dispersions_of(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="no configurations"):
+            dispersions_of(np.zeros((0, 3)))
 
     def test_estimate_concentrates_within_chi_standard_error(self):
         # true sigma 150 um, 18 replicates: the large-sample standard error is
@@ -72,32 +78,69 @@ class TestEstimateDispersions:
         trials = 300
         for _ in range(trials):
             draws = rng.normal(size=(18, 3)) * true
-            est = estimate_dispersions({1: draws}).sigma(1)
+            est = dispersions_of(draws).sigma[0]
             hits += np.all(np.abs(est - true) <= band)
         assert hits / trials >= 0.99
+
+    def test_groups_follow_configuration_and_axis(self):
+        rng = np.random.default_rng(3)
+        config = rng.permutation(np.repeat([7, 2, 5], [4, 2, 9]))
+        values = rng.normal(size=(15, 3)) * 50 * UM
+        model = deflection_dispersions(config, values)
+        assert model.config.tolist() == [2, 5, 7]
+        for k, cfg in enumerate(model.config):
+            rows = values[config == cfg]
+            assert_allclose(model.sigma[k], np.std(rows, axis=0, ddof=1), rtol=1e-12)
+            assert_allclose(model.se[k], model.sigma[k] / math.sqrt(2.0 * (len(rows) - 1)), rtol=1e-15)
 
 
 class TestNoiseModel:
     def test_lookup_and_missing_entry(self):
-        model = NoiseModel(entries={3: np.array([1.0, 2.0, 3.0]) * UM})
-        assert_allclose(model.sigma(3), np.array([1.0, 2.0, 3.0]) * UM)
-        assert model.configurations == (3,)
+        model = NoiseModel(config=[3], sigma=np.array([[1.0, 2.0, 3.0]]) * UM)
+        assert_allclose(model.sigma[model.rows(3)], np.array([1.0, 2.0, 3.0]) * UM)
+        assert model.config.tolist() == [3]
         with pytest.raises(MissingNoiseError, match="configuration 4"):
-            model.sigma(4)
+            model.rows(4)
+
+    def test_rows_of_many_ids(self):
+        model = NoiseModel(config=[9, 2, 5], sigma=np.arange(9.0).reshape(3, 3))
+        assert model.config.tolist() == [2, 5, 9]  # stored ascending, rows kept with their id
+        assert_array_equal(model.sigma[model.rows(9)], [0.0, 1.0, 2.0])
+        assert_array_equal(model.rows([[5, 9], [2, 2]]), [[1, 2], [0, 0]])
+        for absent in (1, 3, 10):
+            with pytest.raises(MissingNoiseError, match=f"configuration {absent}$"):
+                model.rows([2, absent, 9])
 
     def test_uniform_constructor(self):
         model = NoiseModel.uniform(range(1, 4), 25 * UM)
         for cfg in (1, 2, 3):
-            assert_array_equal(model.sigma(cfg), np.full(3, 25 * UM))
+            assert_array_equal(model.sigma[model.rows(cfg)], np.full(3, 25 * UM))
+        assert model.se is None
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            NoiseModel(entries={1: np.array([-1.0, 0.0, 0.0])})
+            NoiseModel(config=[1], sigma=[[-1.0, 0.0, 0.0]])
+
+    def test_bad_standard_error_rejected(self):
+        for se in ([[np.nan, 0.0, 0.0]], [[0.0, -1.0, 0.0]], [[0.0, 0.0, np.inf]]):
+            with pytest.raises(ValueError, match="se must be finite and >= 0"):
+                NoiseModel(config=[1], sigma=np.ones((1, 3)), se=se)
+
+    def test_columns_validated(self):
+        with pytest.raises(ValueError, match="listed twice"):
+            NoiseModel(config=[1, 2, 1], sigma=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            NoiseModel(config=[1, 2], sigma=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            NoiseModel(config=[1, 2], sigma=np.ones((2, 3)), se=np.ones(6))
+        with pytest.raises(ValueError, match="no configurations"):
+            NoiseModel(config=[], sigma=np.ones((0, 3)))
 
     def test_entries_frozen(self):
-        model = NoiseModel(entries={1: np.ones(3)})
-        with pytest.raises(ValueError):
-            model.sigma(1)[0] = 2.0
+        model = NoiseModel(config=[1], sigma=np.ones((1, 3)), se=np.ones((1, 3)))
+        for column in (model.config, model.sigma, model.se):
+            with pytest.raises(ValueError):
+                column[0] = 2
 
 
 class TestBuildSigma:
@@ -120,7 +163,7 @@ class TestBuildSigma:
         assert DEFAULT_SIGMA0 == 1e-5  # the 10 um precision floor
 
     def test_custom_floor(self):
-        noise = NoiseModel(entries={1: np.array([5.0, 80.0, 0.0]) * UM})
+        noise = NoiseModel(config=[1], sigma=np.array([[5.0, 80.0, 0.0]]) * UM)
         sigma = build_sigma(noise, [1, 1, 1], [0, 1, 2], floor=20 * UM)
         assert_allclose(sigma, np.array([20.0, 80.0, 20.0]) * UM, rtol=1e-12)
 
@@ -185,7 +228,7 @@ class TestGroupedDispersions:
                 [study.p[i] - study.p0[i] for i in range(len(study)) if study.config[i] == cfg]
             )  # (markers * reps, 3)
             assert stacked.shape[0] == 8
-            assert_allclose(model.sigma(cfg), np.std(stacked, axis=0, ddof=1), rtol=1e-12)
+            assert_allclose(model.sigma[model.rows(cfg)], np.std(stacked, axis=0, ddof=1), rtol=1e-12)
 
     def test_deflection_dispersions_need_replicates(self, nominal_model):
         design = reference.study_design(seed=5, markers=1, repetitions=1)

@@ -1,4 +1,4 @@
-"""Property tests: file round trips, fuzzed measurement text, row-order independence."""
+"""Property tests: file round trips, fuzzed measurement and noise text, row-order independence."""
 
 import numpy as np
 import pytest
@@ -68,13 +68,14 @@ def test_measurement_round_trip(study):
                        min_size=1, max_size=10),
        st.booleans())
 def test_noise_table_round_trip(table, with_uncertainty):
-    noise = NoiseModel(entries={c: v[:3] for c, v in table.items()},
-                       uncertainty={c: v[3:] for c, v in table.items()} if with_uncertainty else None)
+    columns = np.array(list(table.values()))
+    noise = NoiseModel(config=list(table), sigma=columns[:, :3],
+                       se=columns[:, 3:] if with_uncertainty else None)
     again = parse_noise_table(format_noise_table(noise).splitlines())
-    assert sorted(again.entries) == sorted(noise.entries)
+    assert again.config.tolist() == sorted(table)
     for c, values in table.items():
-        assert within_ulps(again.entries[c], values[:3], 2)
-        assert within_ulps(again.uncertainty[c], values[3:] if with_uncertainty else np.zeros(3), 2)
+        assert within_ulps(again.sigma[again.rows(c)], values[:3], 2)
+        assert within_ulps(again.se[again.rows(c)], values[3:] if with_uncertainty else np.zeros(3), 2)
 
 
 @pytest.fixture(scope="module")
@@ -90,18 +91,37 @@ TOKENS = st.one_of(
 )
 
 
-@PROPERTY
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
-       st.lists(st.integers(0, 7), max_size=2))
-def test_fuzzed_measurement_text_fails_only_with_coded_errors(measurement_lines, edits, duplicated):
-    lines = list(measurement_lines)
+def edited(lines, edits, duplicated):
+    """``lines`` with token ``column`` of line ``row`` replaced per edit, then some lines repeated."""
+    lines = list(lines)
     for row, column, token in edits:
         tokens = lines[row].split() or [""]
         tokens[column % len(tokens)] = token
         lines[row] = " ".join(tokens)
-    lines += [lines[row] for row in duplicated]
+    return lines + [lines[row] for row in duplicated]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
+       st.lists(st.integers(0, 7), max_size=2))
+def test_fuzzed_measurement_text_fails_only_with_coded_errors(measurement_lines, edits, duplicated):
     try:
-        parse_measurements(lines)
+        parse_measurements(edited(measurement_lines, edits, duplicated))
+    except CalibrationError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def noise_lines():
+    return format_noise_table(reference.noise_model()).splitlines()[:6]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), TOKENS), max_size=4),
+       st.lists(st.integers(0, 5), max_size=2))
+def test_fuzzed_noise_text_fails_only_with_coded_errors(noise_lines, edits, duplicated):
+    try:
+        parse_noise_table(edited(noise_lines, edits, duplicated))
     except CalibrationError:
         pass
 

@@ -268,7 +268,7 @@ class TestStackSystem:
     def test_missing_noise_entry_rejected(
         self, bundled_study, nominal_model, bundled_design
     ):
-        partial = NoiseModel(entries={1: np.full(3, 1e-5)})
+        partial = NoiseModel(config=[1], sigma=np.full((1, 3), 1e-5))
         with pytest.raises(MissingNoiseError, match="configuration 2"):
             stack_system(bundled_study, nominal_model, bundled_design.cmap, partial)
 
@@ -425,7 +425,7 @@ def shared_posture_study(model, rng):
                              p0 + rng.normal(scale=1e-4, size=3)))
     study = Study(*map(np.array, zip(*rows)))
     cmap = ComplianceParameterMap.from_configurations([q_a, q_b])
-    noise = NoiseModel({cfg: rng.uniform(5e-6, 2e-5, size=3) for cfg in layout})
+    noise = NoiseModel(config=list(layout), sigma=rng.uniform(5e-6, 2e-5, size=(len(layout), 3)))
     return study, cmap, noise
 
 

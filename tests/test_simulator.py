@@ -190,7 +190,7 @@ class TestSimulateMeasurements:
         design = StudyDesign(
             configurations=reference.configurations_rad()[:1],
             cmap=reference.compliance_map(),
-            noise=NoiseModel(entries={1: np.array([150.0, 64.0, 33.0]) * UM}),
+            noise=NoiseModel(config=[1], sigma=np.array([[150.0, 64.0, 33.0]]) * UM),
             ground_truth=reference.ground_truth(),
             markers=1,
             repetitions=20_000,
@@ -213,7 +213,7 @@ class TestSimulateMeasurements:
         for cfg, q in zip(design.config_ids, design.configurations):
             mass = 200.0 + 100.0 * rng.uniform()
             wrench = np.array([0.0, 0.0, -mass * STANDARD_GRAVITY, 0.0, 0.0, 0.0])
-            half_sigma = design.noise.sigma(cfg) / np.sqrt(2.0)
+            half_sigma = design.noise.sigma[design.noise.rows(cfg)] / np.sqrt(2.0)
             for marker in range(design.markers):
                 shift = parameter_jacobian(nominal_model, q, marker, ["a2"]) @ np.array([1e-4])
                 fk = forward_kinematics(nominal_model, q, marker).position
@@ -432,10 +432,10 @@ class TestReferenceStudy:
         assert reference.NOISE_UM.shape == (15, 3)
         assert reference.NOISE_SE_UM.shape == (15, 3)
         noise = reference.noise_model()
-        assert noise.configurations == tuple(range(1, 16))
-        assert_allclose(noise.sigma(1), np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
+        assert noise.config.tolist() == list(range(1, 16))
+        assert_allclose(noise.sigma[noise.rows(1)], np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
         assert_allclose(
-            noise.uncertainty[1], np.array([1.0, 1.0, 1.0]) * UM, rtol=1e-12
+            noise.se[noise.rows(1)], np.array([1.0, 1.0, 1.0]) * UM, rtol=1e-12
         )
 
     def test_five_posture_blocks_of_three(self):
