@@ -94,6 +94,13 @@ def _check_study(study, model, source) -> None:
         raise MeasurementFormatError(f"{where(i)}: marker {index[i]} not in the model's 0..{n_markers - 1}")
 
 
+def _check_design_model(model, design) -> None:
+    """Reject a --model whose joints or markers the bundled design does not fit."""
+    n, m = len(design.configurations[0]), design.markers
+    _require(model.n_joints == n, "--model", f"a {n}-joint model for the bundled design", model.n_joints)
+    _require(len(model.markers) >= m, "--model", f"a model with {m} or more markers", len(model.markers))
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out if args.out is not None else os.environ.get(OUT_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -197,6 +204,7 @@ def _cmd_simulate(args) -> int:
         mass_kg=args.mass,
         noise=noise,
     )
+    _check_design_model(model, design)
     study = simulate_measurements(design, model)
     out = _out_dir(args)
     written = [
@@ -217,6 +225,7 @@ def _cmd_compare(args) -> int:
     _require(args.seed >= 0, "--seed", "non-negative", args.seed)
     model = _load_model(args)
     design = reference.study_design(seed=args.seed)
+    _check_design_model(model, design)
     mc = monte_carlo_compare(
         design,
         model,

@@ -305,16 +305,20 @@ def write_noise_table(path: str | Path, noise: NoiseModel) -> Path:
 
 
 def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
-    """Parse into a :class:`NoiseModel`.  Each row's column count (that of the
-    first row) and numbers are checked in file order, then values (finite,
+    """Parse into a :class:`NoiseModel`.  Only the first line may be a header,
+    naming the 4 or 7 columns.  Each row's column count (that of the first
+    row) and numbers are checked in file order, then values (finite,
     non-negative) and ids (distinct) file-wide; a fault names its line."""
     err = NoiseFormatError
     rows: list[list[str]] = []
     linenos: list[int] = []
     config, values = [], []
-    for lineno, line in _data_lines(lines):
+    for index, (lineno, line) in enumerate(_data_lines(lines)):
         tokens = line.split()
-        if tokens[0] == "config":  # header line
+        if tokens[0] == "config":
+            if index or tokens not in (_NOISE_HEADER[:4], _NOISE_HEADER):
+                raise err(f"{source}:{lineno}: only the first line may be a header, and it must read "
+                          f"'{' '.join(_NOISE_HEADER[:4])} [{' '.join(_NOISE_HEADER[4:])}]'")
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")

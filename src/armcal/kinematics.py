@@ -10,6 +10,10 @@ composed left to right behind a fixed base transform and followed by a fixed
 tool transform.  Markers are fixed points of the tool frame; all public
 positions are marker positions in the world (base/measurement) frame.
 
+The private kernels take P postures at once (``_kinematics`` advances every
+chain by one stacked product per joint); the public functions are their P = 1
+case, and a batch equals its postures computed one at a time, bit for bit.
+
 Geometric parameters are addressed by string ids: ``a3``, ``alpha3``, ``d3``,
 ``theta3`` for joint 3 (1-based numbering) plus ``tool_x``/``tool_y``/``tool_z``
 for the tool-frame translation.
@@ -127,9 +131,7 @@ class Pose:
         R = np.asarray(self.rotation, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("rotation must be 3x3")
-        err = np.max(np.abs(R.T @ R - np.eye(3)))
-        if err > _ROTATION_TOL or np.linalg.det(R) < 0.0:
-            raise ValueError(f"rotation is not a proper rotation (|R'R - I| = {err:.3e})")
+        _check_rotations(R)
         p.setflags(write=False)
         R.setflags(write=False)
         object.__setattr__(self, "position", p)
@@ -158,50 +160,72 @@ def transform(xyz: Sequence[float] = (0.0, 0.0, 0.0), rpy: Sequence[float] = (0.
     return T
 
 
-def _joint_transform(joint: Joint, q: float) -> np.ndarray:
-    theta = joint.theta + (q if joint.kind == REVOLUTE else 0.0)
-    d = joint.d + (q if joint.kind == PRISMATIC else 0.0)
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(joint.alpha), math.sin(joint.alpha)
-    return np.array(
-        [
-            [ct, -st, 0.0, joint.a],
-            [st * ca, ct * ca, -sa, -sa * d],
-            [st * sa, ct * sa, ca, ca * d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def _check_q(model: ManipulatorModel, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != model.n_joints:
-        raise ValueError(f"expected {model.n_joints} joint values, got {q.shape[0]}")
+    """Joint vectors as a (P, n) float array, one posture per row."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[1] != model.n_joints:
+        raise ValueError(f"expected {model.n_joints} joint values, got {q.shape[1]}")
     if not np.all(np.isfinite(q)):
         raise ValueError("joint vector contains non-finite values")
     return q
 
 
-def _check_marker(model: ManipulatorModel, marker: int) -> int:
-    if not 0 <= marker < len(model.markers):
-        raise ValueError(f"marker index {marker} out of range 0..{len(model.markers) - 1}")
+def _check_marker(model: ManipulatorModel, marker) -> np.ndarray:
+    """Marker indices as an array; the first one outside the model, in row-major order, raises."""
+    marker = np.asarray(marker)
+    outside = (marker < 0) | (marker >= len(model.markers))
+    if np.any(outside):
+        raise ValueError(f"marker index {marker[outside][0]} out of range 0..{len(model.markers) - 1}")
     return marker
 
 
-def _frames(model: ManipulatorModel, q: np.ndarray) -> list[np.ndarray]:
-    """Cumulative transforms T_0^i for i = 0..n (frame 0 is the base)."""
-    frames = [np.asarray(model.base, dtype=float)]
-    for joint, qi in zip(model.joints, q):
-        frames.append(frames[-1] @ _joint_transform(joint, qi))
-    return frames
+def _check_rotations(R: np.ndarray) -> None:
+    """Raise unless every rotation of the (..., 3, 3) stack ``R`` is proper."""
+    err = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)), axis=(-2, -1))
+    bad = (err > _ROTATION_TOL) | (np.linalg.det(R) < 0.0)
+    if np.any(bad):
+        raise ValueError(f"rotation is not a proper rotation (|R'R - I| = {err[bad][0]:.3e})")
+
+
+def _kinematics(model: ManipulatorModel, q, marker) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames T_0^i, i = 0..n (P, n + 1, 4, 4; frame 0 is the base), tool rotations (P, 3, 3)
+    and world positions (P, m, 3) of markers ``marker`` (P, m) at joint vectors ``q`` (P, n)."""
+    q = _check_q(model, q)
+    marker = _check_marker(model, marker)
+    revolute = np.array([joint.kind == REVOLUTE for joint in model.joints])
+    a, alpha, d, theta = (np.array([getattr(joint, f) for joint in model.joints]) for f in _JOINT_FIELDS)
+    theta = theta + np.where(revolute, q, 0.0)
+    d = d + np.where(revolute, 0.0, q)
+    ct, st, ca, sa = np.cos(theta), np.sin(theta), np.cos(alpha), np.sin(alpha)
+    A = np.zeros(q.shape + (4, 4))  # the joint transforms A_i of every posture
+    A[..., 0, 0], A[..., 0, 1], A[..., 0, 3] = ct, -st, a
+    A[..., 1, 0], A[..., 1, 1], A[..., 1, 2], A[..., 1, 3] = st * ca, ct * ca, -sa, -sa * d
+    A[..., 2, 0], A[..., 2, 1], A[..., 2, 2], A[..., 2, 3] = st * sa, ct * sa, ca, ca * d
+    A[..., 3, 3] = 1.0
+    frames = np.empty((len(q), model.n_joints + 1, 4, 4))
+    frames[:, 0] = model.base
+    for i in range(model.n_joints):
+        np.matmul(frames[:, i], A[:, i], out=frames[:, i + 1])
+    T = frames[:, -1] @ model.tool
+    R = T[:, :3, :3]
+    p = (R[:, None] @ np.asarray(model.markers)[marker][..., None])[..., 0] + T[:, None, :3, 3]
+    return frames, R, p
 
 
 def forward_kinematics(model: ManipulatorModel, q, marker: int = 0) -> Pose:
     """Pose of a tool marker: world position plus the tool-frame rotation."""
-    q = _check_q(model, q)
-    marker = _check_marker(model, marker)
-    T = _frames(model, q)[-1] @ model.tool
-    return Pose(position=T[:3, :3] @ model.markers[marker] + T[:3, 3], rotation=T[:3, :3])
+    _, R, p = _kinematics(model, np.reshape(q, (1, -1)), [[marker]])
+    return Pose(position=p[0, 0], rotation=R[0])
+
+
+def _joint_jacobians(model: ManipulatorModel, frames: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(P, 6, n) joint Jacobians at the marker positions ``p`` (P, 3) of :func:`_kinematics` frames."""
+    z, o = frames[:, 1:, :3, 2], frames[:, 1:, :3, 3]
+    revolute = np.array([[joint.kind == REVOLUTE] for joint in model.joints])
+    J = np.zeros((len(p), 6, model.n_joints))
+    J[:, :3] = np.swapaxes(np.where(revolute, np.cross(z, p[:, None] - o), z), 1, 2)
+    J[:, 3:] = np.swapaxes(np.where(revolute, z, 0.0), 1, 2)
+    return J
 
 
 def joint_jacobian(model: ManipulatorModel, q, marker: int = 0) -> np.ndarray:
@@ -211,18 +235,8 @@ def joint_jacobian(model: ManipulatorModel, q, marker: int = 0) -> np.ndarray:
     part.  Column j uses the joint-j axis line: for a revolute joint the
     linear block is z_j x (p - o_j), for a prismatic joint it is z_j.
     """
-    q = _check_q(model, q)
-    marker = _check_marker(model, marker)
-    frames = _frames(model, q)
-    T = frames[-1] @ model.tool
-    p = T[:3, :3] @ model.markers[marker] + T[:3, 3]
-    axes = np.array(frames[1:])  # (n, 4, 4) joint frames
-    z, o = axes[:, :3, 2], axes[:, :3, 3]
-    revolute = np.array([joint.kind == REVOLUTE for joint in model.joints])
-    J = np.zeros((6, model.n_joints))
-    J[:3] = np.where(revolute, np.cross(z, p - o).T, z.T)
-    J[3:, revolute] = z[revolute].T
-    return J
+    frames, _, p = _kinematics(model, np.reshape(q, (1, -1)), [[marker]])
+    return _joint_jacobians(model, frames, p[:, 0])[0]
 
 
 def _parse_param(model: ManipulatorModel, param: str) -> tuple[str, int]:
@@ -239,6 +253,22 @@ def _parse_param(model: ManipulatorModel, param: str) -> tuple[str, int]:
     raise ValueError(f"unknown geometric parameter id {param!r}")
 
 
+def _parameter_jacobians(model: ManipulatorModel, frames: np.ndarray, p: np.ndarray,
+                         params: Sequence[str]) -> np.ndarray:
+    """(P, 3, k) parameter Jacobians at the positions ``p`` (P, 3) of :func:`_kinematics` frames."""
+    out = np.zeros((len(p), 3, len(params)))
+    for c, (field, j) in enumerate([_parse_param(model, param) for param in params]):
+        if j < 0:
+            out[:, :, c] = frames[:, -1, :3, _TOOL_PARAMS.index(field)]
+        elif field in ("alpha", "a"):
+            x = frames[:, j, :3, 0]
+            out[:, :, c] = np.cross(x, p - frames[:, j, :3, 3]) if field == "alpha" else x
+        else:  # theta, d
+            z = frames[:, j + 1, :3, 2]
+            out[:, :, c] = np.cross(z, p - frames[:, j + 1, :3, 3]) if field == "theta" else z
+    return out
+
+
 def parameter_jacobian(model: ManipulatorModel, q, marker: int, params: Sequence[str]) -> np.ndarray:
     """3 x len(params) derivative of the marker position w.r.t. geometric parameters.
 
@@ -253,30 +283,8 @@ def parameter_jacobian(model: ManipulatorModel, q, marker: int, params: Sequence
     params = list(params)
     if not params:
         raise ValueError("parameter selection is empty")
-    q = _check_q(model, q)
-    marker = _check_marker(model, marker)
-    frames = _frames(model, q)
-    T = frames[-1] @ model.tool
-    p = T[:3, :3] @ model.markers[marker] + T[:3, 3]
-    flange_R = frames[-1][:3, :3]
-
-    out = np.zeros((3, len(params)))
-    for c, param in enumerate(params):
-        field, j = _parse_param(model, param)
-        if j < 0:
-            out[:, c] = flange_R[:, _TOOL_PARAMS.index(field)]
-            continue
-        if field == "alpha":
-            x = frames[j][:3, 0]
-            out[:, c] = np.cross(x, p - frames[j][:3, 3])
-        elif field == "a":
-            out[:, c] = frames[j][:3, 0]
-        elif field == "theta":
-            z = frames[j + 1][:3, 2]
-            out[:, c] = np.cross(z, p - frames[j + 1][:3, 3])
-        else:  # d
-            out[:, c] = frames[j + 1][:3, 2]
-    return out
+    frames, _, p = _kinematics(model, np.reshape(q, (1, -1)), [[marker]])
+    return _parameter_jacobians(model, frames, p[:, 0], params)[0]
 
 
 def perturbed(model: ManipulatorModel, deltas: Mapping[str, float]) -> ManipulatorModel:

@@ -24,7 +24,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import BucketMatchError, UnderDeterminedError
-from .kinematics import ManipulatorModel, forward_kinematics, joint_jacobian, parameter_jacobian
+from .kinematics import ManipulatorModel, _check_rotations, _joint_jacobians, _kinematics, _parameter_jacobians
+from .kinematics import joint_jacobian  # noqa: F401  bench/tests reach armcal.regressor.joint_jacobian
 from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, build_sigma
 
 #: Angle tolerance (radians) when matching a configuration to a bucket level.
@@ -116,18 +117,21 @@ class ComplianceParameterMap:
         names += [f"k{j + 1}" for j in self.tail_joints]
         return tuple(names)
 
-    def bucket_index(self, angle: float) -> int:
-        """Index of the level matching ``angle`` within ``BUCKET_TOL``."""
-        for i, level in enumerate(self.bucket_levels):
-            if abs(angle - level) <= BUCKET_TOL:
-                return i
-        raise BucketMatchError(
-            f"joint angle {angle:.8f} rad matches no declared bucket level "
-            f"(levels: {', '.join(f'{v:.6f}' for v in self.bucket_levels)})"
-        )
+    def bucket_index(self, angle):
+        """Index of the first level within ``BUCKET_TOL`` of ``angle``, elementwise over an array."""
+        angle = np.asarray(angle, dtype=float)
+        match = np.abs(angle[..., None] - np.array(self.bucket_levels)) <= BUCKET_TOL
+        missed = ~np.any(match, axis=-1)
+        if np.any(missed):
+            raise BucketMatchError(
+                f"joint angle {angle[missed][0]:.8f} rad matches no declared bucket level "
+                f"(levels: {', '.join(f'{v:.6f}' for v in self.bucket_levels)})"
+            )
+        index = np.argmax(match, axis=-1)
+        return int(index) if index.ndim == 0 else index
 
-    def column_of(self, joint: int, q_joint: float) -> int | None:
-        """Parameter column owned by ``joint`` at angle ``q_joint``, or None."""
+    def column_of(self, joint: int, q_joint):
+        """Parameter column owned by ``joint`` at angle(s) ``q_joint``, or None."""
         if self.bucket_levels and joint == self.bucket_joint:
             return self.bucket_index(q_joint)
         if joint in self.tail_joints:
@@ -151,6 +155,24 @@ class ComplianceParameterMap:
         return cls(bucket_levels=tuple(sorted(levels)), tail_joints=tuple(tail_joints), bucket_joint=bucket_joint)
 
 
+def _regressors(model: ManipulatorModel, q, frames: np.ndarray, p: np.ndarray, wrench,
+                cmap: ComplianceParameterMap) -> np.ndarray:
+    """(P, 3, n_k) regressors from :func:`_kinematics` frames and the positions ``p`` (P, 2, 3)
+    of each posture's observed marker and of the marker its ``wrench`` (P, 6) acts at."""
+    wrench = np.asarray(wrench, dtype=float)
+    if not np.all(np.isfinite(wrench)):
+        raise ValueError("wrench components must be finite")
+    J_obs, J_app = _joint_jacobians(model, frames, p[:, 0]), _joint_jacobians(model, frames, p[:, 1])
+    torques = (np.swapaxes(J_app, 1, 2) @ wrench[:, :, None])[..., 0]  # tau = J^T w, one entry per joint
+    postures = np.arange(len(q))
+    A = np.zeros((len(q), 3, cmap.n_parameters))
+    for j in range(model.n_joints):
+        col = cmap.column_of(j, q[:, j])
+        if col is not None:
+            A[postures, :, col] += J_obs[:, :3, j] * torques[:, j, None]
+    return A
+
+
 def elastostatic_regressor(
     model: ManipulatorModel,
     q,
@@ -167,19 +189,9 @@ def elastostatic_regressor(
     joints outside the map stay zero-free (no column at all), and the
     bucketed joint writes only into the column of its matching level.
     """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    wrench = np.asarray(wrench, dtype=float).reshape(6)
-    if not np.all(np.isfinite(wrench)):
-        raise ValueError("wrench components must be finite")
-    J_obs = joint_jacobian(model, q, marker)
-    J_app = J_obs if fmarker == marker else joint_jacobian(model, q, fmarker)
-    torques = J_app.T @ wrench  # tau = J^T w, one entry per joint
-    A = np.zeros((3, cmap.n_parameters))
-    for j in range(model.n_joints):
-        col = cmap.column_of(j, q[j])
-        if col is not None:
-            A[:, col] += J_obs[:3, j] * torques[j]
-    return A
+    q = np.reshape(q, (1, -1))
+    frames, _, p = _kinematics(model, q, [[marker, fmarker]])
+    return _regressors(model, q, frames, p, np.reshape(wrench, (1, 6)), cmap)[0]
 
 
 Mode = Literal["elastostatic", "geometric", "combined"]
@@ -241,18 +253,6 @@ class StackedSystem:
         return self.B.shape[1]
 
 
-def _posture_blocks(model, q, marker, wrench, fmarker, cmap, mode, params):
-    """Nominal marker position (None in elastostatic mode) and row block of one posture."""
-    if mode == "elastostatic":
-        return None, elastostatic_regressor(model, q, wrench, fmarker, cmap, marker)
-    fk = forward_kinematics(model, q, marker).position
-    J = parameter_jacobian(model, q, marker, params)
-    if mode == "geometric":
-        return fk, J
-    A = elastostatic_regressor(model, q, wrench, fmarker, cmap, marker)
-    return fk, np.vstack([np.hstack([J, np.zeros_like(A)]), np.hstack([J, A])])
-
-
 def stack_system(
     study: Study,
     model: ManipulatorModel,
@@ -306,14 +306,21 @@ def stack_system(
 
     bits = np.column_stack([s.q.view(np.int64), s.marker, s.force.view(np.int64), s.fmarker])
     _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    fks, blocks = [None] * len(first), [None] * len(first)
-    for u in np.argsort(first).tolist():  # postures in row order
-        i = int(first[u])
-        wrench = np.concatenate([s.force[i], np.zeros(3)])
-        fks[u], blocks[u] = _posture_blocks(model, s.q[i], int(s.marker[i]), wrench,
-                                            int(s.fmarker[i]), cmap, mode, params)
-    inverse = inverse.reshape(-1)
-    B = np.stack(blocks)[inverse].reshape(-1, len(columns))
+    rows = np.sort(first)  # each posture's first row, postures in row order
+    q, marker = s.q[rows], s.marker[rows]
+    # the regressor also needs the position of the marker the load is applied at
+    markers = marker[:, None] if mode == "geometric" else np.stack([marker, s.fmarker[rows]], axis=1)
+    frames, R, p = _kinematics(model, q, markers)
+    blocks = np.zeros((len(rows), 2 if mode == "combined" else 1, 3, len(columns)))
+    if mode != "elastostatic":
+        _check_rotations(R)
+        fk = p[:, 0]
+        blocks[..., :len(params)] = _parameter_jacobians(model, frames, fk, params)[:, None]
+    if mode != "geometric":
+        wrench = np.concatenate([s.force[rows], np.zeros((len(rows), 3))], axis=1)
+        blocks[:, -1, :, -cmap.n_parameters:] = _regressors(model, q, frames, p, wrench, cmap)
+    posture = np.searchsorted(rows, first[inverse.reshape(-1)])  # each row's posture
+    B = blocks[posture].reshape(-1, len(columns))
     if B.shape[0] < B.shape[1]:
         raise UnderDeterminedError(
             f"{B.shape[0]} scalar equations cannot determine {B.shape[1]} parameters"
@@ -321,10 +328,10 @@ def stack_system(
     if mode == "elastostatic":
         dp = s.deflection
     else:
-        fk = np.stack(fks)[inverse]
+        fk = fk[posture]
         dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
     # each row contributes one 3-row block, or two (unloaded, loaded) when combined
-    blocks_per_record = 2 if mode == "combined" else 1
+    blocks_per_record = blocks.shape[1]
     config = np.repeat(s.config, 3 * blocks_per_record)
     marker = np.repeat(s.marker, 3 * blocks_per_record)
     axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(s))

@@ -31,13 +31,13 @@ from .estimator import (
     optimal_weights,
     wls_estimate,
 )
-from .kinematics import ManipulatorModel, forward_kinematics, parameter_jacobian
+from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
 from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
 from .regressor import (
     ComplianceParameterMap,
     StackedSystem,
     Study,
-    elastostatic_regressor,
+    _regressors,
     stack_system,
 )
 
@@ -137,33 +137,35 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
         raise ValueError("attachment marker index out of range")
 
     rng = np.random.default_rng(design.seed)
-    k = design.ground_truth.values
-    geo = design.geometry_error
-    geo_params = sorted(geo) if geo else None
     lo, hi = design.mass_range_kg
-    half_sigma = design.noise.sigma[design.noise.rows(design.config_ids)] / math.sqrt(2.0)
-    forces, p0, p = [], [], []
-    for q, half in zip(design.configurations, half_sigma):
-        mass = lo + (hi - lo) * rng.uniform()
-        wrench = np.array([0.0, 0.0, -mass * STANDARD_GRAVITY, 0.0, 0.0, 0.0])
-        forces.append(wrench[:3])
-        unloaded, deflection = np.empty((design.markers, 3)), np.empty((design.markers, 3))
-        for marker in range(design.markers):
-            shift = np.zeros(3)
-            if geo_params:
-                J = parameter_jacobian(model, q, marker, geo_params)
-                shift = J @ np.array([geo[name] for name in geo_params])
-            unloaded[marker] = forward_kinematics(model, q, marker).position + shift
-            deflection[marker] = elastostatic_regressor(
-                model, q, wrench, design.attachment_marker, design.cmap, marker) @ k
+    masses, eps = [], []
+    for _ in design.configurations:  # per configuration the load mass, then its rows' noise
+        masses.append(lo + (hi - lo) * rng.uniform())
         # one draw equals the row-by-row 3-vectors (unloaded, then loaded) in order
-        eps = rng.normal(size=(design.markers, design.repetitions, 2, 3))
-        eps *= half
-        p0.append(unloaded[:, None] + eps[:, :, 0])
-        p.append(unloaded[:, None] + deflection[:, None] + eps[:, :, 1])
+        eps.append(rng.normal(size=(design.markers, design.repetitions, 2, 3)))
+    eps = np.array(eps) * (design.noise.sigma[design.noise.rows(design.config_ids)]
+                           / math.sqrt(2.0))[:, None, None, None]
+    forces = np.zeros((len(masses), 3))
+    forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
+
+    # kinematics once over the (configuration, marker) pairs; the load hangs at the attachment marker
+    pair_cfg, pair_marker = np.indices((len(forces), design.markers)).reshape(2, -1)
+    q = np.asarray(design.configurations)[pair_cfg]
+    markers = np.stack([pair_marker, np.full(len(q), design.attachment_marker)], axis=1)
+    frames, R, p = _kinematics(model, q, markers)
+    _check_rotations(R)
+    geo = sorted(design.geometry_error or {})
+    delta = [design.geometry_error[name] for name in geo]
+    shift = _parameter_jacobians(model, frames, p[:, 0], geo) @ delta if geo else 0.0
+    unloaded = (p[:, 0] + shift).reshape(len(forces), design.markers, 1, 3)
+    wrench = np.concatenate([forces[pair_cfg], np.zeros((len(q), 3))], axis=1)
+    deflection = (_regressors(model, q, frames, p, wrench, design.cmap)
+                  @ design.ground_truth.values).reshape(unloaded.shape)
+    p0 = unloaded + eps[..., 0, :]
+    p = unloaded + deflection + eps[..., 1, :]
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
     return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
-                 q=np.asarray(design.configurations)[cfg], force=np.asarray(forces)[cfg],
+                 q=np.asarray(design.configurations)[cfg], force=forces[cfg],
                  fmarker=np.full(cfg.shape, design.attachment_marker),
                  p0=np.reshape(p0, (-1, 3)), p=np.reshape(p, (-1, 3)))
 

@@ -1,10 +1,12 @@
 """End-to-end command line behavior: workflows, determinism, error paths."""
 
+from dataclasses import replace
+
 import pytest
 
 from armcal.cli import OUT_ENV, build_parser, main
 from armcal.estimator import irls, robust_weights, wls_estimate
-from armcal.fileio import load_measurements, load_noise_table, write_measurements
+from armcal.fileio import format_model, load_measurements, load_noise_table, write_measurements, write_text
 from armcal.noise import DEFAULT_SIGMA0
 from armcal.regressor import ComplianceParameterMap, stack_system
 from armcal.reports import parameter_unit
@@ -26,6 +28,14 @@ def stacked_from_files(measurements, noise_path):
     return stack_system(
         study, reference.nominal_model(), cmap, noise, sigma_floor=CLI_SIGMA0
     )
+
+
+def model_file(directory, name):
+    """The bundled model cut to five joints or to one marker, written to ``directory / name``."""
+    model = reference.nominal_model()
+    cut = {"five-joint.model": replace(model, joints=model.joints[:5]),
+           "one-marker.model": replace(model, markers=model.markers[:1])}[name]
+    return str(write_text(directory / name, format_model(cut)))
 
 
 @pytest.fixture(scope="module")
@@ -387,10 +397,15 @@ class TestErrorPaths:
             (("compare", "--sigma0", "0"), "--sigma0"),
             (("compare", "--lambda", "-1"), "--lambda"),
             (("compare", "--rel-tol", "-1"), "--rel-tol"),
+            # model files the bundled design does not fit
+            (("simulate", "--model", "five-joint.model"), "--model"),
+            (("compare", "--model", "five-joint.model"), "--model"),
+            (("compare", "--model", "one-marker.model"), "--model"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
+        argv = [model_file(tmp_path, a) if a.endswith(".model") else a for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR E_USAGE: {flag} ")

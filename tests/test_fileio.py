@@ -250,11 +250,20 @@ class TestNoiseTableFormat:
             ("1 10 10 10 1 -3 1", "se_y -3 must be finite and >= 0"),
             ("1 10 10 10 1 1 inf", "se_z inf must be finite and >= 0"),
             ("99999999999999999999 10 10 10", "configuration id beyond int64"),
+            # a header only as the first data line, naming 4 or 7 columns
+            ("config 2 10 10 10", "only the first line may be a header"),
+            ("config sigma_x sigma_y sigma_z", "only the first line may be a header"),
+            (("1 10 10 10", "config 2 10 10 10"), "only the first line may be a header"),
+            (("# noise", "config sigma_x", "1 10 10 10"), "must read 'config sigma_x sigma_y sigma_z "
+                                                          r"\[se_x se_y se_z\]'"),
+            (("# noise", "config sigma_x sigma_y sigma_z se_x", "1 10 10 10"), "must read"),
         ],
     )
     def test_malformed_rows_rejected(self, row, message):
+        # a string is the row after a header line; a tuple is the whole table
+        lines = list(row) if isinstance(row, tuple) else ["config sigma_x sigma_y sigma_z", row]
         with pytest.raises(NoiseFormatError, match=message) as exc:
-            parse_noise_table(["config sigma_x sigma_y sigma_z", row], source="n.tsv")
+            parse_noise_table(lines, source="n.tsv")
         assert "n.tsv:2" in str(exc.value)
 
     @pytest.mark.parametrize("first, second", [("1 10 10 10 1 1 1", "2 10 10 10"),

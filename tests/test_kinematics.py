@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the library's own composition code:
 poses are rebuilt by multiplying elementary rotation/translation matrices
 one by one, and every Jacobian is checked against central finite
-differences of the forward kinematics.  The one exception is the bit-exact
-check of ``joint_jacobian``'s column assembly, which starts from the
-library's own joint frames so that only the assembly is compared.
+differences of the forward kinematics.  The batched kernels, and the public
+one-posture functions built on them, are also held bit for bit to the scalar
+loop form of the chain in ``scalar_chain``.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import scalar_chain
 from armcal import reference
 from armcal.kinematics import (
     Joint,
@@ -21,7 +22,10 @@ from armcal.kinematics import (
     Pose,
     PRISMATIC,
     REVOLUTE,
-    _frames,
+    _check_rotations,
+    _joint_jacobians,
+    _kinematics,
+    _parameter_jacobians,
     forward_kinematics,
     joint_jacobian,
     parameter_jacobian,
@@ -203,20 +207,77 @@ class TestJointJacobian:
             model = make_chain(rng, prismatic_prob=0.3)
             q = rng.uniform(-np.pi, np.pi, size=model.n_joints)
             marker = int(rng.integers(len(model.markers)))
-            frames = _frames(model, q)
-            T = frames[-1] @ model.tool
-            p = T[:3, :3] @ model.markers[marker] + T[:3, 3]
-            oracle = np.zeros((6, model.n_joints))
-            for j, joint in enumerate(model.joints):
-                z, o = frames[j + 1][:3, 2], frames[j + 1][:3, 3]
-                kinds.add(joint.kind)
-                if joint.kind == REVOLUTE:
-                    oracle[:3, j] = np.cross(z, p - o)
-                    oracle[3:, j] = z
-                else:
-                    oracle[:3, j] = z
-            assert np.array_equal(joint_jacobian(model, q, marker), oracle)
+            kinds.update(joint.kind for joint in model.joints)
+            assert np.array_equal(joint_jacobian(model, q, marker),
+                                  scalar_chain.joint_jacobian(model, q, marker))
         assert kinds == {REVOLUTE, PRISMATIC}
+
+
+def random_postures(model, rng, P):
+    """``P`` joint vectors and (P, 2) marker index pairs of ``model``."""
+    q = rng.uniform(-np.pi, np.pi, size=(P, model.n_joints))
+    return q, rng.integers(len(model.markers), size=(P, 2))
+
+
+class TestBatchedKernels:
+    """Every posture of a batch equals the scalar chain, bit for bit."""
+
+    @pytest.mark.parametrize("P", [1, 9])
+    def test_frames_rotations_and_positions(self, make_chain, P):
+        rng = np.random.default_rng(31 + P)
+        kinds = set()
+        for _ in range(8):
+            model = make_chain(rng, prismatic_prob=0.3)
+            kinds.update(joint.kind for joint in model.joints)
+            q, markers = random_postures(model, rng, P)
+            frames, R, p = _kinematics(model, q, markers)
+            assert frames.shape == (P, model.n_joints + 1, 4, 4) and p.shape == (P, 2, 3)
+            for i in range(P):
+                assert np.array_equal(frames[i], np.array(scalar_chain.frames(model, q[i])))
+                for k, marker in enumerate(markers[i]):
+                    R_ref, p_ref = scalar_chain.tool_pose(model, q[i], marker)
+                    assert np.array_equal(R[i], R_ref) and np.array_equal(p[i, k], p_ref)
+                pose = forward_kinematics(model, q[i], markers[i, 0])
+                assert np.array_equal(pose.position, p[i, 0]) and np.array_equal(pose.rotation, R[i])
+        assert kinds == {REVOLUTE, PRISMATIC}
+
+    @pytest.mark.parametrize("P", [1, 9])
+    def test_joint_and_parameter_jacobians(self, make_chain, P):
+        rng = np.random.default_rng(41 + P)
+        for _ in range(8):
+            model = make_chain(rng, prismatic_prob=0.3)
+            params = list(rng.permutation(model.parameter_ids()))
+            q, markers = random_postures(model, rng, P)
+            frames, _, p = _kinematics(model, q, markers[:, :1])
+            J = _joint_jacobians(model, frames, p[:, 0])
+            Jp = _parameter_jacobians(model, frames, p[:, 0], params)
+            assert J.shape == (P, 6, model.n_joints) and Jp.shape == (P, 3, len(params))
+            for i, marker in enumerate(markers[:, 0]):
+                assert np.array_equal(J[i], scalar_chain.joint_jacobian(model, q[i], marker))
+                assert np.array_equal(Jp[i], scalar_chain.parameter_jacobian(model, q[i], marker, params))
+                assert np.array_equal(parameter_jacobian(model, q[i], marker, params), Jp[i])
+
+    def test_first_bad_posture_is_reported(self, make_chain):
+        model = make_chain(np.random.default_rng(5))  # two markers
+        q = np.zeros((3, model.n_joints))
+        with pytest.raises(ValueError, match=r"marker index 4 out of range 0\.\.1"):
+            _kinematics(model, q, [[0, 1], [4, -1], [2, 0]])
+        with pytest.raises(ValueError, match=r"marker index -1 out of range"):
+            _kinematics(model, q, [[0, 1], [1, -1], [2, 0]])
+        q[1, 2] = np.inf
+        with pytest.raises(ValueError, match="joint vector contains non-finite values"):
+            _kinematics(model, q, [[0], [0], [0]])
+        with pytest.raises(ValueError, match=f"expected {model.n_joints} joint values, got 2"):
+            _kinematics(model, np.zeros((3, 2)), [[0], [0], [0]])
+
+    def test_improper_rotation_in_a_stack_rejected(self):
+        R = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        _check_rotations(R[:2])
+        with pytest.raises(ValueError, match="proper rotation"):
+            _check_rotations(R)
+        R[1, 0, 0] = 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"\|R'R - I\| = 2\.000e-06"):
+            _check_rotations(R)
 
 
 class TestParameterJacobian:

@@ -91,6 +91,21 @@ TOKENS = st.one_of(
 )
 
 
+#: Tokens that must end in a coded error in any number column: an integer
+#: beyond int64, not-a-number, a float overflow and a negative value.
+HAZARDS = st.sampled_from(["99999999999999999999", "nan", "1e400", "-1"])
+
+
+def aimed(rows, columns):
+    """Edits each writing a hazard token into a chosen column of a chosen row.
+
+    Drawn as a whole example, not mixed with free edits: a free edit that
+    breaks a column count elsewhere would stop the parser before the hazard.
+    """
+    return st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, columns - 1), HAZARDS),
+                    min_size=1, max_size=3)
+
+
 def edited(lines, edits, duplicated):
     """``lines`` with token ``column`` of line ``row`` replaced per edit, then some lines repeated."""
     lines = list(lines)
@@ -102,7 +117,8 @@ def edited(lines, edits, duplicated):
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
+@given(st.one_of(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
+                 aimed(8, 19)),
        st.lists(st.integers(0, 7), max_size=2))
 def test_fuzzed_measurement_text_fails_only_with_coded_errors(measurement_lines, edits, duplicated):
     try:
@@ -117,7 +133,8 @@ def noise_lines():
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), TOKENS), max_size=4),
+@given(st.one_of(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), TOKENS), max_size=4),
+                 aimed(6, 7)),
        st.lists(st.integers(0, 5), max_size=2))
 def test_fuzzed_noise_text_fails_only_with_coded_errors(noise_lines, edits, duplicated):
     try:

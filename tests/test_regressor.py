@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from armcal import reference, regressor
+import scalar_chain
+from armcal import kinematics, reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
 from armcal.estimator import ols_estimate
 from armcal.kinematics import (
@@ -95,6 +96,13 @@ class TestComplianceParameterMap:
         with pytest.raises(BucketMatchError, match="matches no declared bucket"):
             cmap.bucket_index(0.4999)
 
+    def test_bucket_index_of_an_array_names_the_first_unmatched_angle(self):
+        cmap = ComplianceParameterMap(bucket_levels=(-1.0, 0.5), tail_joints=(2,))
+        assert_array_equal(cmap.bucket_index([0.5, -1.0 + 5e-7, 0.5 - 5e-7]), [1, 0, 1])
+        assert_array_equal(cmap.column_of(1, np.array([-1.0, 0.5])), [0, 1])
+        with pytest.raises(BucketMatchError, match="joint angle 0.40000000 rad"):
+            cmap.bucket_index([0.5, 0.4, 0.3])
+
     def test_column_of_routes_joints(self):
         cmap = ComplianceParameterMap(bucket_levels=(-1.0, 0.5), tail_joints=(2, 4))
         assert cmap.column_of(1, 0.5) == 1
@@ -169,6 +177,26 @@ class TestElastostaticRegressor:
             nonzero = [c for c in range(n_buckets) if np.any(bucket_cols[:, c] != 0.0)]
             assert len(nonzero) == 1
             assert nonzero[0] == cmap.bucket_index(q[cmap.bucket_joint])
+
+    @pytest.mark.parametrize("P", [1, 9])
+    def test_batched_regressors_equal_scalar_reference(self, make_chain, P):
+        rng = np.random.default_rng(53 + P)
+        for _ in range(6):
+            model = make_chain(rng, prismatic_prob=0.3, n_markers=3)
+            q = rng.uniform(-np.pi, np.pi, size=(P, model.n_joints))
+            q[:, 1] = rng.choice([-1.2, 0.1, 0.9], size=P)  # on the bucket levels
+            cmap = ComplianceParameterMap(bucket_levels=(-1.2, 0.1, 0.9), tail_joints=(0, 3, 4))
+            wrench = np.concatenate([rng.uniform(-500.0, 500.0, size=(P, 3)),
+                                     rng.uniform(-50.0, 50.0, size=(P, 3))], axis=1)
+            markers = rng.integers(3, size=(P, 2))  # observed, loaded
+            frames, _, p = kinematics._kinematics(model, q, markers)
+            A = regressor._regressors(model, q, frames, p, wrench, cmap)
+            assert A.shape == (P, 3, cmap.n_parameters)
+            for i, (marker, fmarker) in enumerate(markers):
+                expected = scalar_chain.elastostatic_regressor(model, q[i], wrench[i], fmarker, cmap, marker)
+                assert np.array_equal(A[i], expected)
+                assert np.array_equal(elastostatic_regressor(model, q[i], wrench[i], fmarker, cmap, marker),
+                                      expected)
 
     def test_unmatched_bucket_angle_raises(self, nominal_model):
         cmap = reference.compliance_map()
@@ -370,18 +398,18 @@ GEOMETRIC_PARAMS = ["a2", "d3", "theta4", "tool_x"]
 
 
 def per_record_reference(study, model, cmap, noise, mode, params):
-    """The stacked rows built record by record from the public functions."""
+    """The stacked rows built record by record from the scalar chain."""
     ordered = sorted(range(len(study)),
                      key=lambda i: (study.config[i], study.marker[i], study.rep[i]))
     blocks, obs = [], []
     for i in ordered:
         q, marker, p0, p = study.q[i], int(study.marker[i]), study.p0[i], study.p[i]
         if mode != "elastostatic":
-            fk = forward_kinematics(model, q, marker).position
-            J = parameter_jacobian(model, q, marker, params)
+            fk = scalar_chain.tool_pose(model, q, marker)[1]
+            J = scalar_chain.parameter_jacobian(model, q, marker, params)
         if mode != "geometric":
             wrench = np.concatenate([study.force[i], np.zeros(3)])
-            A = elastostatic_regressor(model, q, wrench, int(study.fmarker[i]), cmap, marker)
+            A = scalar_chain.elastostatic_regressor(model, q, wrench, int(study.fmarker[i]), cmap, marker)
         if mode == "elastostatic":
             blocks.append(A)
             obs.append(p - p0)
@@ -432,12 +460,16 @@ def shared_posture_study(model, rng):
 class TestPostureReuse:
     """stack_system builds each posture's blocks once; rows must not change."""
 
-    @pytest.fixture(params=["bundled", "shared-nominal", "shared-prismatic"])
+    @pytest.fixture(params=["bundled", "shared-nominal", "shared-prismatic", "no-repetitions"])
     def study(self, request, bundled_study, bundled_design, nominal_model, make_chain):
         rng = np.random.default_rng(23)
         if request.param == "bundled":
             records, cmap, noise, model = (bundled_study, bundled_design.cmap,
                                            bundled_design.noise, nominal_model)
+        elif request.param == "no-repetitions":  # every row its own posture
+            design = reference.study_design(seed=9, repetitions=1)
+            records, cmap, noise, model = (simulate_measurements(design, nominal_model), design.cmap,
+                                           design.noise, nominal_model)
         elif request.param == "shared-nominal":
             model = nominal_model
             records, cmap, noise = shared_posture_study(model, rng)
@@ -460,30 +492,88 @@ class TestPostureReuse:
     @pytest.mark.parametrize(
         "mode, params, expected",
         [
-            ("elastostatic", None, dict(elastostatic_regressor=45, joint_jacobian=75,
-                                        forward_kinematics=0, parameter_jacobian=0)),
-            ("combined", GEOMETRIC_PARAMS, dict(elastostatic_regressor=45, joint_jacobian=75,
-                                                forward_kinematics=45, parameter_jacobian=45)),
+            ("elastostatic", None, dict(_kinematics=[45], _regressors=[45], _parameter_jacobians=[])),
+            ("combined", GEOMETRIC_PARAMS, dict(_kinematics=[45], _regressors=[45],
+                                                _parameter_jacobians=[45])),
         ],
     )
     def test_bundled_study_builds_each_posture_once(
         self, mode, params, expected, bundled_study, nominal_model, bundled_design, monkeypatch
     ):
-        # 15 configurations x 3 markers = 45 postures; markers 1 and 2 also
-        # need the Jacobian of the load's marker 0, hence 45 + 30 Jacobians
-        calls = Counter()
+        # 270 rows, 15 configurations x 3 markers = 45 postures: every batched
+        # kernel runs once over the 45, and no per-posture public function runs
+        postures = {name: [] for name in expected}
+        public = Counter()
+
+        def sized(name, fn):
+            def wrapper(model, batch, *args):  # batch: the joint vectors or frames of the postures
+                postures[name].append(len(batch))
+                return fn(model, batch, *args)
+            return wrapper
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                public[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in expected:
-            monkeypatch.setattr(regressor, name, counted(name, getattr(regressor, name)))
+            monkeypatch.setattr(regressor, name, sized(name, getattr(regressor, name)))
+        for module in (kinematics, regressor):
+            for name in ("forward_kinematics", "joint_jacobian", "parameter_jacobian", "elastostatic_regressor"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         stack_system(bundled_study, nominal_model, bundled_design.cmap,
                      bundled_design.noise, mode=mode, params=params)
-        assert {name: calls[name] for name in expected} == expected
+        assert postures == expected
+        assert sum(public.values()) == 0
+
+
+class TestStackSystemChecks:
+    """A faulty row ends in the error that building its posture alone raises."""
+
+    MODES = [("elastostatic", None), ("geometric", GEOMETRIC_PARAMS), ("combined", GEOMETRIC_PARAMS)]
+
+    @staticmethod
+    def stack(study, design, model, mode, params, cmap=None):
+        shuffled = study.take(np.random.default_rng(3).permutation(len(study)))
+        return stack_system(shuffled, model, cmap or design.cmap, design.noise, mode=mode, params=params)
+
+    @pytest.mark.parametrize("mode, params", [MODES[0], MODES[2]])
+    def test_first_unmatched_bucket_angle_in_row_order(self, mode, params, bundled_study,
+                                                       bundled_design, nominal_model):
+        levels = bundled_design.cmap.bucket_levels
+        cmap = replace(bundled_design.cmap, bucket_levels=levels[1:-1])
+        rows = np.lexsort((bundled_study.rep, bundled_study.marker, bundled_study.config))
+        angles = bundled_study.q[rows, 1]
+        first = angles[np.isin(angles, (levels[0], levels[-1]))][0]
+        with pytest.raises(BucketMatchError, match=rf"^joint angle {first:.8f} rad matches no declared"):
+            self.stack(bundled_study, bundled_design, nominal_model, mode, params, cmap)
+
+    @pytest.mark.parametrize("mode, params, bad", [(*MODES[0], 5), (*MODES[1], 7), (*MODES[2], 5)])
+    def test_first_marker_outside_the_model(self, mode, params, bad, bundled_study,
+                                            bundled_design, nominal_model):
+        # config 2 loads a missing marker, config 4 observes one; geometric
+        # rows carry no load, so only the observed marker is checked there
+        study = replace(bundled_study,
+                        marker=np.where(bundled_study.config == 4, 7, bundled_study.marker),
+                        fmarker=np.where(bundled_study.config == 2, 5, bundled_study.fmarker))
+        with pytest.raises(ValueError, match=rf"^marker index {bad} out of range 0\.\.2$"):
+            self.stack(study, bundled_design, nominal_model, mode, params)
+
+    @pytest.mark.parametrize("mode, params", MODES)
+    def test_non_finite_or_short_joint_vectors(self, mode, params, bundled_study,
+                                               bundled_design, nominal_model):
+        short = replace(bundled_study, q=bundled_study.q[:, :5])
+        with pytest.raises(ValueError, match="^expected 6 joint values, got 5$"):
+            self.stack(short, bundled_design, nominal_model, mode, params)
+        planted = bundled_study.take(slice(None))
+        q = bundled_study.q.copy()
+        q[100, 3] = np.nan
+        object.__setattr__(planted, "q", q)  # past the Study check, as a caller could
+        with pytest.raises(ValueError, match="^study column q contains non-finite values$"):
+            stack_system(planted, nominal_model, bundled_design.cmap, bundled_design.noise,
+                         mode=mode, params=params)
 
 
 class TestStudy:
