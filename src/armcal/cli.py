@@ -153,11 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_calibrate(args) -> int:
     _check_estimator_args(args)
     params = args.params.split(",") if args.params else None
-    if args.mode in ("geometric", "combined") and not params:
+    if args.mode == "elastostatic":
+        _require(args.params is None, "--params", "omitted in elastostatic mode", args.params)
+    elif not params:
         raise _UsageError(f"--mode {args.mode} requires --params")
     model = _load_model(args)
-    ids_ok = set(model.parameter_ids()).issuperset(params or ())
-    _require(ids_ok, "--params", "parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
+    ids = params or ()
+    ids_ok = set(model.parameter_ids()).issuperset(ids) and len(set(ids)) == len(ids)
+    _require(ids_ok, "--params", "distinct parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
     noise = load_noise_table(args.noise) if args.noise else deflection_dispersions(study.config, study.deflection)

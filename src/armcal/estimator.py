@@ -64,14 +64,12 @@ class EstimationResult:
     stop_reason: str = ""
 
 
-def optimal_weights(sigma: np.ndarray, a: float = 1.0) -> np.ndarray:
-    """Inverse-dispersion weights w_i = a / sigma_i (a > 0 is a free scale)."""
+def optimal_weights(sigma: np.ndarray) -> np.ndarray:
+    """Inverse-dispersion weights w_i = 1 / sigma_i; WLS does not depend on their scale."""
     sigma = np.asarray(sigma, dtype=float)
-    if a <= 0.0 or not math.isfinite(a):
-        raise ValueError("weight scale a must be positive and finite")
     if np.any(sigma <= 0.0):
         raise ValueError("optimal weights need strictly positive sigmas")
-    return a / sigma
+    return 1.0 / sigma
 
 
 def robust_weights(sigma: np.ndarray, sigma0: float = DEFAULT_SIGMA0, lam: float = DEFAULT_LAMBDA) -> np.ndarray:

@@ -28,7 +28,6 @@ without the three standard-error columns in every row::
 
 from __future__ import annotations
 
-import math
 import os
 from operator import itemgetter
 from pathlib import Path
@@ -362,25 +361,3 @@ def format_ground_truth(names: Sequence[str], values_si: np.ndarray) -> str:
 def write_ground_truth(path: str | Path, names: Sequence[str], values_si: np.ndarray) -> Path:
     return write_text(path, format_ground_truth(names, values_si))
 
-
-def load_ground_truth(path: str | Path) -> dict[str, float]:
-    err = MeasurementFormatError
-    out: dict[str, float] = {}
-    for lineno, line in _data_lines(_read_lines(Path(path), err, "ground-truth file")):
-        tokens = line.split()
-        if tokens[0] == "parameter":
-            continue
-        where = f"{path}:{lineno}"
-        if len(tokens) != 2:
-            raise err(f"{where}: expected 'name value' rows")
-        name, text = tokens
-        try:
-            value = float(text)
-        except ValueError:
-            raise err(f"{where}: non-numeric value {text!r}") from None
-        if not math.isfinite(value):
-            raise err(f"{where}: value {text!r} is not finite")
-        if name in out:
-            raise err(f"{where}: repeated parameter {name!r}")
-        out[name] = value
-    return out

@@ -139,6 +139,5 @@ def study_design(
         markers=markers,
         repetitions=repetitions,
         mass_range_kg=(mass_kg, mass_kg),
-        attachment_marker=0,
         seed=seed,
     )

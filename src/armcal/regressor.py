@@ -139,20 +139,16 @@ class ComplianceParameterMap:
         return None
 
     @classmethod
-    def from_configurations(
-        cls,
-        configurations: Sequence[np.ndarray] | np.ndarray,
-        bucket_joint: int = 1,
-        tail_joints: Sequence[int] = (2, 3, 4, 5),
-    ) -> "ComplianceParameterMap":
-        """Bucket levels from the distinct bucket-joint angles of the rows of ``configurations``."""
-        angles = np.asarray(configurations, dtype=float)[:, bucket_joint]
+    def from_configurations(cls, configurations: Sequence[np.ndarray] | np.ndarray) -> "ComplianceParameterMap":
+        """The 6R layout: joint 2 (index 1) bucketed at the distinct angles it takes in the rows
+        of ``configurations``, and one parameter each for tail joints 3..6 (indices 2..5)."""
+        angles = np.asarray(configurations, dtype=float)[:, cls.bucket_joint]
         distinct, first = np.unique(angles, return_index=True)
         levels: list[float] = []
         for angle in distinct[np.argsort(first)].tolist():  # in order of first appearance
             if not any(abs(angle - v) <= BUCKET_TOL for v in levels):
                 levels.append(angle)
-        return cls(bucket_levels=tuple(sorted(levels)), tail_joints=tuple(tail_joints), bucket_joint=bucket_joint)
+        return cls(bucket_levels=tuple(sorted(levels)), tail_joints=(2, 3, 4, 5))
 
 
 def _regressors(model: ManipulatorModel, q, frames: np.ndarray, p: np.ndarray, wrench,
@@ -216,7 +212,6 @@ class StackedSystem:
     marker: np.ndarray
     axis: np.ndarray
     columns: tuple[str, ...]
-    mode: str = "elastostatic"
     group: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -278,10 +273,11 @@ def stack_system(
     experiments are stacked as independent rows, not averaged: averaging
     would hide the very replicate scatter the weighting stage feeds on.
 
-    Kinematics and regressor blocks are built once per distinct posture
-    within a call, keyed on the bits of the values that determine them
-    (joint vector, observed marker, force and its application marker, not
-    the configuration id), and reused for every repetition of that posture.
+    Kinematics and regressor blocks are built once per run of consecutive
+    sorted rows whose determining values (joint vector, observed marker,
+    force and its application marker, not the configuration id) agree bit
+    for bit, so the repetitions of a posture share one block.  A posture
+    that recurs after a different one is built again, to the same bits.
     """
     if not len(study):
         raise ValueError("no records to stack")
@@ -305,8 +301,8 @@ def stack_system(
         columns = tuple(params) + cmap.parameter_names
 
     bits = np.column_stack([s.q.view(np.int64), s.marker, s.force.view(np.int64), s.fmarker])
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    rows = np.sort(first)  # each posture's first row, postures in row order
+    start = np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]  # a posture starts where the key changes
+    rows, posture = np.flatnonzero(start), np.cumsum(start) - 1  # each run's first row; each row's run
     q, marker = s.q[rows], s.marker[rows]
     # the regressor also needs the position of the marker the load is applied at
     markers = marker[:, None] if mode == "geometric" else np.stack([marker, s.fmarker[rows]], axis=1)
@@ -319,7 +315,6 @@ def stack_system(
     if mode != "geometric":
         wrench = np.concatenate([s.force[rows], np.zeros((len(rows), 3))], axis=1)
         blocks[:, -1, :, -cmap.n_parameters:] = _regressors(model, q, frames, p, wrench, cmap)
-    posture = np.searchsorted(rows, first[inverse.reshape(-1)])  # each row's posture
     B = blocks[posture].reshape(-1, len(columns))
     if B.shape[0] < B.shape[1]:
         raise UnderDeterminedError(
@@ -337,4 +332,4 @@ def stack_system(
     axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(s))
     sigma = build_sigma(noise, config, axis, floor=sigma_floor)
     return StackedSystem(B=B, dp=dp.reshape(-1), sigma=sigma, config=config, marker=marker, axis=axis,
-                         columns=columns, mode=mode)
+                         columns=columns)

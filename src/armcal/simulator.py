@@ -27,9 +27,7 @@ from .estimator import (
     _apply,
     _factor,
     _irls_stack,
-    ols_estimate,
     optimal_weights,
-    wls_estimate,
 )
 from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
 from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
@@ -82,8 +80,8 @@ class StudyDesign:
     ``configurations`` are joint vectors in radians; configuration ids are
     their 1-based positions and the noise model must cover all of them.  The
     load is a dead weight drawn uniformly from ``mass_range_kg`` per
-    configuration and hangs at ``attachment_marker`` (pure vertical force, no
-    torque); a zero mass means an unloaded study.
+    configuration and hangs at marker 0 (pure vertical force, no torque); a
+    zero mass means an unloaded study.
     """
 
     configurations: tuple[np.ndarray, ...]
@@ -93,7 +91,6 @@ class StudyDesign:
     markers: int = 3
     repetitions: int = 6
     mass_range_kg: tuple[float, float] = (265.0, 265.0)
-    attachment_marker: int = 0
     geometry_error: Mapping[str, float] | None = None
     seed: int = 0
 
@@ -133,8 +130,6 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     """
     if design.markers > len(model.markers):
         raise ValueError(f"design asks for {design.markers} markers, model has {len(model.markers)}")
-    if not (0 <= design.attachment_marker < len(model.markers)):
-        raise ValueError("attachment marker index out of range")
 
     rng = np.random.default_rng(design.seed)
     lo, hi = design.mass_range_kg
@@ -148,10 +143,10 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     forces = np.zeros((len(masses), 3))
     forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
 
-    # kinematics once over the (configuration, marker) pairs; the load hangs at the attachment marker
+    # kinematics once over the (configuration, marker) pairs; the load hangs at marker 0
     pair_cfg, pair_marker = np.indices((len(forces), design.markers)).reshape(2, -1)
     q = np.asarray(design.configurations)[pair_cfg]
-    markers = np.stack([pair_marker, np.full(len(q), design.attachment_marker)], axis=1)
+    markers = np.stack([pair_marker, np.zeros_like(pair_marker)], axis=1)
     frames, R, p = _kinematics(model, q, markers)
     _check_rotations(R)
     geo = sorted(design.geometry_error or {})
@@ -166,7 +161,7 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
     return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
                  q=np.asarray(design.configurations)[cfg], force=forces[cfg],
-                 fmarker=np.full(cfg.shape, design.attachment_marker),
+                 fmarker=np.zeros_like(cfg),
                  p0=np.reshape(p0, (-1, 3)), p=np.reshape(p, (-1, 3)))
 
 
@@ -251,7 +246,8 @@ def monte_carlo_compare(
 
     Trials are solved together in fixed blocks (a few trials each, sized by a
     byte budget), drawn block by block.  OLS and WLS share ``B`` and their
-    weights across trials, so each is one SVD plus a stacked product; IRLS
+    weights across trials, so each is one SVD plus a stacked product, and
+    that SVD also gives the method's predicted covariance and CIs; IRLS
     runs one stacked SVD per iteration over the block's still-running
     trials, each keeping its own stop iteration and reason.  Every estimate
     equals the one-trial solve of that trial bit for bit.  Failed trials are
@@ -263,14 +259,13 @@ def monte_carlo_compare(
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
     dp_clean, sigma_true, group = base.dp, base.sigma, base.group
-    w_opt = optimal_weights(sigma_true)
 
-    ref_ols = ols_estimate(base)
-    ref_wls = wls_estimate(base, w_opt)
-    fixed = {}
-    for name, w in (("ols", np.ones_like(sigma_true)), ("wls", w_opt)):
-        U, s, Vt, _, _ = _factor(base, w[None], sigma_true[None])
-        fixed[name] = (U, s, Vt, w)
+    fixed, cov, ci3 = {}, {}, {}
+    for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
+        U, s, Vt, c, errors = _factor(base, w[None], sigma_true[None])
+        if errors[0] is not None:
+            raise errors[0]
+        fixed[name], cov[name], ci3[name] = (U, s, Vt, w), c[0], 3.0 * np.sqrt(np.diag(c[0]))
 
     collected: dict[str, list[np.ndarray]] = {"ols": [], "wls": [], "irls": []}
     irls_ci3: list[np.ndarray] = []
@@ -308,16 +303,16 @@ def monte_carlo_compare(
 
     estimates = {k: np.asarray(v) for k, v in collected.items()}
     n_ok = len(irls_ci3)
-    nested = np.abs(estimates["wls"] - estimates["ols"]) + ref_wls.ci3 <= ref_ols.ci3
+    nested = np.abs(estimates["wls"] - estimates["ols"]) + ci3["wls"] <= ci3["ols"]
     return MonteCarloReport(
         parameters=base.columns,
         truth=np.array(design.ground_truth.values),
         trials=trials,
         failures=tuple(failures),
         estimates=estimates,
-        ci3={"ols": np.tile(ref_ols.ci3, (n_ok, 1)), "wls": np.tile(ref_wls.ci3, (n_ok, 1)),
+        ci3={"ols": np.tile(ci3["ols"], (n_ok, 1)), "wls": np.tile(ci3["wls"], (n_ok, 1)),
              "irls": np.asarray(irls_ci3)},
-        predicted_cov={"ols": ref_ols.covariance, "wls": ref_wls.covariance},
+        predicted_cov=cov,
         irls_ci_traces=tuple(traces),
         irls_iterations=np.asarray(iteration_counts),
         irls_converged=np.asarray(converged_flags),

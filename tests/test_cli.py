@@ -286,7 +286,7 @@ class TestErrorPaths:
         assert "ERROR E_IO:" in capsys.readouterr().err
 
     def test_rank_deficiency_surfaces_code(self, study_dir, tmp_path, capsys):
-        # duplicated parameter columns make the design exactly singular
+        # joint axes 2 and 3 are parallel, so d2 and d3 move the marker alike: exactly singular
         study = load_measurements(study_dir / "measurements.tsv")
         one = tmp_path / "one.tsv"
         write_measurements(one, study.take(slice(2)))
@@ -295,7 +295,7 @@ class TestErrorPaths:
             "--measurements", str(one),
             "--noise", str(study_dir / "noise.tsv"),
             "--mode", "geometric",
-            "--params", "d1,d1",
+            "--params", "d2,d3",
             "--out", str(tmp_path / "out"),
         )
         assert code == 1
@@ -401,6 +401,10 @@ class TestErrorPaths:
             (("simulate", "--model", "five-joint.model"), "--model"),
             (("compare", "--model", "five-joint.model"), "--model"),
             (("compare", "--model", "one-marker.model"), "--model"),
+            # --params checks run before the measurement file is read
+            (("calibrate", "--measurements", "absent.tsv", "--mode", "geometric", "--params", "a2,a2"),
+             "--params"),
+            (("calibrate", "--measurements", "absent.tsv", "--params", "a2"), "--params"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):

@@ -75,23 +75,20 @@ class TestScalarOracle:
 class TestWeightRules:
     def test_optimal_weights_formula(self):
         assert_allclose(optimal_weights(np.array([1.0, 2.0])), [1.0, 0.5], rtol=0)
-        assert_allclose(optimal_weights(np.array([1.0, 2.0]), a=2.0), [2.0, 1.0], rtol=0)
 
     def test_optimal_weights_may_exceed_one(self):
-        w = optimal_weights(np.array([0.25]), a=1.0)
+        w = optimal_weights(np.array([0.25]))
         assert w[0] == 4.0
 
     def test_optimal_weights_validation(self):
         with pytest.raises(ValueError, match="positive sigmas"):
             optimal_weights(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="scale a"):
-            optimal_weights(np.array([1.0]), a=0.0)
 
     def test_estimate_independent_of_weight_scale_a(self):
         rng = np.random.default_rng(42)
         sys = random_system(rng)
-        x1 = wls_estimate(sys, optimal_weights(sys.sigma, a=1.0)).x_hat
-        x2 = wls_estimate(sys, optimal_weights(sys.sigma, a=37.5)).x_hat
+        x1 = wls_estimate(sys, optimal_weights(sys.sigma)).x_hat
+        x2 = wls_estimate(sys, 37.5 * optimal_weights(sys.sigma)).x_hat
         assert_allclose(x2, x1, rtol=1e-12)
 
     def test_robust_weights_reference_value(self):

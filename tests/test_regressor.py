@@ -235,7 +235,6 @@ class TestStackSystem:
         for rows in (bundled_system.config, bundled_system.marker, bundled_system.axis,
                      bundled_system.group):
             assert rows.shape == (810,)
-        assert bundled_system.mode == "elastostatic"
         assert bundled_system.columns == (
             "k2_1", "k2_2", "k2_3", "k2_4", "k2_5", "k3", "k4", "k5", "k6",
         )
@@ -500,8 +499,9 @@ class TestPostureReuse:
     def test_bundled_study_builds_each_posture_once(
         self, mode, params, expected, bundled_study, nominal_model, bundled_design, monkeypatch
     ):
-        # 270 rows, 15 configurations x 3 markers = 45 postures: every batched
-        # kernel runs once over the 45, and no per-posture public function runs
+        # 15 configurations x 3 markers = 45 postures, at 6 repetitions (270 rows)
+        # and at 60 (2,700 rows): every batched kernel runs once over the 45,
+        # and no per-posture public function runs
         postures = {name: [] for name in expected}
         public = Counter()
 
@@ -523,9 +523,13 @@ class TestPostureReuse:
             for name in ("forward_kinematics", "joint_jacobian", "parameter_jacobian", "elastostatic_regressor"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        stack_system(bundled_study, nominal_model, bundled_design.cmap,
-                     bundled_design.noise, mode=mode, params=params)
-        assert postures == expected
+        long_study = simulate_measurements(reference.study_design(seed=0, repetitions=60), nominal_model)
+        for study in (bundled_study, long_study):
+            for sizes in postures.values():
+                sizes.clear()
+            stack_system(study, nominal_model, bundled_design.cmap,
+                         bundled_design.noise, mode=mode, params=params)
+            assert postures == expected
         assert sum(public.values()) == 0
 
 

@@ -1,11 +1,13 @@
 """Synthetic-study generation and the Monte Carlo method comparison."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import armcal.estimator as estimator_mod
 import armcal.simulator as simulator_mod
 from armcal import reference
 from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
@@ -231,11 +233,6 @@ class TestSimulateMeasurements:
     def test_marker_budget_validated(self, nominal_model):
         with pytest.raises(ValueError, match="markers"):
             simulate_measurements(quiet_design(markers=4), nominal_model)
-        from dataclasses import replace
-
-        bad = replace(quiet_design(), attachment_marker=7)
-        with pytest.raises(ValueError, match="attachment marker"):
-            simulate_measurements(bad, nominal_model)
 
 
 class TestNoiseFreeSystem:
@@ -306,13 +303,31 @@ class TestMonteCarloCompare:
         assert_allclose(std_w, std_o, rtol=0.05)
 
     def test_predicted_covariances_are_the_closed_forms(
-        self, report, bundled_design, nominal_model
+        self, report, bundled_design, nominal_model, monkeypatch
     ):
         base = noise_free_system(bundled_design, nominal_model)
         reduced = np.linalg.inv(base.B.T @ (base.B / base.sigma[:, None] ** 2))
         assert_allclose(report.predicted_cov["wls"], reduced, rtol=1e-8)
-        res_o = ols_estimate(base)
-        assert_allclose(report.predicted_cov["ols"], res_o.covariance, rtol=1e-12)
+        # the fixed weightings' factorizations give the public solvers' bits
+        for name, res in (("ols", ols_estimate(base)),
+                          ("wls", wls_estimate(base, optimal_weights(base.sigma)))):
+            assert np.array_equal(report.predicted_cov[name], res.covariance)
+            assert np.array_equal(report.ci3[name], np.tile(res.ci3, (len(report.ci3[name]), 1)))
+
+        # one factorization per fixed weighting, none through the public solvers
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(simulator_mod, "_factor", counted("_factor", simulator_mod._factor))
+        monkeypatch.setattr(estimator_mod, "_weighted_solve",
+                            counted("_weighted_solve", estimator_mod._weighted_solve))
+        monte_carlo_compare(bundled_design, nominal_model, trials=4)
+        assert calls == {"_factor": 2}
 
     def test_failed_trials_recorded_up_to_the_abort_threshold(
         self, bundled_design, nominal_model, monkeypatch
