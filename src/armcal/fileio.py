@@ -29,6 +29,7 @@ without the three standard-error columns in every row::
 from __future__ import annotations
 
 import os
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -63,9 +64,15 @@ def _fmt(value: float) -> str:
 def _repr_columns(*blocks: np.ndarray) -> list[Iterable[str]]:
     """``repr`` of every value, one iterable of strings per column of each 1-D or (N, k) block.
 
-    ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.
+    ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.  Each
+    distinct bit pattern of a column is formatted once (so ``-0.0`` stays apart from
+    ``0.0``) and its text gathered back through the inverse index.
     """
-    return [map(repr, col.tolist()) for b in blocks for col in np.atleast_2d(np.asarray(b).T)]
+    columns = []
+    for col in (c for b in blocks for c in np.atleast_2d(np.asarray(b).T)):
+        bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        columns.append(np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)[inverse].tolist())
+    return columns
 
 
 def _data_lines(lines: Iterable[str]):
@@ -149,7 +156,7 @@ def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorMod
 def _read_lines(path: Path, error, what: str) -> list[str]:
     try:
         return path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -249,7 +256,7 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
     ints, floats = itemgetter(0, 1, 2, fm), itemgetter(*value_cols)
     try:
         index = np.array(list(map(ints, rows)), dtype=int)
-        values = np.array(list(map(floats, rows)), dtype=float)
+        values = np.array(list(chain.from_iterable(map(floats, rows))), dtype=float).reshape(len(rows), -1)
     except (ValueError, OverflowError):
         for lineno, tokens in zip(linenos, rows):  # find the line numpy refused
             try:

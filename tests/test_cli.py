@@ -274,6 +274,26 @@ class TestErrorPaths:
         assert code == 1
         assert "ERROR E_MEASUREMENT_FORMAT:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, error", [
+        ("calibrate", "--measurements", "E_MEASUREMENT_FORMAT"),
+        ("calibrate", "--noise", "E_NOISE_FORMAT"),
+        ("calibrate", "--model", "E_MODEL_FORMAT"),
+        ("simulate", "--noise", "E_NOISE_FORMAT"),
+    ])
+    def test_non_utf8_input_file(self, command, flag, error, study_dir, tmp_path, capsys):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfe" + "config sigma_x".encode("utf-16-le"))
+        inputs = {"--measurements": study_dir / "measurements.tsv", "--noise": study_dir / "noise.tsv"}
+        args = {**(inputs if command == "calibrate" else {}), flag: bad}
+        out = tmp_path / "out"
+        code = run_cli(command, *(str(x) for pair in args.items() for x in pair), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"ERROR {error}: cannot read ")
+        assert str(bad) in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not out.exists()
+
     def test_unwritable_output_directory(self, study_dir, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
@@ -537,21 +557,27 @@ class TestReportHelpers:
         for name, (est, _) in reported.items():
             assert est == pytest.approx(truth[name], rel=0.2)
 
-    def test_residual_report_matches_per_row_formatting(self, bundled_system, tmp_path):
+    def test_residual_report_matches_per_row_formatting(
+        self, bundled_system, bundled_study, bundled_design, nominal_model, tmp_path
+    ):
         from armcal.reports import write_residual_report
 
-        sys = bundled_system
-        res = wls_estimate(sys, robust_weights(sys.sigma))
-        # reference: one row at a time, every float through repr(float(.))
-        expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
-        for i in range(sys.n_equations):
-            expected.append("\t".join([
-                str(sys.config[i]), str(sys.marker[i]), "xyz"[sys.axis[i]],
-                repr(float(res.sigma[i] / 1e-6)), repr(float(res.weights[i])),
-                repr(float(res.residuals[i] / 1e-6)),
-            ]))
-        path = write_residual_report(tmp_path, sys, res)
-        assert path.read_text() == "\n".join(expected) + "\n"
+        # combined mode: each record gives an unloaded then a loaded triple, so the
+        # sigma and weight columns repeat across two row kinds
+        combined = stack_system(bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise,
+                                mode="combined", params=["a2", "d3", "theta4", "tool_x"])
+        for sys in (bundled_system, combined):
+            res = wls_estimate(sys, robust_weights(sys.sigma))
+            # reference: one row at a time, every float through repr(float(.))
+            expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
+            for i in range(sys.n_equations):
+                expected.append("\t".join([
+                    str(sys.config[i]), str(sys.marker[i]), "xyz"[sys.axis[i]],
+                    repr(float(res.sigma[i] / 1e-6)), repr(float(res.weights[i])),
+                    repr(float(res.residuals[i] / 1e-6)),
+                ]))
+            path = write_residual_report(tmp_path, sys, res)
+            assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_compare_report_lists_failed_trials_only_when_any(self, tmp_path):
         from dataclasses import replace

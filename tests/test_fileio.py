@@ -162,6 +162,16 @@ class TestMeasurementFormat:
         with pytest.raises(MeasurementFormatError, match="non-numeric"):
             parse_measurements(lines)
 
+    @pytest.mark.parametrize("row, column", [(3, 3), (-1, 18)])  # q1 mid-file, pz on the last line
+    def test_non_numeric_first_or_last_float_names_line(self, study, row, column):
+        lines = format_measurements(study).splitlines()
+        tokens = lines[row].split()
+        tokens[column] = "oops"
+        lines[row] = " ".join(tokens)
+        with pytest.raises(MeasurementFormatError, match="non-numeric") as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert f"bad.tsv:{row % len(lines) + 1}:" in str(exc.value)
+
     def test_non_integer_fmarker_names_line(self, study):
         lines = format_measurements(study).splitlines()
         tokens = lines[4].split()

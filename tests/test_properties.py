@@ -1,14 +1,17 @@
 """Property tests: file round trips, fuzzed measurement and noise text, row-order independence."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from armcal import reference
 from armcal.errors import CalibrationError
 from armcal.fileio import (
+    _repr_columns,
     format_measurements,
     format_noise_table,
     parse_measurements,
@@ -76,6 +79,34 @@ def test_noise_table_round_trip(table, with_uncertainty):
     for c, values in table.items():
         assert within_ulps(again.sigma[again.rows(c)], values[:3], 2)
         assert within_ulps(again.se[again.rows(c)], values[3:] if with_uncertainty else np.zeros(3), 2)
+
+
+#: Floats that format unusually: not-a-number, infinities and subnormals.
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.5e-308]
+
+
+@st.composite
+def repeated_blocks(draw):
+    """A 1-D or (N, k) int64 or float64 block drawn from a pool of a few values.  Float pools
+    always hold both signed zeros, which a dedupe keyed on value (``-0.0 == 0.0``) would merge."""
+    if draw(st.booleans()):
+        pool, dtype = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=5)), np.int64
+    else:
+        pool = [0.0, -0.0, *draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), max_size=4))]
+        dtype = np.float64
+    n = draw(st.integers(0, 30))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+
+
+@PROPERTY
+@example([np.array([0.0, -0.0, 0.0, math.nan, -math.inf, 5e-324]),
+          np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, -1e-310]]), np.array([3, -3, 3])])
+@given(st.lists(repeated_blocks(), min_size=1, max_size=3))
+def test_repr_columns_match_per_value_repr(blocks):
+    expected = [list(map(repr, col.tolist())) for b in blocks for col in np.atleast_2d(b.T)]
+    assert [list(column) for column in _repr_columns(*blocks)] == expected
 
 
 @pytest.fixture(scope="module")
