@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import RankDeficientError
-from .noise import DEFAULT_SIGMA0, grouped_std
+from .noise import DEFAULT_SIGMA0, _GroupPlan
 from .regressor import StackedSystem
 
 #: Relative singular-value cutoff below which a direction counts as collapsed.
@@ -130,7 +130,8 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray):
         )
     s[rank < n] = np.inf
 
-    G = Vt.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])  # pinv of each w[t] * B
+    # pinv of each w[t] * B; the quotient is C-ordered as matmul is slower on the transposed layout
+    G = Vt.transpose(0, 2, 1) @ np.divide(U.transpose(0, 2, 1), s[:, :, None], order="C")
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
@@ -231,16 +232,21 @@ def _irls_stack(
 
     ``sigma`` holds each trial's starting dispersions.  Each iteration solves
     the trials still running with one stacked SVD; a trial leaves the stack
-    when it stops.  Returns per trial its final result, or the exception its
-    solve raised (rank loss at iteration 1, a negative covariance diagonal).
+    when it stops, and only then is its result built.  Returns per trial its
+    final result, or the exception its solve raised (rank loss at iteration
+    1, a negative covariance diagonal).  The grouping of the dispersion
+    re-estimate is planned on the first re-estimate, so a single pass needs
+    no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
     final: list[EstimationResult | Exception | None] = [None] * y.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
+    last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
     live = np.arange(y.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
+    plan = None
     sigma_t = sigma
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma_t, sigma0, lam)
@@ -248,6 +254,7 @@ def _irls_stack(
         x = _apply(U, s, Vt, y[live] * w)
         residuals = (sys.B @ x[:, :, None])[:, :, 0] - y[live]
         ci3 = 3.0 * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        arrays = (x, cov, ci3, residuals, w, sigma_t)
         if prev is not None:
             change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
         keep = np.zeros(live.shape[0], dtype=bool)
@@ -256,31 +263,43 @@ def _irls_stack(
                 if prev is None or not isinstance(errors[j], RankDeficientError):
                     final[t] = errors[j]
                 else:
-                    final[t] = replace(final[t], converged=False, stop_reason="rank_loss")
+                    final[t] = _irls_result(sys, *last[t], trace[t], "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
             if single_pass:
                 reason = "single_pass"
             elif prev is not None and change[j] < rel_tol:
                 reason = "tolerance"
+            elif it < max_iter:
+                keep[j] = True
+                last[t] = (arrays, j)
+                continue
             else:
                 reason = "max_iter"
-            keep[j] = reason == "max_iter"
-            final[t] = EstimationResult(
-                parameters=sys.columns,
-                x_hat=x[j],
-                covariance=cov[j],
-                ci3=ci3[j],
-                residuals=residuals[j],
-                method="irls",
-                weights=w[j],
-                sigma=sigma_t[j],
-                converged=reason != "max_iter",
-                stop_reason=reason,
-            )
+            final[t] = _irls_result(sys, arrays, j, trace[t], reason)
         live, prev = live[keep], x[keep]
-        if not live.size or it == max_iter:  # no iteration follows: skip the re-estimate
+        if not live.size:  # no iteration follows: skip the re-estimate
             break
-        sigma_t = np.maximum(grouped_std(residuals[keep], sys.group)[:, sys.group], sigma0)
-    return [fit if isinstance(fit, Exception) else replace(fit, iterations=tuple(snaps))
-            for fit, snaps in zip(final, trace)]
+        if plan is None:
+            plan = _GroupPlan(sys.group)
+        sigma_t = np.maximum(plan.std(residuals[keep])[:, sys.group], sigma0)
+    return final
+
+
+def _irls_result(sys: StackedSystem, arrays: tuple, j: int, trace: list[IterationSnapshot],
+                 reason: str) -> EstimationResult:
+    """The IRLS result of row ``j`` of one iteration's stacked ``arrays``."""
+    x, cov, ci3, residuals, w, sigma = arrays
+    return EstimationResult(
+        parameters=sys.columns,
+        x_hat=x[j],
+        covariance=cov[j],
+        ci3=ci3[j],
+        residuals=residuals[j],
+        method="irls",
+        weights=w[j],
+        sigma=sigma[j],
+        iterations=tuple(trace),
+        converged=reason in ("tolerance", "single_pass"),
+        stop_reason=reason,
+    )

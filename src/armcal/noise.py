@@ -125,16 +125,33 @@ def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
     group = np.asarray(group).reshape(-1)
     if values.shape[-1:] != group.shape:
         raise ValueError("values and group length mismatch")
-    counts = np.bincount(group)
-    if np.any(counts == 1):
-        raise ReplicateCountError(
-            "every (configuration, axis) group needs >= 2 rows to estimate a dispersion"
-        )
-    order = np.argsort(group, kind="stable")
-    size_of = counts[group[order]]  # group size of each row, in group order
-    out = np.zeros(values.shape[:-1] + counts.shape)
-    for size in set(counts[counts > 0].tolist()):
-        ids = np.flatnonzero(counts == size)
-        rows = order[size_of == size].reshape(ids.shape[0], size)
-        out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
-    return out
+    return _GroupPlan(group).std(values)
+
+
+class _GroupPlan:
+    """The gathers :func:`grouped_std` makes for one ``group`` vector, planned once.
+
+    Rows are ordered by group (stable), and the groups of each size share one
+    (groups, size) index block, so repeated calls over the same grouping (the
+    IRLS re-estimates, the Monte Carlo's trial blocks) pay for the counting
+    and sorting once.  A group of one row raises :class:`ReplicateCountError`.
+    """
+
+    def __init__(self, group: np.ndarray):
+        counts = np.bincount(group)
+        if np.any(counts == 1):
+            raise ReplicateCountError(
+                "every (configuration, axis) group needs >= 2 rows to estimate a dispersion"
+            )
+        order = np.argsort(group, kind="stable")
+        size_of = counts[group[order]]  # group size of each row, in group order
+        self.n_groups = counts.shape[0]
+        self.by_size = [(np.flatnonzero(counts == size), order[size_of == size].reshape(-1, size))
+                        for size in set(counts[counts > 0].tolist())]
+
+    def std(self, values: np.ndarray) -> np.ndarray:
+        """Grouped sample stds of ``values`` (..., rows) as (..., groups)."""
+        out = np.zeros(values.shape[:-1] + (self.n_groups,))
+        for ids, rows in self.by_size:
+            out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
+        return out

@@ -15,6 +15,7 @@ per-trial generators by seeding with the (seed, trial-index) pair.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -30,7 +31,7 @@ from .estimator import (
     optimal_weights,
 )
 from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
-from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
+from .noise import DEFAULT_SIGMA0, NoiseModel, _GroupPlan
 from .regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -42,8 +43,9 @@ from .regressor import (
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 #: Byte budget of one (trials, rows, parameters) stack in the Monte Carlo
-#: comparison; it sets how many trials are solved together, so memory does
-#: not grow with the trial count.
+#: comparison; it sets how many trials are solved together.  The working
+#: memory scales with the concurrent workers times this block, not with the
+#: trial count.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -171,6 +173,13 @@ def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSy
     return stack_system(simulate_measurements(silent, model), model, design.cmap, design.noise)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Per-method estimate clouds plus the analytic references.
@@ -245,20 +254,25 @@ def monte_carlo_compare(
     deflections.
 
     Trials are solved together in fixed blocks (a few trials each, sized by a
-    byte budget), drawn block by block.  OLS and WLS share ``B`` and their
-    weights across trials, so each is one SVD plus a stacked product, and
-    that SVD also gives the method's predicted covariance and CIs; IRLS
-    runs one stacked SVD per iteration over the block's still-running
-    trials, each keeping its own stop iteration and reason.  Every estimate
-    equals the one-trial solve of that trial bit for bit.  Failed trials are
-    recorded with their reason; more than 5% aborts.  A design with a
-    one-row (configuration, axis) group raises ``ReplicateCountError``
-    before any trial.
+    byte budget).  OLS and WLS share ``B`` and their weights across trials,
+    so each is one SVD, made before any block, plus a stacked product per
+    block, and that SVD also gives the method's predicted covariance and
+    CIs; IRLS runs one stacked SVD per iteration over the block's
+    still-running trials, each keeping its own stop iteration and reason.
+    Blocks are drawn and solved concurrently by a thread pool with one
+    worker per CPU the process may run on (at most one per block); their
+    outcomes merge in block order, so working memory scales with workers
+    times block size, not with ``trials``, and the report does not depend
+    on the worker count.  Every estimate equals the one-trial solve of that
+    trial bit for bit.  Failed trials are recorded with their reason; more
+    than 5% aborts.  A design with a one-row (configuration, axis) group
+    raises ``ReplicateCountError`` before any trial.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
     dp_clean, sigma_true, group = base.dp, base.sigma, base.group
+    plan = _GroupPlan(group)  # a one-row group raises here, before any trial
 
     fixed, cov, ci3 = {}, {}, {}
     for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
@@ -267,42 +281,47 @@ def monte_carlo_compare(
             raise errors[0]
         fixed[name], cov[name], ci3[name] = (U, s, Vt, w), c[0], 3.0 * np.sqrt(np.diag(c[0]))
 
-    collected: dict[str, list[np.ndarray]] = {"ols": [], "wls": [], "irls": []}
-    irls_ci3: list[np.ndarray] = []
-    traces: list[np.ndarray] = []
-    iteration_counts: list[int] = []
-    converged_flags: list[bool] = []
-    failures: list[tuple[int, str, str]] = []
     block = max(1, _BLOCK_BYTES // base.B.nbytes)
-    for start in range(0, trials, block):
+
+    def solve_block(start: int) -> tuple[list[tuple], list[tuple]]:
+        """One block's failures and, per solved trial, its OLS, WLS and IRLS outcomes."""
         block_trials = range(start, min(start + block, trials))
         noise = np.array([np.random.default_rng((design.seed, t)).normal(size=dp_clean.shape)
                           for t in block_trials])
         dp = dp_clean + noise * sigma_true
-        sigma_raw = np.maximum(grouped_std(dp, group)[:, group], sigma0)
+        sigma_raw = np.maximum(plan.std(dp)[:, group], sigma0)
         x = {name: _apply(U, s, Vt, dp * w) for name, (U, s, Vt, w) in fixed.items()}
         try:
             fits = _irls_stack(base, dp, sigma_raw, sigma0, lam, rel_tol, max_iter)
         except np.linalg.LinAlgError as exc:  # the stacked SVD fails as a whole
             fits = [exc] * len(block_trials)
+        failed, solved = [], []
         for j, (t, fit) in enumerate(zip(block_trials, fits)):
             if isinstance(fit, Exception):
-                failures.append((t, type(fit).__name__, str(fit)))
-                continue
-            collected["ols"].append(x["ols"][j])
-            collected["wls"].append(x["wls"][j])
-            collected["irls"].append(fit.x_hat)
-            irls_ci3.append(fit.ci3)
-            traces.append(np.array([snap.ci3 for snap in fit.iterations]))
-            iteration_counts.append(len(fit.iterations))
-            converged_flags.append(fit.converged)
+                failed.append((t, type(fit).__name__, str(fit)))
+            else:
+                solved.append((x["ols"][j], x["wls"][j], fit.x_hat, fit.ci3,
+                               np.array([snap.ci3 for snap in fit.iterations]), fit.converged))
+        return failed, solved
+
+    # imported here: concurrent.futures loads logging, about 8 ms of every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    failures: list[tuple[int, str, str]] = []
+    solved: list[tuple] = []
+    starts = range(0, trials, block)
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
+        for block_failed, block_solved in pool.map(solve_block, starts):  # in block order
+            failures += block_failed
+            solved += block_solved
     if len(failures) > 0.05 * trials:
         t, kind, message = failures[0]
         raise RuntimeError(f"{len(failures)}/{trials} Monte Carlo trials failed; aborting "
                            f"(first: trial {t}, {kind}: {message})")
 
-    estimates = {k: np.asarray(v) for k, v in collected.items()}
-    n_ok = len(irls_ci3)
+    x_ols, x_wls, x_irls, ci3_irls, traces, converged = zip(*solved)
+    estimates = {"ols": np.asarray(x_ols), "wls": np.asarray(x_wls), "irls": np.asarray(x_irls)}
+    n_ok = len(solved)
     nested = np.abs(estimates["wls"] - estimates["ols"]) + ci3["wls"] <= ci3["ols"]
     return MonteCarloReport(
         parameters=base.columns,
@@ -311,11 +330,11 @@ def monte_carlo_compare(
         failures=tuple(failures),
         estimates=estimates,
         ci3={"ols": np.tile(ci3["ols"], (n_ok, 1)), "wls": np.tile(ci3["wls"], (n_ok, 1)),
-             "irls": np.asarray(irls_ci3)},
+             "irls": np.asarray(ci3_irls)},
         predicted_cov=cov,
-        irls_ci_traces=tuple(traces),
-        irls_iterations=np.asarray(iteration_counts),
-        irls_converged=np.asarray(converged_flags),
+        irls_ci_traces=traces,
+        irls_iterations=np.array([len(trace) for trace in traces]),
+        irls_converged=np.asarray(converged),
         nested_per_param=nested.mean(axis=0),
         nested_all_fraction=float(nested.all(axis=1).mean()),
     )

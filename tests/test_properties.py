@@ -13,10 +13,13 @@ from armcal.errors import CalibrationError
 from armcal.fileio import (
     _repr_columns,
     format_measurements,
+    format_model,
     format_noise_table,
     parse_measurements,
+    parse_model,
     parse_noise_table,
 )
+from armcal.kinematics import PRISMATIC, REVOLUTE, Joint, ManipulatorModel, transform
 from armcal.noise import NoiseModel
 from armcal.regressor import Study, stack_system
 from armcal.simulator import simulate_measurements
@@ -79,6 +82,42 @@ def test_noise_table_round_trip(table, with_uncertainty):
     for c, values in table.items():
         assert within_ulps(again.sigma[again.rows(c)], values[:3], 2)
         assert within_ulps(again.se[again.rows(c)], values[3:] if with_uncertainty else np.zeros(3), 2)
+
+
+@st.composite
+def models(draw):
+    """Models of 1-7 joints with arbitrary base and tool poses.  The pitch of a pose
+    stays 1e-4 rad from +-90 deg or sits there exactly (the gimbal case)."""
+    length, angle = finite(-2.0, 2.0), finite(-math.pi, math.pi)
+    pitch = st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]), finite(-1.5707, 1.5707))
+
+    def pose():
+        xyz = draw(st.lists(length, min_size=3, max_size=3))
+        return transform(xyz, (draw(angle), draw(pitch), draw(angle)))
+
+    joints = draw(st.lists(st.builds(Joint, kind=st.sampled_from([REVOLUTE, PRISMATIC]), a=length,
+                                     alpha=angle, d=length, theta=angle), min_size=1, max_size=7))
+    markers = draw(st.lists(st.lists(length, min_size=3, max_size=3), min_size=1, max_size=4))
+    return ManipulatorModel(joints=tuple(joints), base=pose(), tool=pose(),
+                            markers=tuple(np.array(m) for m in markers))
+
+
+@PROPERTY
+@given(models())
+def test_model_round_trip(model):
+    again = parse_model(format_model(model).splitlines())
+    assert len(again.joints) == len(model.joints)
+    for a, b in zip(again.joints, model.joints):
+        assert (a.kind, a.a, a.d) == (b.kind, b.a, b.d)
+        # angles are written in degrees: one rounding each way, so within 2 ulps
+        assert within_ulps([a.alpha, a.theta], [b.alpha, b.theta], 2)
+    assert_array_equal(np.array(again.markers), np.array(model.markers))
+    for pose, expected in ((again.base, model.base), (again.tool, model.tool)):
+        assert_array_equal(pose[:3, 3], expected[:3, 3])
+        assert_array_equal(pose[3], expected[3])
+        # the rotation is written as roll/pitch/yaw recovered by arcsin and arctan2, whose
+        # error grows as 1/cos(pitch) (<= 1e4 here): within 1e-12 per entry
+        assert np.max(np.abs(pose[:3, :3] - expected[:3, :3])) <= 1e-12
 
 
 #: Floats that format unusually: not-a-number, infinities and subnormals.

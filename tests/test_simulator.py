@@ -1,5 +1,6 @@
 """Synthetic-study generation and the Monte Carlo method comparison."""
 
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -332,15 +333,15 @@ class TestMonteCarloCompare:
     def test_failed_trials_recorded_up_to_the_abort_threshold(
         self, bundled_design, nominal_model, monkeypatch
     ):
-        # trials fail where each trial's own IRLS outcome is read: the
-        # first block's trials 0 and 1 come back as exceptions
+        # trials fail where each trial's own IRLS outcome is read: trials 0
+        # and 1 come back as exceptions from the block whose observations
+        # hold them (blocks run concurrently, so not by call order)
         real = simulator_mod._irls_stack
-        calls = {"n": 0}
+        first_two = trial_observations(bundled_design, nominal_model, range(2))
 
-        def flaky(*args):
-            fits = real(*args)
-            calls["n"] += 1
-            if calls["n"] == 1:
+        def flaky(sys, y, *args):
+            fits = real(sys, y, *args)
+            if np.array_equal(y[:2], first_two):
                 fits[:2] = [CalibrationError("synthetic trial failure")] * 2
             return fits
 
@@ -366,6 +367,13 @@ class TestMonteCarloCompare:
     def test_trial_count_validated(self, bundled_design, nominal_model):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_compare(bundled_design, nominal_model, trials=1)
+
+
+def trial_observations(design, model, trials):
+    """The stacked observations the Monte Carlo comparison draws for each of ``trials``."""
+    base = noise_free_system(design, model)
+    return np.array([base.dp + np.random.default_rng((design.seed, t)).normal(size=base.dp.shape)
+                     * base.sigma for t in trials])
 
 
 def per_trial_reference(design, model, trials, sigma0=DEFAULT_SIGMA0, **irls_kw):
@@ -419,6 +427,45 @@ class TestBatchedEquivalence:
             assert {r.stop_reason for r in irls_ref} == {
                 "max_iter" if "max_iter" in irls_kw else "single_pass"
             }
+
+    def test_blocks_merge_in_trial_order(self, bundled_design, nominal_model, monkeypatch):
+        # early blocks sleep so that later ones finish first, on more workers
+        # than the machine may have CPUs, and a trial of the last block fails:
+        # every outcome still comes back in trial order, with unpatched bits
+        trials, failing, workers = 40, 37, 4
+        unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+        base = noise_free_system(bundled_design, nominal_model)
+        block = max(1, simulator_mod._BLOCK_BYTES // base.B.nbytes)
+        assert trials // block > workers
+        observations = trial_observations(bundled_design, nominal_model, range(trials))
+        real = simulator_mod._irls_stack
+        finished = []
+
+        def slow_early(sys, y, *args):
+            first = next(t for t in range(trials) if np.array_equal(y[0], observations[t]))
+            time.sleep(0.05 * max(0, 2 - first // block))
+            fits = real(sys, y, *args)
+            for j, row in enumerate(y):
+                if np.array_equal(row, observations[failing]):
+                    fits[j] = CalibrationError("synthetic late failure")
+            finished.append(first // block)
+            return fits
+
+        monkeypatch.setattr(simulator_mod, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(simulator_mod, "_irls_stack", slow_early)
+        mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+        assert sorted(finished) == list(range(trials // block))
+        assert finished != sorted(finished)
+        assert mc.failures == ((failing, "CalibrationError", "synthetic late failure"),)
+        kept = [t for t in range(trials) if t != failing]
+        for method in ("ols", "wls", "irls"):
+            assert_array_equal(mc.estimates[method], unpatched.estimates[method][kept])
+            assert_array_equal(mc.ci3[method], unpatched.ci3[method][kept])
+        assert_array_equal(mc.irls_iterations, unpatched.irls_iterations[kept])
+        assert_array_equal(mc.irls_converged, unpatched.irls_converged[kept])
+        assert len(mc.irls_ci_traces) == len(kept)
+        for trace, t in zip(mc.irls_ci_traces, kept):
+            assert_array_equal(trace, unpatched.irls_ci_traces[t])
 
     def test_replicate_starved_design_raises_before_any_trial(
         self, nominal_model, monkeypatch
