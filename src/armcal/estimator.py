@@ -9,6 +9,15 @@ heteroscedasticity-aware sandwich covariance
 with S = diag(sigma).  With the optimal weighting W = S^-1 this collapses to
 the reduced form (B' S^-2 B)^-1.  Confidence intervals are plus/minus three
 standard deviations throughout.
+
+The repetitions of a posture are identical rows with one weight and one
+sigma, so the solve runs on the distinct rows: each class of r identical
+rows (``StackedSystem.row_class``) becomes one row scaled by sqrt(r).  With
+Q the orthonormal expansion of classes to rows, W B = Q (sqrt(r) W_c B_c)
+exactly, so the singular values and V are those of the full system and the
+condition number is not squared, as it would be by the normal equations.
+Weights or sigmas that vary within a class fall back to one class per row,
+which factors the full system as before.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,18 +104,66 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
     return " ".join(f"{v[i]:+.2f}*{names[i]}" for i in keep)
 
 
-def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray):
+class _Fold:
+    """Row classes of a system in the form the solver uses them.
+
+    ``row_class[i]`` numbers row i's class; ``first[k]`` is class k's first
+    row and ``root[k]`` the square root of its row count.  :meth:`sum` adds
+    the rows of each class in row order, so a one-row class returns its row
+    bit for bit.
+    """
+
+    def __init__(self, row_class: np.ndarray):
+        counts = np.bincount(row_class)
+        self.row_class = row_class
+        self.order = np.argsort(row_class, kind="stable")
+        self.starts = np.cumsum(counts) - counts
+        self.first = self.order[self.starts]
+        self.root = np.sqrt(counts)
+
+    def constant(self, values: np.ndarray) -> bool:
+        """Whether every row of ``values`` (..., rows) equals its class's first row."""
+        return np.array_equal(values[..., self.first[self.row_class]], values)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-class sums of ``values`` (..., rows) as (..., classes)."""
+        return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
+
+
+class _Factors(NamedTuple):
+    """One factorization per trial of folded weighted regressors, from :func:`_factor`."""
+
+    fold: _Fold
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    cov: np.ndarray
+    errors: list
+
+
+def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B``.
 
-    ``w`` and ``sigma`` are (T, m) stacks, one row per trial, and one
-    ``np.linalg.svd`` call factors them all.  Returns ``U, s, Vt, cov,
-    errors``: ``errors[t]`` is the exception trial t's solve raises (an
-    identically zero or rank-deficient regressor, a negative covariance
-    diagonal) or None.  A failed trial's singular values are set to infinity
-    so its solution reads zero instead of overflowing.
+    ``w`` and ``sigma`` are (T, m) stacks, one row per trial.  Where both
+    are constant over each of the system's row classes, the (c, n) matrix
+    ``sqrt(r) w_c B_c`` of the distinct rows is factored in place of the
+    (m, n) one: its singular values and V are the same, row k of its U is
+    sqrt(r_k) times each full-U row of class k, and the pseudo-inverse G and
+    the sandwich ``G diag((w_c sigma_c)^2) G'`` have c columns.  Otherwise
+    every row is its own class.  One ``np.linalg.svd`` call factors all
+    trials.
+
+    ``errors[t]`` is the exception trial t's solve raises (an identically
+    zero or rank-deficient regressor, a negative covariance diagonal) or
+    None.  A failed trial's singular values are set to infinity so its
+    solution reads zero instead of overflowing.
     """
     n = sys.n_parameters
-    U, s, Vt = np.linalg.svd(sys.B * w[:, :, None], full_matrices=False)
+    fold = _Fold(sys.row_class)
+    if not (fold.constant(w) and fold.constant(sigma)):
+        fold = _Fold(np.arange(sys.n_equations))
+    w, sigma = w[:, fold.first], sigma[:, fold.first]
+    U, s, Vt = np.linalg.svd(sys.B[fold.first] * (fold.root * w)[:, :, None], full_matrices=False)
     rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
     rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
     errors: list[Exception | None] = [None] * len(s)
@@ -130,25 +187,26 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray):
         )
     s[rank < n] = np.inf
 
-    # pinv of each w[t] * B; the quotient is C-ordered as matmul is slower on the transposed layout
-    G = Vt.transpose(0, 2, 1) @ np.divide(U.transpose(0, 2, 1), s[:, :, None], order="C")
+    G = Vt.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])  # pinv of each folded matrix
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     for t in np.flatnonzero(np.any(np.diagonal(cov, axis1=1, axis2=2) < 0.0, axis=1)):
         errors[t] = RuntimeError("covariance diagonal went negative; system is numerically unusable")
-    return U, s, Vt, cov, errors
+    return _Factors(fold, U, s, Vt, cov, errors)
 
 
-def _apply(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, yw: np.ndarray) -> np.ndarray:
-    """Solutions ``V ((U' yw[t]) / s)`` of a (T, m) stack of weighted observations.
+def _apply(f: _Factors, yw: np.ndarray) -> np.ndarray:
+    """Solutions ``V ((U' q[t]) / s)`` of a (T, m) stack of weighted observations.
 
-    The factors may hold one slice shared by every trial.  Each trial is its
-    own matrix-vector product in this association order, so a stacked solve
-    equals the one-trial solve bit for bit.
+    ``q[t]`` holds the per-class sums of ``yw[t]`` divided by sqrt(r), the
+    folded observations.  The factors may hold one slice shared by every
+    trial.  Each trial is its own matrix-vector product in this association
+    order, so a stacked solve equals the one-trial solve bit for bit.
     """
-    c = (U.transpose(0, 2, 1) @ yw[:, :, None])[:, :, 0] / s
-    return (Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
+    q = f.fold.sum(yw) / f.fold.root
+    c = (f.U.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0] / f.s
+    return (f.Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
 
 
 def _weighted_solve(
@@ -162,15 +220,15 @@ def _weighted_solve(
     if not np.any(w > 0.0):
         raise ValueError("all rows have zero weight")
 
-    U, s, Vt, cov, errors = _factor(sys, w[None], sys.sigma[None])
-    if errors[0] is not None:
-        raise errors[0]
-    x = _apply(U, s, Vt, (sys.dp * w)[None])[0]
+    f = _factor(sys, w[None], sys.sigma[None])
+    if f.errors[0] is not None:
+        raise f.errors[0]
+    x = _apply(f, (sys.dp * w)[None])[0]
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x,
-        covariance=cov[0],
-        ci3=3.0 * np.sqrt(np.diag(cov[0])),
+        covariance=f.cov[0],
+        ci3=3.0 * np.sqrt(np.diag(f.cov[0])),
         residuals=sys.B @ x - sys.dp,
         method=method,
         weights=w,
@@ -231,12 +289,14 @@ def _irls_stack(
     """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
 
     ``sigma`` holds each trial's starting dispersions.  Each iteration solves
-    the trials still running with one stacked SVD; a trial leaves the stack
-    when it stops, and only then is its result built.  Returns per trial its
-    final result, or the exception its solve raised (rank loss at iteration
-    1, a negative covariance diagonal).  The grouping of the dispersion
-    re-estimate is planned on the first re-estimate, so a single pass needs
-    no replicates.
+    the trials still running with one stacked SVD, predicts each class of
+    identical rows once and gathers the row residuals from those predictions,
+    then re-estimates the dispersions over all rows.  A trial leaves the
+    stack when it stops, and only then is its result built.  Returns per
+    trial its final result, or the exception its solve raised (rank loss at
+    iteration 1, a negative covariance diagonal).  The grouping of the
+    dispersion re-estimate is planned on the first re-estimate, so a single
+    pass needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -250,18 +310,19 @@ def _irls_stack(
     sigma_t = sigma
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma_t, sigma0, lam)
-        U, s, Vt, cov, errors = _factor(sys, w, sigma_t)
-        x = _apply(U, s, Vt, y[live] * w)
-        residuals = (sys.B @ x[:, :, None])[:, :, 0] - y[live]
-        ci3 = 3.0 * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
-        arrays = (x, cov, ci3, residuals, w, sigma_t)
+        f = _factor(sys, w, sigma_t)
+        x = _apply(f, y[live] * w)
+        predicted = (sys.B[f.fold.first] @ x[:, :, None])[:, :, 0]  # one row per class
+        residuals = predicted[:, f.fold.row_class] - y[live]
+        ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
+        arrays = (x, f.cov, ci3, residuals, w, sigma_t)
         if prev is not None:
             change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
         keep = np.zeros(live.shape[0], dtype=bool)
         for j, t in enumerate(live):
-            if errors[j] is not None:
-                if prev is None or not isinstance(errors[j], RankDeficientError):
-                    final[t] = errors[j]
+            if f.errors[j] is not None:
+                if prev is None or not isinstance(f.errors[j], RankDeficientError):
+                    final[t] = f.errors[j]
                 else:
                     final[t] = _irls_result(sys, *last[t], trace[t], "rank_loss")
                 continue

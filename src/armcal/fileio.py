@@ -165,14 +165,18 @@ def load_model(path: str | Path) -> ManipulatorModel:
 
 
 def _rpy_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
-    pitch = float(np.arcsin(np.clip(-R[2, 0], -1.0, 1.0)))
-    if abs(R[2, 0]) < 1.0 - 1e-12:
-        roll = float(np.arctan2(R[2, 1], R[2, 2]))
-        yaw = float(np.arctan2(R[1, 0], R[0, 0]))
-    else:  # gimbal: fold everything into roll
-        roll = float(np.arctan2(-R[1, 2], R[1, 1]))
-        yaw = 0.0
-    return roll, pitch, yaw
+    """Roll, pitch and yaw (radians) of the rotation ``R``, the inverse of ``rpy_matrix``.
+
+    The pitch comes from its sine and cosine, so it stays accurate next to
+    +-90 deg, where an arcsin loses half the digits.  Only where the cosine
+    is at rounding level (gimbal lock) are roll and yaw inseparable, and
+    everything is folded into roll.
+    """
+    cos_pitch = float(np.hypot(R[0, 0], R[1, 0]))
+    pitch = float(np.arctan2(-R[2, 0], cos_pitch))
+    if cos_pitch > 4.0 * np.finfo(float).eps:
+        return float(np.arctan2(R[2, 1], R[2, 2])), pitch, float(np.arctan2(R[1, 0], R[0, 0]))
+    return float(np.arctan2(-R[1, 2], R[1, 1])), pitch, 0.0
 
 
 def format_model(model: ManipulatorModel) -> str:

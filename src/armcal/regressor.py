@@ -202,7 +202,13 @@ class StackedSystem:
     ``group[i]`` numbers the row's (configuration, axis) pair, the unit that
     carries one dispersion; it is derived from ``config`` and ``axis`` and
     feeds :func:`armcal.noise.grouped_std`.  ``columns`` names the entries of
-    ``x``.  All arrays are read-only.
+    ``x``.
+
+    ``row_class[i]`` numbers row i's class of identical rows: rows of one
+    class share their ``B`` row and ``group`` bit for bit, so the solver
+    factors each class once (see :mod:`armcal.estimator`).  Classes are
+    numbered 0, 1, ... without gaps, and the default is one class per row.
+    All arrays are read-only.
     """
 
     B: np.ndarray
@@ -212,6 +218,7 @@ class StackedSystem:
     marker: np.ndarray
     axis: np.ndarray
     columns: tuple[str, ...]
+    row_class: np.ndarray | None = None
     group: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -233,8 +240,22 @@ class StackedSystem:
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(dp)) and np.all(np.isfinite(sigma))):
             raise ValueError("stacked system contains non-finite values")
         group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
+        if self.row_class is None:
+            row_class = np.arange(m)
+        else:
+            row_class = np.asarray(self.row_class, dtype=int).reshape(-1)
+            if row_class.shape[0] != m:
+                raise ValueError("row_class disagrees with B on the row count")
+            if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
+                raise ValueError("row_class must number its classes 0, 1, ... without gaps")
+            member = np.empty(row_class.max() + 1, dtype=int)
+            member[row_class] = np.arange(m)  # one row of each class
+            twin = member[row_class]  # each row's class member
+            if not (np.array_equal(B.take(twin, axis=0).view(np.int64), B.view(np.int64))
+                    and np.array_equal(group[twin], group)):
+                raise ValueError("rows of one row_class differ in B or in (configuration, axis) group")
         for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
-                          ("marker", marker), ("axis", axis), ("group", group)):
+                          ("marker", marker), ("axis", axis), ("row_class", row_class), ("group", group)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -278,6 +299,8 @@ def stack_system(
     force and its application marker, not the configuration id) agree bit
     for bit, so the repetitions of a posture share one block.  A posture
     that recurs after a different one is built again, to the same bits.
+    The system's ``row_class`` is that run, split where the configuration
+    (and so the dispersion) changes, then the block kind and the axis.
     """
     if not len(study):
         raise ValueError("no records to stack")
@@ -331,5 +354,7 @@ def stack_system(
     marker = np.repeat(s.marker, 3 * blocks_per_record)
     axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(s))
     sigma = build_sigma(noise, config, axis, floor=sigma_floor)
+    run = np.cumsum(start | np.r_[False, s.config[1:] != s.config[:-1]]) - 1
+    row_class = run[:, None] * (3 * blocks_per_record) + np.arange(3 * blocks_per_record)
     return StackedSystem(B=B, dp=dp.reshape(-1), sigma=sigma, config=config, marker=marker, axis=axis,
-                         columns=columns)
+                         columns=columns, row_class=row_class)

@@ -42,11 +42,12 @@ from .regressor import (
 
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
-#: Byte budget of one (trials, rows, parameters) stack in the Monte Carlo
-#: comparison; it sets how many trials are solved together.  The working
-#: memory scales with the concurrent workers times this block, not with the
-#: trial count.
-_BLOCK_BYTES = 1 << 18
+#: Byte budget of one block of trials in the Monte Carlo comparison, counted
+#: as a folded (classes, parameters) regressor plus a row of observations
+#: per trial (:func:`_block_trials`); it sets how many trials are solved
+#: together.  The working memory scales with the concurrent workers times
+#: this block, not with the trial count.
+_BLOCK_BYTES = 3 << 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,13 @@ def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSy
     return stack_system(simulate_measurements(silent, model), model, design.cmap, design.noise)
 
 
+def _block_trials(sys: StackedSystem) -> int:
+    """Trials per Monte Carlo block of ``sys``: ``_BLOCK_BYTES`` over one trial's folded
+    regressor (a row per class of identical rows) and its row of observations."""
+    classes = int(sys.row_class.max()) + 1
+    return max(1, _BLOCK_BYTES // (sys.B.itemsize * (classes * sys.n_parameters + sys.n_equations)))
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on (its affinity mask where the platform has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -253,12 +261,15 @@ def monte_carlo_compare(
     blind, from the raw per-(configuration, axis) scatter of that trial's
     deflections.
 
-    Trials are solved together in fixed blocks (a few trials each, sized by a
-    byte budget).  OLS and WLS share ``B`` and their weights across trials,
-    so each is one SVD, made before any block, plus a stacked product per
-    block, and that SVD also gives the method's predicted covariance and
-    CIs; IRLS runs one stacked SVD per iteration over the block's
-    still-running trials, each keeping its own stop iteration and reason.
+    Trials are solved together in fixed blocks (about a dozen trials each on
+    the bundled design, sized by :func:`_block_trials`).  Every solve
+    factors the distinct rows only, one per class of a posture's identical
+    repetitions (see :mod:`armcal.estimator`).  OLS and WLS share ``B`` and
+    their weights across trials, so each is one SVD, made before any block,
+    plus a stacked product per block, and that SVD also gives the method's
+    predicted covariance and CIs; IRLS runs one stacked SVD per iteration
+    over the block's still-running trials, each keeping its own stop
+    iteration and reason.
     Blocks are drawn and solved concurrently by a thread pool with one
     worker per CPU the process may run on (at most one per block); their
     outcomes merge in block order, so working memory scales with workers
@@ -276,12 +287,12 @@ def monte_carlo_compare(
 
     fixed, cov, ci3 = {}, {}, {}
     for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
-        U, s, Vt, c, errors = _factor(base, w[None], sigma_true[None])
-        if errors[0] is not None:
-            raise errors[0]
-        fixed[name], cov[name], ci3[name] = (U, s, Vt, w), c[0], 3.0 * np.sqrt(np.diag(c[0]))
+        f = _factor(base, w[None], sigma_true[None])
+        if f.errors[0] is not None:
+            raise f.errors[0]
+        fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
-    block = max(1, _BLOCK_BYTES // base.B.nbytes)
+    block = _block_trials(base)
 
     def solve_block(start: int) -> tuple[list[tuple], list[tuple]]:
         """One block's failures and, per solved trial, its OLS, WLS and IRLS outcomes."""
@@ -290,7 +301,7 @@ def monte_carlo_compare(
                           for t in block_trials])
         dp = dp_clean + noise * sigma_true
         sigma_raw = np.maximum(plan.std(dp)[:, group], sigma0)
-        x = {name: _apply(U, s, Vt, dp * w) for name, (U, s, Vt, w) in fixed.items()}
+        x = {name: _apply(f, dp * w) for name, (f, w) in fixed.items()}
         try:
             fits = _irls_stack(base, dp, sigma_raw, sigma0, lam, rel_tol, max_iter)
         except np.linalg.LinAlgError as exc:  # the stacked SVD fails as a whole

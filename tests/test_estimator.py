@@ -328,10 +328,11 @@ class TestIRLS:
 
         def failing_factor(sys, w, sigma):
             calls["n"] += 1
-            U, s, Vt, cov, errors = real_factor(sys, w, sigma)
+            factors = real_factor(sys, w, sigma)
             if calls["n"] >= 2:
-                errors = [RankDeficientError("synthetic rank collapse")] * len(errors)
-            return U, s, Vt, cov, errors
+                factors = factors._replace(
+                    errors=[RankDeficientError("synthetic rank collapse")] * len(factors.errors))
+            return factors
 
         monkeypatch.setattr(estimator_mod, "_factor", failing_factor)
         res = irls(noisy_system, rel_tol=0.0, max_iter=5)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import scalar_chain
 from armcal import kinematics, reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
-from armcal.estimator import ols_estimate
+from armcal.estimator import irls, ols_estimate, optimal_weights, robust_weights, wls_estimate
 from armcal.kinematics import (
     PRISMATIC,
     REVOLUTE,
@@ -19,7 +19,7 @@ from armcal.kinematics import (
     parameter_jacobian,
     perturbed,
 )
-from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma, grouped_std
 from armcal.regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -531,6 +531,120 @@ class TestPostureReuse:
                          bundled_design.noise, mode=mode, params=params)
             assert postures == expected
         assert sum(public.values()) == 0
+
+
+def unfolded_fit(sys, w, sigma):
+    """Estimate and sandwich covariance under per-row weights ``w``, from every row of ``w B``."""
+    A = sys.B * w[:, None]
+    G = np.linalg.pinv(A)
+    return np.linalg.lstsq(A, sys.dp * w, rcond=None)[0], (G * (w * sigma) ** 2) @ G.T
+
+
+def assert_close_to_largest(actual, expected, rtol=1e-10):
+    """Every entry within ``rtol`` of the largest entry of ``expected``."""
+    assert_allclose(actual, expected, rtol=0.0, atol=rtol * np.max(np.abs(expected)))
+
+
+def crossing_study(model, rng):
+    """The shared-posture study at marker 0 with configuration 2 loaded as 1: one posture's
+    sorted rows run on from configuration 1 into 2, under another sigma."""
+    study, cmap, noise = shared_posture_study(model, rng)
+    study = study.take(study.marker == 0)
+    heavy = np.where((study.config == 2)[:, None], [0.0, 0.0, -2600.0], study.force)
+    return replace(study, force=heavy), cmap, noise
+
+
+def prefold_solve(sys, w):
+    """Estimate and covariance by the SVD of every row of ``w B``, in the solver's order of operations."""
+    U, s, Vt = np.linalg.svd(sys.B * w[:, None], full_matrices=False)
+    x = Vt.T @ ((U.T @ (sys.dp * w)) / s)
+    G = Vt.T @ np.divide(U.T, s[:, None], order="C")
+    cov = (G * (w * sys.sigma) ** 2) @ G.T
+    return x, 0.5 * (cov + cov.T)
+
+
+class TestRowClasses:
+    """Solving on the distinct rows, each class of identical rows folded into one."""
+
+    MODES = [("elastostatic", None), ("geometric", GEOMETRIC_PARAMS), ("combined", GEOMETRIC_PARAMS)]
+
+    @pytest.fixture(params=["bundled", "shared", "crossing"])
+    def study(self, request, bundled_study, bundled_design, nominal_model):
+        if request.param == "bundled":
+            return bundled_study, bundled_design.cmap, bundled_design.noise
+        make = shared_posture_study if request.param == "shared" else crossing_study
+        return make(nominal_model, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("mode, params", MODES, ids=[m for m, _ in MODES])
+    def test_solves_match_unfolded_reference(self, study, mode, params, nominal_model):
+        records, cmap, noise = study
+        sys = stack_system(records, nominal_model, cmap, noise, mode=mode, params=params)
+        # each posture run of one configuration, block kind and axis is one class
+        kinds = 2 if mode == "combined" else 1
+        runs = np.diff(sys.row_class[::3 * kinds]) > 0
+        assert sys.row_class.max() + 1 == 3 * kinds * (1 + np.count_nonzero(runs)) < sys.n_equations
+        assert np.all(np.diff(sys.config[::3 * kinds])[~runs] == 0)
+        unfolded = replace(sys, row_class=None)
+        assert_array_equal(unfolded.row_class, np.arange(sys.n_equations))
+        for res, w in ((ols_estimate(sys), np.ones(sys.n_equations)),
+                       (wls_estimate(sys, optimal_weights(sys.sigma)), optimal_weights(sys.sigma)),
+                       (irls(sys), None)):
+            w = res.weights if w is None else w
+            x, cov = unfolded_fit(sys, w, res.sigma)
+            assert_close_to_largest(res.x_hat, x)
+            assert_close_to_largest(res.covariance, cov)
+        # the reweighting loop takes the same steps folded and unfolded
+        folded, full = irls(sys), irls(unfolded)
+        assert (folded.stop_reason, len(folded.iterations)) == (full.stop_reason, len(full.iterations))
+        for a, b in zip(folded.iterations, full.iterations):
+            assert_close_to_largest(a.x_hat, b.x_hat)
+            assert_close_to_largest(a.ci3, b.ci3)
+        assert_close_to_largest(folded.residuals, full.residuals)
+
+    def test_weights_varying_within_a_class_solve_every_row(self, bundled_system):
+        w = np.random.default_rng(3).uniform(0.5, 2.0, size=bundled_system.n_equations)
+        res = wls_estimate(bundled_system, w)
+        x, cov = unfolded_fit(bundled_system, w, bundled_system.sigma)
+        assert_close_to_largest(res.x_hat, x)
+        assert_close_to_largest(res.covariance, cov)
+
+    @pytest.mark.parametrize("mode, params", MODES, ids=[m for m, _ in MODES])
+    def test_unreplicated_system_keeps_prefold_bits(self, mode, params, nominal_model):
+        design = reference.study_design(seed=9, repetitions=1)
+        sys = stack_system(simulate_measurements(design, nominal_model), nominal_model, design.cmap,
+                           design.noise, mode=mode, params=params)
+        assert_array_equal(sys.row_class, np.arange(sys.n_equations))  # 3 markers, no two rows alike
+        for res, w in ((ols_estimate(sys), np.ones(sys.n_equations)),
+                       (wls_estimate(sys, optimal_weights(sys.sigma)), optimal_weights(sys.sigma))):
+            x, cov = prefold_solve(sys, w)
+            assert_array_equal(res.x_hat, x)
+            assert_array_equal(res.covariance, cov)
+        # the reweighting loop, one solve per iteration
+        res = irls(sys)
+        sigma, prev = sys.sigma, None
+        for snap in res.iterations:
+            w = robust_weights(sigma)
+            x, cov = prefold_solve(replace(sys, sigma=sigma), w)
+            assert_array_equal(snap.x_hat, x)
+            assert_array_equal(snap.ci3, 3.0 * np.sqrt(np.diag(cov)))
+            sigma = np.maximum(grouped_std(sys.B @ x - sys.dp, sys.group)[sys.group], DEFAULT_SIGMA0)
+        assert_array_equal(res.weights, w)
+
+    def test_class_rows_must_agree_in_regressor_and_group(self):
+        good = dict(B=np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0], [3.0, 1.0]]), dp=np.zeros(4),
+                    sigma=np.ones(4), config=[1, 1, 1, 1], marker=[0, 1, 0, 1], axis=[0, 0, 1, 1],
+                    columns=("k1", "k2"), row_class=[1, 1, 0, 0])
+        assert_array_equal(StackedSystem(**good).row_class, [1, 1, 0, 0])
+        for change in ({"B": good["B"] * [[1.0], [1.0], [1.0], [-1.0]]},  # one row's sign
+                       {"B": good["B"] + [[0.0], [0.0], [0.0], [1e-15]]},
+                       {"B": np.array([[0.0, 2.0], [-0.0, 2.0], [3.0, 1.0], [3.0, 1.0]])},  # bits, not values
+                       {"config": [1, 2, 1, 1]},
+                       {"axis": [0, 0, 1, 2]}):
+            with pytest.raises(ValueError, match="row_class"):
+                StackedSystem(**{**good, **change})
+        for row_class in ([0, 0, 1], [2, 2, 0, 0], [-1, -1, 0, 0]):  # a row short, a gap, a negative
+            with pytest.raises(ValueError, match="row_class"):
+                StackedSystem(**{**good, "row_class": row_class})
 
 
 class TestStackSystemChecks:

@@ -406,7 +406,7 @@ class TestBatchedEquivalence:
     def test_matches_per_trial_solves(self, irls_kw, bundled_design, nominal_model):
         base = noise_free_system(bundled_design, nominal_model)
         # the last block is a partial one
-        assert self.TRIALS % max(1, simulator_mod._BLOCK_BYTES // base.B.nbytes) != 0
+        assert self.TRIALS % simulator_mod._block_trials(base) != 0
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=self.TRIALS, **irls_kw)
         ref = per_trial_reference(bundled_design, nominal_model, self.TRIALS, **irls_kw)
         assert mc.failures == ()
@@ -432,10 +432,12 @@ class TestBatchedEquivalence:
         # early blocks sleep so that later ones finish first, on more workers
         # than the machine may have CPUs, and a trial of the last block fails:
         # every outcome still comes back in trial order, with unpatched bits
-        trials, failing, workers = 40, 37, 4
-        unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+        workers = 4
         base = noise_free_system(bundled_design, nominal_model)
-        block = max(1, simulator_mod._BLOCK_BYTES // base.B.nbytes)
+        block = simulator_mod._block_trials(base)
+        trials = block * (workers + 1)
+        failing = trials - 3
+        unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
         assert trials // block > workers
         observations = trial_observations(bundled_design, nominal_model, range(trials))
         real = simulator_mod._irls_stack
