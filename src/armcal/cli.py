@@ -73,8 +73,8 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
 
 
 def _check_estimator_args(args) -> None:
-    _require(math.isfinite(args.sigma0) and args.sigma0 > 0.0, "--sigma0", "positive", args.sigma0)
-    _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative", args.lam)
+    _require(math.isfinite(args.sigma0) and args.sigma0 > 0.0, "--sigma0", "positive and finite", args.sigma0)
+    _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative and finite", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
     _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
              "non-negative (or non-finite for a single pass)", args.rel_tol)
@@ -198,7 +198,7 @@ def _cmd_simulate(args) -> int:
     _require(1 <= args.markers <= n_markers, "--markers", f"in 1..{n_markers}", args.markers)
     _require(args.repetitions >= 1, "--repetitions", "at least 1", args.repetitions)
     _require(args.seed >= 0, "--seed", "non-negative", args.seed)
-    _require(math.isfinite(args.mass) and args.mass >= 0.0, "--mass", "non-negative", args.mass)
+    _require(math.isfinite(args.mass) and args.mass >= 0.0, "--mass", "non-negative and finite", args.mass)
     noise = load_noise_table(args.noise) if args.noise else None
     design = reference.study_design(
         seed=args.seed,

@@ -16,21 +16,22 @@ rows (``StackedSystem.row_class``) becomes one row scaled by sqrt(r).  With
 Q the orthonormal expansion of classes to rows, W B = Q (sqrt(r) W_c B_c)
 exactly, so the singular values and V are those of the full system and the
 condition number is not squared, as it would be by the normal equations.
-Weights or sigmas that vary within a class fall back to one class per row,
-which factors the full system as before.
+A system's sigmas are constant over each class by its contract; caller
+weights that split a class solve the system with one class per row, which
+factors the full system as before.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import RankDeficientError
-from .noise import DEFAULT_SIGMA0, _GroupPlan
+from .noise import DEFAULT_SIGMA0, _Groups
 from .regressor import StackedSystem
 
 #: Relative singular-value cutoff below which a direction counts as collapsed.
@@ -104,36 +105,10 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
     return " ".join(f"{v[i]:+.2f}*{names[i]}" for i in keep)
 
 
-class _Fold:
-    """Row classes of a system in the form the solver uses them.
-
-    ``row_class[i]`` numbers row i's class; ``first[k]`` is class k's first
-    row and ``root[k]`` the square root of its row count.  :meth:`sum` adds
-    the rows of each class in row order, so a one-row class returns its row
-    bit for bit.
-    """
-
-    def __init__(self, row_class: np.ndarray):
-        counts = np.bincount(row_class)
-        self.row_class = row_class
-        self.order = np.argsort(row_class, kind="stable")
-        self.starts = np.cumsum(counts) - counts
-        self.first = self.order[self.starts]
-        self.root = np.sqrt(counts)
-
-    def constant(self, values: np.ndarray) -> bool:
-        """Whether every row of ``values`` (..., rows) equals its class's first row."""
-        return np.array_equal(values[..., self.first[self.row_class]], values)
-
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-class sums of ``values`` (..., rows) as (..., classes)."""
-        return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
-
-
 class _Factors(NamedTuple):
     """One factorization per trial of folded weighted regressors, from :func:`_factor`."""
 
-    fold: _Fold
+    classes: _Groups
     U: np.ndarray
     s: np.ndarray
     Vt: np.ndarray
@@ -144,14 +119,13 @@ class _Factors(NamedTuple):
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B``.
 
-    ``w`` and ``sigma`` are (T, m) stacks, one row per trial.  Where both
-    are constant over each of the system's row classes, the (c, n) matrix
-    ``sqrt(r) w_c B_c`` of the distinct rows is factored in place of the
-    (m, n) one: its singular values and V are the same, row k of its U is
-    sqrt(r_k) times each full-U row of class k, and the pseudo-inverse G and
-    the sandwich ``G diag((w_c sigma_c)^2) G'`` have c columns.  Otherwise
-    every row is its own class.  One ``np.linalg.svd`` call factors all
-    trials.
+    ``w`` and ``sigma`` are (T, m) stacks, one row per trial, each constant
+    over every class of the system's ``class_plan``; only a class's first
+    row is read.  The (c, n) matrix ``sqrt(r) w_c B_c`` of the distinct rows
+    is factored in place of the (m, n) one: its singular values and V are
+    the same, row k of its U is sqrt(r_k) times each full-U row of class k,
+    and the pseudo-inverse G and the sandwich ``G diag((w_c sigma_c)^2) G'``
+    have c columns.  One ``np.linalg.svd`` call factors all trials.
 
     ``errors[t]`` is the exception trial t's solve raises (an identically
     zero or rank-deficient regressor, a negative covariance diagonal) or
@@ -159,11 +133,10 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     solution reads zero instead of overflowing.
     """
     n = sys.n_parameters
-    fold = _Fold(sys.row_class)
-    if not (fold.constant(w) and fold.constant(sigma)):
-        fold = _Fold(np.arange(sys.n_equations))
-    w, sigma = w[:, fold.first], sigma[:, fold.first]
-    U, s, Vt = np.linalg.svd(sys.B[fold.first] * (fold.root * w)[:, :, None], full_matrices=False)
+    classes = sys.class_plan
+    w, sigma = w[:, classes.first], sigma[:, classes.first]
+    U, s, Vt = np.linalg.svd(sys.B[classes.first] * (np.sqrt(classes.counts) * w)[:, :, None],
+                             full_matrices=False)
     rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
     rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
     errors: list[Exception | None] = [None] * len(s)
@@ -193,7 +166,7 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     for t in np.flatnonzero(np.any(np.diagonal(cov, axis1=1, axis2=2) < 0.0, axis=1)):
         errors[t] = RuntimeError("covariance diagonal went negative; system is numerically unusable")
-    return _Factors(fold, U, s, Vt, cov, errors)
+    return _Factors(classes, U, s, Vt, cov, errors)
 
 
 def _apply(f: _Factors, yw: np.ndarray) -> np.ndarray:
@@ -204,7 +177,7 @@ def _apply(f: _Factors, yw: np.ndarray) -> np.ndarray:
     trial.  Each trial is its own matrix-vector product in this association
     order, so a stacked solve equals the one-trial solve bit for bit.
     """
-    q = f.fold.sum(yw) / f.fold.root
+    q = f.classes.sum(yw) / np.sqrt(f.classes.counts)
     c = (f.U.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0] / f.s
     return (f.Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
 
@@ -219,6 +192,8 @@ def _weighted_solve(
         raise ValueError("weights must be finite and non-negative")
     if not np.any(w > 0.0):
         raise ValueError("all rows have zero weight")
+    if not np.array_equal(w[sys.class_plan.first[sys.row_class]], w):  # the weights split a class
+        sys = replace(sys, row_class=None)
 
     f = _factor(sys, w[None], sys.sigma[None])
     if f.errors[0] is not None:
@@ -288,15 +263,16 @@ def _irls_stack(
 ) -> list[EstimationResult | Exception]:
     """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
 
-    ``sigma`` holds each trial's starting dispersions.  Each iteration solves
-    the trials still running with one stacked SVD, predicts each class of
-    identical rows once and gathers the row residuals from those predictions,
-    then re-estimates the dispersions over all rows.  A trial leaves the
-    stack when it stops, and only then is its result built.  Returns per
-    trial its final result, or the exception its solve raised (rank loss at
-    iteration 1, a negative covariance diagonal).  The grouping of the
-    dispersion re-estimate is planned on the first re-estimate, so a single
-    pass needs no replicates.
+    ``sigma`` holds each trial's starting dispersions, constant over each
+    row class.  Each iteration solves the trials still running with one
+    stacked SVD, predicts each class of identical rows once and gathers the
+    row residuals from those predictions, then re-estimates the dispersions
+    over all rows.  A trial leaves the stack when it stops, and only then is
+    its result built.  Returns per trial its final result, or the exception
+    its solve raised (rank loss at iteration 1, a negative covariance
+    diagonal).  The solves and the re-estimates use the system's own class
+    and group plans; a one-row group raises only at a re-estimate, so a
+    single pass needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -306,14 +282,13 @@ def _irls_stack(
     last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
     live = np.arange(y.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
-    plan = None
     sigma_t = sigma
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma_t, sigma0, lam)
         f = _factor(sys, w, sigma_t)
         x = _apply(f, y[live] * w)
-        predicted = (sys.B[f.fold.first] @ x[:, :, None])[:, :, 0]  # one row per class
-        residuals = predicted[:, f.fold.row_class] - y[live]
+        predicted = (sys.B[sys.class_plan.first] @ x[:, :, None])[:, :, 0]  # one row per class
+        residuals = predicted[:, sys.row_class] - y[live]
         ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
         arrays = (x, f.cov, ci3, residuals, w, sigma_t)
         if prev is not None:
@@ -341,9 +316,7 @@ def _irls_stack(
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break
-        if plan is None:
-            plan = _GroupPlan(sys.group)
-        sigma_t = np.maximum(plan.std(residuals[keep])[:, sys.group], sigma0)
+        sigma_t = np.maximum(sys.group_plan.std(residuals[keep])[:, sys.group], sigma0)
     return final
 
 

@@ -125,33 +125,48 @@ def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
     group = np.asarray(group).reshape(-1)
     if values.shape[-1:] != group.shape:
         raise ValueError("values and group length mismatch")
-    return _GroupPlan(group).std(values)
+    return _Groups(group).std(values)
 
 
-class _GroupPlan:
-    """The gathers :func:`grouped_std` makes for one ``group`` vector, planned once.
+class _Groups:
+    """Rows grouped by an integer label, planned once per label vector.
 
-    Rows are ordered by group (stable), and the groups of each size share one
-    (groups, size) index block, so repeated calls over the same grouping (the
-    IRLS re-estimates, the Monte Carlo's trial blocks) pay for the counting
-    and sorting once.  A group of one row raises :class:`ReplicateCountError`.
+    ``label[i]`` numbers row i's group.  Rows are taken in a stable order by
+    group: ``counts[g]`` is group g's row count, ``starts[g]`` its offset in
+    that order and ``first[g]`` its first row.  The groups of each size share
+    one (groups, size) index block, so repeated reductions over one grouping
+    (the IRLS iterations, the Monte Carlo's trial blocks) pay for the
+    counting and sorting once.
     """
 
-    def __init__(self, group: np.ndarray):
-        counts = np.bincount(group)
-        if np.any(counts == 1):
+    def __init__(self, label: np.ndarray):
+        self.counts = np.bincount(label)
+        self.order = np.argsort(label, kind="stable")
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.first = self.order[self.starts]
+        size_of = self.counts[label[self.order]]  # group size of each row, in group order
+        self.by_size = [(np.flatnonzero(self.counts == size), self.order[size_of == size].reshape(-1, size))
+                        for size in set(self.counts[self.counts > 0].tolist())]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-group sums of ``values`` (..., rows) as (..., groups), for labels without gaps.
+
+        Each group adds its rows in row order, so a one-row group returns its
+        row bit for bit.
+        """
+        return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
+
+    def std(self, values: np.ndarray) -> np.ndarray:
+        """Grouped sample stds (ddof=1) of ``values`` (..., rows) as (..., groups).
+
+        A group without rows reads 0.0; a group of one row raises
+        :class:`ReplicateCountError`.
+        """
+        if np.any(self.counts == 1):
             raise ReplicateCountError(
                 "every (configuration, axis) group needs >= 2 rows to estimate a dispersion"
             )
-        order = np.argsort(group, kind="stable")
-        size_of = counts[group[order]]  # group size of each row, in group order
-        self.n_groups = counts.shape[0]
-        self.by_size = [(np.flatnonzero(counts == size), order[size_of == size].reshape(-1, size))
-                        for size in set(counts[counts > 0].tolist())]
-
-    def std(self, values: np.ndarray) -> np.ndarray:
-        """Grouped sample stds of ``values`` (..., rows) as (..., groups)."""
-        out = np.zeros(values.shape[:-1] + (self.n_groups,))
+        out = np.zeros(values.shape[:-1] + (self.counts.shape[0],))
         for ids, rows in self.by_size:
             out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
         return out

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BucketMatchError, UnderDeterminedError
 from .kinematics import ManipulatorModel, _check_rotations, _joint_jacobians, _kinematics, _parameter_jacobians
 from .kinematics import joint_jacobian  # noqa: F401  bench/tests reach armcal.regressor.joint_jacobian
-from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, build_sigma
+from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 
 #: Angle tolerance (radians) when matching a configuration to a bucket level.
 BUCKET_TOL = 1e-6
@@ -205,10 +205,12 @@ class StackedSystem:
     ``x``.
 
     ``row_class[i]`` numbers row i's class of identical rows: rows of one
-    class share their ``B`` row and ``group`` bit for bit, so the solver
-    factors each class once (see :mod:`armcal.estimator`).  Classes are
-    numbered 0, 1, ... without gaps, and the default is one class per row.
-    All arrays are read-only.
+    class share their ``B`` row, ``sigma`` and ``group`` bit for bit, so the
+    solver factors each class once (see :mod:`armcal.estimator`).  Classes
+    are numbered 0, 1, ... without gaps, and the default is one class per
+    row.  ``class_plan`` and ``group_plan`` group the rows by ``row_class``
+    and by ``group``, planned once per system for every solve and dispersion
+    re-estimate.  All arrays are read-only.
     """
 
     B: np.ndarray
@@ -220,6 +222,8 @@ class StackedSystem:
     columns: tuple[str, ...]
     row_class: np.ndarray | None = None
     group: np.ndarray = field(init=False, repr=False)
+    class_plan: _Groups = field(init=False, repr=False)
+    group_plan: _Groups = field(init=False, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -240,25 +244,23 @@ class StackedSystem:
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(dp)) and np.all(np.isfinite(sigma))):
             raise ValueError("stacked system contains non-finite values")
         group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
-        if self.row_class is None:
-            row_class = np.arange(m)
-        else:
-            row_class = np.asarray(self.row_class, dtype=int).reshape(-1)
-            if row_class.shape[0] != m:
-                raise ValueError("row_class disagrees with B on the row count")
-            if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
-                raise ValueError("row_class must number its classes 0, 1, ... without gaps")
-            member = np.empty(row_class.max() + 1, dtype=int)
-            member[row_class] = np.arange(m)  # one row of each class
-            twin = member[row_class]  # each row's class member
-            if not (np.array_equal(B.take(twin, axis=0).view(np.int64), B.view(np.int64))
-                    and np.array_equal(group[twin], group)):
-                raise ValueError("rows of one row_class differ in B or in (configuration, axis) group")
+        row_class = np.arange(m) if self.row_class is None else np.asarray(self.row_class, dtype=int).reshape(-1)
+        if row_class.shape[0] != m:
+            raise ValueError("row_class disagrees with B on the row count")
+        if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
+            raise ValueError("row_class must number its classes 0, 1, ... without gaps")
+        class_plan = _Groups(row_class)
+        twin = class_plan.first[row_class]  # the first row of each row's class
+        if not (np.array_equal(B.take(twin, axis=0).view(np.int64), B.view(np.int64))
+                and np.array_equal(sigma[twin], sigma) and np.array_equal(group[twin], group)):
+            raise ValueError("rows of one row_class differ in B, sigma or (configuration, axis) group")
         for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
                           ("marker", marker), ("axis", axis), ("row_class", row_class), ("group", group)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "class_plan", class_plan)
+        object.__setattr__(self, "group_plan", _Groups(group))
 
     @property
     def n_equations(self) -> int:

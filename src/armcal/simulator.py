@@ -15,7 +15,6 @@ per-trial generators by seeding with the (seed, trial-index) pair.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -31,7 +30,7 @@ from .estimator import (
     optimal_weights,
 )
 from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
-from .noise import DEFAULT_SIGMA0, NoiseModel, _GroupPlan
+from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -45,8 +44,8 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 #: Byte budget of one block of trials in the Monte Carlo comparison, counted
 #: as a folded (classes, parameters) regressor plus a row of observations
 #: per trial (:func:`_block_trials`); it sets how many trials are solved
-#: together.  The working memory scales with the concurrent workers times
-#: this block, not with the trial count.
+#: together.  The working memory scales with this block, not with the trial
+#: count.
 _BLOCK_BYTES = 3 << 16
 
 
@@ -177,15 +176,8 @@ def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSy
 def _block_trials(sys: StackedSystem) -> int:
     """Trials per Monte Carlo block of ``sys``: ``_BLOCK_BYTES`` over one trial's folded
     regressor (a row per class of identical rows) and its row of observations."""
-    classes = int(sys.row_class.max()) + 1
+    classes = sys.class_plan.counts.shape[0]
     return max(1, _BLOCK_BYTES // (sys.B.itemsize * (classes * sys.n_parameters + sys.n_equations)))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask where the platform has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -269,21 +261,17 @@ def monte_carlo_compare(
     plus a stacked product per block, and that SVD also gives the method's
     predicted covariance and CIs; IRLS runs one stacked SVD per iteration
     over the block's still-running trials, each keeping its own stop
-    iteration and reason.
-    Blocks are drawn and solved concurrently by a thread pool with one
-    worker per CPU the process may run on (at most one per block); their
-    outcomes merge in block order, so working memory scales with workers
-    times block size, not with ``trials``, and the report does not depend
-    on the worker count.  Every estimate equals the one-trial solve of that
-    trial bit for bit.  Failed trials are recorded with their reason; more
-    than 5% aborts.  A design with a one-row (configuration, axis) group
-    raises ``ReplicateCountError`` before any trial.
+    iteration and reason.  Blocks are drawn and solved one after another, in
+    trial order, so working memory scales with the block size, not with
+    ``trials``.  Every estimate equals the one-trial solve of that trial bit
+    for bit.  Failed trials are recorded with their reason; more than 5%
+    aborts.  A design with a one-row (configuration, axis) group raises
+    ``ReplicateCountError`` before any trial is solved.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
     dp_clean, sigma_true, group = base.dp, base.sigma, base.group
-    plan = _GroupPlan(group)  # a one-row group raises here, before any trial
 
     fixed, cov, ci3 = {}, {}, {}
     for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
@@ -293,38 +281,25 @@ def monte_carlo_compare(
         fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
     block = _block_trials(base)
-
-    def solve_block(start: int) -> tuple[list[tuple], list[tuple]]:
-        """One block's failures and, per solved trial, its OLS, WLS and IRLS outcomes."""
+    failures: list[tuple[int, str, str]] = []
+    solved: list[tuple] = []  # per solved trial, its OLS, WLS and IRLS outcomes
+    for start in range(0, trials, block):
         block_trials = range(start, min(start + block, trials))
         noise = np.array([np.random.default_rng((design.seed, t)).normal(size=dp_clean.shape)
                           for t in block_trials])
         dp = dp_clean + noise * sigma_true
-        sigma_raw = np.maximum(plan.std(dp)[:, group], sigma0)
+        sigma_raw = np.maximum(base.group_plan.std(dp)[:, group], sigma0)  # a one-row group raises here
         x = {name: _apply(f, dp * w) for name, (f, w) in fixed.items()}
         try:
             fits = _irls_stack(base, dp, sigma_raw, sigma0, lam, rel_tol, max_iter)
         except np.linalg.LinAlgError as exc:  # the stacked SVD fails as a whole
             fits = [exc] * len(block_trials)
-        failed, solved = [], []
         for j, (t, fit) in enumerate(zip(block_trials, fits)):
             if isinstance(fit, Exception):
-                failed.append((t, type(fit).__name__, str(fit)))
+                failures.append((t, type(fit).__name__, str(fit)))
             else:
                 solved.append((x["ols"][j], x["wls"][j], fit.x_hat, fit.ci3,
                                np.array([snap.ci3 for snap in fit.iterations]), fit.converged))
-        return failed, solved
-
-    # imported here: concurrent.futures loads logging, about 8 ms of every start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    failures: list[tuple[int, str, str]] = []
-    solved: list[tuple] = []
-    starts = range(0, trials, block)
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(starts))) as pool:
-        for block_failed, block_solved in pool.map(solve_block, starts):  # in block order
-            failures += block_failed
-            solved += block_solved
     if len(failures) > 0.05 * trials:
         t, kind, message = failures[0]
         raise RuntimeError(f"{len(failures)}/{trials} Monte Carlo trials failed; aborting "

@@ -425,6 +425,13 @@ class TestErrorPaths:
             (("calibrate", "--measurements", "absent.tsv", "--mode", "geometric", "--params", "a2,a2"),
              "--params"),
             (("calibrate", "--measurements", "absent.tsv", "--params", "a2"), "--params"),
+            # non-finite values name the finiteness rule
+            (("simulate", "--mass", "inf"), "--mass"),
+            (("simulate", "--mass", "nan"), "--mass"),
+            (("compare", "--sigma0", "inf"), "--sigma0"),
+            (("compare", "--sigma0", "nan"), "--sigma0"),
+            (("compare", "--lambda", "inf"), "--lambda"),
+            (("compare", "--lambda", "nan"), "--lambda"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):
@@ -433,6 +440,8 @@ class TestErrorPaths:
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR E_USAGE: {flag} ")
+        if argv[-1] in ("inf", "nan"):
+            assert f" and finite, got {argv[-1]}\n" in err
         assert err.count("\n") == 1
         assert not out.exists()
 

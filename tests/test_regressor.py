@@ -631,6 +631,7 @@ class TestRowClasses:
         assert_array_equal(res.weights, w)
 
     def test_class_rows_must_agree_in_regressor_and_group(self):
+        # rows of one class must also share their sigma: only caller weights may split a class
         good = dict(B=np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0], [3.0, 1.0]]), dp=np.zeros(4),
                     sigma=np.ones(4), config=[1, 1, 1, 1], marker=[0, 1, 0, 1], axis=[0, 0, 1, 1],
                     columns=("k1", "k2"), row_class=[1, 1, 0, 0])
@@ -639,7 +640,8 @@ class TestRowClasses:
                        {"B": good["B"] + [[0.0], [0.0], [0.0], [1e-15]]},
                        {"B": np.array([[0.0, 2.0], [-0.0, 2.0], [3.0, 1.0], [3.0, 1.0]])},  # bits, not values
                        {"config": [1, 2, 1, 1]},
-                       {"axis": [0, 0, 1, 2]}):
+                       {"axis": [0, 0, 1, 2]},
+                       {"sigma": [1.0, 1.0, 1.0, 2.0]}):
             with pytest.raises(ValueError, match="row_class"):
                 StackedSystem(**{**good, **change})
         for row_class in ([0, 0, 1], [2, 2, 0, 0], [-1, -1, 0, 0]):  # a row short, a gap, a negative

@@ -1,6 +1,5 @@
 """Synthetic-study generation and the Monte Carlo method comparison."""
 
-import time
 from collections import Counter
 from dataclasses import replace
 
@@ -9,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import armcal.estimator as estimator_mod
+import armcal.noise as noise_mod
 import armcal.simulator as simulator_mod
 from armcal import reference
 from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
@@ -335,7 +335,7 @@ class TestMonteCarloCompare:
     ):
         # trials fail where each trial's own IRLS outcome is read: trials 0
         # and 1 come back as exceptions from the block whose observations
-        # hold them (blocks run concurrently, so not by call order)
+        # hold them
         real = simulator_mod._irls_stack
         first_two = trial_observations(bundled_design, nominal_model, range(2))
 
@@ -429,35 +429,26 @@ class TestBatchedEquivalence:
             }
 
     def test_blocks_merge_in_trial_order(self, bundled_design, nominal_model, monkeypatch):
-        # early blocks sleep so that later ones finish first, on more workers
-        # than the machine may have CPUs, and a trial of the last block fails:
-        # every outcome still comes back in trial order, with unpatched bits
-        workers = 4
+        # a trial of the last, partial block fails: it is recorded under its
+        # own index, and every other trial keeps its unpatched bits, in trial order
         base = noise_free_system(bundled_design, nominal_model)
         block = simulator_mod._block_trials(base)
-        trials = block * (workers + 1)
-        failing = trials - 3
+        trials = 3 * block + block // 2
+        failing = trials - 2
+        assert trials % block and failing >= trials - trials % block
         unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        assert trials // block > workers
         observations = trial_observations(bundled_design, nominal_model, range(trials))
         real = simulator_mod._irls_stack
-        finished = []
 
-        def slow_early(sys, y, *args):
-            first = next(t for t in range(trials) if np.array_equal(y[0], observations[t]))
-            time.sleep(0.05 * max(0, 2 - first // block))
+        def failing_late(sys, y, *args):
             fits = real(sys, y, *args)
             for j, row in enumerate(y):
                 if np.array_equal(row, observations[failing]):
                     fits[j] = CalibrationError("synthetic late failure")
-            finished.append(first // block)
             return fits
 
-        monkeypatch.setattr(simulator_mod, "_cpu_count", lambda: workers)
-        monkeypatch.setattr(simulator_mod, "_irls_stack", slow_early)
+        monkeypatch.setattr(simulator_mod, "_irls_stack", failing_late)
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        assert sorted(finished) == list(range(trials // block))
-        assert finished != sorted(finished)
         assert mc.failures == ((failing, "CalibrationError", "synthetic late failure"),)
         kept = [t for t in range(trials) if t != failing]
         for method in ("ols", "wls", "irls"):
@@ -484,6 +475,31 @@ class TestBatchedEquivalence:
         with pytest.raises(ReplicateCountError, match=">= 2 rows"):
             monte_carlo_compare(design, nominal_model, trials=10)
         assert calls["n"] == 0
+
+
+def test_groupings_are_planned_once_per_system(bundled_design, nominal_model, bundled_system,
+                                                monkeypatch):
+    # row groupings belong to the system: none per block, per solve or per iteration
+    made = Counter()
+    real_init = noise_mod._Groups.__init__
+
+    def counted(self, label):
+        made["plans"] += 1
+        real_init(self, label)
+
+    def plans(run):
+        made.clear()
+        run()
+        return made["plans"]
+
+    block = simulator_mod._block_trials(noise_free_system(bundled_design, nominal_model))
+    assert len(irls(bundled_system).iterations) > 2
+    monkeypatch.setattr(noise_mod._Groups, "__init__", counted)
+    few, many = (plans(lambda: monte_carlo_compare(bundled_design, nominal_model, trials=trials))
+                 for trials in (3, 2 * block + 1))
+    assert few > 0
+    assert few == many
+    assert plans(lambda: irls(bundled_system, max_iter=1)) == plans(lambda: irls(bundled_system))
 
 
 class TestReferenceStudy:
