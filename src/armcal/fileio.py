@@ -29,6 +29,7 @@ without the three standard-error columns in every row::
 from __future__ import annotations
 
 import os
+import warnings
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -66,12 +67,17 @@ def _repr_columns(*blocks: np.ndarray) -> list[Iterable[str]]:
 
     ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.  Each
     distinct bit pattern of a column is formatted once (so ``-0.0`` stays apart from
-    ``0.0``) and its text gathered back through the inverse index.
+    ``0.0``) and its text gathered back through the inverse index; a column of
+    distinct values is formatted as it stands, with no gather.
     """
     columns = []
     for col in (c for b in blocks for c in np.atleast_2d(np.asarray(b).T)):
         bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        columns.append(np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)[inverse].tolist())
+        if bits.size == col.size:
+            columns.append(list(map(repr, col.tolist())))
+            continue
+        text = np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)
+        columns.append(text[inverse].tolist())
     return columns
 
 
@@ -227,10 +233,73 @@ def _first_of_key(keys: np.ndarray) -> np.ndarray:
     return first[inverse.reshape(-1)]
 
 
+def _header_joints(tokens: list[str]) -> int:
+    """The joint count a measurement header names, or 0 if ``tokens`` is no such header."""
+    n_joints = sum(1 for t in tokens if t.startswith("q") and t[1:].isdigit())
+    return n_joints if n_joints and tokens == _measurement_header(n_joints) else 0
+
+
+def _checked_rows(index: np.ndarray, values: np.ndarray, n_joints: int) -> Study | tuple[str, int, int]:
+    """The :class:`Study` of parsed rows, or the first file-wide check they fail.
+
+    ``index`` holds the config, marker, rep and fmarker columns, ``values`` the
+    float columns in file order and units.  A fault is ``("finite", row, value
+    column)``, ``("key", row, first row of its key)`` or ``("posture", row,
+    first row of its configuration)``, checked in that order.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        return "finite", i, j
+    first = _first_of_key(index[:, :3])
+    repeats = np.flatnonzero(first != np.arange(len(index)))
+    if repeats.size:
+        return "key", repeats[0], first[repeats[0]]
+    q = np.deg2rad(values[:, :n_joints])
+    first = _first_of_key(index[:, :1])
+    moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
+    if moved.size:
+        return "posture", moved[0], first[moved[0]]
+    return Study(config=index[:, 0], marker=index[:, 1], rep=index[:, 2], q=q,
+                 force=values[:, n_joints:n_joints + 3], fmarker=index[:, 3],
+                 p0=values[:, n_joints + 3:n_joints + 6] * _UM, p=values[:, n_joints + 6:] * _UM)
+
+
 def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> Study:
-    """Parse into a :class:`Study` in file order.  Checks run file-wide in turn
-    (column counts, numbers, finiteness, distinct keys, one posture per
-    configuration); the first fault found names its line."""
+    """Parse into a :class:`Study` in file order.
+
+    numpy's C reader converts every row after the header in one
+    ``np.loadtxt`` call, and the file-wide checks of :func:`_checked_rows` run
+    on its columns.  Where the reader refuses the text or a check fails,
+    :func:`_parse_by_line` reads the lines again: it names the first faulty
+    line, or returns the study of numbers that Python's ``int`` and ``float``
+    read and the C reader does not (``1_000``, non-ASCII digits).
+    """
+    lines = list(lines)
+    lineno, header = next(_data_lines(lines), (0, ""))
+    n_joints = _header_joints(header.split())
+    if n_joints:
+        dtype = [("config", np.int64), ("marker", np.int64), ("rep", np.int64), ("q", float, (n_joints,)),
+                 ("force", float, (3,)), ("fmarker", np.int64), ("p0", float, (3,)), ("p", float, (3,))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning (no rows, say) refuses the text too
+                table = np.loadtxt(lines[lineno:], dtype=dtype, comments="#", ndmin=1)
+        except (ValueError, Warning):
+            pass
+        else:
+            index = np.stack([table[name] for name in ("config", "marker", "rep", "fmarker")], axis=1)
+            values = np.hstack([table[name] for name in ("q", "force", "p0", "p")])
+            study = _checked_rows(index, values, n_joints)
+            if isinstance(study, Study):
+                return study
+    return _parse_by_line(lines, source)
+
+
+def _parse_by_line(lines: Sequence[str], source: str) -> Study:
+    """:func:`parse_measurements` one tokenized line at a time.  Checks run
+    file-wide in turn (column counts, numbers, then :func:`_checked_rows`);
+    the first fault found names its line."""
     err = MeasurementFormatError
     header: list[str] | None = None
     n_joints = 0
@@ -239,8 +308,8 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
     for lineno, line in _data_lines(lines):
         tokens = line.split()
         if header is None:
-            n_joints = sum(1 for t in tokens if t.startswith("q") and t[1:].isdigit())
-            if n_joints < 1 or tokens != _measurement_header(n_joints):
+            n_joints = _header_joints(tokens)
+            if not n_joints:
                 raise err(f"{source}:{lineno}: unrecognized measurement header")
             header = tokens
             continue
@@ -268,28 +337,17 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
             except (ValueError, OverflowError):
                 raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
         raise
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise err(f"{source}:{linenos[i]}: {header[value_cols[j]]} {rows[i][value_cols[j]]} is not finite")
-
-    first = _first_of_key(index[:, :3])
-    repeats = np.flatnonzero(first != np.arange(len(rows)))
-    if repeats.size:
-        i = repeats[0]
-        config, marker, rep = index[i, :3].tolist()
+    study = _checked_rows(index, values, n_joints)
+    if isinstance(study, Study):
+        return study
+    check, i, k = study
+    if check == "finite":
+        raise err(f"{source}:{linenos[i]}: {header[value_cols[k]]} {rows[i][value_cols[k]]} is not finite")
+    config, marker, rep = index[i, :3].tolist()
+    if check == "key":
         raise err(f"{source}:{linenos[i]}: config {config}, marker {marker}, rep {rep} "
-                  f"repeats line {linenos[first[i]]}")
-    q = np.deg2rad(values[:, :n_joints])
-    first = _first_of_key(index[:, :1])
-    moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
-    if moved.size:
-        i = moved[0]
-        raise err(f"{source}:{linenos[i]}: config {index[i, 0]} joint angles differ from line "
-                  f"{linenos[first[i]]}")
-    return Study(config=index[:, 0], marker=index[:, 1], rep=index[:, 2], q=q,
-                 force=values[:, n_joints:n_joints + 3], fmarker=index[:, 3],
-                 p0=values[:, n_joints + 3:n_joints + 6] * _UM, p=values[:, n_joints + 6:] * _UM)
+                  f"repeats line {linenos[k]}")
+    raise err(f"{source}:{linenos[i]}: config {config} joint angles differ from line {linenos[k]}")
 
 
 def load_measurements(path: str | Path) -> Study:

@@ -1,7 +1,10 @@
-"""Shared fixtures: bundled study objects and random-model factories."""
+"""Shared fixtures: bundled study objects, random-model factories and a bitwise study check."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from armcal import reference
 from armcal.kinematics import (
@@ -11,7 +14,7 @@ from armcal.kinematics import (
     REVOLUTE,
     transform,
 )
-from armcal.regressor import ComplianceParameterMap, stack_system
+from armcal.regressor import ComplianceParameterMap, Study, stack_system
 from armcal.simulator import simulate_measurements
 
 
@@ -61,6 +64,20 @@ def _random_chain(rng, n_joints=6, prismatic_prob=0.0, n_markers=2):
 def make_chain():
     """Factory for random serial chains, parameterized by an injected rng."""
     return _random_chain
+
+
+def _assert_same_study(actual, expected):
+    """Every column of ``actual`` equal to that of ``expected`` bit for bit (floats through
+    their int64 view, so ``-0.0`` differs from ``0.0``), with the same dtype and shape."""
+    for f in fields(Study):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        assert (a.dtype, a.shape) == (e.dtype, e.shape), f.name
+        assert_array_equal(a.view(np.int64), e.view(np.int64), err_msg=f.name)
+
+
+@pytest.fixture(scope="session")
+def assert_same_study():
+    return _assert_same_study
 
 
 @pytest.fixture()

@@ -2,6 +2,7 @@
 
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -182,13 +183,28 @@ class TestMeasurementFormat:
         assert "bad.tsv:5" in str(exc.value)
 
     def test_index_beyond_int64_names_line(self, study):
-        lines = format_measurements(study).splitlines()
-        tokens = lines[6].split()
-        tokens[0] = "99999999999999999999"  # config
-        lines[6] = " ".join(tokens)
-        with pytest.raises(MeasurementFormatError, match="non-integer index") as exc:
-            parse_measurements(lines, source="bad.tsv")
-        assert "bad.tsv:7" in str(exc.value)
+        for column in (0, 2):  # config, rep
+            lines = format_measurements(study).splitlines()
+            tokens = lines[6].split()
+            tokens[column] = "99999999999999999999"
+            lines[6] = " ".join(tokens)
+            with pytest.raises(MeasurementFormatError, match="non-integer index") as exc:
+                parse_measurements(lines, source="bad.tsv")
+            assert "bad.tsv:7" in str(exc.value)
+
+    @pytest.mark.parametrize("column, token, plain",
+                             [(9, "1_000", "1000"), (9, "\u0661", "1"), (2, "1_0", "10")])
+    def test_numbers_python_reads_accepted(self, study, assert_same_study, column, token, plain):
+        # fx or rep of the first row: Python's int and float read "1_000" and the arabic-indic
+        # digit one; numpy's C reader refuses them
+        def with_token(text):
+            lines = format_measurements(study).splitlines()
+            tokens = lines[2].split()
+            tokens[column] = text
+            lines[2] = " ".join(tokens)
+            return parse_measurements(lines)
+
+        assert_same_study(with_token(token), with_token(plain))
 
     def test_duplicate_key_names_both_lines(self, study):
         lines = format_measurements(study).splitlines()
@@ -228,8 +244,30 @@ class TestMeasurementFormat:
 
     def test_header_only_rejected(self, study):
         header = format_measurements(study).splitlines()[1]
-        with pytest.raises(MeasurementFormatError, match="no measurement rows"):
-            parse_measurements([header])
+        for lines in ([header], [header, "# no rows yet", ""]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(MeasurementFormatError, match="no measurement rows"):
+                    parse_measurements(lines)
+            assert not caught  # numpy's "input contained no data" does not escape
+
+    def test_comments_and_blank_lines_before_header_ignored(self, study, assert_same_study):
+        lines = format_measurements(study).splitlines()
+        assert_same_study(parse_measurements(["", "  # note", "\t", *lines]), parse_measurements(lines))
+
+    def test_crlf_endings_and_trailing_comment_ignored(self, study, tmp_path, assert_same_study):
+        lines = format_measurements(study).splitlines()
+        expected = parse_measurements(lines)
+        lines[3] += "  # re-measured"
+        text = "\r\n".join(lines) + "\r\n"
+        path = tmp_path / "m.tsv"
+        path.write_bytes(text.encode())
+        assert_same_study(load_measurements(path), expected)
+        assert_same_study(parse_measurements(text.split("\n")), expected)  # each line keeps its "\r"
+
+    def test_single_row(self, study, assert_same_study):
+        lines = format_measurements(study).splitlines()
+        assert_same_study(parse_measurements(lines[:3]), parse_measurements(lines).take([0]))
 
 
 class TestNoiseTableFormat:

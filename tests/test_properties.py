@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 from armcal import reference
 from armcal.errors import CalibrationError
 from armcal.fileio import (
+    _parse_by_line,
     _repr_columns,
     format_measurements,
     format_model,
@@ -189,15 +190,43 @@ def edited(lines, edits, duplicated):
     return lines + [lines[row] for row in duplicated]
 
 
+#: Edits of the 8 measurement lines (free ones or aimed hazards) and the lines then repeated.
+MEASUREMENT_EDITS = (
+    st.one_of(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4), aimed(8, 19)),
+    st.lists(st.integers(0, 7), max_size=2),
+)
+
+
 @PROPERTY
-@given(st.one_of(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 20), TOKENS), max_size=4),
-                 aimed(8, 19)),
-       st.lists(st.integers(0, 7), max_size=2))
+@given(*MEASUREMENT_EDITS)
 def test_fuzzed_measurement_text_fails_only_with_coded_errors(measurement_lines, edits, duplicated):
     try:
         parse_measurements(edited(measurement_lines, edits, duplicated))
     except CalibrationError:
         pass
+
+
+def outcome(parse, lines):
+    try:
+        return parse(lines, source="fuzzed.tsv")
+    except Exception as exc:  # compared by class and message
+        return exc
+
+
+@PROPERTY
+@example([(2, 9, "1_000"), (5, 14, "\u0661")], [])  # numbers only Python's float reads
+@example([(3, 2, "9" * 20)], [])  # a rep beyond int64
+@example([], [4])  # a repeated key
+@given(*MEASUREMENT_EDITS)
+def test_fuzzed_measurement_text_reads_as_line_by_line(measurement_lines, assert_same_study, edits, duplicated):
+    """numpy's C reader and the line tokenizer give the same study bit for bit, or the same error."""
+    lines = edited(measurement_lines, edits, duplicated)
+    fast, by_line = outcome(parse_measurements, lines), outcome(_parse_by_line, lines)
+    if isinstance(by_line, Study):
+        assert isinstance(fast, Study), fast
+        assert_same_study(fast, by_line)
+    else:
+        assert (type(fast), str(fast)) == (type(by_line), str(by_line))
 
 
 @pytest.fixture(scope="module")
