@@ -94,6 +94,15 @@ def _check_study(study, model, source) -> None:
         raise MeasurementFormatError(f"{where(i)}: marker {index[i]} not in the model's 0..{n_markers - 1}")
 
 
+def _replicate_noise(study, source):
+    """:func:`deflection_dispersions` of the study, whose overflow names the measurement file."""
+    try:
+        return deflection_dispersions(study.config, study.deflection)
+    except OverflowError:
+        raise MeasurementFormatError(f"{source}: the deflection dispersions overflow the float range; "
+                                     "give them with --noise") from None
+
+
 def _check_design_model(model, design) -> None:
     """Reject a --model whose joints or markers the bundled design does not fit."""
     n, m = len(design.configurations[0]), design.markers
@@ -163,7 +172,7 @@ def _cmd_calibrate(args) -> int:
     _require(ids_ok, "--params", "distinct parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
-    noise = load_noise_table(args.noise) if args.noise else deflection_dispersions(study.config, study.deflection)
+    noise = load_noise_table(args.noise) if args.noise else _replicate_noise(study, args.measurements)
     sigma0 = args.sigma0 * _UM
 
     cmap = ComplianceParameterMap.from_configurations(study.q)
@@ -208,7 +217,10 @@ def _cmd_simulate(args) -> int:
         noise=noise,
     )
     _check_design_model(model, design)
-    study = simulate_measurements(design, model)
+    try:
+        study = simulate_measurements(design, model)
+    except OverflowError:
+        raise _UsageError(f"--mass must be small enough for finite loaded positions, got {args.mass}") from None
     out = _out_dir(args)
     written = [
         write_measurements(out / "measurements.tsv", study),

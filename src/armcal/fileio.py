@@ -62,6 +62,20 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _reprs(*blocks: np.ndarray) -> list[list[str]]:
+    """:func:`_repr_columns` of floats without its sort, for the short columns of a report."""
+    columns = (c for b in blocks for c in np.atleast_2d(np.asarray(b, dtype=float).T).tolist())
+    return [list(map(repr, col)) for col in columns]
+
+
+def _render(header: Sequence[str], columns: Sequence[Iterable[str]], sep: str = " ",
+            comments: Sequence[str] = ()) -> str:
+    """A text table: a ``# `` line per comment, the header, then one row per index of
+    ``columns``, cells joined by ``sep`` and every line ended by a newline."""
+    lines = [*(f"# {c}" for c in comments), sep.join(header), *map(sep.join, zip(*columns))]
+    return "\n".join(lines) + "\n"
+
+
 def _repr_columns(*blocks: np.ndarray) -> list[Iterable[str]]:
     """``repr`` of every value, one iterable of strings per column of each 1-D or (N, k) block.
 
@@ -215,12 +229,8 @@ def format_measurements(study: Study) -> str:
     s = study.take(np.lexsort((study.rep, study.marker, study.config)))
     columns = _repr_columns(s.config, s.marker, s.rep, np.rad2deg(s.q), s.force, s.fmarker,
                             s.p0 / _UM, s.p / _UM)
-    lines = [
-        "# armcal measurements: angles deg, forces N, positions um",
-        " ".join(_measurement_header(s.q.shape[1])),
-        *map(" ".join, zip(*columns)),
-    ]
-    return "\n".join(lines) + "\n"
+    return _render(_measurement_header(s.q.shape[1]), columns,
+                   comments=["armcal measurements: angles deg, forces N, positions um"])
 
 
 def write_measurements(path: str | Path, study: Study) -> Path:
@@ -360,12 +370,8 @@ _NOISE_HEADER = ["config", "sigma_x", "sigma_y", "sigma_z", "se_x", "se_y", "se_
 
 def format_noise_table(noise: NoiseModel) -> str:
     se = noise.se if noise.se is not None else np.zeros_like(noise.sigma)
-    lines = [
-        "# armcal noise table: per-configuration deflection dispersions, um",
-        " ".join(_NOISE_HEADER),
-        *map(" ".join, zip(*_repr_columns(noise.config, noise.sigma / _UM, se / _UM))),
-    ]
-    return "\n".join(lines) + "\n"
+    return _render(_NOISE_HEADER, _repr_columns(noise.config, noise.sigma / _UM, se / _UM),
+                   comments=["armcal noise table: per-configuration deflection dispersions, um"])
 
 
 def write_noise_table(path: str | Path, noise: NoiseModel) -> Path:
@@ -421,10 +427,8 @@ def load_noise_table(path: str | Path) -> NoiseModel:
 
 
 def format_ground_truth(names: Sequence[str], values_si: np.ndarray) -> str:
-    lines = ["# armcal ground truth: parameter values in SI units", "parameter value"]
-    for name, value in zip(names, values_si):
-        lines.append(f"{name} {_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return _render(["parameter", "value"], [names, *_reprs(values_si)],
+                   comments=["armcal ground truth: parameter values in SI units"])
 
 
 def write_ground_truth(path: str | Path, names: Sequence[str], values_si: np.ndarray) -> Path:

@@ -89,12 +89,17 @@ def deflection_dispersions(config: np.ndarray, deflection: np.ndarray) -> NoiseM
     any fit has been run this is the non-compensated dispersion
     (marker-to-marker signal spread included), which is the usual starting
     point when the tracker noise is unknown.  A configuration with one row
-    raises :class:`ReplicateCountError`.
+    raises :class:`ReplicateCountError`, and finite deflections whose
+    dispersion exceeds the float range raise ``OverflowError``.
     """
     ids, row = np.unique(np.asarray(config, dtype=int).reshape(-1), return_inverse=True)
     row = row.reshape(-1)
     group = (row[:, None] * len(AXES) + np.arange(len(AXES))).reshape(-1)
-    sigma = grouped_std(np.asarray(deflection, dtype=float).reshape(-1), group).reshape(-1, len(AXES))
+    deflection = np.asarray(deflection, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = grouped_std(deflection, group).reshape(-1, len(AXES))
+    if np.isfinite(deflection).all() and not np.isfinite(sigma).all():
+        raise OverflowError("a deflection dispersion overflows the float range")
     n = np.bincount(row)
     return NoiseModel(config=ids, sigma=sigma, se=sigma / np.sqrt(2.0 * (n - 1))[:, None])
 

@@ -2,8 +2,9 @@
 
 Every report is written twice: a fixed-width ``.txt`` table in report units
 (compliances in micro-rad/(N m), lengths in mm, angles in deg) and a ``.tsv``
-with SI values and ``repr`` floats for lossless downstream parsing.  Output
-is deterministic: identical inputs give byte-identical files.
+with SI values and ``repr`` floats for lossless downstream parsing.  Each
+writer builds whole columns of strings, and ``fileio`` renders them as
+lines.  Output is deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import EstimationResult
-from .fileio import _fmt, _repr_columns, write_text
+from .fileio import _render, _repr_columns, _reprs, write_text
 from .noise import AXES
 from .regressor import StackedSystem
 from .simulator import ComplianceVector, MonteCarloReport
@@ -31,62 +32,53 @@ def parameter_unit(name: str) -> tuple[float, str]:
     return 1e3, "mm"  # a*, d*, tool_*
 
 
-def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    fmt_row = lambda cells: "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt_row(header), fmt_row(["-" * w for w in widths])]
-    lines += [fmt_row(r) for r in rows]
-    return "\n".join(lines) + "\n"
+def _units(names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """The :func:`parameter_unit` scales and labels of ``names``, as two columns."""
+    scales, labels = zip(*map(parameter_unit, names))
+    return np.array(scales), list(labels)
+
+
+def _fixed(values: np.ndarray, digits: int = 6) -> list[str]:
+    return [f"{v:.{digits}f}" for v in np.ravel(values).tolist()]
+
+
+def _table(header: Sequence[str], columns: Sequence[Sequence[str]], comments: Sequence[str]) -> str:
+    """Fixed-width text: each column left-aligned to its widest cell, over a dashed rule."""
+    columns = [[h, "-" * max(map(len, [h, *col])), *col] for h, col in zip(header, columns)]
+    # the last column stays unpadded, so no line ends in spaces
+    padded = [[c.ljust(len(col[1])) for c in col] for col in columns[:-1]] + columns[-1:]
+    return _render([col[0] for col in padded], [col[1:] for col in padded], "  ", comments)
 
 
 def write_parameter_report(out_dir: Path, results: Sequence[EstimationResult]) -> list[Path]:
     """Estimates with three-sigma half-widths, one column pair per method."""
     names = results[0].parameters
-    header = ["parameter", "unit"]
+    scale, labels = _units(names)
+    header, columns = ["parameter", "unit"], [names, labels]
     for res in results:
         header += [f"{res.method}_estimate", f"{res.method}_ci3"]
-    rows = []
-    for i, name in enumerate(names):
-        scale, label = parameter_unit(name)
-        row = [name, label]
-        for res in results:
-            row += [f"{res.x_hat[i] * scale:.6f}", f"{res.ci3[i] * scale:.6f}"]
-        rows.append(row)
-    txt = "# parameter estimates with +/-3 sigma half-widths (report units)\n" + _table(header, rows)
-
-    tsv_lines = ["method\tparameter\testimate_si\tci3_si"]
-    for res in results:
-        for i, name in enumerate(names):
-            tsv_lines.append(f"{res.method}\t{name}\t{_fmt(res.x_hat[i])}\t{_fmt(res.ci3[i])}")
-    paths = [
-        write_text(out_dir / "parameters.txt", txt),
-        write_text(out_dir / "parameters.tsv", "\n".join(tsv_lines) + "\n"),
-    ]
-    return paths
+        columns += [_fixed(res.x_hat * scale), _fixed(res.ci3 * scale)]
+    txt = _table(header, columns, ["parameter estimates with +/-3 sigma half-widths (report units)"])
+    methods = np.repeat([res.method for res in results], len(names)).tolist()
+    si = np.hstack([[res.x_hat, res.ci3] for res in results]).T  # method by method
+    tsv = _render(["method", "parameter", "estimate_si", "ci3_si"],
+                  [methods, list(names) * len(results), *_reprs(si)], "\t")
+    return [write_text(out_dir / "parameters.txt", txt), write_text(out_dir / "parameters.tsv", tsv)]
 
 
 def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: EstimationResult) -> list[Path]:
     """CI-width comparison of an unweighted baseline vs a weighted refinement."""
     names = baseline.parameters
-    rows = []
-    tsv_lines = ["parameter\tci3_baseline_si\tci3_refined_si\tratio"]
-    for i, name in enumerate(names):
-        scale, label = parameter_unit(name)
-        ratio = baseline.ci3[i] / refined.ci3[i]
-        rows.append(
-            [name, label, f"{baseline.ci3[i] * scale:.6f}", f"{refined.ci3[i] * scale:.6f}", f"{ratio:.3f}"]
-        )
-        tsv_lines.append(
-            f"{name}\t{_fmt(baseline.ci3[i])}\t{_fmt(refined.ci3[i])}\t{_fmt(ratio)}"
-        )
-    txt = (
-        f"# three-sigma CI half-widths: {baseline.method} baseline vs {refined.method}\n"
-        + _table(["parameter", "unit", baseline.method, refined.method, "ratio"], rows)
+    scale, labels = _units(names)
+    ratio = baseline.ci3 / refined.ci3
+    txt = _table(
+        ["parameter", "unit", baseline.method, refined.method, "ratio"],
+        [names, labels, _fixed(baseline.ci3 * scale), _fixed(refined.ci3 * scale), _fixed(ratio, 3)],
+        [f"three-sigma CI half-widths: {baseline.method} baseline vs {refined.method}"],
     )
-    return [
-        write_text(out_dir / "ratios.txt", txt),
-        write_text(out_dir / "ratios.tsv", "\n".join(tsv_lines) + "\n"),
-    ]
+    tsv = _render(["parameter", "ci3_baseline_si", "ci3_refined_si", "ratio"],
+                  [names, *_reprs(baseline.ci3, refined.ci3, ratio)], "\t")
+    return [write_text(out_dir / "ratios.txt", txt), write_text(out_dir / "ratios.tsv", tsv)]
 
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
@@ -96,94 +88,56 @@ def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationR
         map(AXES.__getitem__, sys.axis.tolist()),
         *_repr_columns(result.sigma / _UM, result.weights, result.residuals / _UM),
     ]
-    lines = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um", *map("\t".join, zip(*columns))]
-    return write_text(out_dir / "residuals.tsv", "\n".join(lines) + "\n")
-
-
-def _trace_header(names: Sequence[str]) -> str:
-    cols = ["iteration"]
-    for name in names:
-        cols += [f"value:{name}", f"ci_lo:{name}", f"ci_hi:{name}"]
-    return "\t".join(cols)
+    header = ["config", "marker", "axis", "sigma_um", "weight", "residual_um"]
+    return write_text(out_dir / "residuals.tsv", _render(header, columns, "\t"))
 
 
 def write_trace_report(out_dir: Path, result: EstimationResult) -> list[Path]:
     """One row per reweighting iteration, plot-ready value/CI columns."""
     names = result.parameters
-    tsv = [_trace_header(names)]
-    for snap in result.iterations:
-        cells = [str(snap.index)]
-        for i in range(len(names)):
-            lo = snap.x_hat[i] - snap.ci3[i]
-            hi = snap.x_hat[i] + snap.ci3[i]
-            cells += [_fmt(snap.x_hat[i]), _fmt(lo), _fmt(hi)]
-        tsv.append("\t".join(cells))
-
-    rows = []
-    for snap in result.iterations:
-        for i, name in enumerate(names):
-            scale, label = parameter_unit(name)
-            rows.append(
-                [str(snap.index), name, label, f"{snap.x_hat[i] * scale:.6f}", f"{snap.ci3[i] * scale:.6f}"]
-            )
-    txt = (
-        f"# reweighting trace: {len(result.iterations)} iterations, "
-        f"converged={result.converged} ({result.stop_reason})\n"
-        + _table(["iteration", "parameter", "unit", "estimate", "ci3"], rows)
+    scale, labels = _units(names)
+    index = [str(snap.index) for snap in result.iterations]
+    shape = (len(index), len(names))
+    x_hat = np.reshape([snap.x_hat for snap in result.iterations], shape)
+    ci3 = np.reshape([snap.ci3 for snap in result.iterations], shape)
+    txt = _table(
+        ["iteration", "parameter", "unit", "estimate", "ci3"],
+        [np.repeat(index, len(names)).tolist(), list(names) * len(index), labels * len(index),
+         _fixed(x_hat * scale), _fixed(ci3 * scale)],
+        [f"reweighting trace: {len(index)} iterations, converged={result.converged} ({result.stop_reason})"],
     )
-    return [
-        write_text(out_dir / "trace.txt", txt),
-        write_text(out_dir / "trace.tsv", "\n".join(tsv) + "\n"),
-    ]
+    values = np.stack([x_hat, x_hat - ci3, x_hat + ci3], axis=2).reshape(len(index), 3 * len(names))
+    header = ["iteration", *(f"{k}:{n}" for n in names for k in ("value", "ci_lo", "ci_hi"))]
+    tsv = _render(header, [index, *_reprs(values)], "\t")
+    return [write_text(out_dir / "trace.txt", txt), write_text(out_dir / "trace.tsv", tsv)]
 
 
 def write_compare_report(out_dir: Path, mc: MonteCarloReport) -> list[Path]:
     """Monte Carlo comparison: empirical scatter vs analytic CIs per method."""
-    methods = ("ols", "wls", "irls")
-    rows = []
-    tsv_lines = [
-        "parameter\ttruth_si\t"
-        + "\t".join(f"{m}_mean_si\t{m}_std_si\t{m}_ci3_si" for m in methods)
-        + "\tci_ratio"
-    ]
+    names = mc.parameters
+    scale, labels = _units(names)
+    stats = [(f"{m}_{stat}", f(m)) for m in ("ols", "wls", "irls")
+             for stat, f in (("mean", mc.empirical_mean), ("std", mc.empirical_std), ("ci3", mc.mean_ci3))]
     ratio = mc.ci_ratio()
-    for i, name in enumerate(mc.parameters):
-        scale, label = parameter_unit(name)
-        row = [name, label, f"{mc.truth[i] * scale:.6f}"]
-        tsv_cells = [name, _fmt(mc.truth[i])]
-        for m in methods:
-            mean = mc.empirical_mean(m)[i]
-            std = mc.empirical_std(m)[i]
-            ci = mc.mean_ci3(m)[i]
-            row += [f"{mean * scale:.6f}", f"{std * scale:.6f}", f"{ci * scale:.6f}"]
-            tsv_cells += [_fmt(mean), _fmt(std), _fmt(ci)]
-        row.append(f"{ratio[i]:.3f}")
-        tsv_cells.append(_fmt(ratio[i]))
-        rows.append(row)
-        tsv_lines.append("\t".join(tsv_cells))
-    header = ["parameter", "unit", "truth"]
-    for m in methods:
-        header += [f"{m}_mean", f"{m}_std", f"{m}_ci3"]
-    header.append("ci_ratio")
-    summary = (
-        f"# {mc.trials} trials, {mc.n_failed} failed; "
-        f"WLS CI nested in OLS CI in {mc.nested_all_fraction * 100.0:.1f}% of trials\n"
+    comments = [
+        f"{mc.trials} trials, {mc.n_failed} failed; "
+        f"WLS CI nested in OLS CI in {mc.nested_all_fraction * 100.0:.1f}% of trials",
+        *(f"failed trial {t}: {kind}: {message}" for t, kind, message in mc.failures),
+    ]
+    txt = _table(
+        ["parameter", "unit", "truth", *(name for name, _ in stats), "ci_ratio"],
+        [names, labels, _fixed(mc.truth * scale), *(_fixed(v * scale) for _, v in stats), _fixed(ratio, 3)],
+        comments,
     )
-    failed = "".join(f"# failed trial {t}: {kind}: {message}\n" for t, kind, message in mc.failures)
-    txt = summary + failed + _table(header, rows)
-
+    tsv = _render(["parameter", "truth_si", *(f"{name}_si" for name, _ in stats), "ci_ratio"],
+                  [names, *_reprs(mc.truth, *(v for _, v in stats), ratio)], "\t")
     # average convergence trace across trials (truncated to the shortest run)
     min_len = min((t.shape[0] for t in mc.irls_ci_traces), default=0)
-    trace_lines = ["iteration\t" + "\t".join(f"mean_ci3:{n}" for n in mc.parameters)]
-    if min_len:
-        stackable = np.stack([t[:min_len] for t in mc.irls_ci_traces])
-        mean_trace = stackable.mean(axis=0)
-        for it in range(min_len):
-            trace_lines.append(
-                str(it + 1) + "\t" + "\t".join(_fmt(v) for v in mean_trace[it])
-            )
+    traces = [t[:min_len] for t in mc.irls_ci_traces] or [np.empty((0, len(names)))]
+    trace = _render(["iteration", *(f"mean_ci3:{n}" for n in names)],
+                    [list(map(str, range(1, min_len + 1))), *_reprs(np.stack(traces).mean(axis=0))], "\t")
     return [
         write_text(out_dir / "comparison.txt", txt),
-        write_text(out_dir / "comparison.tsv", "\n".join(tsv_lines) + "\n"),
-        write_text(out_dir / "trace_mean.tsv", "\n".join(trace_lines) + "\n"),
+        write_text(out_dir / "comparison.tsv", tsv),
+        write_text(out_dir / "trace_mean.tsv", trace),
     ]

@@ -128,7 +128,9 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     positions coincide exactly.  Rows come out sorted by (config, marker,
     repetition); draws are consumed in that fixed order (per configuration
     the load mass, then the unloaded and loaded noise 3-vectors of each
-    row), so identical seeds reproduce identical studies bit for bit.
+    row), so identical seeds reproduce identical studies bit for bit.  A load
+    that leaves the unloaded positions finite and the loaded ones not raises
+    ``OverflowError``.
     """
     if design.markers > len(model.markers):
         raise ValueError(f"design asks for {design.markers} markers, model has {len(model.markers)}")
@@ -143,7 +145,8 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     eps = np.array(eps) * (design.noise.sigma[design.noise.rows(design.config_ids)]
                            / math.sqrt(2.0))[:, None, None, None]
     forces = np.zeros((len(masses), 3))
-    forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
+    with np.errstate(over="ignore"):  # an overflowing load is refused below
+        forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
 
     # kinematics once over the (configuration, marker) pairs; the load hangs at marker 0
     pair_cfg, pair_marker = np.indices((len(forces), design.markers)).reshape(2, -1)
@@ -156,10 +159,13 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     shift = _parameter_jacobians(model, frames, p[:, 0], geo) @ delta if geo else 0.0
     unloaded = (p[:, 0] + shift).reshape(len(forces), design.markers, 1, 3)
     wrench = np.concatenate([forces[pair_cfg], np.zeros((len(q), 3))], axis=1)
-    deflection = (_regressors(model, q, frames, p, wrench, design.cmap)
-                  @ design.ground_truth.values).reshape(unloaded.shape)
     p0 = unloaded + eps[..., 0, :]
-    p = unloaded + deflection + eps[..., 1, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        deflection = ((_regressors(model, q, frames, p, wrench, design.cmap) @ design.ground_truth.values)
+                      .reshape(unloaded.shape) if np.isfinite(forces).all() else np.inf)
+        p = unloaded + deflection + eps[..., 1, :]
+    if np.isfinite(p0).all() and not np.isfinite(p).all():
+        raise OverflowError(f"a load of {hi} kg overflows the simulated positions")
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
     return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
                  q=np.asarray(design.configurations)[cfg], force=forces[cfg],

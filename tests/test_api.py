@@ -1,4 +1,11 @@
-"""The public API: ``armcal.__all__`` is spelled out here so any change shows in a diff."""
+"""The public API: ``armcal.__all__`` is spelled out here so any change shows in a diff.
+
+Also the dependency rule: the package imports only the standard library and numpy.
+"""
+
+import ast
+import sys
+from pathlib import Path
 
 import armcal
 
@@ -53,3 +60,28 @@ def test_public_names_are_exactly_the_listed_ones():
 def test_every_public_name_resolves():
     for name in armcal.__all__:
         assert getattr(armcal, name, None) is not None, name
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level names of every package that ``import`` and ``from ... import`` lines of ``source``
+    name, ``armcal`` for relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("armcal" if node.level else node.module)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_imported_packages_are_found_at_any_depth():
+    source = "import os.path, numpy as np\nfrom . import x\ndef f():\n    from scipy.linalg import svd\n"
+    assert imported_packages(source) == {"os", "numpy", "armcal", "scipy"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "armcal"}
+    modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert imported_packages(path.read_text(encoding="utf-8")) <= allowed, path.name

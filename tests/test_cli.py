@@ -357,6 +357,20 @@ class TestErrorPaths:
         assert code == 0, capsys.readouterr().err
         assert (tmp_path / "out" / "trace.tsv").read_text().count("\n") == 2  # header + 1
 
+    def test_overflowing_dispersions_without_noise(self, tmp_path, capsys):
+        # finite positions near 1e305 um, whose squared spread overflows
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--mass", "1e305", "--out", str(study)) == 0
+        capsys.readouterr()
+        measurements = study / "measurements.tsv"
+        out = tmp_path / "out"
+        code = run_cli("calibrate", "--measurements", str(measurements), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"ERROR E_MEASUREMENT_FORMAT: {measurements}: the deflection dispersions "
+                       "overflow the float range; give them with --noise\n")
+        assert not out.exists()
+
     @staticmethod
     def _with_token(study_dir, tmp_path, row, column, value):
         """Copy of the study's measurement file with one data-row field replaced."""
@@ -432,6 +446,11 @@ class TestErrorPaths:
             (("compare", "--sigma0", "nan"), "--sigma0"),
             (("compare", "--lambda", "inf"), "--lambda"),
             (("compare", "--lambda", "nan"), "--lambda"),
+            # finite masses whose load overflows the loaded positions or the force itself
+            (("simulate", "--mass", "5e306"), "--mass"),
+            (("simulate", "--mass", "1e307"), "--mass"),
+            (("simulate", "--mass", "2e307"), "--mass"),
+            (("simulate", "--mass", "1e308"), "--mass"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):

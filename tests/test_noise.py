@@ -60,6 +60,12 @@ class TestEstimateDispersions:
         with pytest.raises(ReplicateCountError, match=">= 2 rows"):
             dispersions_of(np.zeros((1, 3)))
 
+    def test_overflowing_dispersion_raises_overflow_error(self):
+        # finite deflections whose squared spread exceeds the float range
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            dispersions_of(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]))
+        assert dispersions_of(np.array([[1e150, 0.0, 0.0], [-1e150, 0.0, 0.0]])).sigma[0, 0] > 0.0
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
             dispersions_of(np.zeros((4, 2)))

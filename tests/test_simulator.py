@@ -80,6 +80,11 @@ class TestStudyDesignValidation:
 
 
 class TestSimulateMeasurements:
+    @pytest.mark.parametrize("mass", [1e307, 1e308])  # the positions, then the force itself, overflow
+    def test_overflowing_load_raises_overflow_error(self, mass, nominal_model):
+        with pytest.raises(OverflowError, match="kg overflows the simulated positions"):
+            simulate_measurements(quiet_design(mass_range_kg=(mass, mass)), nominal_model)
+
     def test_default_study_counts(self, bundled_study):
         study = bundled_study
         assert len(study) == 270
