@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference, reports
-from .errors import CalibrationError, MeasurementFormatError
+from .errors import CalibrationError, MeasurementFormatError, NoiseFormatError
 from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
@@ -36,11 +36,15 @@ from .fileio import (
     write_measurements,
     write_noise_table,
 )
+from .kinematics import PRISMATIC
 from .noise import DEFAULT_SIGMA0, deflection_dispersions
 from .regressor import ComplianceParameterMap, stack_system
 from .simulator import monte_carlo_compare, simulate_measurements
 
 _UM = 1e-6
+#: The largest model reach (meters) accepted for the bundled design: marker positions stay
+#: far inside the 1.8e302 m whose micrometers overflow a float in a measurement file.
+_MAX_REACH = 1e300
 
 OUT_ENV = "ARMCAL_OUT"
 
@@ -104,10 +108,29 @@ def _replicate_noise(study, source):
 
 
 def _check_design_model(model, design) -> None:
-    """Reject a --model whose joints or markers the bundled design does not fit."""
+    """Reject a --model whose joints or markers the bundled design does not fit, or whose
+    reach exceeds :data:`_MAX_REACH`.  The reach, the base, tool and largest marker offsets
+    plus each joint's ``|a| + |d|`` and prismatic travel, bounds every marker's distance
+    from the base, since rotations keep lengths."""
     n, m = len(design.configurations[0]), design.markers
     _require(model.n_joints == n, "--model", f"a {n}-joint model for the bundled design", model.n_joints)
     _require(len(model.markers) >= m, "--model", f"a model with {m} or more markers", len(model.markers))
+    travel = np.abs(design.configurations).max(axis=0).tolist()
+    reach = (math.hypot(*model.base[:3, 3]) + math.hypot(*model.tool[:3, 3])
+             + max(math.hypot(*marker) for marker in model.markers)
+             + sum(abs(j.a) + abs(j.d) + (j.kind == PRISMATIC) * t for j, t in zip(model.joints, travel)))
+    _require(reach <= _MAX_REACH, "--model", f"a model whose reach is at most {_MAX_REACH:g} m", reach)
+
+
+def _check_half_widths(args, ci3s) -> None:
+    """Reject a --sigma0 or --lambda that leaves a 3-sigma half-width to write that is not
+    finite and positive.  A huge sigma0 floor overflows the half-widths; the weights scale
+    with sigma0 / lambda, and a tiny ratio underflows them to zero."""
+    ci3 = np.concatenate([np.ravel(c) for c in ci3s])
+    _require(np.isfinite(ci3).all(), "--sigma0", "small enough for finite 3-sigma half-widths", args.sigma0)
+    flag, rule, value = (("--lambda", "small", args.lam) if args.lam > DEFAULT_LAMBDA
+                         else ("--sigma0", "large", args.sigma0))
+    _require((ci3 > 0.0).all(), flag, f"{rule} enough for positive 3-sigma half-widths", value)
 
 
 def _out_dir(args) -> Path:
@@ -179,13 +202,17 @@ def _cmd_calibrate(args) -> int:
     sys_ = stack_system(study, model, cmap, noise, mode=args.mode,
                         params=params, sigma_floor=sigma0)
 
-    results = [ols_estimate(sys_)]
-    if args.method == "wls":
-        results.append(wls_estimate(sys_, robust_weights(sys_.sigma, sigma0, args.lam)))
-    elif args.method == "irls":
-        results.append(irls(sys_, sigma0=sigma0, lam=args.lam,
-                            rel_tol=args.rel_tol, max_iter=args.max_iter))
+    with np.errstate(over="ignore", invalid="ignore"):  # half-widths that overflow are refused below
+        results = [ols_estimate(sys_)]
+        if args.method == "wls":
+            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, sigma0, args.lam)))
+        elif args.method == "irls":
+            results.append(irls(sys_, sigma0=sigma0, lam=args.lam,
+                                rel_tol=args.rel_tol, max_iter=args.max_iter))
     final = results[-1]
+    if args.noise and sys_.sigma.max() > sigma0 and not np.isfinite(results[0].ci3).all():  # the table's sigmas
+        raise NoiseFormatError(f"{args.noise}: the dispersions overflow the 3-sigma half-widths")
+    _check_half_widths(args, [r.ci3 for r in results] + [s.ci3 for s in final.iterations])
 
     out = _out_dir(args)
     written = reports.write_parameter_report(out, results)
@@ -241,15 +268,17 @@ def _cmd_compare(args) -> int:
     model = _load_model(args)
     design = reference.study_design(seed=args.seed)
     _check_design_model(model, design)
-    mc = monte_carlo_compare(
-        design,
-        model,
-        trials=args.trials,
-        sigma0=args.sigma0 * _UM,
-        lam=args.lam,
-        rel_tol=args.rel_tol,
-        max_iter=args.max_iter,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # half-widths that overflow are refused below
+        mc = monte_carlo_compare(
+            design,
+            model,
+            trials=args.trials,
+            sigma0=args.sigma0 * _UM,
+            lam=args.lam,
+            rel_tol=args.rel_tol,
+            max_iter=args.max_iter,
+        )
+    _check_half_widths(args, [*mc.ci3.values(), *mc.irls_ci_traces])
     out = _out_dir(args)
     for path in reports.write_compare_report(out, mc):
         print(f"wrote {path}")

@@ -24,14 +24,16 @@ Noise tables carry per-configuration dispersions in micrometers, with or
 without the three standard-error columns in every row::
 
     config sigma_x sigma_y sigma_z [se_x se_y se_z]
+
+Both tables read numbers with numpy's C text reader (``np.loadtxt``) alone, so
+spellings only Python's ``int`` and ``float`` accept (``1_000``, non-ASCII
+digits) are refused.  Model files keep Python's ``float``.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -249,30 +251,37 @@ def _header_joints(tokens: list[str]) -> int:
     return n_joints if n_joints and tokens == _measurement_header(n_joints) else 0
 
 
-def _checked_rows(index: np.ndarray, values: np.ndarray, n_joints: int) -> Study | tuple[str, int, int]:
-    """The :class:`Study` of parsed rows, or the first file-wide check they fail.
+def _read_rows(lines: Sequence[str], dtype) -> np.ndarray:
+    """``lines`` as a 1-D array of ``dtype`` from numpy's C reader.  It raises ``ValueError``
+    on text it refuses; a warning it gives (no rows, say) refuses the text as well."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
 
-    ``index`` holds the config, marker, rep and fmarker columns, ``values`` the
-    float columns in file order and units.  A fault is ``("finite", row, value
-    column)``, ``("key", row, first row of its key)`` or ``("posture", row,
-    first row of its configuration)``, checked in that order.
+
+def _checked_rows(table: np.ndarray, n_joints: int) -> Study | tuple[str, int, int]:
+    """The :class:`Study` of the rows :func:`_read_rows` parsed, or the first file-wide check they fail.
+
+    ``table`` has the fields of the measurement header in file units.  A fault is
+    ``("finite", row, value column)`` (of the q, force, p0 and p columns), ``("key",
+    row, first row of its key)`` or ``("posture", row, first row of its
+    configuration)``, checked in that order.
     """
-    finite = np.isfinite(values)
+    finite = np.isfinite(np.hstack([table[name] for name in ("q", "force", "p0", "p")]))
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         return "finite", i, j
-    first = _first_of_key(index[:, :3])
-    repeats = np.flatnonzero(first != np.arange(len(index)))
+    first = _first_of_key(np.stack([table[name] for name in ("config", "marker", "rep")], axis=1))
+    repeats = np.flatnonzero(first != np.arange(len(table)))
     if repeats.size:
         return "key", repeats[0], first[repeats[0]]
-    q = np.deg2rad(values[:, :n_joints])
-    first = _first_of_key(index[:, :1])
+    q = np.deg2rad(table["q"])
+    first = _first_of_key(table["config"][:, None])
     moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
     if moved.size:
         return "posture", moved[0], first[moved[0]]
-    return Study(config=index[:, 0], marker=index[:, 1], rep=index[:, 2], q=q,
-                 force=values[:, n_joints:n_joints + 3], fmarker=index[:, 3],
-                 p0=values[:, n_joints + 3:n_joints + 6] * _UM, p=values[:, n_joints + 6:] * _UM)
+    return Study(config=table["config"], marker=table["marker"], rep=table["rep"], q=q, force=table["force"],
+                 fmarker=table["fmarker"], p0=table["p0"] * _UM, p=table["p"] * _UM)
 
 
 def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> Study:
@@ -280,84 +289,52 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
 
     numpy's C reader converts every row after the header in one
     ``np.loadtxt`` call, and the file-wide checks of :func:`_checked_rows` run
-    on its columns.  Where the reader refuses the text or a check fails,
-    :func:`_parse_by_line` reads the lines again: it names the first faulty
-    line, or returns the study of numbers that Python's ``int`` and ``float``
-    read and the C reader does not (``1_000``, non-ASCII digits).
+    on its columns.  Where the reader refuses the text or a check fails, a
+    scan names the first faulty line, each check in turn over the whole file:
+    the header, the column count of every row, the numbers of each row alone
+    (through the same reader), then the fault :func:`_checked_rows` found.
     """
-    lines = list(lines)
-    lineno, header = next(_data_lines(lines), (0, ""))
-    n_joints = _header_joints(header.split())
-    if n_joints:
-        dtype = [("config", np.int64), ("marker", np.int64), ("rep", np.int64), ("q", float, (n_joints,)),
-                 ("force", float, (3,)), ("fmarker", np.int64), ("p0", float, (3,)), ("p", float, (3,))]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a warning (no rows, say) refuses the text too
-                table = np.loadtxt(lines[lineno:], dtype=dtype, comments="#", ndmin=1)
-        except (ValueError, Warning):
-            pass
-        else:
-            index = np.stack([table[name] for name in ("config", "marker", "rep", "fmarker")], axis=1)
-            values = np.hstack([table[name] for name in ("q", "force", "p0", "p")])
-            study = _checked_rows(index, values, n_joints)
-            if isinstance(study, Study):
-                return study
-    return _parse_by_line(lines, source)
-
-
-def _parse_by_line(lines: Sequence[str], source: str) -> Study:
-    """:func:`parse_measurements` one tokenized line at a time.  Checks run
-    file-wide in turn (column counts, numbers, then :func:`_checked_rows`);
-    the first fault found names its line."""
     err = MeasurementFormatError
-    header: list[str] | None = None
-    n_joints = 0
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    for lineno, line in _data_lines(lines):
-        tokens = line.split()
-        if header is None:
-            n_joints = _header_joints(tokens)
-            if not n_joints:
-                raise err(f"{source}:{lineno}: unrecognized measurement header")
-            header = tokens
-            continue
-        if len(tokens) != len(header):
-            raise err(
-                f"{source}:{lineno}: expected {len(header)} columns, got {len(tokens)}"
-            )
-        rows.append(tokens)
-        linenos.append(lineno)
-    if header is None:
-        raise err(f"{source}: file has no header line")
+    lines = list(lines)
+    rows = _data_lines(lines)
+    lineno, header = next(rows, (0, ""))
+    header = header.split()
+    n_joints = _header_joints(header)
+    if not n_joints:
+        raise err(f"{source}:{lineno}: unrecognized measurement header" if header
+                  else f"{source}: file has no header line")
+    dtype = [("config", np.int64), ("marker", np.int64), ("rep", np.int64), ("q", float, (n_joints,)),
+             ("force", float, (3,)), ("fmarker", np.int64), ("p0", float, (3,)), ("p", float, (3,))]
+    try:
+        table = _read_rows(lines[lineno:], dtype)
+    except (ValueError, Warning):
+        fault = None
+    else:
+        fault = _checked_rows(table, n_joints)
+        if isinstance(fault, Study):
+            return fault
+
+    rows = list(rows)
     if not rows:
         raise err(f"{source}: file has no measurement rows")
-
-    fm = header.index("fmarker")
-    value_cols = [*range(3, fm), *range(fm + 1, len(header))]
-    ints, floats = itemgetter(0, 1, 2, fm), itemgetter(*value_cols)
-    try:
-        index = np.array(list(map(ints, rows)), dtype=int)
-        values = np.array(list(chain.from_iterable(map(floats, rows))), dtype=float).reshape(len(rows), -1)
-    except (ValueError, OverflowError):
-        for lineno, tokens in zip(linenos, rows):  # find the line numpy refused
+    for lineno, line in rows:
+        if len(line.split()) != len(header):
+            raise err(f"{source}:{lineno}: expected {len(header)} columns, got {len(line.split())}")
+    if fault is None:  # the reader refused the text: name the first line it refuses alone
+        for lineno, line in rows:
             try:
-                np.array(ints(tokens), dtype=int), np.array(floats(tokens), dtype=float)
-            except (ValueError, OverflowError):
+                _read_rows([line], dtype)
+            except (ValueError, Warning):
                 raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
-        raise
-    study = _checked_rows(index, values, n_joints)
-    if isinstance(study, Study):
-        return study
-    check, i, k = study
+    check, i, k = fault
     if check == "finite":
-        raise err(f"{source}:{linenos[i]}: {header[value_cols[k]]} {rows[i][value_cols[k]]} is not finite")
-    config, marker, rep = index[i, :3].tolist()
+        column = k + 3 + (k >= n_joints + 3)  # the value columns skip fmarker
+        raise err(f"{source}:{rows[i][0]}: {header[column]} {rows[i][1].split()[column]} is not finite")
+    config = table["config"][i]
     if check == "key":
-        raise err(f"{source}:{linenos[i]}: config {config}, marker {marker}, rep {rep} "
-                  f"repeats line {linenos[k]}")
-    raise err(f"{source}:{linenos[i]}: config {config} joint angles differ from line {linenos[k]}")
+        raise err(f"{source}:{rows[i][0]}: config {config}, marker {table['marker'][i]}, "
+                  f"rep {table['rep'][i]} repeats line {rows[k][0]}")
+    raise err(f"{source}:{rows[i][0]}: config {config} joint angles differ from line {rows[k][0]}")
 
 
 def load_measurements(path: str | Path) -> Study:
@@ -384,9 +361,8 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
     row) and numbers are checked in file order, then values (finite,
     non-negative) and ids (distinct) file-wide; a fault names its line."""
     err = NoiseFormatError
-    rows: list[list[str]] = []
-    linenos: list[int] = []
-    config, values = [], []
+    rows: list[tuple[int, list[str]]] = []  # (line number, tokens)
+    parsed: list[np.ndarray] = []
     for index, (lineno, line) in enumerate(_data_lines(lines)):
         tokens = line.split()
         if tokens[0] == "config":
@@ -396,28 +372,27 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")
-        if rows and len(tokens) != len(rows[0]):
-            raise err(f"{source}:{lineno}: expected {len(rows[0])} columns as on line {linenos[0]}, "
+        if rows and len(tokens) != len(rows[0][1]):
+            raise err(f"{source}:{lineno}: expected {len(rows[0][1])} columns as on line {rows[0][0]}, "
                       f"got {len(tokens)}")
         try:
-            config.append(np.array(tokens[0], dtype=int))
-            values.append(np.array(tokens[1:], dtype=float))
-        except (ValueError, OverflowError):
+            parsed.append(_read_rows([line], [("config", np.int64), ("values", float, (len(tokens) - 1,))]))
+        except (ValueError, Warning):
             raise err(f"{source}:{lineno}: non-numeric value or configuration id beyond int64") from None
-        rows.append(tokens)
-        linenos.append(lineno)
+        rows.append((lineno, tokens))
     if not rows:
         raise err(f"{source}: table has no entries")
 
-    config, values = np.array(config), np.array(values)
+    table = np.concatenate(parsed)
+    config, values = table["config"], table["values"]
     bad = ~np.isfinite(values) | (values < 0.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise err(f"{source}:{linenos[i]}: {_NOISE_HEADER[j + 1]} {rows[i][j + 1]} must be finite and >= 0")
+        raise err(f"{source}:{rows[i][0]}: {_NOISE_HEADER[j + 1]} {rows[i][1][j + 1]} must be finite and >= 0")
     repeats = np.flatnonzero(_first_of_key(config[:, None]) != np.arange(len(rows)))
     if repeats.size:
         i = repeats[0]
-        raise err(f"{source}:{linenos[i]}: duplicate entry for configuration {config[i]}")
+        raise err(f"{source}:{rows[i][0]}: duplicate entry for configuration {config[i]}")
     values *= _UM
     return NoiseModel(config=config, sigma=values[:, :3], se=values[:, 3:] if values.shape[1] == 6 else None)
 

@@ -4,6 +4,7 @@ Also the dependency rule: the package imports only the standard library and nump
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -85,3 +86,21 @@ def test_package_imports_only_stdlib_and_numpy():
     assert modules
     for path in modules:
         assert imported_packages(path.read_text(encoding="utf-8")) <= allowed, path.name
+
+
+def traced_targets() -> dict[str, tuple[str, ...]]:
+    """The ``TARGETS`` literal of ``bench/tracing.py``: the functions the benchmark wraps, per module."""
+    source = (Path(__file__).parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py assigns no TARGETS")
+
+
+def test_benchmark_traced_names_exist():
+    # a traced name the package lost stops the benchmark's --trace run with AttributeError
+    targets = traced_targets()
+    assert targets
+    for module, names in targets.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"armcal.{module}"), name, None)), f"{module}.{name}"

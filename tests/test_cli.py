@@ -31,10 +31,13 @@ def stacked_from_files(measurements, noise_path):
 
 
 def model_file(directory, name):
-    """The bundled model cut to five joints or to one marker, written to ``directory / name``."""
+    """The bundled model cut to five joints or to one marker, or with its first two links
+    ``a`` = 1e308 or 1.5e308 m long, written to ``directory / name``."""
     model = reference.nominal_model()
+    long = lambda a: replace(model, joints=tuple(replace(j, a=a) for j in model.joints[:2]) + model.joints[2:])
     cut = {"five-joint.model": replace(model, joints=model.joints[:5]),
-           "one-marker.model": replace(model, markers=model.markers[:1])}[name]
+           "one-marker.model": replace(model, markers=model.markers[:1]),
+           "long-1e308.model": long(1e308), "long-1.5e308.model": long(1.5e308)}[name]
     return str(write_text(directory / name, format_model(cut)))
 
 
@@ -371,6 +374,21 @@ class TestErrorPaths:
                        "overflow the float range; give them with --noise\n")
         assert not out.exists()
 
+    def test_overflowing_dispersions_in_noise_table(self, study_dir, tmp_path, capsys):
+        # a finite sigma of 1e200 um, whose square in the OLS half-widths overflows
+        lines = (study_dir / "noise.tsv").read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[1] = "1e200"
+        lines[2] = " ".join(tokens)
+        noise = write_text(tmp_path / "noise.tsv", "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        measurements = study_dir / "measurements.tsv"
+        code = run_cli("calibrate", "--measurements", str(measurements), "--noise", str(noise), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR E_NOISE_FORMAT: {noise}: the dispersions overflow the 3-sigma half-widths\n"
+        assert not out.exists()
+
     @staticmethod
     def _with_token(study_dir, tmp_path, row, column, value):
         """Copy of the study's measurement file with one data-row field replaced."""
@@ -451,11 +469,25 @@ class TestErrorPaths:
             (("simulate", "--mass", "1e307"), "--mass"),
             (("simulate", "--mass", "2e307"), "--mass"),
             (("simulate", "--mass", "1e308"), "--mass"),
+            # link lengths whose marker positions overflow, in micrometers or in meters
+            (("simulate", "--model", "long-1e308.model"), "--model"),
+            (("simulate", "--model", "long-1.5e308.model"), "--model"),
+            # a sigma0 floor whose half-widths overflow, or weights whose half-widths underflow to 0
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--sigma0", "1e300"),
+             "--sigma0"),
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "irls",
+              "--sigma0", "1e-300"), "--sigma0"),
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--lambda", "1e300"),
+             "--lambda"),
+            (("compare", "--trials", "3", "--sigma0", "1e-300"), "--sigma0"),
+            (("compare", "--trials", "3", "--sigma0", "1e300"), "--sigma0"),
+            (("compare", "--trials", "3", "--lambda", "1e300"), "--lambda"),
         ],
     )
-    def test_invalid_flag_value(self, argv, flag, tmp_path, capsys):
+    def test_invalid_flag_value(self, argv, flag, study_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = [model_file(tmp_path, a) if a.endswith(".model") else a for a in argv]
+        argv = [model_file(tmp_path, a) if a.endswith(".model") else
+                str(study_dir / a) if a in ("measurements.tsv", "noise.tsv") else a for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR E_USAGE: {flag} ")

@@ -192,19 +192,43 @@ class TestMeasurementFormat:
                 parse_measurements(lines, source="bad.tsv")
             assert "bad.tsv:7" in str(exc.value)
 
-    @pytest.mark.parametrize("column, token, plain",
-                             [(9, "1_000", "1000"), (9, "\u0661", "1"), (2, "1_0", "10")])
-    def test_numbers_python_reads_accepted(self, study, assert_same_study, column, token, plain):
+    @pytest.mark.parametrize("column, token", [(9, "1_000"), (9, "\u0661"), (2, "1_0")])
+    def test_numbers_python_reads_rejected(self, study, column, token):
         # fx or rep of the first row: Python's int and float read "1_000" and the arabic-indic
-        # digit one; numpy's C reader refuses them
-        def with_token(text):
-            lines = format_measurements(study).splitlines()
-            tokens = lines[2].split()
-            tokens[column] = text
-            lines[2] = " ".join(tokens)
-            return parse_measurements(lines)
+        # digit one, numpy's C reader, the one number grammar of the file, does not
+        lines = format_measurements(study).splitlines()
+        tokens = lines[2].split()
+        tokens[column] = token
+        lines[2] = " ".join(tokens)
+        with pytest.raises(MeasurementFormatError) as exc:
+            parse_measurements(lines, source="bad.tsv")
+        assert str(exc.value) == "bad.tsv:3: non-numeric value or non-integer index"
 
-        assert_same_study(with_token(token), with_token(plain))
+    @pytest.mark.parametrize(
+        "edits, appended, message",
+        [
+            # column counts are checked over the whole file before any number
+            ({3: (3, "oops"), 7: (19, "0")}, False, "f.tsv:7: expected 19 columns, got 20"),
+            # number syntax over the whole file before finiteness
+            ({3: (3, "inf"), 7: (3, "oops")}, False, "f.tsv:7: non-numeric value or non-integer index"),
+            # finiteness over the whole file before distinct keys
+            ({9: (14, "nan")}, True, "f.tsv:9: p0y nan is not finite"),
+        ],
+        ids=["count-after-number", "number-after-finite", "finite-after-key"],
+    )
+    def test_faults_named_in_documented_order(self, nominal_model, edits, appended, message):
+        design = reference.study_design(seed=4, markers=2, repetitions=2)
+        lines = format_measurements(simulate_measurements(design, nominal_model)).splitlines()
+        assert len(lines) == 62
+        for lineno, (column, token) in edits.items():
+            tokens = lines[lineno - 1].split()
+            tokens[column:column + 1] = [token]  # column 19 appends a surplus one
+            lines[lineno - 1] = " ".join(tokens)
+        if appended:
+            lines.append(lines[3])  # a repeated key on the last line
+        with pytest.raises(MeasurementFormatError) as exc:
+            parse_measurements(lines, source="f.tsv")
+        assert str(exc.value) == message
 
     def test_duplicate_key_names_both_lines(self, study):
         lines = format_measurements(study).splitlines()
@@ -312,6 +336,14 @@ class TestNoiseTableFormat:
         with pytest.raises(NoiseFormatError, match=message) as exc:
             parse_noise_table(lines, source="n.tsv")
         assert "n.tsv:2" in str(exc.value)
+
+    @pytest.mark.parametrize("row", ["1_000 10 10 10", "\u0661 10 10 10", "1 1_000 10 10", "1 10 10 \u0661"])
+    def test_numbers_python_reads_rejected(self, row):
+        # an id or a sigma only Python's int and float read; numpy's C reader refuses it
+        lines = ["config sigma_x sigma_y sigma_z", "2 10 10 10", row]
+        with pytest.raises(NoiseFormatError) as exc:
+            parse_noise_table(lines, source="n.tsv")
+        assert str(exc.value) == "n.tsv:3: non-numeric value or configuration id beyond int64"
 
     @pytest.mark.parametrize("first, second", [("1 10 10 10 1 1 1", "2 10 10 10"),
                                                ("1 10 10 10", "2 10 10 10 1 1 1")])
