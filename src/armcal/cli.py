@@ -50,8 +50,7 @@ OUT_ENV = "ARMCAL_OUT"
 
 
 def _add_common_estimator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma0", type=float, default=DEFAULT_SIGMA0 / _UM,
-                   help="measurement-system precision floor, um (default 10)")
+    p.add_argument("--sigma0", type=float, help="measurement-system precision floor, um (default 10)")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                    help="weight saturation strength (default 1)")
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
@@ -76,8 +75,14 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise _UsageError(f"{flag} must be {rule}, got {value}")
 
 
+def _sigma0(args) -> float:
+    """The --sigma0 floor in meters: exactly ``DEFAULT_SIGMA0`` when the flag is not given."""
+    return DEFAULT_SIGMA0 if args.sigma0 is None else args.sigma0 * _UM
+
+
 def _check_estimator_args(args) -> None:
-    _require(math.isfinite(args.sigma0) and args.sigma0 > 0.0, "--sigma0", "positive and finite", args.sigma0)
+    _require(args.sigma0 is None or (math.isfinite(args.sigma0) and args.sigma0 > 0.0), "--sigma0",
+             "positive and finite", args.sigma0)
     _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative and finite", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
     _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
@@ -127,9 +132,10 @@ def _check_half_widths(args, ci3s) -> None:
     finite and positive.  A huge sigma0 floor overflows the half-widths; the weights scale
     with sigma0 / lambda, and a tiny ratio underflows them to zero."""
     ci3 = np.concatenate([np.ravel(c) for c in ci3s])
-    _require(np.isfinite(ci3).all(), "--sigma0", "small enough for finite 3-sigma half-widths", args.sigma0)
+    sigma0 = f"{DEFAULT_SIGMA0 / _UM:g}" if args.sigma0 is None else args.sigma0  # the default as its help quotes it
+    _require(np.isfinite(ci3).all(), "--sigma0", "small enough for finite 3-sigma half-widths", sigma0)
     flag, rule, value = (("--lambda", "small", args.lam) if args.lam > DEFAULT_LAMBDA
-                         else ("--sigma0", "large", args.sigma0))
+                         else ("--sigma0", "large", sigma0))
     _require((ci3 > 0.0).all(), flag, f"{rule} enough for positive 3-sigma half-widths", value)
 
 
@@ -196,7 +202,7 @@ def _cmd_calibrate(args) -> int:
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
     noise = load_noise_table(args.noise) if args.noise else _replicate_noise(study, args.measurements)
-    sigma0 = args.sigma0 * _UM
+    sigma0 = _sigma0(args)
 
     cmap = ComplianceParameterMap.from_configurations(study.q)
     sys_ = stack_system(study, model, cmap, noise, mode=args.mode,
@@ -273,7 +279,7 @@ def _cmd_compare(args) -> int:
             design,
             model,
             trials=args.trials,
-            sigma0=args.sigma0 * _UM,
+            sigma0=_sigma0(args),
             lam=args.lam,
             rel_tol=args.rel_tol,
             max_iter=args.max_iter,

@@ -28,6 +28,11 @@ without the three standard-error columns in every row::
 Both tables read numbers with numpy's C text reader (``np.loadtxt``) alone, so
 spellings only Python's ``int`` and ``float`` accept (``1_000``, non-ASCII
 digits) are refused.  Model files keep Python's ``float``.
+
+Every table file is rendered by :func:`_render` and written ``_CHUNK_ROWS``
+rows at a time: a chunk formats only its own rows of each column, so writing
+holds one chunk's strings, and the bytes equal those of the whole table
+formatted at once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import os
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,14 +50,19 @@ from .noise import NoiseModel
 from .regressor import BUCKET_TOL, Study
 
 _UM = 1e-6
+#: Rows per text chunk of a table file: each chunk is formatted, joined and written
+#: before the next, so writing holds one chunk's strings, not the table's.
+_CHUNK_ROWS = 2048
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Atomic write via a uniquely named temporary file next to ``path``, removed on failure."""
+def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Atomic write of ``text``, one string or its chunks in turn, via a uniquely named
+    temporary file next to ``path``, removed on failure."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -70,16 +80,27 @@ def _reprs(*blocks: np.ndarray) -> list[list[str]]:
     return [list(map(repr, col)) for col in columns]
 
 
-def _render(header: Sequence[str], columns: Sequence[Iterable[str]], sep: str = " ",
-            comments: Sequence[str] = ()) -> str:
-    """A text table: a ``# `` line per comment, the header, then one row per index of
-    ``columns``, cells joined by ``sep`` and every line ended by a newline."""
-    lines = [*(f"# {c}" for c in comments), sep.join(header), *map(sep.join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+def _render(header: Sequence[str], n_rows: int, cells: Callable[[slice], Sequence[Sequence[str]]],
+            sep: str = " ", comments: Sequence[str] = ()) -> Iterator[str]:
+    """A text table as chunks of text: a ``# `` line per comment and the header, then the
+    ``n_rows`` rows ``_CHUNK_ROWS`` at a time.  ``cells(rows)`` formats only the slice
+    ``rows`` of each column; cells are joined by ``sep`` and every line ends in a newline."""
+    yield "".join(f"{line}\n" for line in [*(f"# {c}" for c in comments), sep.join(header)])
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+        columns = cells(rows)
+        if any(len(col) != rows.stop - start for col in columns):
+            raise ValueError("table columns disagree on the row count")
+        yield "\n".join(map(sep.join, zip(*columns))) + "\n"
 
 
-def _repr_columns(*blocks: np.ndarray) -> list[Iterable[str]]:
-    """``repr`` of every value, one iterable of strings per column of each 1-D or (N, k) block.
+def _whole(columns: Sequence[Sequence[str]]) -> tuple[int, Callable[[slice], list[Sequence[str]]]]:
+    """The row count and cells of :func:`_render` for columns formatted in advance."""
+    return max(map(len, columns), default=0), lambda rows: [col[rows] for col in columns]
+
+
+def _repr_columns(*blocks: np.ndarray) -> list[list[str]]:
+    """``repr`` of every value, one list of strings per column of each 1-D or (N, k) block.
 
     ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.  Each
     distinct bit pattern of a column is formatted once (so ``-0.0`` stays apart from
@@ -225,18 +246,29 @@ def _measurement_header(n_joints: int) -> list[str]:
             "p0x", "p0y", "p0z", "px", "py", "pz"]
 
 
-def format_measurements(study: Study) -> str:
+def _measurement_chunks(study: Study) -> Iterator[str]:
+    """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk
+    gathers its own rows of the (config, marker, rep) order, so no sorted copy of the
+    study is made."""
     if not len(study):
         raise ValueError("no records to write")
-    s = study.take(np.lexsort((study.rep, study.marker, study.config)))
-    columns = _repr_columns(s.config, s.marker, s.rep, np.rad2deg(s.q), s.force, s.fmarker,
-                            s.p0 / _UM, s.p / _UM)
-    return _render(_measurement_header(s.q.shape[1]), columns,
+    order = np.lexsort((study.rep, study.marker, study.config))
+
+    def cells(rows: slice) -> list[list[str]]:
+        s = study.take(order[rows])
+        return _repr_columns(s.config, s.marker, s.rep, np.rad2deg(s.q), s.force, s.fmarker,
+                             s.p0 / _UM, s.p / _UM)
+
+    return _render(_measurement_header(study.q.shape[1]), len(study), cells,
                    comments=["armcal measurements: angles deg, forces N, positions um"])
 
 
+def format_measurements(study: Study) -> str:
+    return "".join(_measurement_chunks(study))
+
+
 def write_measurements(path: str | Path, study: Study) -> Path:
-    return write_text(path, format_measurements(study))
+    return write_text(path, _measurement_chunks(study))
 
 
 def _first_of_key(keys: np.ndarray) -> np.ndarray:
@@ -347,21 +379,24 @@ _NOISE_HEADER = ["config", "sigma_x", "sigma_y", "sigma_z", "se_x", "se_y", "se_
 
 def format_noise_table(noise: NoiseModel) -> str:
     se = noise.se if noise.se is not None else np.zeros_like(noise.sigma)
-    return _render(_NOISE_HEADER, _repr_columns(noise.config, noise.sigma / _UM, se / _UM),
-                   comments=["armcal noise table: per-configuration deflection dispersions, um"])
+    cells = lambda rows: _repr_columns(noise.config[rows], noise.sigma[rows] / _UM, se[rows] / _UM)
+    return "".join(_render(_NOISE_HEADER, len(noise.config), cells,
+                           comments=["armcal noise table: per-configuration deflection dispersions, um"]))
 
 
 def write_noise_table(path: str | Path, noise: NoiseModel) -> Path:
     return write_text(path, format_noise_table(noise))
 
 
-def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
-    """Parse into a :class:`NoiseModel`.  Only the first line may be a header,
-    naming the 4 or 7 columns.  Each row's column count (that of the first
-    row) and numbers are checked in file order, then values (finite,
-    non-negative) and ids (distinct) file-wide; a fault names its line."""
+def _noise_dtype(width: int) -> list:
+    return [("config", np.int64), ("values", float, (width - 1,))]
+
+
+def _scan_noise_rows(lines: Sequence[str], source: str) -> np.ndarray:
+    """The rows of a noise table read one at a time, raising the first header, column-count
+    or number fault in file order."""
     err = NoiseFormatError
-    rows: list[tuple[int, list[str]]] = []  # (line number, tokens)
+    first: tuple[int, int] | None = None  # (line number, column count) of the first row
     parsed: list[np.ndarray] = []
     for index, (lineno, line) in enumerate(_data_lines(lines)):
         tokens = line.split()
@@ -372,23 +407,47 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")
-        if rows and len(tokens) != len(rows[0][1]):
-            raise err(f"{source}:{lineno}: expected {len(rows[0][1])} columns as on line {rows[0][0]}, "
-                      f"got {len(tokens)}")
+        if first and len(tokens) != first[1]:
+            raise err(f"{source}:{lineno}: expected {first[1]} columns as on line {first[0]}, got {len(tokens)}")
+        first = first or (lineno, len(tokens))
         try:
-            parsed.append(_read_rows([line], [("config", np.int64), ("values", float, (len(tokens) - 1,))]))
+            parsed.append(_read_rows([line], _noise_dtype(len(tokens))))
         except (ValueError, Warning):
             raise err(f"{source}:{lineno}: non-numeric value or configuration id beyond int64") from None
-        rows.append((lineno, tokens))
-    if not rows:
+    if not parsed:
         raise err(f"{source}: table has no entries")
+    return np.concatenate(parsed)
 
-    table = np.concatenate(parsed)
+
+def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
+    """Parse into a :class:`NoiseModel`.  Only the first line may be a header,
+    naming the 4 or 7 columns.
+
+    The rows after it are read in one ``np.loadtxt`` call.  Only where that
+    call refuses the text does :func:`_scan_noise_rows` check each row's
+    column count (that of the first row) and numbers in file order; values
+    (finite, non-negative) and ids (distinct) are then checked file-wide.  A
+    fault names its line.
+    """
+    err = NoiseFormatError
+    lines = list(lines)
+    rows = list(_data_lines(lines))  # (line number, text)
+    start = rows[0][0] if rows and rows[0][1].split() in (_NOISE_HEADER[:4], _NOISE_HEADER) else 0
+    rows = rows[1:] if start else rows
+    width = len(rows[0][1].split()) if rows else 0
+    try:
+        if width not in (4, 7):
+            raise ValueError(f"{width} columns")
+        table = _read_rows(lines[start:], _noise_dtype(width))
+    except (ValueError, Warning):
+        table = _scan_noise_rows(lines, source)
+
     config, values = table["config"], table["values"]
     bad = ~np.isfinite(values) | (values < 0.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise err(f"{source}:{rows[i][0]}: {_NOISE_HEADER[j + 1]} {rows[i][1][j + 1]} must be finite and >= 0")
+        raise err(f"{source}:{rows[i][0]}: {_NOISE_HEADER[j + 1]} {rows[i][1].split()[j + 1]} "
+                  "must be finite and >= 0")
     repeats = np.flatnonzero(_first_of_key(config[:, None]) != np.arange(len(rows)))
     if repeats.size:
         i = repeats[0]
@@ -402,8 +461,8 @@ def load_noise_table(path: str | Path) -> NoiseModel:
 
 
 def format_ground_truth(names: Sequence[str], values_si: np.ndarray) -> str:
-    return _render(["parameter", "value"], [names, *_reprs(values_si)],
-                   comments=["armcal ground truth: parameter values in SI units"])
+    return "".join(_render(["parameter", "value"], *_whole([names, *_reprs(values_si)]),
+                           comments=["armcal ground truth: parameter values in SI units"]))
 
 
 def write_ground_truth(path: str | Path, names: Sequence[str], values_si: np.ndarray) -> Path:

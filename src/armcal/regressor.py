@@ -30,6 +30,8 @@ from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 
 #: Angle tolerance (radians) when matching a configuration to a bucket level.
 BUCKET_TOL = 1e-6
+#: Rows compared per step when :class:`StackedSystem` checks its row classes.
+_CHECK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,9 @@ class StackedSystem:
     are numbered 0, 1, ... without gaps, and the default is one class per
     row.  ``class_plan`` and ``group_plan`` group the rows by ``row_class``
     and by ``group``, planned once per system for every solve and dispersion
-    re-estimate.  All arrays are read-only.
+    re-estimate.  The class check compares each row with the first row of its
+    class bit for bit, ``_CHECK_ROWS`` rows at a time, so it never copies
+    ``B``.  All arrays are read-only.
     """
 
     B: np.ndarray
@@ -251,9 +255,12 @@ class StackedSystem:
             raise ValueError("row_class must number its classes 0, 1, ... without gaps")
         class_plan = _Groups(row_class)
         twin = class_plan.first[row_class]  # the first row of each row's class
-        if not (np.array_equal(B.take(twin, axis=0).view(np.int64), B.view(np.int64))
-                and np.array_equal(sigma[twin], sigma) and np.array_equal(group[twin], group)):
-            raise ValueError("rows of one row_class differ in B, sigma or (configuration, axis) group")
+        for start in range(0, m, _CHECK_ROWS):
+            rows = slice(start, start + _CHECK_ROWS)
+            t = twin[rows]
+            if not (np.array_equal(B[t].view(np.int64), B[rows].view(np.int64))
+                    and np.array_equal(sigma[t], sigma[rows]) and np.array_equal(group[t], group[rows])):
+                raise ValueError("rows of one row_class differ in B, sigma or (configuration, axis) group")
         for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
                           ("marker", marker), ("axis", axis), ("row_class", row_class), ("group", group)):
             arr.setflags(write=False)

@@ -3,8 +3,10 @@
 Every report is written twice: a fixed-width ``.txt`` table in report units
 (compliances in micro-rad/(N m), lengths in mm, angles in deg) and a ``.tsv``
 with SI values and ``repr`` floats for lossless downstream parsing.  Each
-writer builds whole columns of strings, and ``fileio`` renders them as
-lines.  Output is deterministic: identical inputs give byte-identical files.
+writer hands its columns to ``fileio``'s one table renderer: the short
+reports as whole columns of strings, ``residuals.tsv`` as a function that
+formats one chunk of rows, so that file is formatted and written a chunk at
+a time.  Output is deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import EstimationResult
-from .fileio import _render, _repr_columns, _reprs, write_text
+from .fileio import _render, _repr_columns, _reprs, _whole, write_text
 from .noise import AXES
 from .regressor import StackedSystem
 from .simulator import ComplianceVector, MonteCarloReport
@@ -47,7 +49,7 @@ def _table(header: Sequence[str], columns: Sequence[Sequence[str]], comments: Se
     columns = [[h, "-" * max(map(len, [h, *col])), *col] for h, col in zip(header, columns)]
     # the last column stays unpadded, so no line ends in spaces
     padded = [[c.ljust(len(col[1])) for c in col] for col in columns[:-1]] + columns[-1:]
-    return _render([col[0] for col in padded], [col[1:] for col in padded], "  ", comments)
+    return "".join(_render([col[0] for col in padded], *_whole([col[1:] for col in padded]), "  ", comments))
 
 
 def write_parameter_report(out_dir: Path, results: Sequence[EstimationResult]) -> list[Path]:
@@ -62,7 +64,7 @@ def write_parameter_report(out_dir: Path, results: Sequence[EstimationResult]) -
     methods = np.repeat([res.method for res in results], len(names)).tolist()
     si = np.hstack([[res.x_hat, res.ci3] for res in results]).T  # method by method
     tsv = _render(["method", "parameter", "estimate_si", "ci3_si"],
-                  [methods, list(names) * len(results), *_reprs(si)], "\t")
+                  *_whole([methods, list(names) * len(results), *_reprs(si)]), "\t")
     return [write_text(out_dir / "parameters.txt", txt), write_text(out_dir / "parameters.tsv", tsv)]
 
 
@@ -77,19 +79,19 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
         [f"three-sigma CI half-widths: {baseline.method} baseline vs {refined.method}"],
     )
     tsv = _render(["parameter", "ci3_baseline_si", "ci3_refined_si", "ratio"],
-                  [names, *_reprs(baseline.ci3, refined.ci3, ratio)], "\t")
+                  *_whole([names, *_reprs(baseline.ci3, refined.ci3, ratio)]), "\t")
     return [write_text(out_dir / "ratios.txt", txt), write_text(out_dir / "ratios.tsv", tsv)]
 
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
-    """Per-row diagnostics for the final solve (residuals in um)."""
-    columns = [
-        *_repr_columns(sys.config, sys.marker),
-        map(AXES.__getitem__, sys.axis.tolist()),
-        *_repr_columns(result.sigma / _UM, result.weights, result.residuals / _UM),
-    ]
+    """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time."""
+    def cells(rows: slice) -> list[list[str]]:
+        config, marker, *values = _repr_columns(sys.config[rows], sys.marker[rows], result.sigma[rows] / _UM,
+                                                result.weights[rows], result.residuals[rows] / _UM)
+        return [config, marker, list(map(AXES.__getitem__, sys.axis[rows].tolist())), *values]
+
     header = ["config", "marker", "axis", "sigma_um", "weight", "residual_um"]
-    return write_text(out_dir / "residuals.tsv", _render(header, columns, "\t"))
+    return write_text(out_dir / "residuals.tsv", _render(header, sys.n_equations, cells, "\t"))
 
 
 def write_trace_report(out_dir: Path, result: EstimationResult) -> list[Path]:
@@ -108,7 +110,7 @@ def write_trace_report(out_dir: Path, result: EstimationResult) -> list[Path]:
     )
     values = np.stack([x_hat, x_hat - ci3, x_hat + ci3], axis=2).reshape(len(index), 3 * len(names))
     header = ["iteration", *(f"{k}:{n}" for n in names for k in ("value", "ci_lo", "ci_hi"))]
-    tsv = _render(header, [index, *_reprs(values)], "\t")
+    tsv = _render(header, *_whole([index, *_reprs(values)]), "\t")
     return [write_text(out_dir / "trace.txt", txt), write_text(out_dir / "trace.tsv", tsv)]
 
 
@@ -130,12 +132,12 @@ def write_compare_report(out_dir: Path, mc: MonteCarloReport) -> list[Path]:
         comments,
     )
     tsv = _render(["parameter", "truth_si", *(f"{name}_si" for name, _ in stats), "ci_ratio"],
-                  [names, *_reprs(mc.truth, *(v for _, v in stats), ratio)], "\t")
+                  *_whole([names, *_reprs(mc.truth, *(v for _, v in stats), ratio)]), "\t")
     # average convergence trace across trials (truncated to the shortest run)
     min_len = min((t.shape[0] for t in mc.irls_ci_traces), default=0)
     traces = [t[:min_len] for t in mc.irls_ci_traces] or [np.empty((0, len(names)))]
     trace = _render(["iteration", *(f"mean_ci3:{n}" for n in names)],
-                    [list(map(str, range(1, min_len + 1))), *_reprs(np.stack(traces).mean(axis=0))], "\t")
+                    *_whole([list(map(str, range(1, min_len + 1))), *_reprs(np.stack(traces).mean(axis=0))]), "\t")
     return [
         write_text(out_dir / "comparison.txt", txt),
         write_text(out_dir / "comparison.tsv", tsv),

@@ -513,6 +513,19 @@ class TestErrorPaths:
         assert captured.err == f"ERROR E_USAGE: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sigma0, quoted", [((), "10"), (("--sigma0", "10"), "10.0")])
+    def test_sigma0_quoted_as_given(self, sigma0, quoted, tmp_path, capsys):
+        # a 1e200 kg load: the default floor's weights underflow every half-width to zero
+        assert run_cli("simulate", "--mass", "1e200", "--out", str(tmp_path / "s")) == 0
+        capsys.readouterr()
+        code = run_cli("calibrate", "--measurements", str(tmp_path / "s" / "measurements.tsv"),
+                       "--noise", str(tmp_path / "s" / "noise.tsv"), "--method", "wls", *sigma0,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == ("ERROR E_USAGE: --sigma0 must be large enough for positive "
+                                           f"3-sigma half-widths, got {quoted}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
         code = run_cli(
             "calibrate", "--measurements", str(study_dir / "measurements.tsv"),

@@ -2,13 +2,14 @@
 
 import os
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from armcal import reference
+from armcal import fileio, reference, reports
 from armcal.errors import (
     MeasurementFormatError,
     ModelFormatError,
@@ -28,7 +29,9 @@ from armcal.fileio import (
     write_measurements,
     write_text,
 )
+from armcal.estimator import EstimationResult
 from armcal.kinematics import forward_kinematics
+from armcal.regressor import StackedSystem, Study
 from armcal.simulator import simulate_measurements
 
 UM = 1e-6
@@ -369,6 +372,16 @@ class TestNoiseTableFormat:
         with pytest.raises(NoiseFormatError, match="cannot read"):
             load_noise_table(tmp_path / "absent.tsv")
 
+    @pytest.mark.parametrize("comments", [(), ("# noise", "")])
+    def test_valid_table_read_in_one_call(self, monkeypatch, comments):
+        read_rows, calls = fileio._read_rows, []
+        monkeypatch.setattr(fileio, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+        noise = reference.noise_model()
+        again = parse_noise_table([*comments, *format_noise_table(noise).splitlines()])
+        assert len(calls) == 1
+        assert_array_equal(again.config, noise.config)
+        assert_array_equal(again.sigma, noise.sigma / UM * UM)
+
 
 class TestGroundTruthFormat:
     def test_round_trip_exact(self):
@@ -418,3 +431,131 @@ class TestAtomicWrite:
         write_text(target, "first\n")
         write_text(target, "second\n")
         assert target.read_text() == "second\n"
+
+
+CHUNK = fileio._CHUNK_ROWS
+
+
+def _zeros_at_chunk_edges(column: np.ndarray) -> None:
+    """Put -0.0 | 0.0 across every chunk boundary of ``column``, and 0.0 | -0.0 two rows on."""
+    for edge in range(CHUNK, len(column) + 1, CHUNK):
+        for row, value in ((edge - 1, -0.0), (edge, 0.0), (edge + 1, 0.0), (edge + 2, -0.0)):
+            if row < len(column):
+                column[row] = value
+
+
+def _sorted_study(n: int) -> Study:
+    """``n`` rows already in (config, marker, rep) order.  A posture spans a chunk
+    boundary (2048 is no multiple of 6), the force repeats in every chunk and p0x
+    holds signed zeros across the boundaries."""
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    config = rows // 6
+    p0 = rng.normal(size=(n, 3)) * 1e-3
+    _zeros_at_chunk_edges(p0[:, 0])
+    return Study(config=config, marker=rows // 2 % 3, rep=rows % 2, q=rng.uniform(-3, 3, size=(n // 6 + 1, 6))[config],
+                 force=np.tile([0.0, 0.0, -2600.65], (n, 1)), fmarker=np.zeros(n, int), p0=p0,
+                 p=p0 + rng.normal(size=(n, 3)) * 1e-4)
+
+
+def _residual_inputs(n: int) -> tuple[StackedSystem, EstimationResult]:
+    """A system of ``n`` rows and a result whose weights repeat, whose sigmas repeat per
+    configuration and whose residuals hold signed zeros across the chunk boundaries."""
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    config, axis = rows // 6, rows % 3
+    sys_ = StackedSystem(B=rng.normal(size=(n, 2)), dp=np.zeros(n), sigma=np.ones(n), config=config,
+                         marker=rows // 3 % 2, axis=axis, columns=("k1", "k2"))
+    residuals = rng.normal(size=n) * 1e-5
+    _zeros_at_chunk_edges(residuals)
+    result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
+                              residuals=residuals, method="irls", weights=np.where(rows % 5, 1.0, 0.5),
+                              sigma=1e-5 * (1.0 + config % 7 + axis / 3.0))
+    return sys_, result
+
+
+def _reference_table(comments, header, columns, sep):
+    """The whole table at once: ``repr`` of every number, cells joined by ``sep``."""
+    lines = [*(f"# {c}" for c in comments), sep.join(header)]
+    cell = lambda v: v if isinstance(v, str) else repr(v)
+    lines += [sep.join(map(cell, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+def _transient_mb(write) -> float:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedTables:
+    """Table files are formatted and written ``_CHUNK_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_measurements_match_whole_table_text(self, n, tmp_path):
+        s = _sorted_study(n)
+        expected = _reference_table(
+            ["armcal measurements: angles deg, forces N, positions um"],
+            ["config", "marker", "rep", *(f"q{j}" for j in range(1, 7)), "fx", "fy", "fz", "fmarker",
+             "p0x", "p0y", "p0z", "px", "py", "pz"],
+            [s.config, s.marker, s.rep, *np.rad2deg(s.q).T, *s.force.T, s.fmarker, *(s.p0 / UM).T, *(s.p / UM).T],
+            " ")
+        shuffled = s.take(np.random.default_rng(2).permutation(n))
+        assert format_measurements(shuffled) == expected
+        assert write_measurements(tmp_path / "m.tsv", shuffled).read_text() == expected
+        assert (" -0.0 " in expected) == (n >= CHUNK)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_residual_report_matches_whole_table_text(self, n, tmp_path):
+        sys_, result = _residual_inputs(n)
+        expected = _reference_table(
+            [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
+            [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma / UM, result.weights,
+             result.residuals / UM], "\t")
+        assert reports.write_residual_report(tmp_path, sys_, result).read_text() == expected
+        assert ("\t-0.0\n" in expected) == (n >= CHUNK)
+
+    def test_writers_hold_one_chunk_not_the_table(self, tmp_path):
+        # streamed, the transients read 3.3 and 0.6 MB, about one chunk's strings, at any row
+        # count; formatting whole tables took 19 MB for these 12,000 measurement rows and
+        # 20 MB for these 60,000 residual rows
+        study = _sorted_study(12_000)
+        sys_, result = _residual_inputs(60_000)
+        assert _transient_mb(lambda: write_measurements(tmp_path / "m.tsv", study)) < 5.0
+        assert _transient_mb(lambda: reports.write_residual_report(tmp_path, sys_, result)) < 5.0
+
+    @pytest.mark.parametrize("writer", ["measurements", "residuals"])
+    @pytest.mark.parametrize("existing", [None, "old bytes\n"])
+    def test_failure_after_first_chunk_leaves_target_as_it_was(self, writer, existing, tmp_path, monkeypatch):
+        module = fileio if writer == "measurements" else reports
+        repr_columns, calls = module._repr_columns, []
+
+        def failing(*blocks):
+            calls.append(len(blocks))
+            if len(calls) == 2:
+                raise RuntimeError("formatting failed")
+            return repr_columns(*blocks)
+
+        monkeypatch.setattr(module, "_repr_columns", failing)
+        target = tmp_path / ("m.tsv" if writer == "measurements" else "residuals.tsv")
+        if existing is not None:
+            target.write_text(existing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            if writer == "measurements":
+                write_measurements(target, _sorted_study(CHUNK + 1))
+            else:
+                reports.write_residual_report(tmp_path, *_residual_inputs(CHUNK + 1))
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == ([target] if existing is not None else [])
+        if existing is not None:
+            assert target.read_text() == existing
+
+    @pytest.mark.parametrize("columns", [[["1", "2"], ["3"]], [["1"], ["2", "3"]], [[], ["1"]]])
+    def test_render_refuses_columns_of_unequal_length(self, columns):
+        with pytest.raises(ValueError, match="row count"):
+            "".join(fileio._render(["a", "b"], *fileio._whole(columns)))
+        with pytest.raises(ValueError, match="row count"):
+            "".join(fileio._render(["a", "b"], 2, lambda rows: [col[rows] for col in columns]))

@@ -648,6 +648,18 @@ class TestRowClasses:
             with pytest.raises(ValueError, match="row_class"):
                 StackedSystem(**{**good, "row_class": row_class})
 
+    @pytest.mark.parametrize("row", [regressor._CHECK_ROWS + 1, 2 * regressor._CHECK_ROWS + 2])
+    def test_class_check_reaches_rows_beyond_its_first_chunk(self, row):
+        # rows 2i and 2i+1 form class i; one B row past the check's first chunk moves by an ulp
+        m = 2 * regressor._CHECK_ROWS + 4
+        B = np.repeat(np.random.default_rng(row).normal(size=(m // 2, 2)), 2, axis=0)
+        good = dict(B=B, dp=np.zeros(m), sigma=np.ones(m), config=np.zeros(m, int), marker=np.arange(m) % 2,
+                    axis=np.zeros(m, int), columns=("k1", "k2"), row_class=np.arange(m) // 2)
+        assert StackedSystem(**{**good, "B": B.copy()}).class_plan.counts.tolist() == [2] * (m // 2)
+        B[row, 1] = np.nextafter(B[row, 1], np.inf)
+        with pytest.raises(ValueError, match="rows of one row_class differ"):
+            StackedSystem(**good)
+
 
 class TestStackSystemChecks:
     """A faulty row ends in the error that building its posture alone raises."""
