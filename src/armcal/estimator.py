@@ -119,13 +119,13 @@ class _Factors(NamedTuple):
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B``.
 
-    ``w`` and ``sigma`` are (T, m) stacks, one row per trial, each constant
-    over every class of the system's ``class_plan``; only a class's first
-    row is read.  The (c, n) matrix ``sqrt(r) w_c B_c`` of the distinct rows
-    is factored in place of the (m, n) one: its singular values and V are
-    the same, row k of its U is sqrt(r_k) times each full-U row of class k,
-    and the pseudo-inverse G and the sandwich ``G diag((w_c sigma_c)^2) G'``
-    have c columns.  One ``np.linalg.svd`` call factors all trials.
+    ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
+    per class of the system's ``class_plan``.  The (c, n) matrix
+    ``sqrt(r) w_c B_c`` of the distinct rows is factored in place of the
+    (m, n) one: its singular values and V are the same, row k of its U is
+    sqrt(r_k) times each full-U row of class k, and the pseudo-inverse G
+    and the sandwich ``G diag((w_c sigma_c)^2) G'`` have c columns.  One
+    ``np.linalg.svd`` call factors all trials.
 
     ``errors[t]`` is the exception trial t's solve raises (an identically
     zero or rank-deficient regressor, a negative covariance diagonal) or
@@ -134,7 +134,6 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """
     n = sys.n_parameters
     classes = sys.class_plan
-    w, sigma = w[:, classes.first], sigma[:, classes.first]
     U, s, Vt = np.linalg.svd(sys.B[classes.first] * (np.sqrt(classes.counts) * w)[:, :, None],
                              full_matrices=False)
     rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
@@ -177,7 +176,11 @@ def _apply(f: _Factors, yw: np.ndarray) -> np.ndarray:
     trial.  Each trial is its own matrix-vector product in this association
     order, so a stacked solve equals the one-trial solve bit for bit.
     """
-    q = f.classes.sum(yw) / np.sqrt(f.classes.counts)
+    return _solve(f, f.classes.sum(yw) / np.sqrt(f.classes.counts))
+
+
+def _solve(f: _Factors, q: np.ndarray) -> np.ndarray:
+    """Solutions ``V ((U' q[t]) / s)`` of a (T, c) stack of folded observations ``q``."""
     c = (f.U.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0] / f.s
     return (f.Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
 
@@ -195,7 +198,8 @@ def _weighted_solve(
     if not np.array_equal(w[sys.class_plan.first[sys.row_class]], w):  # the weights split a class
         sys = replace(sys, row_class=None)
 
-    f = _factor(sys, w[None], sys.sigma[None])
+    first = sys.class_plan.first
+    f = _factor(sys, w[None, first], sys.sigma[None, first])
     if f.errors[0] is not None:
         raise f.errors[0]
     x = _apply(f, (sys.dp * w)[None])[0]
@@ -234,7 +238,10 @@ def irls(
     iteration re-estimates the per-(configuration, axis) dispersions from the
     previous residuals (sample std over that group's markers x repetitions,
     floored at ``sigma0``; a one-row group raises ``ReplicateCountError``),
-    rebuilds the saturating weights and re-solves.
+    rebuilds the saturating weights and re-solves.  The re-estimate reads
+    each class of identical rows through its mean observation and scatter,
+    taken once, and its one prediction; it equals the sample std of the row
+    residuals up to rounding.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
@@ -252,6 +259,28 @@ def irls(
     return fit
 
 
+def _class_moments(sys: StackedSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class means and scatters (summed squared deviations from the mean) of a
+    (T, m) stack of observations, each (T, classes), the scatter in a second pass."""
+    classes = sys.class_plan
+    mean = classes.sum(y) / classes.counts
+    return mean, classes.sum((y - mean[:, sys.row_class]) ** 2)
+
+
+def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, scatter: np.ndarray,
+                 sigma0: float) -> np.ndarray:
+    """Per-class dispersions, floored at ``sigma0``, re-learnt from the residuals ``B x - y``.
+
+    ``predicted`` holds each class's prediction ``B_k x``; a class's residuals
+    then have the mean ``predicted - mean`` and the scatter ``scatter`` of its
+    observations (:func:`_class_moments`), which the pooled std of each
+    (configuration, axis) group reads in place of the rows.
+    """
+    plan = sys.class_group_plan
+    std = plan.pooled_std(sys.class_plan.counts, predicted - mean, scatter)
+    return np.maximum(std[:, plan.label], sigma0)
+
+
 def _irls_stack(
     sys: StackedSystem,
     y: np.ndarray,
@@ -264,33 +293,42 @@ def _irls_stack(
     """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
 
     ``sigma`` holds each trial's starting dispersions, constant over each
-    row class.  Each iteration solves the trials still running with one
-    stacked SVD, predicts each class of identical rows once and gathers the
-    row residuals from those predictions, then re-estimates the dispersions
-    over all rows.  A trial leaves the stack when it stops, and only then is
-    its result built.  Returns per trial its final result, or the exception
-    its solve raised (rank loss at iteration 1, a negative covariance
-    diagonal).  The solves and the re-estimates use the system's own class
-    and group plans; a one-row group raises only at a re-estimate, so a
-    single pass needs no replicates.
+    row class.  Weights and dispersions are kept per class through the loop.
+    Each iteration solves the trials still running with one stacked SVD and
+    predicts each class once; the re-estimate reads those predictions and
+    the class moments of ``y``, taken once per call (:func:`_dispersions`).
+    Iteration 1 folds the weighted rows as :func:`wls_estimate` does, so a
+    single pass equals it bit for bit; later iterations fold the class means,
+    one weight per class, without reading the rows.
+    A trial leaves the stack when it stops, and only then is its result
+    built, with its row residuals, weights and dispersions.  Returns per
+    trial its final result, or the exception its solve raised (rank loss at
+    iteration 1, a negative covariance diagonal).  The solves and the
+    re-estimates use the system's own class and group plans; a one-row group
+    raises only at a re-estimate, so a single pass needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
+    first, row_class = sys.class_plan.first, sys.row_class
     final: list[EstimationResult | Exception | None] = [None] * y.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
     last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
     live = np.arange(y.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
-    sigma_t = sigma
+    mean, scatter = _class_moments(sys, y)
+    folded = mean * np.sqrt(sys.class_plan.counts)  # the fold of y, for one weight per class
+    sigma_t = sigma[:, first]
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma_t, sigma0, lam)
         f = _factor(sys, w, sigma_t)
-        x = _apply(f, y[live] * w)
-        predicted = (sys.B[sys.class_plan.first] @ x[:, :, None])[:, :, 0]  # one row per class
-        residuals = predicted[:, sys.row_class] - y[live]
+        if it == 1:  # the row fold, so that a first pass equals the weighted solve bit for bit
+            x = _apply(f, y * w[:, row_class])
+        else:
+            x = _solve(f, w * folded[live])
+        predicted = (sys.B[first] @ x[:, :, None])[:, :, 0]  # one row per class
         ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
-        arrays = (x, f.cov, ci3, residuals, w, sigma_t)
+        arrays = (x, f.cov, ci3, predicted, w, sigma_t)
         if prev is not None:
             change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
         keep = np.zeros(live.shape[0], dtype=bool)
@@ -299,7 +337,7 @@ def _irls_stack(
                 if prev is None or not isinstance(f.errors[j], RankDeficientError):
                     final[t] = f.errors[j]
                 else:
-                    final[t] = _irls_result(sys, *last[t], trace[t], "rank_loss")
+                    final[t] = _irls_result(sys, y[t], *last[t], trace[t], "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
             if single_pass:
@@ -312,27 +350,28 @@ def _irls_stack(
                 continue
             else:
                 reason = "max_iter"
-            final[t] = _irls_result(sys, arrays, j, trace[t], reason)
+            final[t] = _irls_result(sys, y[t], arrays, j, trace[t], reason)
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break
-        sigma_t = np.maximum(sys.group_plan.std(residuals[keep])[:, sys.group], sigma0)
+        sigma_t = _dispersions(sys, predicted[keep], mean[live], scatter[live], sigma0)
     return final
 
 
-def _irls_result(sys: StackedSystem, arrays: tuple, j: int, trace: list[IterationSnapshot],
-                 reason: str) -> EstimationResult:
-    """The IRLS result of row ``j`` of one iteration's stacked ``arrays``."""
-    x, cov, ci3, residuals, w, sigma = arrays
+def _irls_result(sys: StackedSystem, y: np.ndarray, arrays: tuple, j: int,
+                 trace: list[IterationSnapshot], reason: str) -> EstimationResult:
+    """The IRLS result for observations ``y`` of row ``j`` of one iteration's stacked ``arrays``;
+    the per-class arrays are expanded to rows here."""
+    x, cov, ci3, predicted, w, sigma = arrays
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x[j],
         covariance=cov[j],
         ci3=ci3[j],
-        residuals=residuals[j],
+        residuals=predicted[j][sys.row_class] - y,
         method="irls",
-        weights=w[j],
-        sigma=sigma[j],
+        weights=w[j][sys.row_class],
+        sigma=sigma[j][sys.row_class],
         iterations=tuple(trace),
         converged=reason in ("tolerance", "single_pass"),
         stop_reason=reason,

@@ -136,7 +136,8 @@ def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
 class _Groups:
     """Rows grouped by an integer label, planned once per label vector.
 
-    ``label[i]`` numbers row i's group.  Rows are taken in a stable order by
+    ``label[i]`` numbers row i's group, and ``label`` is kept to spread
+    per-group values back over the rows.  Rows are taken in a stable order by
     group: ``counts[g]`` is group g's row count, ``starts[g]`` its offset in
     that order and ``first[g]`` its first row.  The groups of each size share
     one (groups, size) index block, so repeated reductions over one grouping
@@ -145,6 +146,7 @@ class _Groups:
     """
 
     def __init__(self, label: np.ndarray):
+        self.label = label
         self.counts = np.bincount(label)
         self.order = np.argsort(label, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts
@@ -167,11 +169,29 @@ class _Groups:
         A group without rows reads 0.0; a group of one row raises
         :class:`ReplicateCountError`.
         """
-        if np.any(self.counts == 1):
-            raise ReplicateCountError(
-                "every (configuration, axis) group needs >= 2 rows to estimate a dispersion"
-            )
+        _require_replicates(self.counts)
         out = np.zeros(values.shape[:-1] + (self.counts.shape[0],))
         for ids, rows in self.by_size:
             out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
         return out
+
+    def pooled_std(self, counts: np.ndarray, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+        """Grouped sample stds (ddof=1) of values known only through per-row statistics.
+
+        Row i stands for ``counts[i]`` values with mean ``mean[..., i]`` and
+        scatter ``scatter[..., i]``, their summed squared deviations from
+        that mean.  A group of n values with mean c has the scatter
+        ``sum(scatter + counts * (mean - c)**2)`` over its rows, the exact
+        algebra of the sample variance, so the values themselves are never
+        read.  Returns (..., groups), for labels without gaps; a group of
+        one value raises :class:`ReplicateCountError`.
+        """
+        n = self.sum(counts)
+        _require_replicates(n)
+        centre = self.sum(counts * mean) / n
+        return np.sqrt(self.sum(scatter + counts * (mean - centre[..., self.label]) ** 2) / (n - 1))
+
+
+def _require_replicates(counts: np.ndarray) -> None:
+    if np.any(counts == 1):
+        raise ReplicateCountError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")

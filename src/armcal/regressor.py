@@ -211,10 +211,12 @@ class StackedSystem:
     solver factors each class once (see :mod:`armcal.estimator`).  Classes
     are numbered 0, 1, ... without gaps, and the default is one class per
     row.  ``class_plan`` and ``group_plan`` group the rows by ``row_class``
-    and by ``group``, planned once per system for every solve and dispersion
-    re-estimate.  The class check compares each row with the first row of its
-    class bit for bit, ``_CHECK_ROWS`` rows at a time, so it never copies
-    ``B``.  All arrays are read-only.
+    and by ``group``, and ``class_group_plan`` groups the classes by their
+    (configuration, axis) pair, numbered without gaps; all three are planned
+    once per system for every solve and dispersion re-estimate.  The class
+    check compares each row with the first row of its class bit for bit,
+    ``_CHECK_ROWS`` rows at a time, so it never copies ``B``.  All arrays
+    are read-only.
     """
 
     B: np.ndarray
@@ -228,6 +230,7 @@ class StackedSystem:
     group: np.ndarray = field(init=False, repr=False)
     class_plan: _Groups = field(init=False, repr=False)
     group_plan: _Groups = field(init=False, repr=False)
+    class_group_plan: _Groups = field(init=False, repr=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -268,6 +271,8 @@ class StackedSystem:
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "class_plan", class_plan)
         object.__setattr__(self, "group_plan", _Groups(group))
+        object.__setattr__(self, "class_group_plan",
+                           _Groups(np.unique(group[class_plan.first], return_inverse=True)[1].reshape(-1)))
 
     @property
     def n_equations(self) -> int:

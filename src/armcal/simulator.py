@@ -44,9 +44,11 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 #: Byte budget of one block of trials in the Monte Carlo comparison, counted
 #: as a folded (classes, parameters) regressor plus a row of observations
 #: per trial (:func:`_block_trials`); it sets how many trials are solved
-#: together.  The working memory scales with this block, not with the trial
-#: count.
-_BLOCK_BYTES = 3 << 16
+#: together, 20 on the bundled design.  The working memory scales with this
+#: block, not with the trial count.  It is the largest block whose Python
+#: allocations at 100 trials peak no higher (2.1 MB) than the 12-trial
+#: blocks of the row-level dispersion re-estimate did.
+_BLOCK_BYTES = 5 << 16
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,9 @@ def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSy
 
 
 def _block_trials(sys: StackedSystem) -> int:
-    """Trials per Monte Carlo block of ``sys``: ``_BLOCK_BYTES`` over one trial's folded
-    regressor (a row per class of identical rows) and its row of observations."""
+    """Trials per Monte Carlo block of ``sys`` (20 on the bundled design): ``_BLOCK_BYTES``
+    over one trial's folded regressor (a row per class of identical rows) and its row of
+    observations; the IRLS loop's other per-trial arrays are per class."""
     classes = sys.class_plan.counts.shape[0]
     return max(1, _BLOCK_BYTES // (sys.B.itemsize * (classes * sys.n_parameters + sys.n_equations)))
 
@@ -259,20 +262,24 @@ def monte_carlo_compare(
     blind, from the raw per-(configuration, axis) scatter of that trial's
     deflections.
 
-    Trials are solved together in fixed blocks (about a dozen trials each on
-    the bundled design, sized by :func:`_block_trials`).  Every solve
-    factors the distinct rows only, one per class of a posture's identical
-    repetitions (see :mod:`armcal.estimator`).  OLS and WLS share ``B`` and
-    their weights across trials, so each is one SVD, made before any block,
-    plus a stacked product per block, and that SVD also gives the method's
-    predicted covariance and CIs; IRLS runs one stacked SVD per iteration
-    over the block's still-running trials, each keeping its own stop
-    iteration and reason.  Blocks are drawn and solved one after another, in
-    trial order, so working memory scales with the block size, not with
-    ``trials``.  Every estimate equals the one-trial solve of that trial bit
-    for bit.  Failed trials are recorded with their reason; more than 5%
-    aborts.  A design with a one-row (configuration, axis) group raises
-    ``ReplicateCountError`` before any trial is solved.
+    Trials are solved together in fixed blocks (20 trials each on the
+    bundled design, sized by :func:`_block_trials`), each trial's noise drawn
+    in place into its row of the block.  Every solve factors the distinct
+    rows only, one per class of a posture's identical repetitions (see
+    :mod:`armcal.estimator`).  OLS and WLS share ``B`` and their weights
+    across trials, so each is one SVD, made before any block, plus a stacked
+    product per block, and that SVD also gives the method's predicted
+    covariance and CIs; IRLS runs one stacked SVD per iteration over the
+    block's still-running trials, each keeping its own stop iteration and
+    reason, and re-estimates their dispersions from per-class moments.
+    Blocks are drawn and solved one after another, in trial order, so
+    working memory scales with the block size, not with ``trials``.  Every
+    estimate equals the one-trial solve of that trial bit for bit.  Failed
+    trials are recorded with their reason; a block whose stacked SVD fails
+    as a whole is solved again trial by trial, so that only the failing
+    trial is recorded.  More than 5% failed trials abort.  A design with a
+    one-row (configuration, axis) group raises ``ReplicateCountError``
+    before any trial is solved.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -280,26 +287,34 @@ def monte_carlo_compare(
     dp_clean, sigma_true, group = base.dp, base.sigma, base.group
 
     fixed, cov, ci3 = {}, {}, {}
+    first = base.class_plan.first
     for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
-        f = _factor(base, w[None], sigma_true[None])
+        f = _factor(base, w[None, first], sigma_true[None, first])
         if f.errors[0] is not None:
             raise f.errors[0]
         fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
-    block = _block_trials(base)
+    block, irls_args = _block_trials(base), (sigma0, lam, rel_tol, max_iter)
     failures: list[tuple[int, str, str]] = []
     solved: list[tuple] = []  # per solved trial, its OLS, WLS and IRLS outcomes
     for start in range(0, trials, block):
         block_trials = range(start, min(start + block, trials))
-        noise = np.array([np.random.default_rng((design.seed, t)).normal(size=dp_clean.shape)
-                          for t in block_trials])
-        dp = dp_clean + noise * sigma_true
+        dp = np.empty((len(block_trials), dp_clean.shape[0]))
+        for j, t in enumerate(block_trials):  # the same stream as normal(size=), drawn in place
+            np.random.default_rng((design.seed, t)).standard_normal(out=dp[j])
+        dp *= sigma_true
+        dp += dp_clean
         sigma_raw = np.maximum(base.group_plan.std(dp)[:, group], sigma0)  # a one-row group raises here
         x = {name: _apply(f, dp * w) for name, (f, w) in fixed.items()}
         try:
-            fits = _irls_stack(base, dp, sigma_raw, sigma0, lam, rel_tol, max_iter)
-        except np.linalg.LinAlgError as exc:  # the stacked SVD fails as a whole
-            fits = [exc] * len(block_trials)
+            fits = _irls_stack(base, dp, sigma_raw, *irls_args)
+        except np.linalg.LinAlgError:  # the stacked SVD fails as a whole: solve trial by trial
+            fits = []
+            for j in range(len(block_trials)):
+                try:
+                    fits += _irls_stack(base, dp[j:j + 1], sigma_raw[j:j + 1], *irls_args)
+                except np.linalg.LinAlgError as exc:
+                    fits.append(exc)
         for j, (t, fit) in enumerate(zip(block_trials, fits)):
             if isinstance(fit, Exception):
                 failures.append((t, type(fit).__name__, str(fit)))

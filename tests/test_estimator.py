@@ -21,7 +21,7 @@ from armcal.estimator import (
     robust_weights,
     wls_estimate,
 )
-from armcal.noise import NoiseModel
+from armcal.noise import NoiseModel, grouped_std
 from armcal.regressor import StackedSystem, stack_system
 from armcal.simulator import noise_free_system, simulate_measurements
 
@@ -397,6 +397,36 @@ class TestIRLS:
                 assert a.index == b.index
                 assert_array_equal(a.x_hat, b.x_hat)
                 assert_array_equal(a.ci3, b.ci3)
+
+    @staticmethod
+    def unequal_system(rng):
+        # groups of 5, 7 and 5 rows (two group sizes) made of classes of 1 to 4 identical rows,
+        # the rows of each class scattered over the system
+        sizes, axes = [3, 2, 1, 4, 2, 2, 3], [0, 0, 1, 1, 1, 2, 2]
+        row_class = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        B = rng.normal(size=(len(sizes), 3))[row_class]
+        return StackedSystem(B=B, dp=np.zeros(len(row_class)), sigma=np.ones(len(row_class)),
+                             config=np.ones_like(row_class), marker=np.zeros_like(row_class),
+                             axis=np.array(axes)[row_class], columns=("ka", "kb", "kc"),
+                             row_class=row_class)
+
+    @pytest.mark.parametrize("kind", ["bundled", "unequal", "one_row_classes"])
+    def test_re_estimate_matches_row_level_std(self, kind, bundled_system):
+        # the pooled std of class moments equals grouped_std of the row residuals up to rounding
+        rng = np.random.default_rng(8)
+        sys = {"bundled": bundled_system, "unequal": self.unequal_system(rng),
+               "one_row_classes": replace(bundled_system, row_class=None)}[kind]
+        truth = ols_estimate(bundled_system).x_hat if kind != "unequal" else np.array([1.0, -2.0, 0.5])
+        clean = sys.B @ truth
+        y = clean + rng.normal(size=(4, sys.n_equations)) * 0.3 * np.sqrt(np.mean(clean ** 2))
+        x = truth * (1.0 + 0.05 * rng.normal(size=(4, sys.n_parameters)))  # one estimate per trial
+        assert len(sys.group_plan.by_size) == (2 if kind == "unequal" else 1)  # group sizes
+        assert np.unique(sys.class_plan.counts).size == (4 if kind == "unequal" else 1)  # class sizes
+        first = sys.class_plan.first
+        predicted = (sys.B[first] @ x[:, :, None])[:, :, 0]
+        got = estimator_mod._dispersions(sys, predicted, *estimator_mod._class_moments(sys, y), sigma0=1e-300)
+        row_std = grouped_std(predicted[:, sys.row_class] - y, sys.group)[:, sys.group[first]]
+        assert_allclose(got, row_std, rtol=1e-13, atol=0.0)
 
     def test_max_iter_validated(self, noisy_system):
         with pytest.raises(ValueError, match="max_iter"):

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import scalar_chain
-from armcal import kinematics, reference, regressor
+from armcal import estimator, kinematics, reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
 from armcal.estimator import irls, ols_estimate, optimal_weights, robust_weights, wls_estimate
 from armcal.kinematics import (
@@ -619,15 +619,19 @@ class TestRowClasses:
             x, cov = prefold_solve(sys, w)
             assert_array_equal(res.x_hat, x)
             assert_array_equal(res.covariance, cov)
-        # the reweighting loop, one solve per iteration
+        # the reweighting loop, one solve per iteration; from iteration 2 on the sigmas are the
+        # library's re-estimate from class moments, which rounds apart from the row-level std
         res = irls(sys)
-        sigma, prev = sys.sigma, None
+        sigma = sys.sigma
+        mean, scatter = estimator._class_moments(sys, sys.dp[None])
         for snap in res.iterations:
             w = robust_weights(sigma)
             x, cov = prefold_solve(replace(sys, sigma=sigma), w)
             assert_array_equal(snap.x_hat, x)
             assert_array_equal(snap.ci3, 3.0 * np.sqrt(np.diag(cov)))
-            sigma = np.maximum(grouped_std(sys.B @ x - sys.dp, sys.group)[sys.group], DEFAULT_SIGMA0)
+            sigma = estimator._dispersions(sys, (sys.B @ x)[None], mean, scatter, DEFAULT_SIGMA0)[0]
+            row_std = np.maximum(grouped_std(sys.B @ x - sys.dp, sys.group)[sys.group], DEFAULT_SIGMA0)
+            assert_allclose(sigma, row_std, rtol=1e-13, atol=0.0)
         assert_array_equal(res.weights, w)
 
     def test_class_rows_must_agree_in_regressor_and_group(self):

@@ -1,5 +1,6 @@
 """Synthetic-study generation and the Monte Carlo method comparison."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -374,6 +375,19 @@ class TestMonteCarloCompare:
             monte_carlo_compare(bundled_design, nominal_model, trials=1)
 
 
+def assert_other_trials_kept(mc, unpatched, failing):
+    """Every trial of ``unpatched`` but ``failing`` is in ``mc`` with the same bits, in trial order."""
+    kept = [t for t in range(unpatched.trials) if t != failing]
+    for method in ("ols", "wls", "irls"):
+        assert_array_equal(mc.estimates[method], unpatched.estimates[method][kept])
+        assert_array_equal(mc.ci3[method], unpatched.ci3[method][kept])
+    assert_array_equal(mc.irls_iterations, unpatched.irls_iterations[kept])
+    assert_array_equal(mc.irls_converged, unpatched.irls_converged[kept])
+    assert len(mc.irls_ci_traces) == len(kept)
+    for trace, t in zip(mc.irls_ci_traces, kept):
+        assert_array_equal(trace, unpatched.irls_ci_traces[t])
+
+
 def trial_observations(design, model, trials):
     """The stacked observations the Monte Carlo comparison draws for each of ``trials``."""
     base = noise_free_system(design, model)
@@ -455,15 +469,26 @@ class TestBatchedEquivalence:
         monkeypatch.setattr(simulator_mod, "_irls_stack", failing_late)
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
         assert mc.failures == ((failing, "CalibrationError", "synthetic late failure"),)
-        kept = [t for t in range(trials) if t != failing]
-        for method in ("ols", "wls", "irls"):
-            assert_array_equal(mc.estimates[method], unpatched.estimates[method][kept])
-            assert_array_equal(mc.ci3[method], unpatched.ci3[method][kept])
-        assert_array_equal(mc.irls_iterations, unpatched.irls_iterations[kept])
-        assert_array_equal(mc.irls_converged, unpatched.irls_converged[kept])
-        assert len(mc.irls_ci_traces) == len(kept)
-        for trace, t in zip(mc.irls_ci_traces, kept):
-            assert_array_equal(trace, unpatched.irls_ci_traces[t])
+        assert_other_trials_kept(mc, unpatched, failing)
+
+    def test_failed_stacked_svd_fails_only_its_trial(self, bundled_design, nominal_model, monkeypatch):
+        # an SVD that fails for one trial fails its whole stack: the block is solved
+        # again trial by trial, and only that trial is recorded as failed
+        base = noise_free_system(bundled_design, nominal_model)
+        trials, failing = 2 * simulator_mod._block_trials(base), 5
+        unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+        observations = trial_observations(bundled_design, nominal_model, [failing])[0]
+        real = simulator_mod._irls_stack
+
+        def svd_fails(sys, y, *args):
+            if any(np.array_equal(row, observations) for row in y):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(sys, y, *args)
+
+        monkeypatch.setattr(simulator_mod, "_irls_stack", svd_fails)
+        mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+        assert mc.failures == ((failing, "LinAlgError", "SVD did not converge"),)
+        assert_other_trials_kept(mc, unpatched, failing)
 
     def test_replicate_starved_design_raises_before_any_trial(
         self, nominal_model, monkeypatch
@@ -505,6 +530,24 @@ def test_groupings_are_planned_once_per_system(bundled_design, nominal_model, bu
     assert few > 0
     assert few == many
     assert plans(lambda: irls(bundled_system, max_iter=1)) == plans(lambda: irls(bundled_system))
+
+
+def test_monte_carlo_memory_scales_with_one_block(bundled_design, nominal_model):
+    # the working set is one block of trials: 100 trials peak under 2.3 MB of Python
+    # allocations, and a run of three full blocks and a one-trial fourth stays within 10 % of that
+    def peak_mb(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo_compare(bundled_design, nominal_model, trials=trials)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    monte_carlo_compare(bundled_design, nominal_model, trials=2)  # one-time set-up off the books
+    block = simulator_mod._block_trials(noise_free_system(bundled_design, nominal_model))
+    hundred = peak_mb(100)
+    assert hundred <= 2.3
+    assert peak_mb(3 * block + 1) <= 1.1 * hundred
 
 
 class TestReferenceStudy:
