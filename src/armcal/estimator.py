@@ -256,7 +256,43 @@ def irls(
     fit = _irls_stack(sys, sys.dp[None], sys.sigma[None], sigma0, lam, rel_tol, max_iter)[0]
     if isinstance(fit, Exception):
         raise fit
-    return fit
+    return EstimationResult(
+        parameters=sys.columns,
+        x_hat=fit.x_hat,
+        covariance=fit.covariance,
+        ci3=fit.ci3,
+        residuals=fit.predicted[sys.row_class] - sys.dp,
+        method="irls",
+        weights=fit.weights[sys.row_class],
+        sigma=fit.sigma[sys.row_class],
+        iterations=fit.iterations,
+        converged=fit.converged,
+        stop_reason=fit.stop_reason,
+    )
+
+
+class _ClassFit(NamedTuple):
+    """One trial's IRLS outcome from :func:`_irls_stack`, kept per class of identical rows:
+    ``predicted`` holds each class's prediction ``B_k x_hat``, ``weights`` and ``sigma``
+    those of the final solve."""
+
+    x_hat: np.ndarray
+    covariance: np.ndarray
+    ci3: np.ndarray
+    predicted: np.ndarray
+    weights: np.ndarray
+    sigma: np.ndarray
+    iterations: tuple[IterationSnapshot, ...]
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("tolerance", "single_pass")
+
+    @classmethod
+    def from_stack(cls, arrays: tuple, j: int, trace: list[IterationSnapshot], reason: str) -> _ClassFit:
+        """The fit in row ``j`` of one iteration's stacked ``(x, cov, ci3, predicted, w, sigma)``."""
+        return cls(*(a[j] for a in arrays), tuple(trace), reason)
 
 
 def _class_moments(sys: StackedSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +325,7 @@ def _irls_stack(
     lam: float,
     rel_tol: float,
     max_iter: int,
-) -> list[EstimationResult | Exception]:
+) -> list[_ClassFit | Exception]:
     """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
 
     ``sigma`` holds each trial's starting dispersions, constant over each
@@ -300,18 +336,18 @@ def _irls_stack(
     Iteration 1 folds the weighted rows as :func:`wls_estimate` does, so a
     single pass equals it bit for bit; later iterations fold the class means,
     one weight per class, without reading the rows.
-    A trial leaves the stack when it stops, and only then is its result
-    built, with its row residuals, weights and dispersions.  Returns per
-    trial its final result, or the exception its solve raised (rank loss at
-    iteration 1, a negative covariance diagonal).  The solves and the
-    re-estimates use the system's own class and group plans; a one-row group
-    raises only at a re-estimate, so a single pass needs no replicates.
+    A trial leaves the stack when it stops.  Returns per trial its per-class
+    fit, which :func:`irls` expands to rows, or the exception its solve
+    raised (rank loss at iteration 1, a negative covariance diagonal).  The
+    solves and the re-estimates use the system's own class and group plans;
+    a one-row group raises only at a re-estimate, so a single pass needs no
+    replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
     first, row_class = sys.class_plan.first, sys.row_class
-    final: list[EstimationResult | Exception | None] = [None] * y.shape[0]
+    final: list[_ClassFit | Exception | None] = [None] * y.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
     last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
     live = np.arange(y.shape[0])  # trials still iterating
@@ -337,7 +373,7 @@ def _irls_stack(
                 if prev is None or not isinstance(f.errors[j], RankDeficientError):
                     final[t] = f.errors[j]
                 else:
-                    final[t] = _irls_result(sys, y[t], *last[t], trace[t], "rank_loss")
+                    final[t] = _ClassFit.from_stack(*last[t], trace[t], "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
             if single_pass:
@@ -350,29 +386,10 @@ def _irls_stack(
                 continue
             else:
                 reason = "max_iter"
-            final[t] = _irls_result(sys, y[t], arrays, j, trace[t], reason)
+            final[t] = _ClassFit.from_stack(arrays, j, trace[t], reason)
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break
         sigma_t = _dispersions(sys, predicted[keep], mean[live], scatter[live], sigma0)
     return final
 
-
-def _irls_result(sys: StackedSystem, y: np.ndarray, arrays: tuple, j: int,
-                 trace: list[IterationSnapshot], reason: str) -> EstimationResult:
-    """The IRLS result for observations ``y`` of row ``j`` of one iteration's stacked ``arrays``;
-    the per-class arrays are expanded to rows here."""
-    x, cov, ci3, predicted, w, sigma = arrays
-    return EstimationResult(
-        parameters=sys.columns,
-        x_hat=x[j],
-        covariance=cov[j],
-        ci3=ci3[j],
-        residuals=predicted[j][sys.row_class] - y,
-        method="irls",
-        weights=w[j][sys.row_class],
-        sigma=sigma[j][sys.row_class],
-        iterations=tuple(trace),
-        converged=reason in ("tolerance", "single_pass"),
-        stop_reason=reason,
-    )

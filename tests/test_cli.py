@@ -597,6 +597,73 @@ class TestPlumbing:
             assert flag in text
 
 
+def output_bytes(directory):
+    """Every file under ``directory`` by its relative path, as bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+class TestInProcessReuse:
+    """``main`` keeps no state between calls, and parses with the named subcommand alone."""
+
+    @staticmethod
+    def default_commands(out):
+        study = out / "study"
+        assert run_cli("simulate", "--out", str(study)) == 0
+        assert run_cli("calibrate", "--measurements", str(study / "measurements.tsv"),
+                       "--noise", str(study / "noise.tsv"), "--out", str(out / "calibrate")) == 0
+        assert run_cli("compare", "--out", str(out / "compare")) == 0
+        return output_bytes(out)
+
+    def test_main_is_reentrant(self, tmp_path, capsys):
+        first = self.default_commands(tmp_path / "first")
+        study = tmp_path / "flags" / "study"
+        assert run_cli("simulate", "--seed", "3", "--repetitions", "4", "--mass", "200",
+                       "--out", str(study)) == 0
+        measured = ("--measurements", str(study / "measurements.tsv"), "--noise", str(study / "noise.tsv"))
+        assert run_cli("calibrate", *measured, "--method", "wls", "--lambda", "2", "--sigma0", "20",
+                       "--out", str(tmp_path / "flags" / "wls")) == 0
+        assert run_cli("calibrate", *measured, "--method", "irls", "--mode", "combined",
+                       "--params", "a2,d3,theta4,tool_x", "--out", str(tmp_path / "flags" / "combined")) == 0
+        assert run_cli("compare", "--trials", "3", "--seed", "4", "--out", str(tmp_path / "flags" / "compare")) == 0
+        capsys.readouterr()
+        assert run_cli("compare", "--trials", "1") == 2
+        assert capsys.readouterr().err.startswith("ERROR E_USAGE: --trials ")
+        assert len(first) == 11  # 3 study files, 5 calibrate reports, 3 compare reports
+        assert self.default_commands(tmp_path / "again") == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("calibrate", "--measurements", "m.tsv", "--method", "irls", "--mode", "combined",
+             "--params", "a2,d3", "--lambda", "2", "--max-iter", "5"),
+            ("simulate", "--seed", "3", "--markers", "2", "--mass", "200", "--out", "s"),
+            ("compare", "--trials", "5", "--sigma0", "20", "--rel-tol", "1e-4"),
+        ],
+        ids=["calibrate", "simulate", "compare"],
+    )
+    def test_named_subcommand_alone_parses_like_the_full_parser(self, argv):
+        alone = build_parser(argv[0])
+        assert alone.format_usage() == f"usage: armcal [-h] {{{argv[0]}}} ...\n"
+        assert vars(alone.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_model_file_is_read_on_every_call(self, study_dir, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        text = format_model(reference.nominal_model())
+        assert text.count(" a=1.15 ") == 1
+        calibrate = ("calibrate", "--measurements", str(study_dir / "measurements.tsv"),
+                     "--noise", str(study_dir / "noise.tsv"), "--model", str(path))
+        estimates = []
+        for out, edited in (("nominal", text), ("longer", text.replace(" a=1.15 ", " a=1.25 "))):
+            path.write_text(edited)
+            assert run_cli(*calibrate, "--out", str(tmp_path / out)) == 0
+            estimates.append(read_estimates(tmp_path / out / "parameters.tsv", "wls"))
+        assert estimates[0] != estimates[1]
+        capsys.readouterr()
+        path.write_text(text.replace(" a=1.15 ", " a=oops "))
+        assert run_cli(*calibrate, "--out", str(tmp_path / "broken")) == 1
+        assert capsys.readouterr().err.startswith("ERROR E_MODEL_FORMAT: ")
+
+
 class TestReportHelpers:
     def test_parameter_units(self):
         scale, unit = parameter_unit("k2_3")

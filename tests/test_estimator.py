@@ -390,8 +390,12 @@ class TestIRLS:
         for t, fit in enumerate(fits):
             ref = irls(replace(sys, dp=y[t]), **kw)
             assert (fit.stop_reason, fit.converged) == (ref.stop_reason, ref.converged)
-            for name in ("x_hat", "covariance", "ci3", "residuals", "weights", "sigma"):
+            for name in ("x_hat", "covariance", "ci3"):
                 assert_array_equal(getattr(fit, name), getattr(ref, name))
+            # the stacked fit keeps one prediction, weight and sigma per class of identical rows
+            assert_array_equal(fit.predicted[sys.row_class] - y[t], ref.residuals)
+            assert_array_equal(fit.weights[sys.row_class], ref.weights)
+            assert_array_equal(fit.sigma[sys.row_class], ref.sigma)
             assert len(fit.iterations) == len(ref.iterations)
             for a, b in zip(fit.iterations, ref.iterations):
                 assert a.index == b.index
