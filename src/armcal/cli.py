@@ -13,8 +13,10 @@ subcommand its argv names, not all three, and reads the model on every call.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -300,16 +302,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     The subcommand an argv names parses the rest of it, so the parser with that
     subcommand alone parses such an argv exactly as the full one does, at under half
-    the cost of building the full one."""
+    the cost of building the full one.  Its parsers share one help width, looked up once."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="armcal",
         description="Geometric and elastostatic calibration of serial manipulators "
         "with dispersion-aware weighted least squares.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, add_flags, _) in _COMMANDS.items():
         if command in (None, name):
-            add_flags(sub.add_parser(name, help=help_))
+            add_flags(sub.add_parser(name, help=help_, formatter_class=formatter))
     return parser
 
 

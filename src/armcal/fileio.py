@@ -32,7 +32,8 @@ digits) are refused.  Model files keep Python's ``float``.
 Every table file is rendered by :func:`_render` and written ``_CHUNK_ROWS``
 rows at a time: a chunk formats only its own rows of each column, so writing
 holds one chunk's strings, and the bytes equal those of the whole table
-formatted at once.
+formatted at once.  :func:`_reprs` (``repr``) is the one number formatter, and
+a chunk formats cells that repeat once per class or run (:func:`_per_class`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import MeasurementFormatError, ModelFormatError, NoiseFormatError
 from .kinematics import Joint, ManipulatorModel, transform
 from .noise import NoiseModel
-from .regressor import BUCKET_TOL, Study
+from .regressor import BUCKET_TOL, Study, _run_starts
 
 _UM = 1e-6
 #: Rows per text chunk of a table file: each chunk is formatted, joined and written
@@ -75,9 +76,15 @@ def _fmt(value: float) -> str:
 
 
 def _reprs(*blocks: np.ndarray) -> list[list[str]]:
-    """:func:`_repr_columns` of floats without its sort, for the short columns of a report."""
-    columns = (c for b in blocks for c in np.atleast_2d(np.asarray(b, dtype=float).T).tolist())
+    """``repr`` of every value (:func:`_fmt` of a float), one list per column of each 1-D or (N, k) block."""
+    columns = (c for b in blocks for c in np.atleast_2d(np.asarray(b).T).tolist())
     return [list(map(repr, col)) for col in columns]
+
+
+def _per_class(inverse: np.ndarray, columns: Sequence[Sequence[str]], sep: str) -> list[str]:
+    """Per row, the ``sep``-joined cells of ``columns`` (one row per class) of its class ``inverse[row]``."""
+    text = list(map(sep.join, zip(*columns)))
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def _render(header: Sequence[str], n_rows: int, cells: Callable[[slice], Sequence[Sequence[str]]],
@@ -97,25 +104,6 @@ def _render(header: Sequence[str], n_rows: int, cells: Callable[[slice], Sequenc
 def _whole(columns: Sequence[Sequence[str]]) -> tuple[int, Callable[[slice], list[Sequence[str]]]]:
     """The row count and cells of :func:`_render` for columns formatted in advance."""
     return max(map(len, columns), default=0), lambda rows: [col[rows] for col in columns]
-
-
-def _repr_columns(*blocks: np.ndarray) -> list[list[str]]:
-    """``repr`` of every value, one list of strings per column of each 1-D or (N, k) block.
-
-    ``repr`` of a float from ``tolist()`` equals :func:`_fmt`; of an int, ``str``.  Each
-    distinct bit pattern of a column is formatted once (so ``-0.0`` stays apart from
-    ``0.0``) and its text gathered back through the inverse index; a column of
-    distinct values is formatted as it stands, with no gather.
-    """
-    columns = []
-    for col in (c for b in blocks for c in np.atleast_2d(np.asarray(b).T)):
-        bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        if bits.size == col.size:
-            columns.append(list(map(repr, col.tolist())))
-            continue
-        text = np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)
-        columns.append(text[inverse].tolist())
-    return columns
 
 
 def _data_lines(lines: Iterable[str]):
@@ -249,15 +237,16 @@ def _measurement_header(n_joints: int) -> list[str]:
 def _measurement_chunks(study: Study) -> Iterator[str]:
     """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk
     gathers its own rows of the (config, marker, rep) order, so no sorted copy of the
-    study is made."""
+    study is made, and formats q, force and fmarker once per run of rows whose bits agree."""
     if not len(study):
         raise ValueError("no records to write")
     order = np.lexsort((study.rep, study.marker, study.config))
 
     def cells(rows: slice) -> list[list[str]]:
         s = study.take(order[rows])
-        return _repr_columns(s.config, s.marker, s.rep, np.rad2deg(s.q), s.force, s.fmarker,
-                             s.p0 / _UM, s.p / _UM)
+        start = _run_starts(s.q, s.force, s.fmarker)
+        load = _per_class(start.cumsum() - 1, _reprs(np.rad2deg(s.q[start]), s.force[start], s.fmarker[start]), " ")
+        return [*_reprs(s.config, s.marker, s.rep), load, *_reprs(s.p0 / _UM, s.p / _UM)]
 
     return _render(_measurement_header(study.q.shape[1]), len(study), cells,
                    comments=["armcal measurements: angles deg, forces N, positions um"])
@@ -379,7 +368,7 @@ _NOISE_HEADER = ["config", "sigma_x", "sigma_y", "sigma_z", "se_x", "se_y", "se_
 
 def format_noise_table(noise: NoiseModel) -> str:
     se = noise.se if noise.se is not None else np.zeros_like(noise.sigma)
-    cells = lambda rows: _repr_columns(noise.config[rows], noise.sigma[rows] / _UM, se[rows] / _UM)
+    cells = lambda rows: _reprs(noise.config[rows], noise.sigma[rows] / _UM, se[rows] / _UM)
     return "".join(_render(_NOISE_HEADER, len(noise.config), cells,
                            comments=["armcal noise table: per-configuration deflection dispersions, um"]))
 

@@ -34,6 +34,17 @@ BUCKET_TOL = 1e-6
 _CHECK_ROWS = 2048
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """``a`` viewed as unsigned ints of its item size, equal where the bits are: ``-0.0 != 0.0``."""
+    return a.view(f"u{a.itemsize}")
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """True at each row that starts a run of consecutive rows whose ``columns`` agree bit for bit."""
+    bits = np.column_stack([_bits(c) for c in columns])
+    return np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]
+
+
 @dataclass(frozen=True)
 class Study:
     """A deflection experiment as one read-only table of columns.
@@ -337,8 +348,7 @@ def stack_system(
     else:
         columns = tuple(params) + cmap.parameter_names
 
-    bits = np.column_stack([s.q.view(np.int64), s.marker, s.force.view(np.int64), s.fmarker])
-    start = np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]  # a posture starts where the key changes
+    start = _run_starts(s.q, s.marker, s.force, s.fmarker)  # a posture starts where the key changes
     rows, posture = np.flatnonzero(start), np.cumsum(start) - 1  # each run's first row; each row's run
     q, marker = s.q[rows], s.marker[rows]
     # the regressor also needs the position of the marker the load is applied at

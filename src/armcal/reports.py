@@ -6,7 +6,8 @@ with SI values and ``repr`` floats for lossless downstream parsing.  Each
 writer hands its columns to ``fileio``'s one table renderer: the short
 reports as whole columns of strings, ``residuals.tsv`` as a function that
 formats one chunk of rows, so that file is formatted and written a chunk at
-a time.  Output is deterministic: identical inputs give byte-identical files.
+a time, each class of identical rows' repeated cells once.  ``repr`` is the only
+float formatter, and identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import EstimationResult
-from .fileio import _render, _repr_columns, _reprs, _whole, write_text
+from .fileio import _per_class, _render, _reprs, _whole, write_text
 from .noise import AXES
-from .regressor import StackedSystem
+from .regressor import StackedSystem, _bits
 from .simulator import ComplianceVector, MonteCarloReport
 
 _UM = 1e-6
@@ -84,11 +85,17 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
-    """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time."""
+    """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time;
+    a chunk formats config..weight once per ``row_class`` class, unless marker, sigma or weight bits split one."""
     def cells(rows: slice) -> list[list[str]]:
-        config, marker, *values = _repr_columns(sys.config[rows], sys.marker[rows], result.sigma[rows] / _UM,
-                                                result.weights[rows], result.residuals[rows] / _UM)
-        return [config, marker, list(map(AXES.__getitem__, sys.axis[rows].tolist())), *values]
+        marker, sigma, weight = sys.marker[rows], result.sigma[rows] / _UM, result.weights[rows]
+        _, first, inverse = np.unique(sys.row_class[rows], return_index=True, return_inverse=True)
+        if not all(np.array_equal(_bits(c[first[inverse]]), _bits(c)) for c in (marker, sigma, weight)):
+            first = inverse = np.arange(len(marker))
+        config, marker, sigma, weight = _reprs(sys.config[rows][first], marker[first], sigma[first], weight[first])
+        axis = list(map(AXES.__getitem__, sys.axis[rows][first].tolist()))
+        prefix = _per_class(inverse, [config, marker, axis, sigma, weight], "\t")
+        return [prefix, *_reprs(result.residuals[rows] / _UM)]
 
     header = ["config", "marker", "axis", "sigma_um", "weight", "residual_um"]
     return write_text(out_dir / "residuals.tsv", _render(header, sys.n_equations, cells, "\t"))

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: workflows, determinism, error paths."""
 
+import argparse
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -572,6 +574,30 @@ class TestPlumbing:
         )
         assert (env_dir / "parameters.tsv").exists()
 
+    def test_help_wraps_as_the_default_formatter(self, capsys, monkeypatch):
+        lookups = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: lookups.append(a) or size(*a))
+        texts = {}
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in (["-h"], ["calibrate", "-h"]):
+                lookups.clear()
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(*argv)
+                assert exc.value.code == 0 and len(lookups) == 1
+                texts[columns, argv[0]] = capsys.readouterr().out
+                # the same parser, formatting through argparse's own formatter, which looks
+                # the width up each time it is built
+                parser = build_parser(None if argv[0] == "-h" else argv[0])
+                if argv[0] == "calibrate":
+                    parser = parser._subparsers._group_actions[0].choices["calibrate"]
+                parser.formatter_class = argparse.HelpFormatter
+                assert texts[columns, argv[0]] == parser.format_help()
+        for argv0 in ("-h", "calibrate"):
+            narrow, wide = texts["60", argv0], texts["200", argv0]
+            assert len(narrow.splitlines()) > len(wide.splitlines())
+
     def test_top_level_help_lists_subcommands(self):
         text = build_parser().format_help()
         for sub in ("calibrate", "simulate", "compare"):
@@ -703,11 +729,13 @@ class TestReportHelpers:
         from armcal.reports import write_residual_report
 
         # combined mode: each record gives an unloaded then a loaded triple, so the
-        # sigma and weight columns repeat across two row kinds
+        # sigma and weight columns repeat across two row kinds; IRLS re-estimates its
+        # sigmas and weights per class of identical rows, as the CLI writes them
         combined = stack_system(bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise,
                                 mode="combined", params=["a2", "d3", "theta4", "tool_x"])
-        for sys in (bundled_system, combined):
-            res = wls_estimate(sys, robust_weights(sys.sigma))
+        for sys, estimate in [(s, e) for s in (bundled_system, combined)
+                              for e in (lambda s: wls_estimate(s, robust_weights(s.sigma)), irls)]:
+            res = estimate(sys)
             # reference: one row at a time, every float through repr(float(.))
             expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
             for i in range(sys.n_equations):

@@ -1,6 +1,7 @@
 """Text formats: write/read round trips and rejection of malformed input."""
 
 import os
+from dataclasses import replace
 import stat
 import tracemalloc
 import warnings
@@ -525,21 +526,28 @@ class TestStreamedTables:
         study = _sorted_study(12_000)
         sys_, result = _residual_inputs(60_000)
         assert _transient_mb(lambda: write_measurements(tmp_path / "m.tsv", study)) < 5.0
+        # every row its own posture: a chunk formats its q, force and fmarker cells row by row
+        distinct = replace(study, q=np.random.default_rng(3).uniform(-3, 3, size=study.q.shape))
+        assert _transient_mb(lambda: write_measurements(tmp_path / "m.tsv", distinct)) < 5.0
         assert _transient_mb(lambda: reports.write_residual_report(tmp_path, sys_, result)) < 5.0
 
     @pytest.mark.parametrize("writer", ["measurements", "residuals"])
     @pytest.mark.parametrize("existing", [None, "old bytes\n"])
     def test_failure_after_first_chunk_leaves_target_as_it_was(self, writer, existing, tmp_path, monkeypatch):
+        # the failure comes from the second chunk's first _reprs call, whichever that is
         module = fileio if writer == "measurements" else reports
-        repr_columns, calls = module._repr_columns, []
+        render, reprs, chunks = module._render, module._reprs, []
+
+        def counting(header, n_rows, cells, *args, **kwargs):
+            return render(header, n_rows, lambda rows: chunks.append(rows) or cells(rows), *args, **kwargs)
 
         def failing(*blocks):
-            calls.append(len(blocks))
-            if len(calls) == 2:
+            if len(chunks) == 2:
                 raise RuntimeError("formatting failed")
-            return repr_columns(*blocks)
+            return reprs(*blocks)
 
-        monkeypatch.setattr(module, "_repr_columns", failing)
+        monkeypatch.setattr(module, "_render", counting)
+        monkeypatch.setattr(module, "_reprs", failing)
         target = tmp_path / ("m.tsv" if writer == "measurements" else "residuals.tsv")
         if existing is not None:
             target.write_text(existing)
@@ -548,7 +556,7 @@ class TestStreamedTables:
                 write_measurements(target, _sorted_study(CHUNK + 1))
             else:
                 reports.write_residual_report(tmp_path, *_residual_inputs(CHUNK + 1))
-        assert len(calls) == 2
+        assert chunks == [slice(0, CHUNK), slice(CHUNK, CHUNK + 1)]
         assert list(tmp_path.iterdir()) == ([target] if existing is not None else [])
         if existing is not None:
             assert target.read_text() == existing
@@ -559,3 +567,94 @@ class TestStreamedTables:
             "".join(fileio._render(["a", "b"], *fileio._whole(columns)))
         with pytest.raises(ValueError, match="row count"):
             "".join(fileio._render(["a", "b"], 2, lambda rows: [col[rows] for col in columns]))
+
+
+def _measurement_reference(s: Study) -> str:
+    """The measurement text of the sorted study ``s``, formatted one cell at a time."""
+    return _reference_table(
+        ["armcal measurements: angles deg, forces N, positions um"],
+        ["config", "marker", "rep", *(f"q{j}" for j in range(1, 7)), "fx", "fy", "fz", "fmarker",
+         "p0x", "p0y", "p0z", "px", "py", "pz"],
+        [s.config, s.marker, s.rep, *np.rad2deg(s.q).T, *s.force.T, s.fmarker, *(s.p0 / UM).T, *(s.p / UM).T],
+        " ")
+
+
+def _residual_reference(sys_: StackedSystem, result: EstimationResult) -> str:
+    """``residuals.tsv`` of ``sys_`` and ``result``, formatted one cell at a time."""
+    return _reference_table(
+        [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
+        [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma / UM, result.weights,
+         result.residuals / UM], "\t")
+
+
+def _classed_inputs(n_records: int, marker=None, weights=None) -> tuple[StackedSystem, EstimationResult]:
+    """A system of ``n_records`` records of configuration 0, three rows each, with one class
+    per axis, and a result whose sigma and weight are those of the row's axis.  ``marker``
+    and ``weights`` replace the rows' marker and weight columns."""
+    rows = np.arange(3 * n_records)
+    axis = rows % 3
+    rng = np.random.default_rng(n_records)
+    sys_ = StackedSystem(B=rng.normal(size=(3, 2))[axis], dp=np.zeros(len(rows)), sigma=np.ones(len(rows)),
+                         config=np.zeros(len(rows), int), marker=np.zeros(len(rows), int) if marker is None else marker,
+                         axis=axis, columns=("k1", "k2"), row_class=axis)
+    result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
+                              residuals=rng.normal(size=len(rows)) * 1e-5, method="irls",
+                              weights=np.array([1.0, 0.5, 0.25])[axis] if weights is None else weights,
+                              sigma=np.array([1e-5, 2e-5, 3e-5])[axis])
+    return sys_, result
+
+
+class TestRepeatedCells:
+    """A residual row's config..weight cells are formatted once per class of identical rows,
+    and a measurement row's q, force and fmarker cells once per run of its posture, within
+    each chunk.  Bits, not values, decide what is shared, so every file reads as if each
+    cell were formatted alone."""
+
+    def test_class_spanning_two_markers_is_split(self, tmp_path):
+        # each class holds records of markers 0 and 1, which share B, sigma and group
+        sys_, result = _classed_inputs(4, marker=np.repeat([0, 1, 0, 1], 3))
+        text = reports.write_residual_report(tmp_path, sys_, result).read_text()
+        assert text == _residual_reference(sys_, result)
+        assert text.splitlines()[4].startswith("0\t1\tx\t")
+
+    def test_signed_zero_weights_of_one_class_stay_apart(self, tmp_path):
+        weights = np.array([0.0, 1.0, 1.0, -0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        sys_, result = _classed_inputs(3, weights=weights)
+        text = reports.write_residual_report(tmp_path, sys_, result).read_text()
+        assert text == _residual_reference(sys_, result)
+        assert [line.split("\t")[4] for line in text.splitlines()[1::3]] == ["0.0", "-0.0", "0.0"]
+
+    @pytest.mark.parametrize("column", ["q", "force"])
+    def test_signed_zero_postures_stay_apart(self, column, tmp_path):
+        # four repetitions of one configuration and marker; the middle two differ from the
+        # outer two by the sign of a zero alone
+        s = _sorted_study(4)
+        s = replace(s, config=np.zeros(4, int), marker=np.zeros(4, int), rep=np.arange(4),
+                    q=np.tile(s.q[0], (4, 1)), force=np.tile(s.force[0], (4, 1)))
+        values = getattr(s, column).copy()
+        values[:, 0] = [0.0, -0.0, -0.0, 0.0]
+        s = replace(s, **{column: values})
+        first = 3 if column == "q" else 9  # the column's first cell
+        text = format_measurements(s)
+        assert text == _measurement_reference(s)
+        assert [line.split()[first] for line in text.splitlines()[2:]] == ["0.0", "-0.0", "-0.0", "0.0"]
+        assert write_measurements(tmp_path / "m.tsv", s).read_text() == text
+
+    def test_posture_run_across_the_chunk_edge(self, tmp_path, monkeypatch):
+        # one posture over the first chunk's last three rows and the next chunk's first
+        # three, then another posture
+        n, edge = CHUNK + 6, CHUNK - 3
+        s = _sorted_study(n)
+        config = (np.arange(n) >= edge + 6).astype(int)
+        s = replace(s, config=config, marker=np.zeros(n, int), rep=np.arange(n), q=s.q[config * 6])
+        reprs, sizes = fileio._reprs, []
+        monkeypatch.setattr(fileio, "_reprs", lambda *blocks: sizes.append(len(blocks[0])) or reprs(*blocks))
+        text = write_measurements(tmp_path / "m.tsv", s).read_text()
+        assert text == _measurement_reference(s)
+        # per chunk: the posture cells, then the config, marker and rep cells, the p0 and p cells
+        assert sizes == [1, CHUNK, CHUNK, 2, n - CHUNK, n - CHUNK]
+
+    def test_classes_across_the_chunk_edge(self, tmp_path):
+        sys_, result = _classed_inputs(CHUNK // 3 + 2)
+        text = reports.write_residual_report(tmp_path, sys_, result).read_text()
+        assert text == _residual_reference(sys_, result)

@@ -11,7 +11,7 @@ from numpy.testing import assert_array_equal
 from armcal import reference
 from armcal.errors import CalibrationError
 from armcal.fileio import (
-    _repr_columns,
+    _reprs,
     format_measurements,
     format_model,
     format_noise_table,
@@ -146,9 +146,9 @@ def repeated_blocks(draw):
 @example([np.array([0.0, -0.0, 0.0, math.nan, -math.inf, 5e-324]),
           np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, -1e-310]]), np.array([3, -3, 3])])
 @given(st.lists(repeated_blocks(), min_size=1, max_size=3))
-def test_repr_columns_match_per_value_repr(blocks):
+def test_reprs_match_per_value_repr(blocks):
     expected = [list(map(repr, col.tolist())) for b in blocks for col in np.atleast_2d(b.T)]
-    assert [list(column) for column in _repr_columns(*blocks)] == expected
+    assert [list(column) for column in _reprs(*blocks)] == expected
 
 
 @pytest.fixture(scope="module")
