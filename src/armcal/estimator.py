@@ -11,14 +11,13 @@ the reduced form (B' S^-2 B)^-1.  Confidence intervals are plus/minus three
 standard deviations throughout.
 
 The repetitions of a posture are identical rows with one weight and one
-sigma, so the solve runs on the distinct rows: each class of r identical
-rows (``StackedSystem.row_class``) becomes one row scaled by sqrt(r).  With
-Q the orthonormal expansion of classes to rows, W B = Q (sqrt(r) W_c B_c)
-exactly, so the singular values and V are those of the full system and the
-condition number is not squared, as it would be by the normal equations.
-A system's sigmas are constant over each class by its contract; caller
-weights that split a class solve the system with one class per row, which
-factors the full system as before.
+sigma, and a :class:`StackedSystem` stores each class of r identical rows
+(``row_class``) once, so the solve runs on the distinct rows: each class
+becomes its row ``B_c`` scaled by sqrt(r).  With Q the orthonormal expansion
+of classes to rows, W B = Q (sqrt(r) W_c B_c) exactly, so the singular
+values and V are those of the full system and the condition number is not
+squared, as it would be by the normal equations.  Caller weights that split
+a class solve the system unfolded to one class per row (:func:`_unfolded`).
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ class IterationSnapshot:
 class EstimationResult:
     """Solved system: estimate, sandwich covariance and diagnostics.
 
-    ``residuals`` are ``B @ x_hat - dp`` on the unweighted scale; ``weights``
-    and ``sigma`` are the per-row values used by the final solve.
+    ``residuals`` are ``B[row_class] @ x_hat - dp`` on the unweighted scale;
+    ``weights`` and ``sigma`` are the per-row values used by the final solve.
     """
 
     parameters: tuple[str, ...]
@@ -117,10 +116,10 @@ class _Factors(NamedTuple):
 
 
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
-    """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B``.
+    """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B[sys.row_class]``.
 
     ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
-    per class of the system's ``class_plan``.  The (c, n) matrix
+    per class of the system.  The (c, n) matrix
     ``sqrt(r) w_c B_c`` of the distinct rows is factored in place of the
     (m, n) one: its singular values and V are the same, row k of its U is
     sqrt(r_k) times each full-U row of class k, and the pseudo-inverse G
@@ -134,8 +133,7 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """
     n = sys.n_parameters
     classes = sys.class_plan
-    U, s, Vt = np.linalg.svd(sys.B[classes.first] * (np.sqrt(classes.counts) * w)[:, :, None],
-                             full_matrices=False)
+    U, s, Vt = np.linalg.svd(sys.B * (np.sqrt(classes.counts) * w)[:, :, None], full_matrices=False)
     rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
     rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
     errors: list[Exception | None] = [None] * len(s)
@@ -196,10 +194,9 @@ def _weighted_solve(
     if not np.any(w > 0.0):
         raise ValueError("all rows have zero weight")
     if not np.array_equal(w[sys.class_plan.first[sys.row_class]], w):  # the weights split a class
-        sys = replace(sys, row_class=None)
+        sys = _unfolded(sys)
 
-    first = sys.class_plan.first
-    f = _factor(sys, w[None, first], sys.sigma[None, first])
+    f = _factor(sys, w[None, sys.class_plan.first], sys.sigma[None])
     if f.errors[0] is not None:
         raise f.errors[0]
     x = _apply(f, (sys.dp * w)[None])[0]
@@ -208,11 +205,18 @@ def _weighted_solve(
         x_hat=x,
         covariance=f.cov[0],
         ci3=3.0 * np.sqrt(np.diag(f.cov[0])),
-        residuals=sys.B @ x - sys.dp,
+        residuals=(sys.B @ x)[sys.row_class] - sys.dp,
         method=method,
         weights=w,
-        sigma=np.array(sys.sigma),
+        sigma=sys.sigma[sys.row_class],
     )
+
+
+def _unfolded(sys: StackedSystem) -> StackedSystem:
+    """``sys`` with one class per row: each row's class entries gathered by ``row_class``."""
+    rows = sys.row_class
+    return replace(sys, B=sys.B[rows], sigma=sys.sigma[rows], config=sys.config[rows],
+                   marker=sys.marker[rows], axis=sys.axis[rows], row_class=None)
 
 
 def ols_estimate(sys: StackedSystem) -> EstimationResult:
@@ -221,7 +225,8 @@ def ols_estimate(sys: StackedSystem) -> EstimationResult:
 
 
 def wls_estimate(sys: StackedSystem, weights: np.ndarray) -> EstimationResult:
-    """Weighted solve with a caller-supplied diagonal weighting."""
+    """Weighted solve with a caller-supplied diagonal weighting, one weight per row of ``dp``;
+    weights of the classes, such as ``robust_weights(sys.sigma)``, are gathered by ``sys.row_class``."""
     return _weighted_solve(sys, weights, "wls")
 
 
@@ -328,8 +333,8 @@ def _irls_stack(
 ) -> list[_ClassFit | Exception]:
     """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
 
-    ``sigma`` holds each trial's starting dispersions, constant over each
-    row class.  Weights and dispersions are kept per class through the loop.
+    ``sigma`` holds each trial's starting dispersions, one per class (T, c).
+    Weights and dispersions are kept per class through the loop.
     Each iteration solves the trials still running with one stacked SVD and
     predicts each class once; the re-estimate reads those predictions and
     the class moments of ``y``, taken once per call (:func:`_dispersions`).
@@ -346,7 +351,6 @@ def _irls_stack(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
-    first, row_class = sys.class_plan.first, sys.row_class
     final: list[_ClassFit | Exception | None] = [None] * y.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
     last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
@@ -354,17 +358,16 @@ def _irls_stack(
     prev = None  # their estimates from the previous iteration
     mean, scatter = _class_moments(sys, y)
     folded = mean * np.sqrt(sys.class_plan.counts)  # the fold of y, for one weight per class
-    sigma_t = sigma[:, first]
     for it in range(1, max_iter + 1):
-        w = robust_weights(sigma_t, sigma0, lam)
-        f = _factor(sys, w, sigma_t)
+        w = robust_weights(sigma, sigma0, lam)
+        f = _factor(sys, w, sigma)
         if it == 1:  # the row fold, so that a first pass equals the weighted solve bit for bit
-            x = _apply(f, y * w[:, row_class])
+            x = _apply(f, y * w[:, sys.row_class])
         else:
             x = _solve(f, w * folded[live])
-        predicted = (sys.B[first] @ x[:, :, None])[:, :, 0]  # one row per class
+        predicted = (sys.B @ x[:, :, None])[:, :, 0]  # one row per class
         ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
-        arrays = (x, f.cov, ci3, predicted, w, sigma_t)
+        arrays = (x, f.cov, ci3, predicted, w, sigma)
         if prev is not None:
             change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
         keep = np.zeros(live.shape[0], dtype=bool)
@@ -390,6 +393,6 @@ def _irls_stack(
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break
-        sigma_t = _dispersions(sys, predicted[keep], mean[live], scatter[live], sigma0)
+        sigma = _dispersions(sys, predicted[keep], mean[live], scatter[live], sigma0)
     return final
 

@@ -237,16 +237,20 @@ def _measurement_header(n_joints: int) -> list[str]:
 def _measurement_chunks(study: Study) -> Iterator[str]:
     """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk
     gathers its own rows of the (config, marker, rep) order, so no sorted copy of the
-    study is made, and formats q, force and fmarker once per run of rows whose bits agree."""
+    study is made, formats config, marker, q, force and fmarker once per run of rows
+    whose bits agree, and each distinct rep once."""
     if not len(study):
         raise ValueError("no records to write")
     order = np.lexsort((study.rep, study.marker, study.config))
 
     def cells(rows: slice) -> list[list[str]]:
         s = study.take(order[rows])
-        start = _run_starts(s.q, s.force, s.fmarker)
-        load = _per_class(start.cumsum() - 1, _reprs(np.rad2deg(s.q[start]), s.force[start], s.fmarker[start]), " ")
-        return [*_reprs(s.config, s.marker, s.rep), load, *_reprs(s.p0 / _UM, s.p / _UM)]
+        start = _run_starts(s.config, s.marker, s.q, s.force, s.fmarker)
+        run = start.cumsum() - 1
+        origin = _per_class(run, _reprs(s.config[start], s.marker[start]), " ")
+        load = _per_class(run, _reprs(np.rad2deg(s.q[start]), s.force[start], s.fmarker[start]), " ")
+        reps, inverse = np.unique(s.rep, return_inverse=True)
+        return [origin, _per_class(inverse, _reprs(reps), " "), load, *_reprs(s.p0 / _UM, s.p / _UM)]
 
     return _render(_measurement_header(study.q.shape[1]), len(study), cells,
                    comments=["armcal measurements: angles deg, forces N, positions um"])

@@ -7,8 +7,10 @@ deviations of one stacked observation row per configuration id (for
 deflection studies that is the dispersion of the loaded-minus-unloaded
 difference, which is what gets regressed).
 
-Stacked rows carry int arrays of configuration ids and axes (0..2, indexing
-:data:`AXES`); :func:`grouped_std` estimates one dispersion per group of rows.
+A stacked system carries, per class of identical rows, int arrays of
+configuration ids and axes (0..2, indexing :data:`AXES`).  :func:`grouped_std`
+estimates one dispersion per group of raw values, and :class:`_Groups` plans
+the per-group sums and the pooled std that the reweighting stage reads.
 """
 
 from __future__ import annotations
@@ -123,25 +125,32 @@ def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
     ``group[i]`` numbers the group of ``values[..., i]``; the result's last
     axis is indexed by group, and entry g is 0.0 if no ``group[i]`` equals g.
     A group of one row raises :class:`ReplicateCountError`.  Groups of one
-    size share one ``np.std`` call over a contiguous gather, so each entry
-    equals ``np.std`` of its group bit for bit.
+    size share one ``np.std`` call over a contiguous gather of their rows in
+    a stable order, so each entry equals ``np.std`` of its group bit for bit.
     """
     values = np.asarray(values, dtype=float)
     group = np.asarray(group).reshape(-1)
     if values.shape[-1:] != group.shape:
         raise ValueError("values and group length mismatch")
-    return _Groups(group).std(values)
+    counts = np.bincount(group)
+    _require_replicates(counts)
+    order = np.argsort(group, kind="stable")
+    size_of = counts[group[order]]  # group size of each row, in group order
+    out = np.zeros(values.shape[:-1] + counts.shape)
+    for size in set(counts[counts > 0].tolist()):
+        rows = order[size_of == size].reshape(-1, size)
+        out[..., counts == size] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
+    return out
 
 
 class _Groups:
-    """Rows grouped by an integer label, planned once per label vector.
+    """Rows grouped by an integer label without gaps, planned once per label vector.
 
     ``label[i]`` numbers row i's group, and ``label`` is kept to spread
     per-group values back over the rows.  Rows are taken in a stable order by
     group: ``counts[g]`` is group g's row count, ``starts[g]`` its offset in
-    that order and ``first[g]`` its first row.  The groups of each size share
-    one (groups, size) index block, so repeated reductions over one grouping
-    (the IRLS iterations, the Monte Carlo's trial blocks) pay for the
+    that order and ``first[g]`` its first row, so repeated reductions over one
+    grouping (the IRLS iterations, the Monte Carlo's trial blocks) pay for the
     counting and sorting once.
     """
 
@@ -151,9 +160,6 @@ class _Groups:
         self.order = np.argsort(label, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts
         self.first = self.order[self.starts]
-        size_of = self.counts[label[self.order]]  # group size of each row, in group order
-        self.by_size = [(np.flatnonzero(self.counts == size), self.order[size_of == size].reshape(-1, size))
-                        for size in set(self.counts[self.counts > 0].tolist())]
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-group sums of ``values`` (..., rows) as (..., groups), for labels without gaps.
@@ -162,18 +168,6 @@ class _Groups:
         row bit for bit.
         """
         return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
-
-    def std(self, values: np.ndarray) -> np.ndarray:
-        """Grouped sample stds (ddof=1) of ``values`` (..., rows) as (..., groups).
-
-        A group without rows reads 0.0; a group of one row raises
-        :class:`ReplicateCountError`.
-        """
-        _require_replicates(self.counts)
-        out = np.zeros(values.shape[:-1] + (self.counts.shape[0],))
-        for ids, rows in self.by_size:
-            out[..., ids] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
-        return out
 
     def pooled_std(self, counts: np.ndarray, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
         """Grouped sample stds (ddof=1) of values known only through per-row statistics.

@@ -11,9 +11,10 @@ loading of the link changes the effective stiffness), which is modelled by
 bucketing: each declared reference angle owns a separate parameter.
 
 ``stack_system`` assembles the 3-row blocks of a :class:`Study`'s rows into
-one tall linear system ``B x = dp`` with a per-row sigma vector, sorted
-deterministically by (configuration, marker, repetition, axis) regardless of
-input order.
+one tall linear system ``B x = dp``, sorted deterministically by
+(configuration, marker, repetition, axis) regardless of input order.  The
+repetitions of a posture are identical rows, so the system stores each class
+of identical rows once: its regressor row, sigma and origin.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 
 #: Angle tolerance (radians) when matching a configuration to a bucket level.
 BUCKET_TOL = 1e-6
-#: Rows compared per step when :class:`StackedSystem` checks its row classes.
-_CHECK_ROWS = 2048
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -208,26 +207,23 @@ Mode = Literal["elastostatic", "geometric", "combined"]
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Tall linear system ``B x = dp`` with per-row dispersions.
+    """Tall linear system ``B x = dp`` of classes of identical rows, with per-class dispersions.
 
-    Row i stems from configuration ``config[i]``, tool marker ``marker[i]``
-    and measurement axis ``axis[i]`` (0..2, an index into ``noise.AXES``).
-    ``group[i]`` numbers the row's (configuration, axis) pair, the unit that
-    carries one dispersion; it is derived from ``config`` and ``axis`` and
-    feeds :func:`armcal.noise.grouped_std`.  ``columns`` names the entries of
-    ``x``.
+    Row i of the system observes ``dp[i]`` and belongs to class
+    ``row_class[i]``; classes are numbered 0, 1, ... without gaps, and the
+    default, ``None``, is one class per row.  Everything else is stored once
+    per class k: its regressor row ``B[k]``, its dispersion ``sigma[k]`` and
+    its origin, configuration ``config[k]``, tool marker ``marker[k]`` and
+    measurement axis ``axis[k]`` (0..2, an index into ``noise.AXES``).  So
+    the full regressor is ``B[row_class]``, and the solver factors each
+    class once (see :mod:`armcal.estimator`).  ``columns`` names the entries
+    of ``x``.
 
-    ``row_class[i]`` numbers row i's class of identical rows: rows of one
-    class share their ``B`` row, ``sigma`` and ``group`` bit for bit, so the
-    solver factors each class once (see :mod:`armcal.estimator`).  Classes
-    are numbered 0, 1, ... without gaps, and the default is one class per
-    row.  ``class_plan`` and ``group_plan`` group the rows by ``row_class``
-    and by ``group``, and ``class_group_plan`` groups the classes by their
-    (configuration, axis) pair, numbered without gaps; all three are planned
-    once per system for every solve and dispersion re-estimate.  The class
-    check compares each row with the first row of its class bit for bit,
-    ``_CHECK_ROWS`` rows at a time, so it never copies ``B``.  All arrays
-    are read-only.
+    ``class_plan`` groups the rows by ``row_class``, and ``class_group_plan``
+    groups the classes by their (configuration, axis) pair, the unit that
+    carries one dispersion, numbered without gaps; both are planned once per
+    system for every solve and dispersion re-estimate.  All arrays are
+    read-only.
     """
 
     B: np.ndarray
@@ -238,9 +234,7 @@ class StackedSystem:
     axis: np.ndarray
     columns: tuple[str, ...]
     row_class: np.ndarray | None = None
-    group: np.ndarray = field(init=False, repr=False)
     class_plan: _Groups = field(init=False, repr=False)
-    group_plan: _Groups = field(init=False, repr=False)
     class_group_plan: _Groups = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -250,9 +244,17 @@ class StackedSystem:
         config, marker, axis = (
             np.asarray(a, dtype=int).reshape(-1) for a in (self.config, self.marker, self.axis)
         )
-        m, n = B.shape
-        if any(a.shape[0] != m for a in (dp, sigma, config, marker, axis)):
-            raise ValueError("B, dp, sigma, config, marker and axis disagree on the row count")
+        c, n = B.shape
+        if any(a.shape[0] != c for a in (sigma, config, marker, axis)):
+            raise ValueError("B, sigma, config, marker and axis disagree on the row count")
+        row_class = np.arange(len(dp)) if self.row_class is None else np.asarray(self.row_class, dtype=int).reshape(-1)
+        if row_class.shape[0] != dp.shape[0]:
+            raise ValueError("row_class disagrees with dp on the row count")
+        if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
+            raise ValueError("row_class must number its classes 0, 1, ... without gaps")
+        classes = row_class.max(initial=-1) + 1
+        if classes != c:
+            raise ValueError(f"B has a row count of {c} for {classes} row classes")
         if np.any((axis < 0) | (axis >= len(AXES))):
             raise ValueError("axis entries must index x, y, z (0..2)")
         if len(self.columns) != n:
@@ -261,33 +263,18 @@ class StackedSystem:
             raise ValueError("sigma entries must be strictly positive")
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(dp)) and np.all(np.isfinite(sigma))):
             raise ValueError("stacked system contains non-finite values")
-        group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
-        row_class = np.arange(m) if self.row_class is None else np.asarray(self.row_class, dtype=int).reshape(-1)
-        if row_class.shape[0] != m:
-            raise ValueError("row_class disagrees with B on the row count")
-        if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
-            raise ValueError("row_class must number its classes 0, 1, ... without gaps")
-        class_plan = _Groups(row_class)
-        twin = class_plan.first[row_class]  # the first row of each row's class
-        for start in range(0, m, _CHECK_ROWS):
-            rows = slice(start, start + _CHECK_ROWS)
-            t = twin[rows]
-            if not (np.array_equal(B[t].view(np.int64), B[rows].view(np.int64))
-                    and np.array_equal(sigma[t], sigma[rows]) and np.array_equal(group[t], group[rows])):
-                raise ValueError("rows of one row_class differ in B, sigma or (configuration, axis) group")
         for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
-                          ("marker", marker), ("axis", axis), ("row_class", row_class), ("group", group)):
+                          ("marker", marker), ("axis", axis), ("row_class", row_class)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "class_plan", class_plan)
-        object.__setattr__(self, "group_plan", _Groups(group))
-        object.__setattr__(self, "class_group_plan",
-                           _Groups(np.unique(group[class_plan.first], return_inverse=True)[1].reshape(-1)))
+        object.__setattr__(self, "class_plan", _Groups(row_class))
+        object.__setattr__(self, "class_group_plan", _Groups(np.unique(group, return_inverse=True)[1].reshape(-1)))
 
     @property
     def n_equations(self) -> int:
-        return self.B.shape[0]
+        return len(self.dp)
 
     @property
     def n_parameters(self) -> int:
@@ -314,10 +301,9 @@ def stack_system(
       so the unknowns are the concatenation (geometric first).
 
     Rows are sorted by (config, marker, rep) and axes expand x, y, z so the
-    row order never depends on input order; the system's ``config``,
-    ``marker`` and ``axis`` arrays record each row's origin.  Repeated
-    experiments are stacked as independent rows, not averaged: averaging
-    would hide the very replicate scatter the weighting stage feeds on.
+    row order never depends on input order.  Repeated experiments are
+    stacked as independent rows of ``dp``, not averaged: averaging would
+    hide the very replicate scatter the weighting stage feeds on.
 
     Kinematics and regressor blocks are built once per run of consecutive
     sorted rows whose determining values (joint vector, observed marker,
@@ -325,7 +311,9 @@ def stack_system(
     for bit, so the repetitions of a posture share one block.  A posture
     that recurs after a different one is built again, to the same bits.
     The system's ``row_class`` is that run, split where the configuration
-    (and so the dispersion) changes, then the block kind and the axis.
+    (and so the dispersion) changes, then the block kind and the axis.  Each
+    class's ``B`` row, sigma and origin are gathered at its first row, so
+    no (rows, parameters) matrix is built.
     """
     if not len(study):
         raise ValueError("no records to stack")
@@ -362,23 +350,21 @@ def stack_system(
     if mode != "geometric":
         wrench = np.concatenate([s.force[rows], np.zeros((len(rows), 3))], axis=1)
         blocks[:, -1, :, -cmap.n_parameters:] = _regressors(model, q, frames, p, wrench, cmap)
-    B = blocks[posture].reshape(-1, len(columns))
-    if B.shape[0] < B.shape[1]:
-        raise UnderDeterminedError(
-            f"{B.shape[0]} scalar equations cannot determine {B.shape[1]} parameters"
-        )
+    # each row contributes one 3-row block, or two (unloaded, loaded) when combined
+    per_record = 3 * blocks.shape[1]
+    m = per_record * len(s)
+    if m < len(columns):
+        raise UnderDeterminedError(f"{m} scalar equations cannot determine {len(columns)} parameters")
     if mode == "elastostatic":
         dp = s.deflection
     else:
         fk = fk[posture]
         dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
-    # each row contributes one 3-row block, or two (unloaded, loaded) when combined
-    blocks_per_record = blocks.shape[1]
-    config = np.repeat(s.config, 3 * blocks_per_record)
-    marker = np.repeat(s.marker, 3 * blocks_per_record)
-    axis = np.tile(np.arange(len(AXES)), blocks_per_record * len(s))
-    sigma = build_sigma(noise, config, axis, floor=sigma_floor)
-    run = np.cumsum(start | np.r_[False, s.config[1:] != s.config[:-1]]) - 1
-    row_class = run[:, None] * (3 * blocks_per_record) + np.arange(3 * blocks_per_record)
-    return StackedSystem(B=B, dp=dp.reshape(-1), sigma=sigma, config=config, marker=marker, axis=axis,
-                         columns=columns, row_class=row_class)
+    split = start | np.r_[False, s.config[1:] != s.config[:-1]]  # a class run starts here
+    first = np.flatnonzero(split)  # each class run's first row
+    config = np.repeat(s.config[first], per_record)
+    axis = np.tile(np.arange(len(AXES)), len(first) * blocks.shape[1])
+    return StackedSystem(B=blocks[posture[first]].reshape(-1, len(columns)), dp=dp.reshape(-1),
+                         sigma=build_sigma(noise, config, axis, floor=sigma_floor), config=config,
+                         marker=np.repeat(s.marker[first], per_record), axis=axis, columns=columns,
+                         row_class=(np.cumsum(split) - 1)[:, None] * per_record + np.arange(per_record))

@@ -85,15 +85,17 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
-    """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time;
-    a chunk formats config..weight once per ``row_class`` class, unless marker, sigma or weight bits split one."""
+    """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time.
+    A chunk formats config..weight once per ``row_class`` class, unless sigma or weight bits split one
+    (caller weights can), when each row formats its own; config, marker and axis are read per class."""
     def cells(rows: slice) -> list[list[str]]:
-        marker, sigma, weight = sys.marker[rows], result.sigma[rows] / _UM, result.weights[rows]
-        _, first, inverse = np.unique(sys.row_class[rows], return_index=True, return_inverse=True)
-        if not all(np.array_equal(_bits(c[first[inverse]]), _bits(c)) for c in (marker, sigma, weight)):
-            first = inverse = np.arange(len(marker))
-        config, marker, sigma, weight = _reprs(sys.config[rows][first], marker[first], sigma[first], weight[first])
-        axis = list(map(AXES.__getitem__, sys.axis[rows][first].tolist()))
+        row_class, sigma, weight = sys.row_class[rows], result.sigma[rows] / _UM, result.weights[rows]
+        classes, first, inverse = np.unique(row_class, return_index=True, return_inverse=True)
+        if not all(np.array_equal(_bits(c[first[inverse]]), _bits(c)) for c in (sigma, weight)):
+            classes, first = row_class, np.arange(len(row_class))
+            inverse = first
+        config, marker, sigma, weight = _reprs(sys.config[classes], sys.marker[classes], sigma[first], weight[first])
+        axis = list(map(AXES.__getitem__, sys.axis[classes].tolist()))
         prefix = _per_class(inverse, [config, marker, axis, sigma, weight], "\t")
         return [prefix, *_reprs(result.residuals[rows] / _UM)]
 

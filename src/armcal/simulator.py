@@ -30,7 +30,7 @@ from .estimator import (
     optimal_weights,
 )
 from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
-from .noise import DEFAULT_SIGMA0, NoiseModel
+from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
 from .regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -42,12 +42,12 @@ from .regressor import (
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 #: Byte budget of one block of trials in the Monte Carlo comparison, counted
-#: as a folded (classes, parameters) regressor plus a row of observations
-#: per trial (:func:`_block_trials`); it sets how many trials are solved
-#: together, 20 on the bundled design.  The working memory scales with this
-#: block, not with the trial count.  It is the largest block whose Python
-#: allocations at 100 trials peak no higher (2.1 MB) than the 12-trial
-#: blocks of the row-level dispersion re-estimate did.
+#: as a weighted copy of the system's (classes, parameters) regressor plus a
+#: row of observations per trial (:func:`_block_trials`); it sets how many
+#: trials are solved together, 20 on the bundled design.  The working memory
+#: scales with this block, not with the trial count.  It is the largest block
+#: whose Python allocations at 100 trials peak no higher (2.1 MB) than the
+#: 12-trial blocks of the row-level dispersion re-estimate did.
 _BLOCK_BYTES = 5 << 16
 
 
@@ -183,10 +183,9 @@ def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSy
 
 def _block_trials(sys: StackedSystem) -> int:
     """Trials per Monte Carlo block of ``sys`` (20 on the bundled design): ``_BLOCK_BYTES``
-    over one trial's folded regressor (a row per class of identical rows) and its row of
-    observations; the IRLS loop's other per-trial arrays are per class."""
-    classes = sys.class_plan.counts.shape[0]
-    return max(1, _BLOCK_BYTES // (sys.B.itemsize * (classes * sys.n_parameters + sys.n_equations)))
+    over one trial's weighted copy of ``sys.B`` (a row per class of identical rows) and its
+    row of observations; the IRLS loop's other per-trial arrays are per class."""
+    return max(1, _BLOCK_BYTES // (sys.B.itemsize * (sys.B.size + sys.n_equations)))
 
 
 @dataclass(frozen=True)
@@ -284,15 +283,16 @@ def monte_carlo_compare(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
-    dp_clean, sigma_true, group = base.dp, base.sigma, base.group
+    dp_clean, sigma_true = base.dp, base.sigma[base.row_class]
+    groups = base.class_group_plan.label  # each class's (configuration, axis) group
+    row_group = groups[base.row_class]
 
     fixed, cov, ci3 = {}, {}, {}
-    first = base.class_plan.first
-    for name, w in (("ols", np.ones_like(sigma_true)), ("wls", optimal_weights(sigma_true))):
-        f = _factor(base, w[None, first], sigma_true[None, first])
+    for name, w in (("ols", np.ones_like(base.sigma)), ("wls", optimal_weights(base.sigma))):
+        f = _factor(base, w[None], base.sigma[None])
         if f.errors[0] is not None:
             raise f.errors[0]
-        fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
+        fixed[name], cov[name], ci3[name] = (f, w[base.row_class]), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
     block, irls_args = _block_trials(base), (sigma0, lam, rel_tol, max_iter)
     failures: list[tuple[int, str, str]] = []
@@ -304,7 +304,7 @@ def monte_carlo_compare(
             np.random.default_rng((design.seed, t)).standard_normal(out=dp[j])
         dp *= sigma_true
         dp += dp_clean
-        sigma_raw = np.maximum(base.group_plan.std(dp)[:, group], sigma0)  # a one-row group raises here
+        sigma_raw = np.maximum(grouped_std(dp, row_group)[:, groups], sigma0)  # a one-row group raises here
         x = {name: _apply(f, dp * w) for name, (f, w) in fixed.items()}
         try:
             fits = _irls_stack(base, dp, sigma_raw, *irls_args)

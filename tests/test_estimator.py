@@ -277,7 +277,7 @@ class TestIRLS:
     def test_single_pass_equals_robust_wls(self, noisy_system):
         res = irls(noisy_system, rel_tol=np.inf)
         direct = wls_estimate(
-            noisy_system, robust_weights(noisy_system.sigma, DEFAULT_SIGMA0, DEFAULT_LAMBDA)
+            noisy_system, robust_weights(noisy_system.sigma, DEFAULT_SIGMA0, DEFAULT_LAMBDA)[noisy_system.row_class]
         )
         assert_array_equal(res.x_hat, direct.x_hat)
         assert_array_equal(res.covariance, direct.covariance)
@@ -408,28 +408,27 @@ class TestIRLS:
         # the rows of each class scattered over the system
         sizes, axes = [3, 2, 1, 4, 2, 2, 3], [0, 0, 1, 1, 1, 2, 2]
         row_class = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-        B = rng.normal(size=(len(sizes), 3))[row_class]
-        return StackedSystem(B=B, dp=np.zeros(len(row_class)), sigma=np.ones(len(row_class)),
-                             config=np.ones_like(row_class), marker=np.zeros_like(row_class),
-                             axis=np.array(axes)[row_class], columns=("ka", "kb", "kc"),
-                             row_class=row_class)
+        B = rng.normal(size=(len(sizes), 3))
+        return StackedSystem(B=B, dp=np.zeros(len(row_class)), sigma=np.ones(len(sizes)),
+                             config=np.ones(len(sizes)), marker=np.zeros(len(sizes)),
+                             axis=axes, columns=("ka", "kb", "kc"), row_class=row_class)
 
     @pytest.mark.parametrize("kind", ["bundled", "unequal", "one_row_classes"])
     def test_re_estimate_matches_row_level_std(self, kind, bundled_system):
         # the pooled std of class moments equals grouped_std of the row residuals up to rounding
         rng = np.random.default_rng(8)
         sys = {"bundled": bundled_system, "unequal": self.unequal_system(rng),
-               "one_row_classes": replace(bundled_system, row_class=None)}[kind]
+               "one_row_classes": estimator_mod._unfolded(bundled_system)}[kind]
         truth = ols_estimate(bundled_system).x_hat if kind != "unequal" else np.array([1.0, -2.0, 0.5])
-        clean = sys.B @ truth
+        clean = (sys.B @ truth)[sys.row_class]
         y = clean + rng.normal(size=(4, sys.n_equations)) * 0.3 * np.sqrt(np.mean(clean ** 2))
         x = truth * (1.0 + 0.05 * rng.normal(size=(4, sys.n_parameters)))  # one estimate per trial
-        assert len(sys.group_plan.by_size) == (2 if kind == "unequal" else 1)  # group sizes
+        row_group = sys.class_group_plan.label[sys.row_class]
+        assert np.unique(np.bincount(row_group)).size == (2 if kind == "unequal" else 1)  # group sizes
         assert np.unique(sys.class_plan.counts).size == (4 if kind == "unequal" else 1)  # class sizes
-        first = sys.class_plan.first
-        predicted = (sys.B[first] @ x[:, :, None])[:, :, 0]
+        predicted = (sys.B @ x[:, :, None])[:, :, 0]
         got = estimator_mod._dispersions(sys, predicted, *estimator_mod._class_moments(sys, y), sigma0=1e-300)
-        row_std = grouped_std(predicted[:, sys.row_class] - y, sys.group)[:, sys.group[first]]
+        row_std = grouped_std(predicted[:, sys.row_class] - y, row_group)[:, sys.class_group_plan.label]
         assert_allclose(got, row_std, rtol=1e-13, atol=0.0)
 
     def test_max_iter_validated(self, noisy_system):

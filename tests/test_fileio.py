@@ -581,22 +581,23 @@ def _measurement_reference(s: Study) -> str:
 
 def _residual_reference(sys_: StackedSystem, result: EstimationResult) -> str:
     """``residuals.tsv`` of ``sys_`` and ``result``, formatted one cell at a time."""
+    config, marker, axis = (a[sys_.row_class] for a in (sys_.config, sys_.marker, sys_.axis))
     return _reference_table(
         [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
-        [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma / UM, result.weights,
+        [config, marker, np.array(["x", "y", "z"])[axis], result.sigma / UM, result.weights,
          result.residuals / UM], "\t")
 
 
-def _classed_inputs(n_records: int, marker=None, weights=None) -> tuple[StackedSystem, EstimationResult]:
-    """A system of ``n_records`` records of configuration 0, three rows each, with one class
-    per axis, and a result whose sigma and weight are those of the row's axis.  ``marker``
-    and ``weights`` replace the rows' marker and weight columns."""
+def _classed_inputs(n_records: int, weights=None) -> tuple[StackedSystem, EstimationResult]:
+    """A system of ``n_records`` records of configuration 0 and marker 0, three rows each,
+    with one class per axis, and a result whose sigma and weight are those of the row's
+    axis.  ``weights`` replaces the rows' weight column."""
     rows = np.arange(3 * n_records)
     axis = rows % 3
     rng = np.random.default_rng(n_records)
-    sys_ = StackedSystem(B=rng.normal(size=(3, 2))[axis], dp=np.zeros(len(rows)), sigma=np.ones(len(rows)),
-                         config=np.zeros(len(rows), int), marker=np.zeros(len(rows), int) if marker is None else marker,
-                         axis=axis, columns=("k1", "k2"), row_class=axis)
+    sys_ = StackedSystem(B=rng.normal(size=(3, 2)), dp=np.zeros(len(rows)), sigma=np.ones(3),
+                         config=np.zeros(3, int), marker=np.zeros(3, int), axis=np.arange(3),
+                         columns=("k1", "k2"), row_class=axis)
     result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
                               residuals=rng.normal(size=len(rows)) * 1e-5, method="irls",
                               weights=np.array([1.0, 0.5, 0.25])[axis] if weights is None else weights,
@@ -606,16 +607,9 @@ def _classed_inputs(n_records: int, marker=None, weights=None) -> tuple[StackedS
 
 class TestRepeatedCells:
     """A residual row's config..weight cells are formatted once per class of identical rows,
-    and a measurement row's q, force and fmarker cells once per run of its posture, within
-    each chunk.  Bits, not values, decide what is shared, so every file reads as if each
-    cell were formatted alone."""
-
-    def test_class_spanning_two_markers_is_split(self, tmp_path):
-        # each class holds records of markers 0 and 1, which share B, sigma and group
-        sys_, result = _classed_inputs(4, marker=np.repeat([0, 1, 0, 1], 3))
-        text = reports.write_residual_report(tmp_path, sys_, result).read_text()
-        assert text == _residual_reference(sys_, result)
-        assert text.splitlines()[4].startswith("0\t1\tx\t")
+    and a measurement row's config, marker, q, force and fmarker cells once per run of its
+    posture and its rep cell once per distinct rep, within each chunk.  Bits, not values,
+    decide what is shared, so every file reads as if each cell were formatted alone."""
 
     def test_signed_zero_weights_of_one_class_stay_apart(self, tmp_path):
         weights = np.array([0.0, 1.0, 1.0, -0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
@@ -651,8 +645,9 @@ class TestRepeatedCells:
         monkeypatch.setattr(fileio, "_reprs", lambda *blocks: sizes.append(len(blocks[0])) or reprs(*blocks))
         text = write_measurements(tmp_path / "m.tsv", s).read_text()
         assert text == _measurement_reference(s)
-        # per chunk: the posture cells, then the config, marker and rep cells, the p0 and p cells
-        assert sizes == [1, CHUNK, CHUNK, 2, n - CHUNK, n - CHUNK]
+        # per chunk: the config and marker cells and the posture cells of each run, the cells
+        # of the distinct reps, then the p0 and p cells
+        assert sizes == [1, 1, CHUNK, CHUNK, 2, 2, n - CHUNK, n - CHUNK]
 
     def test_classes_across_the_chunk_edge(self, tmp_path):
         sys_, result = _classed_inputs(CHUNK // 3 + 2)

@@ -202,9 +202,12 @@ class TestGroupedDispersions:
             axis=[0] * 6 + [1] * 6,
             columns=("k",),
         )
-        std = grouped_std(values, sys.group)
-        assert_allclose(std[sys.group[0]], np.std(values[:6], ddof=1), rtol=1e-12)
-        assert_allclose(std[sys.group[6]], np.std(values[6:], ddof=1), rtol=1e-12)
+        assert_array_equal(sys.class_group_plan.label[sys.row_class], np.repeat([0, 1], 6))
+        # each row's (configuration, axis) pair, numbered with a slot for every axis
+        group = (np.unique(sys.config, return_inverse=True)[1] * 3 + sys.axis)[sys.row_class]
+        std = grouped_std(values, group)
+        assert_allclose(std[group[0]], np.std(values[:6], ddof=1), rtol=1e-12)
+        assert_allclose(std[group[6]], np.std(values[6:], ddof=1), rtol=1e-12)
         assert std[1] == 0.0  # axis y of config 1 never observed: stays zero
 
     def test_unequal_group_sizes_match_per_group_std(self):

@@ -229,12 +229,13 @@ class TestGeometricRegressor:
 
 class TestStackSystem:
     def test_bundled_study_dimensions(self, bundled_system):
+        row_class = bundled_system.row_class
         assert bundled_system.n_equations == 810
         assert bundled_system.n_parameters == 9
-        assert bundled_system.B.shape == (810, 9)
-        for rows in (bundled_system.config, bundled_system.marker, bundled_system.axis,
-                     bundled_system.group):
-            assert rows.shape == (810,)
+        assert bundled_system.B[row_class].shape == (810, 9)
+        for per_class in (bundled_system.config, bundled_system.marker, bundled_system.axis,
+                          bundled_system.class_group_plan.label):
+            assert per_class[row_class].shape == (810,)
         assert bundled_system.columns == (
             "k2_1", "k2_2", "k2_3", "k2_4", "k2_5", "k3", "k4", "k5", "k6",
         )
@@ -255,19 +256,20 @@ class TestStackSystem:
 
     def test_group_numbers_config_axis_pairs(self, bundled_system):
         sys = bundled_system
+        group, config, axis = (a[sys.row_class] for a in (sys.class_group_plan.label, sys.config, sys.axis))
         # configuration 1 (rows 0..53): 3 markers x 6 repetitions per axis
-        assert_array_equal(np.bincount(sys.group), np.full(45, 18))
-        pairs = {(c, a): g for c, a, g in zip(sys.config, sys.axis, sys.group)}
+        assert_array_equal(np.bincount(group), np.full(45, 18))
+        pairs = {(c, a): g for c, a, g in zip(config, axis, group)}
         assert len(pairs) == len(set(pairs.values())) == 45
-        assert sys.group[0] == sys.group[3 * 6]  # marker 1, same axis
-        assert sys.group[0] != sys.group[1]  # same record, next axis
+        assert group[0] == group[3 * 6]  # marker 1, same axis
+        assert group[0] != group[1]  # same record, next axis
 
     def test_replace_shares_row_metadata(self, bundled_system):
         sys2 = replace(bundled_system, dp=np.zeros(810))
         for name in ("config", "marker", "axis"):
             assert np.shares_memory(getattr(sys2, name), getattr(bundled_system, name))
             assert not getattr(sys2, name).flags.writeable
-        assert_array_equal(sys2.group, bundled_system.group)
+        assert_array_equal(sys2.class_group_plan.label, bundled_system.class_group_plan.label)
 
     def test_row_order_independent_of_input_order(
         self, bundled_study, nominal_model, bundled_design, bundled_system
@@ -280,8 +282,9 @@ class TestStackSystem:
         assert_array_equal(sys2.B, bundled_system.B)
         assert_array_equal(sys2.dp, bundled_system.dp)
         assert_array_equal(sys2.sigma, bundled_system.sigma)
-        for name in ("config", "marker", "axis", "group"):
+        for name in ("config", "marker", "axis", "row_class"):
             assert_array_equal(getattr(sys2, name), getattr(bundled_system, name))
+        assert_array_equal(sys2.class_group_plan.label, bundled_system.class_group_plan.label)
         x1 = ols_estimate(bundled_system).x_hat
         x2 = ols_estimate(sys2).x_hat
         assert_allclose(x2, x1, rtol=1e-12)
@@ -301,7 +304,7 @@ class TestStackSystem:
 
     def test_sigma_rows_follow_configuration_and_axis(self, bundled_system):
         # configuration 1 carries dispersions (150, 64, 33) um on x, y, z
-        first = bundled_system.sigma[:3]
+        first = bundled_system.sigma[bundled_system.row_class][:3]
         assert_allclose(first, np.array([150.0, 64.0, 33.0]) * 1e-6, rtol=1e-12)
 
     def test_zero_sigma_floored(self, nominal_model):
@@ -311,11 +314,11 @@ class TestStackSystem:
         )
         records = simulate_measurements(design, nominal_model)
         sys = stack_system(records, nominal_model, design.cmap, design.noise)
-        assert_array_equal(sys.sigma, np.full(sys.n_equations, 10e-6))
+        assert_array_equal(sys.sigma[sys.row_class], np.full(sys.n_equations, 10e-6))
         custom = stack_system(
             records, nominal_model, design.cmap, design.noise, sigma_floor=5e-6
         )
-        assert_array_equal(custom.sigma, np.full(sys.n_equations, 5e-6))
+        assert_array_equal(custom.sigma[custom.row_class], np.full(sys.n_equations, 5e-6))
 
     def test_geometric_mode_observations(self, nominal_model, bundled_design):
         design = reference.study_design(seed=3, markers=2, repetitions=2)
@@ -343,8 +346,9 @@ class TestStackSystem:
         # two 3-row blocks (unloaded, loaded) per record
         assert sys.n_equations == 6 * len(records)
         # unloaded block: compliance columns are identically zero
-        assert_array_equal(sys.B[:3, 2:], np.zeros((3, 9)))
-        assert np.any(sys.B[3:6, 2:] != 0.0)
+        B = sys.B[sys.row_class]
+        assert_array_equal(B[:3, 2:], np.zeros((3, 9)))
+        assert np.any(B[3:6, 2:] != 0.0)
 
     def test_modes_validated(self, bundled_study, nominal_model, bundled_design):
         with pytest.raises(ValueError, match="unknown stacking mode"):
@@ -483,7 +487,7 @@ class TestPostureReuse:
     def test_rows_equal_per_record_reference(self, study, mode):
         records, model, cmap, noise = study
         params = None if mode == "elastostatic" else GEOMETRIC_PARAMS
-        sys = stack_system(records, model, cmap, noise, mode=mode, params=params)
+        sys = estimator._unfolded(stack_system(records, model, cmap, noise, mode=mode, params=params))
         expected = per_record_reference(records, model, cmap, noise, mode, params)
         for name, value in expected.items():
             assert np.array_equal(getattr(sys, name), value), name
@@ -535,7 +539,7 @@ class TestPostureReuse:
 
 def unfolded_fit(sys, w, sigma):
     """Estimate and sandwich covariance under per-row weights ``w``, from every row of ``w B``."""
-    A = sys.B * w[:, None]
+    A = estimator._unfolded(sys).B * w[:, None]
     G = np.linalg.pinv(A)
     return np.linalg.lstsq(A, sys.dp * w, rcond=None)[0], (G * (w * sigma) ** 2) @ G.T
 
@@ -556,6 +560,7 @@ def crossing_study(model, rng):
 
 def prefold_solve(sys, w):
     """Estimate and covariance by the SVD of every row of ``w B``, in the solver's order of operations."""
+    sys = estimator._unfolded(sys)
     U, s, Vt = np.linalg.svd(sys.B * w[:, None], full_matrices=False)
     x = Vt.T @ ((U.T @ (sys.dp * w)) / s)
     G = Vt.T @ np.divide(U.T, s[:, None], order="C")
@@ -583,11 +588,12 @@ class TestRowClasses:
         kinds = 2 if mode == "combined" else 1
         runs = np.diff(sys.row_class[::3 * kinds]) > 0
         assert sys.row_class.max() + 1 == 3 * kinds * (1 + np.count_nonzero(runs)) < sys.n_equations
-        assert np.all(np.diff(sys.config[::3 * kinds])[~runs] == 0)
-        unfolded = replace(sys, row_class=None)
+        assert np.all(np.diff(sys.config[sys.row_class][::3 * kinds])[~runs] == 0)
+        unfolded = estimator._unfolded(sys)
         assert_array_equal(unfolded.row_class, np.arange(sys.n_equations))
+        w_opt = optimal_weights(sys.sigma)[sys.row_class]
         for res, w in ((ols_estimate(sys), np.ones(sys.n_equations)),
-                       (wls_estimate(sys, optimal_weights(sys.sigma)), optimal_weights(sys.sigma)),
+                       (wls_estimate(sys, w_opt), w_opt),
                        (irls(sys), None)):
             w = res.weights if w is None else w
             x, cov = unfolded_fit(sys, w, res.sigma)
@@ -604,7 +610,7 @@ class TestRowClasses:
     def test_weights_varying_within_a_class_solve_every_row(self, bundled_system):
         w = np.random.default_rng(3).uniform(0.5, 2.0, size=bundled_system.n_equations)
         res = wls_estimate(bundled_system, w)
-        x, cov = unfolded_fit(bundled_system, w, bundled_system.sigma)
+        x, cov = unfolded_fit(bundled_system, w, bundled_system.sigma[bundled_system.row_class])
         assert_close_to_largest(res.x_hat, x)
         assert_close_to_largest(res.covariance, cov)
 
@@ -630,39 +636,39 @@ class TestRowClasses:
             assert_array_equal(snap.x_hat, x)
             assert_array_equal(snap.ci3, 3.0 * np.sqrt(np.diag(cov)))
             sigma = estimator._dispersions(sys, (sys.B @ x)[None], mean, scatter, DEFAULT_SIGMA0)[0]
-            row_std = np.maximum(grouped_std(sys.B @ x - sys.dp, sys.group)[sys.group], DEFAULT_SIGMA0)
+            group = sys.class_group_plan.label[sys.row_class]
+            row_std = np.maximum(grouped_std((sys.B @ x)[sys.row_class] - sys.dp, group)[group], DEFAULT_SIGMA0)
             assert_allclose(sigma, row_std, rtol=1e-13, atol=0.0)
         assert_array_equal(res.weights, w)
 
-    def test_class_rows_must_agree_in_regressor_and_group(self):
-        # rows of one class must also share their sigma: only caller weights may split a class
-        good = dict(B=np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0], [3.0, 1.0]]), dp=np.zeros(4),
-                    sigma=np.ones(4), config=[1, 1, 1, 1], marker=[0, 1, 0, 1], axis=[0, 0, 1, 1],
-                    columns=("k1", "k2"), row_class=[1, 1, 0, 0])
-        assert_array_equal(StackedSystem(**good).row_class, [1, 1, 0, 0])
-        for change in ({"B": good["B"] * [[1.0], [1.0], [1.0], [-1.0]]},  # one row's sign
-                       {"B": good["B"] + [[0.0], [0.0], [0.0], [1e-15]]},
-                       {"B": np.array([[0.0, 2.0], [-0.0, 2.0], [3.0, 1.0], [3.0, 1.0]])},  # bits, not values
-                       {"config": [1, 2, 1, 1]},
-                       {"axis": [0, 0, 1, 2]},
-                       {"sigma": [1.0, 1.0, 1.0, 2.0]}):
-            with pytest.raises(ValueError, match="row_class"):
-                StackedSystem(**{**good, **change})
-        for row_class in ([0, 0, 1], [2, 2, 0, 0], [-1, -1, 0, 0]):  # a row short, a gap, a negative
-            with pytest.raises(ValueError, match="row_class"):
+    def test_per_class_arrays_must_match_the_classes(self):
+        # four rows in two classes: B, sigma, config, marker and axis hold one entry per class
+        good = dict(B=np.array([[3.0, 1.0], [1.0, 2.0]]), dp=np.zeros(4), sigma=np.ones(2), config=[1, 1],
+                    marker=[0, 1], axis=[1, 0], columns=("k1", "k2"), row_class=[1, 1, 0, 0])
+        sys = StackedSystem(**good)
+        assert_array_equal(sys.row_class, [1, 1, 0, 0])
+        assert (sys.n_equations, sys.class_plan.counts.tolist()) == (4, [2, 2])
+        three = dict(B=np.ones((3, 2)), sigma=np.ones(3), config=[1] * 3, marker=[0] * 3, axis=[0] * 3)
+        with pytest.raises(ValueError, match="B has a row count of 3 for 2 row classes"):
+            StackedSystem(**{**good, **three})
+        for name in ("sigma", "config", "marker", "axis"):
+            with pytest.raises(ValueError, match="disagree on the row count"):
+                StackedSystem(**{**good, name: [1, 1, 1]})
+        with pytest.raises(ValueError, match="row_class disagrees with dp"):
+            StackedSystem(**{**good, "dp": np.zeros(3)})
+        for row_class in ([0, 0, 2, 2], [-1, -1, 0, 0]):  # a gap, a negative
+            with pytest.raises(ValueError, match="without gaps"):
                 StackedSystem(**{**good, "row_class": row_class})
 
-    @pytest.mark.parametrize("row", [regressor._CHECK_ROWS + 1, 2 * regressor._CHECK_ROWS + 2])
-    def test_class_check_reaches_rows_beyond_its_first_chunk(self, row):
-        # rows 2i and 2i+1 form class i; one B row past the check's first chunk moves by an ulp
-        m = 2 * regressor._CHECK_ROWS + 4
-        B = np.repeat(np.random.default_rng(row).normal(size=(m // 2, 2)), 2, axis=0)
-        good = dict(B=B, dp=np.zeros(m), sigma=np.ones(m), config=np.zeros(m, int), marker=np.arange(m) % 2,
-                    axis=np.zeros(m, int), columns=("k1", "k2"), row_class=np.arange(m) // 2)
-        assert StackedSystem(**{**good, "B": B.copy()}).class_plan.counts.tolist() == [2] * (m // 2)
-        B[row, 1] = np.nextafter(B[row, 1], np.inf)
-        with pytest.raises(ValueError, match="rows of one row_class differ"):
-            StackedSystem(**good)
+    @pytest.mark.parametrize("mode, params, shape", [("elastostatic", None, (135, 9)),
+                                                     ("combined", GEOMETRIC_PARAMS, (270, 13))])
+    def test_regressor_size_does_not_grow_with_repetitions(self, mode, params, shape, nominal_model):
+        for repetitions in (6, 60):
+            design = reference.study_design(seed=0, repetitions=repetitions)
+            sys = stack_system(simulate_measurements(design, nominal_model), nominal_model, design.cmap,
+                               design.noise, mode=mode, params=params)
+            assert sys.B.shape == shape
+            assert sys.n_equations == 45 * 3 * repetitions * shape[0] // 135
 
 
 class TestStackSystemChecks:

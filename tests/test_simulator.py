@@ -249,7 +249,7 @@ class TestNoiseFreeSystem:
         x = ols_estimate(sys).x_hat
         assert_allclose(x, bundled_design.ground_truth.values, rtol=1e-10)
         # sigma column still carries the study's declared noise
-        assert_allclose(sys.sigma[:3], np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
+        assert_allclose(sys.sigma[sys.row_class][:3], np.array([150.0, 64.0, 33.0]) * UM, rtol=1e-12)
 
     def test_unbiasedness_with_zero_geometry_error(self, nominal_model, bundled_design):
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=200)
@@ -313,11 +313,12 @@ class TestMonteCarloCompare:
         self, report, bundled_design, nominal_model, monkeypatch
     ):
         base = noise_free_system(bundled_design, nominal_model)
-        reduced = np.linalg.inv(base.B.T @ (base.B / base.sigma[:, None] ** 2))
+        full = estimator_mod._unfolded(base)
+        reduced = np.linalg.inv(full.B.T @ (full.B / full.sigma[:, None] ** 2))
         assert_allclose(report.predicted_cov["wls"], reduced, rtol=1e-8)
         # the fixed weightings' factorizations give the public solvers' bits
         for name, res in (("ols", ols_estimate(base)),
-                          ("wls", wls_estimate(base, optimal_weights(base.sigma)))):
+                          ("wls", wls_estimate(base, optimal_weights(base.sigma)[base.row_class]))):
             assert np.array_equal(report.predicted_cov[name], res.covariance)
             assert np.array_equal(report.ci3[name], np.tile(res.ci3, (len(report.ci3[name]), 1)))
 
@@ -392,18 +393,19 @@ def trial_observations(design, model, trials):
     """The stacked observations the Monte Carlo comparison draws for each of ``trials``."""
     base = noise_free_system(design, model)
     return np.array([base.dp + np.random.default_rng((design.seed, t)).normal(size=base.dp.shape)
-                     * base.sigma for t in trials])
+                     * base.sigma[base.row_class] for t in trials])
 
 
 def per_trial_reference(design, model, trials, sigma0=DEFAULT_SIGMA0, **irls_kw):
     """Each trial solved on its own through the public one-trial estimators."""
     base = noise_free_system(design, model)
-    w_opt = optimal_weights(base.sigma)
+    w_opt = optimal_weights(base.sigma)[base.row_class]
+    groups = base.class_group_plan.label
     fits = []
     for t in range(trials):
         rng = np.random.default_rng((design.seed, t))
-        sys_t = replace(base, dp=base.dp + rng.normal(size=base.dp.shape) * base.sigma)
-        sigma_raw = np.maximum(grouped_std(sys_t.dp, base.group)[base.group], sigma0)
+        sys_t = replace(base, dp=base.dp + rng.normal(size=base.dp.shape) * base.sigma[base.row_class])
+        sigma_raw = np.maximum(grouped_std(sys_t.dp, groups[base.row_class])[groups], sigma0)
         fits.append((
             ols_estimate(sys_t),
             wls_estimate(sys_t, w_opt),
