@@ -16,8 +16,12 @@ sigma, and a :class:`StackedSystem` stores each class of r identical rows
 becomes its row ``B_c`` scaled by sqrt(r).  With Q the orthonormal expansion
 of classes to rows, W B = Q (sqrt(r) W_c B_c) exactly, so the singular
 values and V are those of the full system and the condition number is not
-squared, as it would be by the normal equations.  Caller weights that split
-a class solve the system unfolded to one class per row (:func:`_unfolded`).
+squared, as it would be by the normal equations.  The observations enter
+only through their per-class means and scatters (:meth:`_Groups.moments`),
+read once per solve: every solve folds them to Q' W y = w_c sqrt(r) mean_c
+(:func:`_solve`), and the reweighting stage re-estimates its dispersions
+from the same moments.  Caller weights that split a class solve the system
+unfolded to one class per row (:func:`_unfolded`).
 """
 
 from __future__ import annotations
@@ -166,19 +170,16 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     return _Factors(classes, U, s, Vt, cov, errors)
 
 
-def _apply(f: _Factors, yw: np.ndarray) -> np.ndarray:
-    """Solutions ``V ((U' q[t]) / s)`` of a (T, m) stack of weighted observations.
+def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Solutions ``V ((U' q[t]) / s)`` of a (T, c) stack of per-class observation means.
 
-    ``q[t]`` holds the per-class sums of ``yw[t]`` divided by sqrt(r), the
-    folded observations.  The factors may hold one slice shared by every
-    trial.  Each trial is its own matrix-vector product in this association
-    order, so a stacked solve equals the one-trial solve bit for bit.
+    ``q[t] = w[t] sqrt(r) mean[t]`` are the folded observations, one per
+    class of r rows with weight ``w[t]``.  The factors and the weights may
+    hold one slice shared by every trial.  Each trial is its own
+    matrix-vector product in this association order, so a stacked solve
+    equals the one-trial solve bit for bit.
     """
-    return _solve(f, f.classes.sum(yw) / np.sqrt(f.classes.counts))
-
-
-def _solve(f: _Factors, q: np.ndarray) -> np.ndarray:
-    """Solutions ``V ((U' q[t]) / s)`` of a (T, c) stack of folded observations ``q``."""
+    q = w * (np.sqrt(f.classes.counts) * mean)
     c = (f.U.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0] / f.s
     return (f.Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
 
@@ -196,10 +197,11 @@ def _weighted_solve(
     if not np.array_equal(w[sys.class_plan.first[sys.row_class]], w):  # the weights split a class
         sys = _unfolded(sys)
 
-    f = _factor(sys, w[None, sys.class_plan.first], sys.sigma[None])
+    w_class = w[None, sys.class_plan.first]
+    f = _factor(sys, w_class, sys.sigma[None])
     if f.errors[0] is not None:
         raise f.errors[0]
-    x = _apply(f, (sys.dp * w)[None])[0]
+    x = _solve(f, w_class, sys.class_plan.moments(sys.dp[None])[0])[0]
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x,
@@ -243,10 +245,10 @@ def irls(
     iteration re-estimates the per-(configuration, axis) dispersions from the
     previous residuals (sample std over that group's markers x repetitions,
     floored at ``sigma0``; a one-row group raises ``ReplicateCountError``),
-    rebuilds the saturating weights and re-solves.  The re-estimate reads
-    each class of identical rows through its mean observation and scatter,
-    taken once, and its one prediction; it equals the sample std of the row
-    residuals up to rounding.
+    rebuilds the saturating weights and re-solves.  Solves and re-estimates
+    read each class of identical rows through its mean observation and
+    scatter, taken once, and the re-estimate through its one prediction; it
+    equals the sample std of the row residuals up to rounding.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
@@ -258,7 +260,8 @@ def irls(
     runs over blocks of trials; there every trial keeps its own stop
     iteration and stop reason.
     """
-    fit = _irls_stack(sys, sys.dp[None], sys.sigma[None], sigma0, lam, rel_tol, max_iter)[0]
+    fit = _irls_stack(sys, *sys.class_plan.moments(sys.dp[None]), sys.sigma[None], sigma0, lam, rel_tol,
+                      max_iter)[0]
     if isinstance(fit, Exception):
         raise fit
     return EstimationResult(
@@ -300,22 +303,15 @@ class _ClassFit(NamedTuple):
         return cls(*(a[j] for a in arrays), tuple(trace), reason)
 
 
-def _class_moments(sys: StackedSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class means and scatters (summed squared deviations from the mean) of a
-    (T, m) stack of observations, each (T, classes), the scatter in a second pass."""
-    classes = sys.class_plan
-    mean = classes.sum(y) / classes.counts
-    return mean, classes.sum((y - mean[:, sys.row_class]) ** 2)
-
-
 def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, scatter: np.ndarray,
                  sigma0: float) -> np.ndarray:
     """Per-class dispersions, floored at ``sigma0``, re-learnt from the residuals ``B x - y``.
 
     ``predicted`` holds each class's prediction ``B_k x``; a class's residuals
     then have the mean ``predicted - mean`` and the scatter ``scatter`` of its
-    observations (:func:`_class_moments`), which the pooled std of each
-    (configuration, axis) group reads in place of the rows.
+    observations (``sys.class_plan.moments``), which the pooled std of each
+    (configuration, axis) group reads in place of the rows.  A zero
+    ``predicted`` gives the raw scatter of the observations themselves.
     """
     plan = sys.class_group_plan
     std = plan.pooled_std(sys.class_plan.counts, predicted - mean, scatter)
@@ -324,47 +320,42 @@ def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, sc
 
 def _irls_stack(
     sys: StackedSystem,
-    y: np.ndarray,
+    mean: np.ndarray,
+    scatter: np.ndarray,
     sigma: np.ndarray,
     sigma0: float,
     lam: float,
     rel_tol: float,
     max_iter: int,
 ) -> list[_ClassFit | Exception]:
-    """:func:`irls` for a (T, m) stack of observations ``y`` in place of ``sys.dp``.
+    """:func:`irls` for T trials' observations in place of ``sys.dp``, read as their class moments.
 
-    ``sigma`` holds each trial's starting dispersions, one per class (T, c).
-    Weights and dispersions are kept per class through the loop.
-    Each iteration solves the trials still running with one stacked SVD and
+    ``mean`` and ``scatter`` (T, c) are each trial's per-class observation
+    means and scatters (``sys.class_plan.moments``), and ``sigma`` holds its
+    starting dispersions, one per class (T, c).  Weights and dispersions are
+    kept per class through the loop.  Each iteration solves the trials still
+    running with one stacked SVD, folding the class means as
+    :func:`wls_estimate` does (so a single pass equals it bit for bit), and
     predicts each class once; the re-estimate reads those predictions and
-    the class moments of ``y``, taken once per call (:func:`_dispersions`).
-    Iteration 1 folds the weighted rows as :func:`wls_estimate` does, so a
-    single pass equals it bit for bit; later iterations fold the class means,
-    one weight per class, without reading the rows.
-    A trial leaves the stack when it stops.  Returns per trial its per-class
-    fit, which :func:`irls` expands to rows, or the exception its solve
-    raised (rank loss at iteration 1, a negative covariance diagonal).  The
-    solves and the re-estimates use the system's own class and group plans;
-    a one-row group raises only at a re-estimate, so a single pass needs no
-    replicates.
+    the moments (:func:`_dispersions`).  A trial leaves the stack when it
+    stops.  Returns per trial its per-class fit, which :func:`irls` expands
+    to rows, or the exception its solve raised (rank loss at iteration 1, a
+    negative covariance diagonal).  The solves and the re-estimates use the
+    system's own class and group plans; a one-row group raises only at a
+    re-estimate, so a single pass needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
-    final: list[_ClassFit | Exception | None] = [None] * y.shape[0]
+    final: list[_ClassFit | Exception | None] = [None] * mean.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
-    last: list[tuple | None] = [None] * y.shape[0]  # a running trial's latest iterate: (arrays, row)
-    live = np.arange(y.shape[0])  # trials still iterating
+    last: list[tuple | None] = [None] * mean.shape[0]  # a running trial's latest iterate: (arrays, row)
+    live = np.arange(mean.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
-    mean, scatter = _class_moments(sys, y)
-    folded = mean * np.sqrt(sys.class_plan.counts)  # the fold of y, for one weight per class
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma, sigma0, lam)
         f = _factor(sys, w, sigma)
-        if it == 1:  # the row fold, so that a first pass equals the weighted solve bit for bit
-            x = _apply(f, y * w[:, sys.row_class])
-        else:
-            x = _solve(f, w * folded[live])
+        x = _solve(f, w, mean[live])
         predicted = (sys.B @ x[:, :, None])[:, :, 0]  # one row per class
         ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
         arrays = (x, f.cov, ci3, predicted, w, sigma)

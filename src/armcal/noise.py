@@ -8,9 +8,10 @@ deflection studies that is the dispersion of the loaded-minus-unloaded
 difference, which is what gets regressed).
 
 A stacked system carries, per class of identical rows, int arrays of
-configuration ids and axes (0..2, indexing :data:`AXES`).  :func:`grouped_std`
-estimates one dispersion per group of raw values, and :class:`_Groups` plans
-the per-group sums and the pooled std that the reweighting stage reads.
+configuration ids and axes (0..2, indexing :data:`AXES`).  Observations are
+reduced in one place, :meth:`_Groups.moments`, to per-group means and
+scatters; :func:`deflection_dispersions` and the reweighting stage's pooled
+std (:meth:`_Groups.pooled_std`) both read dispersions from those moments.
 """
 
 from __future__ import annotations
@@ -87,23 +88,26 @@ def deflection_dispersions(config: np.ndarray, deflection: np.ndarray) -> NoiseM
 
     Pools the loaded-minus-unloaded differences ``deflection[i]`` (meters) of
     all rows of each configuration ``config[i]`` into one unbiased sample
-    dispersion per (configuration, axis), about the group's own mean.  Before
-    any fit has been run this is the non-compensated dispersion
-    (marker-to-marker signal spread included), which is the usual starting
-    point when the tracker noise is unknown.  A configuration with one row
+    dispersion per (configuration, axis), ``sqrt(scatter / (n - 1))`` from
+    the moments (:meth:`_Groups.moments`) of the configuration's n rows about
+    their own mean.  Before any fit has been run this is the non-compensated
+    dispersion (marker-to-marker signal spread included), which is the usual
+    starting point when the tracker noise is unknown.  A configuration with one row
     raises :class:`ReplicateCountError`, and finite deflections whose
     dispersion exceeds the float range raise ``OverflowError``.
     """
     ids, row = np.unique(np.asarray(config, dtype=int).reshape(-1), return_inverse=True)
-    row = row.reshape(-1)
-    group = (row[:, None] * len(AXES) + np.arange(len(AXES))).reshape(-1)
-    deflection = np.asarray(deflection, dtype=float).reshape(-1)
+    deflection = np.asarray(deflection, dtype=float)
+    if deflection.shape != (row.size, len(AXES)):
+        raise ValueError(f"config and deflection length mismatch: {row.size} ids, deflection {deflection.shape}")
+    configs = _Groups(row)
+    _require_replicates(configs.counts)
+    n = configs.counts[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = grouped_std(deflection, group).reshape(-1, len(AXES))
+        sigma = np.sqrt(configs.moments(deflection.T)[1].T / (n - 1))
     if np.isfinite(deflection).all() and not np.isfinite(sigma).all():
         raise OverflowError("a deflection dispersion overflows the float range")
-    n = np.bincount(row)
-    return NoiseModel(config=ids, sigma=sigma, se=sigma / np.sqrt(2.0 * (n - 1))[:, None])
+    return NoiseModel(config=ids, sigma=sigma, se=sigma / np.sqrt(2.0 * (n - 1)))
 
 
 def build_sigma(
@@ -117,30 +121,6 @@ def build_sigma(
     if floor <= 0.0:
         raise ValueError("sigma floor must be positive")
     return np.maximum(noise.sigma[noise.rows(config), axis], floor)
-
-
-def grouped_std(values: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Sample std (ddof=1) of the ``values`` in each group, along the last axis.
-
-    ``group[i]`` numbers the group of ``values[..., i]``; the result's last
-    axis is indexed by group, and entry g is 0.0 if no ``group[i]`` equals g.
-    A group of one row raises :class:`ReplicateCountError`.  Groups of one
-    size share one ``np.std`` call over a contiguous gather of their rows in
-    a stable order, so each entry equals ``np.std`` of its group bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    group = np.asarray(group).reshape(-1)
-    if values.shape[-1:] != group.shape:
-        raise ValueError("values and group length mismatch")
-    counts = np.bincount(group)
-    _require_replicates(counts)
-    order = np.argsort(group, kind="stable")
-    size_of = counts[group[order]]  # group size of each row, in group order
-    out = np.zeros(values.shape[:-1] + counts.shape)
-    for size in set(counts[counts > 0].tolist()):
-        rows = order[size_of == size].reshape(-1, size)
-        out[..., counts == size] = np.std(np.take(values, rows, axis=-1), axis=-1, ddof=1)
-    return out
 
 
 class _Groups:
@@ -168,6 +148,12 @@ class _Groups:
         row bit for bit.
         """
         return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
+
+    def moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group means and scatters (summed squared deviations from the mean) of
+        ``values`` (..., rows), each (..., groups); the scatter is taken in a second pass."""
+        mean = self.sum(values) / self.counts
+        return mean, self.sum((values - mean[..., self.label]) ** 2)
 
     def pooled_std(self, counts: np.ndarray, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
         """Grouped sample stds (ddof=1) of values known only through per-row statistics.

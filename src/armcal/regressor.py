@@ -73,10 +73,14 @@ class Study:
             shape = (n,) if index else (n, 3)  # q: (n, joints)
             if arr.shape[:1] != (n,) or arr.ndim != len(shape) or (f.name != "q" and arr.shape != shape):
                 raise ValueError(f"study column {f.name} has shape {arr.shape} for {n} rows")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"study column {f.name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, f.name, arr)
+            self._set(f.name, arr)
+
+    def _set(self, name: str, column: np.ndarray) -> None:
+        """Store ``column`` read-only as column ``name``; a float column must be finite."""
+        if column.dtype.kind == "f" and not np.all(np.isfinite(column)):
+            raise ValueError(f"study column {name} contains non-finite values")
+        column.setflags(write=False)
+        object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.config)
@@ -86,8 +90,12 @@ class Study:
         return self.p - self.p0
 
     def take(self, rows) -> "Study":
-        """The rows ``rows`` (an index array, mask or slice) as a new study."""
-        return Study(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        """The rows ``rows`` (an index array, mask or slice) as a new study, each column
+        gathered once; only the finiteness of the float columns is checked again."""
+        part = object.__new__(Study)
+        for f in fields(self):
+            part._set(f.name, getattr(self, f.name)[rows])
+        return part
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,14 @@ from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
-    _apply,
+    _dispersions,
     _factor,
     _irls_stack,
+    _solve,
     optimal_weights,
 )
 from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
-from .noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
+from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -263,14 +264,17 @@ def monte_carlo_compare(
 
     Trials are solved together in fixed blocks (20 trials each on the
     bundled design, sized by :func:`_block_trials`), each trial's noise drawn
-    in place into its row of the block.  Every solve factors the distinct
+    in place into its row of the block.  The block's observations are then
+    read once, as per-class means and scatters, which every solve and every
+    dispersion estimate of the block reads: the IRLS start is the
+    re-estimate at a zero prediction.  Every solve factors the distinct
     rows only, one per class of a posture's identical repetitions (see
     :mod:`armcal.estimator`).  OLS and WLS share ``B`` and their weights
     across trials, so each is one SVD, made before any block, plus a stacked
     product per block, and that SVD also gives the method's predicted
     covariance and CIs; IRLS runs one stacked SVD per iteration over the
     block's still-running trials, each keeping its own stop iteration and
-    reason, and re-estimates their dispersions from per-class moments.
+    reason.
     Blocks are drawn and solved one after another, in trial order, so
     working memory scales with the block size, not with ``trials``.  Every
     estimate equals the one-trial solve of that trial bit for bit.  Failed
@@ -284,15 +288,13 @@ def monte_carlo_compare(
         raise ValueError("need at least 2 trials")
     base = noise_free_system(design, model)
     dp_clean, sigma_true = base.dp, base.sigma[base.row_class]
-    groups = base.class_group_plan.label  # each class's (configuration, axis) group
-    row_group = groups[base.row_class]
 
     fixed, cov, ci3 = {}, {}, {}
     for name, w in (("ols", np.ones_like(base.sigma)), ("wls", optimal_weights(base.sigma))):
         f = _factor(base, w[None], base.sigma[None])
         if f.errors[0] is not None:
             raise f.errors[0]
-        fixed[name], cov[name], ci3[name] = (f, w[base.row_class]), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
+        fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
     block, irls_args = _block_trials(base), (sigma0, lam, rel_tol, max_iter)
     failures: list[tuple[int, str, str]] = []
@@ -304,15 +306,16 @@ def monte_carlo_compare(
             np.random.default_rng((design.seed, t)).standard_normal(out=dp[j])
         dp *= sigma_true
         dp += dp_clean
-        sigma_raw = np.maximum(grouped_std(dp, row_group)[:, groups], sigma0)  # a one-row group raises here
-        x = {name: _apply(f, dp * w) for name, (f, w) in fixed.items()}
+        mean, scatter = base.class_plan.moments(dp)
+        sigma_raw = _dispersions(base, 0.0, mean, scatter, sigma0)  # a one-row group raises here
+        x = {name: _solve(f, w, mean) for name, (f, w) in fixed.items()}
         try:
-            fits = _irls_stack(base, dp, sigma_raw, *irls_args)
+            fits = _irls_stack(base, mean, scatter, sigma_raw, *irls_args)
         except np.linalg.LinAlgError:  # the stacked SVD fails as a whole: solve trial by trial
             fits = []
             for j in range(len(block_trials)):
                 try:
-                    fits += _irls_stack(base, dp[j:j + 1], sigma_raw[j:j + 1], *irls_args)
+                    fits += _irls_stack(base, mean[j:j + 1], scatter[j:j + 1], sigma_raw[j:j + 1], *irls_args)
                 except np.linalg.LinAlgError as exc:
                     fits.append(exc)
         for j, (t, fit) in enumerate(zip(block_trials, fits)):

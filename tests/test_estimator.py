@@ -21,9 +21,10 @@ from armcal.estimator import (
     robust_weights,
     wls_estimate,
 )
-from armcal.noise import NoiseModel, grouped_std
+from armcal.noise import NoiseModel
 from armcal.regressor import StackedSystem, stack_system
 from armcal.simulator import noise_free_system, simulate_measurements
+from row_level import row_std
 
 UM = 1e-6
 
@@ -384,7 +385,7 @@ class TestIRLS:
         y = B @ np.array([2.0, -1.0, 0.5]) + rng.normal(size=(4, 18)) * scale
         y[0, axis == 1] = 1e11 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         kw = dict(sigma0=0.1, lam=1.0, rel_tol=1e-6, max_iter=20)
-        fits = estimator_mod._irls_stack(sys, y, np.ones((4, 18)), **kw)
+        fits = estimator_mod._irls_stack(sys, *sys.class_plan.moments(y), np.ones((4, 18)), **kw)
         assert [f.stop_reason for f in fits] == ["rank_loss", "max_iter", "tolerance", "tolerance"]
         assert [len(f.iterations) for f in fits] == [4, 20, 9, 5]
         for t, fit in enumerate(fits):
@@ -415,7 +416,8 @@ class TestIRLS:
 
     @pytest.mark.parametrize("kind", ["bundled", "unequal", "one_row_classes"])
     def test_re_estimate_matches_row_level_std(self, kind, bundled_system):
-        # the pooled std of class moments equals grouped_std of the row residuals up to rounding
+        # the pooled std of class moments equals the row-level std of the residuals up to
+        # rounding, and at a zero prediction (the raw start) that of the observations
         rng = np.random.default_rng(8)
         sys = {"bundled": bundled_system, "unequal": self.unequal_system(rng),
                "one_row_classes": estimator_mod._unfolded(bundled_system)}[kind]
@@ -426,10 +428,11 @@ class TestIRLS:
         row_group = sys.class_group_plan.label[sys.row_class]
         assert np.unique(np.bincount(row_group)).size == (2 if kind == "unequal" else 1)  # group sizes
         assert np.unique(sys.class_plan.counts).size == (4 if kind == "unequal" else 1)  # class sizes
-        predicted = (sys.B @ x[:, :, None])[:, :, 0]
-        got = estimator_mod._dispersions(sys, predicted, *estimator_mod._class_moments(sys, y), sigma0=1e-300)
-        row_std = grouped_std(predicted[:, sys.row_class] - y, row_group)[:, sys.class_group_plan.label]
-        assert_allclose(got, row_std, rtol=1e-13, atol=0.0)
+        moments = sys.class_plan.moments(y)
+        for predicted in ((sys.B @ x[:, :, None])[:, :, 0], np.zeros((4, len(sys.B)))):
+            got = estimator_mod._dispersions(sys, predicted, *moments, sigma0=1e-300)
+            expected = row_std(predicted[:, sys.row_class] - y, row_group)[:, sys.class_group_plan.label]
+            assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_max_iter_validated(self, noisy_system):
         with pytest.raises(ValueError, match="max_iter"):

@@ -12,8 +12,8 @@ from armcal.noise import (
     DEFAULT_SIGMA0,
     NoiseModel,
     build_sigma,
+    _Groups,
     deflection_dispersions,
-    grouped_std,
 )
 from armcal.regressor import StackedSystem
 from armcal.simulator import simulate_measurements
@@ -203,30 +203,30 @@ class TestGroupedDispersions:
             columns=("k",),
         )
         assert_array_equal(sys.class_group_plan.label[sys.row_class], np.repeat([0, 1], 6))
-        # each row's (configuration, axis) pair, numbered with a slot for every axis
-        group = (np.unique(sys.config, return_inverse=True)[1] * 3 + sys.axis)[sys.row_class]
-        std = grouped_std(values, group)
-        assert_allclose(std[group[0]], np.std(values[:6], ddof=1), rtol=1e-12)
-        assert_allclose(std[group[6]], np.std(values[6:], ddof=1), rtol=1e-12)
-        assert std[1] == 0.0  # axis y of config 1 never observed: stays zero
+        # the pooled std of each (configuration, axis) group, read from the class moments
+        std = sys.class_group_plan.pooled_std(sys.class_plan.counts, *sys.class_plan.moments(values))
+        assert_allclose(std, [np.std(values[:6], ddof=1), np.std(values[6:], ddof=1)], rtol=1e-12)
 
     def test_unequal_group_sizes_match_per_group_std(self):
+        # moments of groups of six sizes, their rows scattered, on a (2, rows) stack
         rng = np.random.default_rng(7)
         sizes = [2, 5, 18, 3, 18, 40]
         group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
-        values = rng.normal(size=group.shape[0]) * 50 * UM
-        expected = [np.std(values[group == g], ddof=1) for g in range(len(sizes))]
-        assert_allclose(grouped_std(values, group), expected, rtol=1e-12)
-        # each group is reduced by np.std itself, so equality is exact
-        assert_array_equal(grouped_std(values, group), expected)
+        values = rng.normal(size=(2, group.shape[0])) * 50 * UM + np.array([[0.0], [1e-3]])
+        mean, scatter = _Groups(group).moments(values)
+        assert mean.shape == scatter.shape == (2, len(sizes))
+        for g, n in enumerate(sizes):
+            rows = values[:, group == g]
+            assert_allclose(mean[:, g], np.mean(rows, axis=1), rtol=1e-12)
+            assert_allclose(np.sqrt(scatter[:, g] / (n - 1)), np.std(rows, axis=1, ddof=1), rtol=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            grouped_std(np.zeros(3), np.array([0]))
+            deflection_dispersions(np.ones(3, dtype=int), np.zeros((4, 3)))
 
     def test_single_row_group_rejected(self):
         with pytest.raises(ReplicateCountError, match=">= 2 rows"):
-            grouped_std(np.zeros(3), np.array([0, 0, 1]))
+            deflection_dispersions(np.array([1, 1, 2]), np.zeros((3, 3)))
 
     def test_deflection_dispersions_match_manual_pooling(self, nominal_model):
         design = reference.study_design(seed=5, markers=2, repetitions=4)

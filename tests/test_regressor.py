@@ -1,13 +1,15 @@
 """Observation-equation construction: compliance/geometry columns and stacking."""
 
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import scalar_chain
+from row_level import row_std
 from armcal import estimator, kinematics, reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
 from armcal.estimator import irls, ols_estimate, optimal_weights, robust_weights, wls_estimate
@@ -19,7 +21,7 @@ from armcal.kinematics import (
     parameter_jacobian,
     perturbed,
 )
-from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma, grouped_std
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel, build_sigma
 from armcal.regressor import (
     ComplianceParameterMap,
     StackedSystem,
@@ -629,7 +631,7 @@ class TestRowClasses:
         # library's re-estimate from class moments, which rounds apart from the row-level std
         res = irls(sys)
         sigma = sys.sigma
-        mean, scatter = estimator._class_moments(sys, sys.dp[None])
+        mean, scatter = sys.class_plan.moments(sys.dp[None])
         for snap in res.iterations:
             w = robust_weights(sigma)
             x, cov = prefold_solve(replace(sys, sigma=sigma), w)
@@ -637,8 +639,8 @@ class TestRowClasses:
             assert_array_equal(snap.ci3, 3.0 * np.sqrt(np.diag(cov)))
             sigma = estimator._dispersions(sys, (sys.B @ x)[None], mean, scatter, DEFAULT_SIGMA0)[0]
             group = sys.class_group_plan.label[sys.row_class]
-            row_std = np.maximum(grouped_std((sys.B @ x)[sys.row_class] - sys.dp, group)[group], DEFAULT_SIGMA0)
-            assert_allclose(sigma, row_std, rtol=1e-13, atol=0.0)
+            expected = np.maximum(row_std((sys.B @ x)[sys.row_class] - sys.dp, group)[group], DEFAULT_SIGMA0)
+            assert_allclose(sigma, expected, rtol=1e-13, atol=0.0)
         assert_array_equal(res.weights, w)
 
     def test_per_class_arrays_must_match_the_classes(self):
@@ -747,3 +749,19 @@ class TestStudy:
         assert len(part) == 3
         for name in ("config", "marker", "rep", "q", "force", "fmarker", "p0", "p"):
             assert_array_equal(getattr(part, name), getattr(bundled_study, name)[rows])
+
+    def test_take_gathers_each_column_once(self, nominal_model, assert_same_study):
+        # a reordered 600-repetition study (27,000 rows) peaks at its gathered columns, not
+        # at a second copy of them; only the float columns' finiteness masks come on top
+        study = simulate_measurements(reference.study_design(seed=0, repetitions=600), nominal_model)
+        order = np.lexsort((study.rep, study.marker, study.config))
+        columns = sum(getattr(study, f.name).nbytes for f in fields(study))
+        tracemalloc.start()
+        try:
+            part = study.take(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * columns
+        assert_same_study(part, Study(**{f.name: getattr(study, f.name)[order] for f in fields(study)}))
+        assert not any(getattr(part, f.name).flags.writeable for f in fields(study))

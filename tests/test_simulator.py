@@ -15,7 +15,7 @@ from armcal import reference
 from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
 from armcal.estimator import irls, ols_estimate, optimal_weights, wls_estimate
 from armcal.kinematics import forward_kinematics, parameter_jacobian
-from armcal.noise import DEFAULT_SIGMA0, NoiseModel, grouped_std
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel
 from armcal.regressor import elastostatic_regressor, stack_system
 from armcal.simulator import (
     ComplianceVector,
@@ -341,14 +341,14 @@ class TestMonteCarloCompare:
         self, bundled_design, nominal_model, monkeypatch
     ):
         # trials fail where each trial's own IRLS outcome is read: trials 0
-        # and 1 come back as exceptions from the block whose observations
+        # and 1 come back as exceptions from the block whose class means
         # hold them
         real = simulator_mod._irls_stack
-        first_two = trial_observations(bundled_design, nominal_model, range(2))
+        first_two = trial_class_means(bundled_design, nominal_model, range(2))
 
-        def flaky(sys, y, *args):
-            fits = real(sys, y, *args)
-            if np.array_equal(y[:2], first_two):
+        def flaky(sys, mean, *args):
+            fits = real(sys, mean, *args)
+            if np.array_equal(mean[:2], first_two):
                 fits[:2] = [CalibrationError("synthetic trial failure")] * 2
             return fits
 
@@ -389,23 +389,24 @@ def assert_other_trials_kept(mc, unpatched, failing):
         assert_array_equal(trace, unpatched.irls_ci_traces[t])
 
 
-def trial_observations(design, model, trials):
-    """The stacked observations the Monte Carlo comparison draws for each of ``trials``."""
+def trial_class_means(design, model, trials):
+    """The per-class means of the observations the Monte Carlo comparison draws for each of ``trials``."""
     base = noise_free_system(design, model)
-    return np.array([base.dp + np.random.default_rng((design.seed, t)).normal(size=base.dp.shape)
-                     * base.sigma[base.row_class] for t in trials])
+    observations = np.array([base.dp + np.random.default_rng((design.seed, t)).normal(size=base.dp.shape)
+                             * base.sigma[base.row_class] for t in trials])
+    return base.class_plan.moments(observations)[0]
 
 
 def per_trial_reference(design, model, trials, sigma0=DEFAULT_SIGMA0, **irls_kw):
     """Each trial solved on its own through the public one-trial estimators."""
     base = noise_free_system(design, model)
     w_opt = optimal_weights(base.sigma)[base.row_class]
-    groups = base.class_group_plan.label
     fits = []
     for t in range(trials):
         rng = np.random.default_rng((design.seed, t))
         sys_t = replace(base, dp=base.dp + rng.normal(size=base.dp.shape) * base.sigma[base.row_class])
-        sigma_raw = np.maximum(grouped_std(sys_t.dp, groups[base.row_class])[groups], sigma0)
+        # the raw start: the dispersion re-estimate at a zero prediction
+        sigma_raw = estimator_mod._dispersions(sys_t, 0.0, *sys_t.class_plan.moments(sys_t.dp[None]), sigma0)[0]
         fits.append((
             ols_estimate(sys_t),
             wls_estimate(sys_t, w_opt),
@@ -458,13 +459,13 @@ class TestBatchedEquivalence:
         failing = trials - 2
         assert trials % block and failing >= trials - trials % block
         unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        observations = trial_observations(bundled_design, nominal_model, range(trials))
+        means = trial_class_means(bundled_design, nominal_model, range(trials))
         real = simulator_mod._irls_stack
 
-        def failing_late(sys, y, *args):
-            fits = real(sys, y, *args)
-            for j, row in enumerate(y):
-                if np.array_equal(row, observations[failing]):
+        def failing_late(sys, mean, *args):
+            fits = real(sys, mean, *args)
+            for j, row in enumerate(mean):
+                if np.array_equal(row, means[failing]):
                     fits[j] = CalibrationError("synthetic late failure")
             return fits
 
@@ -479,13 +480,13 @@ class TestBatchedEquivalence:
         base = noise_free_system(bundled_design, nominal_model)
         trials, failing = 2 * simulator_mod._block_trials(base), 5
         unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        observations = trial_observations(bundled_design, nominal_model, [failing])[0]
+        means = trial_class_means(bundled_design, nominal_model, [failing])[0]
         real = simulator_mod._irls_stack
 
-        def svd_fails(sys, y, *args):
-            if any(np.array_equal(row, observations) for row in y):
+        def svd_fails(sys, mean, *args):
+            if any(np.array_equal(row, means) for row in mean):
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(sys, y, *args)
+            return real(sys, mean, *args)
 
         monkeypatch.setattr(simulator_mod, "_irls_stack", svd_fails)
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
