@@ -209,7 +209,7 @@ def _cmd_calibrate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # half-widths that overflow are refused below
         results = [ols_estimate(sys_)]
         if args.method == "wls":
-            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, sigma0, args.lam)[sys_.row_class]))
+            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, sigma0, args.lam)))
         elif args.method == "irls":
             results.append(irls(sys_, sigma0=sigma0, lam=args.lam,
                                 rel_tol=args.rel_tol, max_iter=args.max_iter))

@@ -17,18 +17,18 @@ becomes its row ``B_c`` scaled by sqrt(r).  With Q the orthonormal expansion
 of classes to rows, W B = Q (sqrt(r) W_c B_c) exactly, so the singular
 values and V are those of the full system and the condition number is not
 squared, as it would be by the normal equations.  The observations enter
-only through their per-class means and scatters (:meth:`_Groups.moments`),
-read once per solve: every solve folds them to Q' W y = w_c sqrt(r) mean_c
-(:func:`_solve`), and the reweighting stage re-estimates its dispersions
-from the same moments.  Caller weights that split a class solve the system
-unfolded to one class per row (:func:`_unfolded`).
+only through their per-class means, read once per solve: every solve folds
+them to Q' W y = w_c sqrt(r) mean_c (:func:`_solve`), and the reweighting
+stage re-estimates its dispersions from the same means and the per-class
+scatters (:meth:`_Groups.moments`).  Weights, like sigmas, are given and
+reported per class, one per row of ``B``; only the residuals are per row.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,8 +60,9 @@ class IterationSnapshot:
 class EstimationResult:
     """Solved system: estimate, sandwich covariance and diagnostics.
 
-    ``residuals`` are ``B[row_class] @ x_hat - dp`` on the unweighted scale;
-    ``weights`` and ``sigma`` are the per-row values used by the final solve.
+    ``residuals`` are ``B[row_class] @ x_hat - dp`` on the unweighted scale,
+    one per row; ``weights`` and ``sigma`` are those of the final solve, one
+    per class (row of ``B``), so ``weights[row_class]`` is the per-row view.
     """
 
     parameters: tuple[str, ...]
@@ -120,7 +121,7 @@ class _Factors(NamedTuple):
 
 
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
-    """SVD and sandwich covariance of the weighted regressors ``w[t] * sys.B[sys.row_class]``.
+    """SVD and sandwich covariance of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
 
     ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
     per class of the system.  The (c, n) matrix
@@ -188,20 +189,17 @@ def _weighted_solve(
     sys: StackedSystem, weights: np.ndarray, method: str
 ) -> EstimationResult:
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != sys.n_equations:
+    if w.shape[0] != len(sys.B):
         raise ValueError("weight vector length does not match the system")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
     if not np.any(w > 0.0):
         raise ValueError("all rows have zero weight")
-    if not np.array_equal(w[sys.class_plan.first[sys.row_class]], w):  # the weights split a class
-        sys = _unfolded(sys)
 
-    w_class = w[None, sys.class_plan.first]
-    f = _factor(sys, w_class, sys.sigma[None])
+    f = _factor(sys, w[None], sys.sigma[None])
     if f.errors[0] is not None:
         raise f.errors[0]
-    x = _solve(f, w_class, sys.class_plan.moments(sys.dp[None])[0])[0]
+    x = _solve(f, w[None], sys.class_plan.sum(sys.dp) / sys.class_plan.counts)[0]
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x,
@@ -210,25 +208,18 @@ def _weighted_solve(
         residuals=(sys.B @ x)[sys.row_class] - sys.dp,
         method=method,
         weights=w,
-        sigma=sys.sigma[sys.row_class],
+        sigma=sys.sigma,
     )
-
-
-def _unfolded(sys: StackedSystem) -> StackedSystem:
-    """``sys`` with one class per row: each row's class entries gathered by ``row_class``."""
-    rows = sys.row_class
-    return replace(sys, B=sys.B[rows], sigma=sys.sigma[rows], config=sys.config[rows],
-                   marker=sys.marker[rows], axis=sys.axis[rows], row_class=None)
 
 
 def ols_estimate(sys: StackedSystem) -> EstimationResult:
     """Unweighted solve; the covariance still honours per-row dispersions."""
-    return _weighted_solve(sys, np.ones(sys.n_equations), "ols")
+    return _weighted_solve(sys, np.ones(len(sys.B)), "ols")
 
 
 def wls_estimate(sys: StackedSystem, weights: np.ndarray) -> EstimationResult:
-    """Weighted solve with a caller-supplied diagonal weighting, one weight per row of ``dp``;
-    weights of the classes, such as ``robust_weights(sys.sigma)``, are gathered by ``sys.row_class``."""
+    """Weighted solve with a caller-supplied diagonal weighting, one weight per class (row of
+    ``sys.B``) as ``sys.sigma`` has, such as ``robust_weights(sys.sigma)``; a class's rows share it."""
     return _weighted_solve(sys, weights, "wls")
 
 
@@ -248,7 +239,8 @@ def irls(
     rebuilds the saturating weights and re-solves.  Solves and re-estimates
     read each class of identical rows through its mean observation and
     scatter, taken once, and the re-estimate through its one prediction; it
-    equals the sample std of the row residuals up to rounding.
+    equals the sample std of the row residuals up to rounding.  The result's
+    final weights and dispersions are per class, as the loop keeps them.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
@@ -271,8 +263,8 @@ def irls(
         ci3=fit.ci3,
         residuals=fit.predicted[sys.row_class] - sys.dp,
         method="irls",
-        weights=fit.weights[sys.row_class],
-        sigma=fit.sigma[sys.row_class],
+        weights=fit.weights,
+        sigma=fit.sigma,
         iterations=fit.iterations,
         converged=fit.converged,
         stop_reason=fit.stop_reason,
@@ -338,9 +330,9 @@ def _irls_stack(
     :func:`wls_estimate` does (so a single pass equals it bit for bit), and
     predicts each class once; the re-estimate reads those predictions and
     the moments (:func:`_dispersions`).  A trial leaves the stack when it
-    stops.  Returns per trial its per-class fit, which :func:`irls` expands
-    to rows, or the exception its solve raised (rank loss at iteration 1, a
-    negative covariance diagonal).  The solves and the re-estimates use the
+    stops.  Returns per trial its per-class fit, whose predictions
+    :func:`irls` expands to row residuals, or the exception its solve raised
+    (rank loss at iteration 1, a negative covariance diagonal).  The solves and the re-estimates use the
     system's own class and group plans; a one-row group raises only at a
     re-estimate, so a single pass needs no replicates.
     """

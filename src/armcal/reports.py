@@ -6,8 +6,10 @@ with SI values and ``repr`` floats for lossless downstream parsing.  Each
 writer hands its columns to ``fileio``'s one table renderer: the short
 reports as whole columns of strings, ``residuals.tsv`` as a function that
 formats one chunk of rows, so that file is formatted and written a chunk at
-a time, each class of identical rows' repeated cells once.  ``repr`` is the only
-float formatter, and identical inputs give byte-identical files.
+a time.  The cells a class of identical rows shares (its origin, sigma and
+weight, which the system and the result store per class) are formatted once
+per class.  ``repr`` is the only float formatter, and identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .estimator import EstimationResult
 from .fileio import _per_class, _render, _reprs, _whole, write_text
 from .noise import AXES
-from .regressor import StackedSystem, _bits
+from .regressor import StackedSystem
 from .simulator import ComplianceVector, MonteCarloReport
 
 _UM = 1e-6
@@ -86,15 +88,12 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
     """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time.
-    A chunk formats config..weight once per ``row_class`` class, unless sigma or weight bits split one
-    (caller weights can), when each row formats its own; config, marker and axis are read per class."""
+    A chunk formats config..weight once per ``row_class`` class, each read per class as the system
+    and the result store them."""
     def cells(rows: slice) -> list[list[str]]:
-        row_class, sigma, weight = sys.row_class[rows], result.sigma[rows] / _UM, result.weights[rows]
-        classes, first, inverse = np.unique(row_class, return_index=True, return_inverse=True)
-        if not all(np.array_equal(_bits(c[first[inverse]]), _bits(c)) for c in (sigma, weight)):
-            classes, first = row_class, np.arange(len(row_class))
-            inverse = first
-        config, marker, sigma, weight = _reprs(sys.config[classes], sys.marker[classes], sigma[first], weight[first])
+        classes, inverse = np.unique(sys.row_class[rows], return_inverse=True)
+        config, marker, sigma, weight = _reprs(sys.config[classes], sys.marker[classes],
+                                               result.sigma[classes] / _UM, result.weights[classes])
         axis = list(map(AXES.__getitem__, sys.axis[classes].tolist()))
         prefix = _per_class(inverse, [config, marker, axis, sigma, weight], "\t")
         return [prefix, *_reprs(result.residuals[rows] / _UM)]

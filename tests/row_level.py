@@ -1,4 +1,7 @@
-"""Row-level reference for the dispersion tests: one ``np.std`` call per group of rows."""
+"""Row-level references for the class-level library: one ``np.std`` call per group of rows, and
+a stacked system expanded to one class per row."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,3 +15,10 @@ def row_std(values, group):
     group = np.asarray(group)
     return np.stack([np.std(values[..., group == g], axis=-1, ddof=1) for g in range(group.max() + 1)],
                     axis=-1)
+
+
+def unfolded(sys):
+    """``sys`` with one class per row: each row's class entries gathered by ``row_class``."""
+    rows = sys.row_class
+    return replace(sys, B=sys.B[rows], sigma=sys.sigma[rows], config=sys.config[rows],
+                   marker=sys.marker[rows], axis=sys.axis[rows], row_class=None)

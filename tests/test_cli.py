@@ -108,7 +108,7 @@ class TestCalibrate:
         sys = stacked_from_files(
             study_dir / "measurements.tsv", study_dir / "noise.tsv"
         )
-        res = wls_estimate(sys, robust_weights(sys.sigma, CLI_SIGMA0, 1.0)[sys.row_class])
+        res = wls_estimate(sys, robust_weights(sys.sigma, CLI_SIGMA0, 1.0))
         for i, name in enumerate(res.parameters):
             est, ci3 = reported[name]
             assert est == res.x_hat[i]  # byte-for-byte repr round trip
@@ -734,7 +734,7 @@ class TestReportHelpers:
         combined = stack_system(bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise,
                                 mode="combined", params=["a2", "d3", "theta4", "tool_x"])
         for sys, estimate in [(s, e) for s in (bundled_system, combined)
-                              for e in (lambda s: wls_estimate(s, robust_weights(s.sigma)[s.row_class]), irls)]:
+                              for e in (lambda s: wls_estimate(s, robust_weights(s.sigma)), irls)]:
             res = estimate(sys)
             # reference: one row at a time, every float through repr(float(.))
             expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
@@ -742,7 +742,7 @@ class TestReportHelpers:
                 k = sys.row_class[i]
                 expected.append("\t".join([
                     str(sys.config[k]), str(sys.marker[k]), "xyz"[sys.axis[k]],
-                    repr(float(res.sigma[i] / 1e-6)), repr(float(res.weights[i])),
+                    repr(float(res.sigma[k] / 1e-6)), repr(float(res.weights[k])),
                     repr(float(res.residuals[i] / 1e-6)),
                 ]))
             path = write_residual_report(tmp_path, sys, res)

@@ -24,7 +24,7 @@ from armcal.estimator import (
 from armcal.noise import NoiseModel
 from armcal.regressor import StackedSystem, stack_system
 from armcal.simulator import noise_free_system, simulate_measurements
-from row_level import row_std
+from row_level import row_std, unfolded
 
 UM = 1e-6
 
@@ -247,6 +247,14 @@ class TestRankHandling:
         with pytest.raises(ValueError, match="finite and non-negative"):
             wls_estimate(sys, np.array([1.0, -1.0, 1.0]))
 
+    def test_weights_are_one_per_class(self, bundled_system):
+        # a replicated system takes one weight per class of identical rows, not one per row
+        sys = bundled_system
+        assert len(sys.B) < sys.n_equations
+        with pytest.raises(ValueError, match="length"):
+            wls_estimate(sys, np.ones(sys.n_equations))
+        assert_array_equal(wls_estimate(sys, np.ones(len(sys.B))).x_hat, ols_estimate(sys).x_hat)
+
 
 class TestEstimationResult:
     def test_residuals_definition(self):
@@ -256,6 +264,16 @@ class TestEstimationResult:
         assert_allclose(res.residuals, sys.B @ res.x_hat - sys.dp, atol=1e-15)
         assert res.method == "ols"
         assert_array_equal(res.weights, np.ones(sys.n_equations))
+
+    @pytest.mark.parametrize("mode", ["elastostatic", "geometric", "combined"])
+    def test_weights_and_sigma_are_per_class(self, mode, bundled_study, bundled_design, nominal_model):
+        params = None if mode == "elastostatic" else ["a2", "d3", "theta4", "tool_x"]
+        sys = stack_system(bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise,
+                           mode=mode, params=params)
+        assert len(sys.B) < sys.n_equations
+        for res in (ols_estimate(sys), wls_estimate(sys, robust_weights(sys.sigma)), irls(sys)):
+            assert res.weights.shape == res.sigma.shape == (len(sys.B),)
+            assert res.residuals.shape == (sys.n_equations,)
 
 
 class TestNoiseFreeRecovery:
@@ -278,7 +296,7 @@ class TestIRLS:
     def test_single_pass_equals_robust_wls(self, noisy_system):
         res = irls(noisy_system, rel_tol=np.inf)
         direct = wls_estimate(
-            noisy_system, robust_weights(noisy_system.sigma, DEFAULT_SIGMA0, DEFAULT_LAMBDA)[noisy_system.row_class]
+            noisy_system, robust_weights(noisy_system.sigma, DEFAULT_SIGMA0, DEFAULT_LAMBDA)
         )
         assert_array_equal(res.x_hat, direct.x_hat)
         assert_array_equal(res.covariance, direct.covariance)
@@ -395,8 +413,8 @@ class TestIRLS:
                 assert_array_equal(getattr(fit, name), getattr(ref, name))
             # the stacked fit keeps one prediction, weight and sigma per class of identical rows
             assert_array_equal(fit.predicted[sys.row_class] - y[t], ref.residuals)
-            assert_array_equal(fit.weights[sys.row_class], ref.weights)
-            assert_array_equal(fit.sigma[sys.row_class], ref.sigma)
+            assert_array_equal(fit.weights, ref.weights)
+            assert_array_equal(fit.sigma, ref.sigma)
             assert len(fit.iterations) == len(ref.iterations)
             for a, b in zip(fit.iterations, ref.iterations):
                 assert a.index == b.index
@@ -420,7 +438,7 @@ class TestIRLS:
         # rounding, and at a zero prediction (the raw start) that of the observations
         rng = np.random.default_rng(8)
         sys = {"bundled": bundled_system, "unequal": self.unequal_system(rng),
-               "one_row_classes": estimator_mod._unfolded(bundled_system)}[kind]
+               "one_row_classes": unfolded(bundled_system)}[kind]
         truth = ols_estimate(bundled_system).x_hat if kind != "unequal" else np.array([1.0, -2.0, 0.5])
         clean = (sys.B @ truth)[sys.row_class]
         y = clean + rng.normal(size=(4, sys.n_equations)) * 0.3 * np.sqrt(np.mean(clean ** 2))

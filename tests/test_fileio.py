@@ -514,8 +514,8 @@ class TestStreamedTables:
         sys_, result = _residual_inputs(n)
         expected = _reference_table(
             [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
-            [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma / UM, result.weights,
-             result.residuals / UM], "\t")
+            [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma[sys_.row_class] / UM,
+             result.weights[sys_.row_class], result.residuals / UM], "\t")
         assert reports.write_residual_report(tmp_path, sys_, result).read_text() == expected
         assert ("\t-0.0\n" in expected) == (n >= CHUNK)
 
@@ -581,17 +581,16 @@ def _measurement_reference(s: Study) -> str:
 
 def _residual_reference(sys_: StackedSystem, result: EstimationResult) -> str:
     """``residuals.tsv`` of ``sys_`` and ``result``, formatted one cell at a time."""
-    config, marker, axis = (a[sys_.row_class] for a in (sys_.config, sys_.marker, sys_.axis))
+    config, marker, axis, sigma, weight = (a[sys_.row_class] for a in (sys_.config, sys_.marker, sys_.axis,
+                                                                       result.sigma, result.weights))
     return _reference_table(
         [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
-        [config, marker, np.array(["x", "y", "z"])[axis], result.sigma / UM, result.weights,
-         result.residuals / UM], "\t")
+        [config, marker, np.array(["x", "y", "z"])[axis], sigma / UM, weight, result.residuals / UM], "\t")
 
 
-def _classed_inputs(n_records: int, weights=None) -> tuple[StackedSystem, EstimationResult]:
+def _classed_inputs(n_records: int) -> tuple[StackedSystem, EstimationResult]:
     """A system of ``n_records`` records of configuration 0 and marker 0, three rows each,
-    with one class per axis, and a result whose sigma and weight are those of the row's
-    axis.  ``weights`` replaces the rows' weight column."""
+    with one class per axis, and a result with one sigma and weight per class."""
     rows = np.arange(3 * n_records)
     axis = rows % 3
     rng = np.random.default_rng(n_records)
@@ -600,8 +599,7 @@ def _classed_inputs(n_records: int, weights=None) -> tuple[StackedSystem, Estima
                          columns=("k1", "k2"), row_class=axis)
     result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
                               residuals=rng.normal(size=len(rows)) * 1e-5, method="irls",
-                              weights=np.array([1.0, 0.5, 0.25])[axis] if weights is None else weights,
-                              sigma=np.array([1e-5, 2e-5, 3e-5])[axis])
+                              weights=np.array([1.0, 0.5, 0.25]), sigma=np.array([1e-5, 2e-5, 3e-5]))
     return sys_, result
 
 
@@ -611,12 +609,17 @@ class TestRepeatedCells:
     posture and its rep cell once per distinct rep, within each chunk.  Bits, not values,
     decide what is shared, so every file reads as if each cell were formatted alone."""
 
-    def test_signed_zero_weights_of_one_class_stay_apart(self, tmp_path):
-        weights = np.array([0.0, 1.0, 1.0, -0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
-        sys_, result = _classed_inputs(3, weights=weights)
+    def test_signed_zero_weights_of_two_classes_stay_apart(self, tmp_path):
+        # two classes alike in every written cell but the sign of their zero weight, rows interleaved
+        sys_ = StackedSystem(B=np.eye(2), dp=np.zeros(6), sigma=np.ones(2), config=np.zeros(2, int),
+                             marker=np.zeros(2, int), axis=np.zeros(2, int), columns=("k1", "k2"),
+                             row_class=[0, 1, 1, 0, 0, 1])
+        result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
+                                  residuals=np.zeros(6), method="wls", weights=np.array([0.0, -0.0]),
+                                  sigma=np.full(2, 1e-5))
         text = reports.write_residual_report(tmp_path, sys_, result).read_text()
         assert text == _residual_reference(sys_, result)
-        assert [line.split("\t")[4] for line in text.splitlines()[1::3]] == ["0.0", "-0.0", "0.0"]
+        assert [line.split("\t")[4] for line in text.splitlines()[1:]] == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "-0.0"]
 
     @pytest.mark.parametrize("column", ["q", "force"])
     def test_signed_zero_postures_stay_apart(self, column, tmp_path):

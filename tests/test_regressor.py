@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import scalar_chain
-from row_level import row_std
+from row_level import row_std, unfolded
 from armcal import estimator, kinematics, reference, regressor
 from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
 from armcal.estimator import irls, ols_estimate, optimal_weights, robust_weights, wls_estimate
@@ -489,7 +489,7 @@ class TestPostureReuse:
     def test_rows_equal_per_record_reference(self, study, mode):
         records, model, cmap, noise = study
         params = None if mode == "elastostatic" else GEOMETRIC_PARAMS
-        sys = estimator._unfolded(stack_system(records, model, cmap, noise, mode=mode, params=params))
+        sys = unfolded(stack_system(records, model, cmap, noise, mode=mode, params=params))
         expected = per_record_reference(records, model, cmap, noise, mode, params)
         for name, value in expected.items():
             assert np.array_equal(getattr(sys, name), value), name
@@ -540,8 +540,10 @@ class TestPostureReuse:
 
 
 def unfolded_fit(sys, w, sigma):
-    """Estimate and sandwich covariance under per-row weights ``w``, from every row of ``w B``."""
-    A = estimator._unfolded(sys).B * w[:, None]
+    """Estimate and sandwich covariance under per-class weights ``w`` and sigmas ``sigma``,
+    from every row of ``w B``."""
+    w, sigma = w[sys.row_class], sigma[sys.row_class]
+    A = unfolded(sys).B * w[:, None]
     G = np.linalg.pinv(A)
     return np.linalg.lstsq(A, sys.dp * w, rcond=None)[0], (G * (w * sigma) ** 2) @ G.T
 
@@ -562,7 +564,7 @@ def crossing_study(model, rng):
 
 def prefold_solve(sys, w):
     """Estimate and covariance by the SVD of every row of ``w B``, in the solver's order of operations."""
-    sys = estimator._unfolded(sys)
+    sys = unfolded(sys)
     U, s, Vt = np.linalg.svd(sys.B * w[:, None], full_matrices=False)
     x = Vt.T @ ((U.T @ (sys.dp * w)) / s)
     G = Vt.T @ np.divide(U.T, s[:, None], order="C")
@@ -591,10 +593,10 @@ class TestRowClasses:
         runs = np.diff(sys.row_class[::3 * kinds]) > 0
         assert sys.row_class.max() + 1 == 3 * kinds * (1 + np.count_nonzero(runs)) < sys.n_equations
         assert np.all(np.diff(sys.config[sys.row_class][::3 * kinds])[~runs] == 0)
-        unfolded = estimator._unfolded(sys)
-        assert_array_equal(unfolded.row_class, np.arange(sys.n_equations))
-        w_opt = optimal_weights(sys.sigma)[sys.row_class]
-        for res, w in ((ols_estimate(sys), np.ones(sys.n_equations)),
+        full_sys = unfolded(sys)
+        assert_array_equal(full_sys.row_class, np.arange(sys.n_equations))
+        w_opt = optimal_weights(sys.sigma)
+        for res, w in ((ols_estimate(sys), np.ones(len(sys.B))),
                        (wls_estimate(sys, w_opt), w_opt),
                        (irls(sys), None)):
             w = res.weights if w is None else w
@@ -602,19 +604,12 @@ class TestRowClasses:
             assert_close_to_largest(res.x_hat, x)
             assert_close_to_largest(res.covariance, cov)
         # the reweighting loop takes the same steps folded and unfolded
-        folded, full = irls(sys), irls(unfolded)
+        folded, full = irls(sys), irls(full_sys)
         assert (folded.stop_reason, len(folded.iterations)) == (full.stop_reason, len(full.iterations))
         for a, b in zip(folded.iterations, full.iterations):
             assert_close_to_largest(a.x_hat, b.x_hat)
             assert_close_to_largest(a.ci3, b.ci3)
         assert_close_to_largest(folded.residuals, full.residuals)
-
-    def test_weights_varying_within_a_class_solve_every_row(self, bundled_system):
-        w = np.random.default_rng(3).uniform(0.5, 2.0, size=bundled_system.n_equations)
-        res = wls_estimate(bundled_system, w)
-        x, cov = unfolded_fit(bundled_system, w, bundled_system.sigma[bundled_system.row_class])
-        assert_close_to_largest(res.x_hat, x)
-        assert_close_to_largest(res.covariance, cov)
 
     @pytest.mark.parametrize("mode, params", MODES, ids=[m for m, _ in MODES])
     def test_unreplicated_system_keeps_prefold_bits(self, mode, params, nominal_model):

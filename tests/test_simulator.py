@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import armcal.estimator as estimator_mod
 import armcal.noise as noise_mod
 import armcal.simulator as simulator_mod
+from row_level import unfolded
 from armcal import reference
 from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
 from armcal.estimator import irls, ols_estimate, optimal_weights, wls_estimate
@@ -313,12 +314,12 @@ class TestMonteCarloCompare:
         self, report, bundled_design, nominal_model, monkeypatch
     ):
         base = noise_free_system(bundled_design, nominal_model)
-        full = estimator_mod._unfolded(base)
+        full = unfolded(base)
         reduced = np.linalg.inv(full.B.T @ (full.B / full.sigma[:, None] ** 2))
         assert_allclose(report.predicted_cov["wls"], reduced, rtol=1e-8)
         # the fixed weightings' factorizations give the public solvers' bits
         for name, res in (("ols", ols_estimate(base)),
-                          ("wls", wls_estimate(base, optimal_weights(base.sigma)[base.row_class]))):
+                          ("wls", wls_estimate(base, optimal_weights(base.sigma)))):
             assert np.array_equal(report.predicted_cov[name], res.covariance)
             assert np.array_equal(report.ci3[name], np.tile(res.ci3, (len(report.ci3[name]), 1)))
 
@@ -400,7 +401,7 @@ def trial_class_means(design, model, trials):
 def per_trial_reference(design, model, trials, sigma0=DEFAULT_SIGMA0, **irls_kw):
     """Each trial solved on its own through the public one-trial estimators."""
     base = noise_free_system(design, model)
-    w_opt = optimal_weights(base.sigma)[base.row_class]
+    w_opt = optimal_weights(base.sigma)
     fits = []
     for t in range(trials):
         rng = np.random.default_rng((design.seed, t))
