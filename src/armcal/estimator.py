@@ -20,8 +20,8 @@ squared, as it would be by the normal equations.  The observations enter
 only through their per-class means, read once per solve: every solve folds
 them to Q' W y = w_c sqrt(r) mean_c (:func:`_solve`), and the reweighting
 stage re-estimates its dispersions from the same means and the per-class
-scatters (:meth:`_Groups.moments`).  Weights, like sigmas, are given and
-reported per class, one per row of ``B``; only the residuals are per row.
+scatters (:meth:`_Groups.moments`).  Weights, sigmas and predictions are
+given and reported per class, one per row of ``B``; nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -60,22 +60,27 @@ class IterationSnapshot:
 class EstimationResult:
     """Solved system: estimate, sandwich covariance and diagnostics.
 
-    ``residuals`` are ``B[row_class] @ x_hat - dp`` on the unweighted scale,
-    one per row; ``weights`` and ``sigma`` are those of the final solve, one
-    per class (row of ``B``), so ``weights[row_class]`` is the per-row view.
+    ``predicted`` holds each class's prediction ``B[k] @ x_hat``; ``weights``
+    and ``sigma`` are those of the final solve.  All three are per class
+    (row of ``B``), so ``predicted[row_class] - dp`` are the row residuals
+    and ``weights[row_class]`` the per-row weights.  An IRLS solve that hit
+    ``max_iter`` or lost rank has not converged.
     """
 
     parameters: tuple[str, ...]
     x_hat: np.ndarray
     covariance: np.ndarray
     ci3: np.ndarray
-    residuals: np.ndarray
+    predicted: np.ndarray
     method: str
     weights: np.ndarray
     sigma: np.ndarray
     iterations: tuple[IterationSnapshot, ...] = ()
-    converged: bool = True
     stop_reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason not in ("max_iter", "rank_loss")
 
 
 def optimal_weights(sigma: np.ndarray) -> np.ndarray:
@@ -188,7 +193,7 @@ def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def _weighted_solve(
     sys: StackedSystem, weights: np.ndarray, method: str
 ) -> EstimationResult:
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = np.array(weights, dtype=float).reshape(-1)
     if w.shape[0] != len(sys.B):
         raise ValueError("weight vector length does not match the system")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
@@ -205,7 +210,7 @@ def _weighted_solve(
         x_hat=x,
         covariance=f.cov[0],
         ci3=3.0 * np.sqrt(np.diag(f.cov[0])),
-        residuals=(sys.B @ x)[sys.row_class] - sys.dp,
+        predicted=sys.B @ x,
         method=method,
         weights=w,
         sigma=sys.sigma,
@@ -240,7 +245,8 @@ def irls(
     read each class of identical rows through its mean observation and
     scatter, taken once, and the re-estimate through its one prediction; it
     equals the sample std of the row residuals up to rounding.  The result's
-    final weights and dispersions are per class, as the loop keeps them.
+    final predictions, weights and dispersions are per class, as the loop
+    keeps them.
 
     Stops when the largest per-parameter relative change drops below
     ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
@@ -249,50 +255,14 @@ def irls(
     ``stop_reason='rank_loss'``).
 
     This is the one-trial case of the stacked loop the Monte Carlo comparison
-    runs over blocks of trials; there every trial keeps its own stop
-    iteration and stop reason.
+    runs over blocks of trials, and returns that loop's result unchanged;
+    there every trial keeps its own stop iteration and stop reason.
     """
     fit = _irls_stack(sys, *sys.class_plan.moments(sys.dp[None]), sys.sigma[None], sigma0, lam, rel_tol,
                       max_iter)[0]
     if isinstance(fit, Exception):
         raise fit
-    return EstimationResult(
-        parameters=sys.columns,
-        x_hat=fit.x_hat,
-        covariance=fit.covariance,
-        ci3=fit.ci3,
-        residuals=fit.predicted[sys.row_class] - sys.dp,
-        method="irls",
-        weights=fit.weights,
-        sigma=fit.sigma,
-        iterations=fit.iterations,
-        converged=fit.converged,
-        stop_reason=fit.stop_reason,
-    )
-
-
-class _ClassFit(NamedTuple):
-    """One trial's IRLS outcome from :func:`_irls_stack`, kept per class of identical rows:
-    ``predicted`` holds each class's prediction ``B_k x_hat``, ``weights`` and ``sigma``
-    those of the final solve."""
-
-    x_hat: np.ndarray
-    covariance: np.ndarray
-    ci3: np.ndarray
-    predicted: np.ndarray
-    weights: np.ndarray
-    sigma: np.ndarray
-    iterations: tuple[IterationSnapshot, ...]
-    stop_reason: str
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason in ("tolerance", "single_pass")
-
-    @classmethod
-    def from_stack(cls, arrays: tuple, j: int, trace: list[IterationSnapshot], reason: str) -> _ClassFit:
-        """The fit in row ``j`` of one iteration's stacked ``(x, cov, ci3, predicted, w, sigma)``."""
-        return cls(*(a[j] for a in arrays), tuple(trace), reason)
+    return fit
 
 
 def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, scatter: np.ndarray,
@@ -319,7 +289,7 @@ def _irls_stack(
     lam: float,
     rel_tol: float,
     max_iter: int,
-) -> list[_ClassFit | Exception]:
+) -> list[EstimationResult | Exception]:
     """:func:`irls` for T trials' observations in place of ``sys.dp``, read as their class moments.
 
     ``mean`` and ``scatter`` (T, c) are each trial's per-class observation
@@ -330,20 +300,27 @@ def _irls_stack(
     :func:`wls_estimate` does (so a single pass equals it bit for bit), and
     predicts each class once; the re-estimate reads those predictions and
     the moments (:func:`_dispersions`).  A trial leaves the stack when it
-    stops.  Returns per trial its per-class fit, whose predictions
-    :func:`irls` expands to row residuals, or the exception its solve raised
-    (rank loss at iteration 1, a negative covariance diagonal).  The solves and the re-estimates use the
-    system's own class and group plans; a one-row group raises only at a
-    re-estimate, so a single pass needs no replicates.
+    stops.  Returns per trial its ``"irls"`` :class:`EstimationResult`,
+    which :func:`irls` returns as it is, or the exception its solve raised
+    (rank loss at iteration 1, a negative covariance diagonal).  The solves
+    and the re-estimates use the system's own class and group plans; a
+    one-row group raises only at a re-estimate, so a single pass needs no
+    replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     single_pass = not math.isfinite(rel_tol)
-    final: list[_ClassFit | Exception | None] = [None] * mean.shape[0]
+    final: list[EstimationResult | Exception | None] = [None] * mean.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
     last: list[tuple | None] = [None] * mean.shape[0]  # a running trial's latest iterate: (arrays, row)
     live = np.arange(mean.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
+
+    def result(arrays: tuple, j: int, t: int, reason: str) -> EstimationResult:
+        """Trial ``t``'s result from row ``j`` of one iteration's stacked ``(x, cov, ci3, predicted, w, sigma)``."""
+        x, cov, ci3, predicted, w, s = (a[j] for a in arrays)
+        return EstimationResult(sys.columns, x, cov, ci3, predicted, "irls", w, s, tuple(trace[t]), reason)
+
     for it in range(1, max_iter + 1):
         w = robust_weights(sigma, sigma0, lam)
         f = _factor(sys, w, sigma)
@@ -359,7 +336,7 @@ def _irls_stack(
                 if prev is None or not isinstance(f.errors[j], RankDeficientError):
                     final[t] = f.errors[j]
                 else:
-                    final[t] = _ClassFit.from_stack(*last[t], trace[t], "rank_loss")
+                    final[t] = result(*last[t], t, "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
             if single_pass:
@@ -372,7 +349,7 @@ def _irls_stack(
                 continue
             else:
                 reason = "max_iter"
-            final[t] = _ClassFit.from_stack(arrays, j, trace[t], reason)
+            final[t] = result(arrays, j, t, reason)
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break

@@ -128,10 +128,10 @@ class _Groups:
 
     ``label[i]`` numbers row i's group, and ``label`` is kept to spread
     per-group values back over the rows.  Rows are taken in a stable order by
-    group: ``counts[g]`` is group g's row count, ``starts[g]`` its offset in
-    that order and ``first[g]`` its first row, so repeated reductions over one
-    grouping (the IRLS iterations, the Monte Carlo's trial blocks) pay for the
-    counting and sorting once.
+    group: ``counts[g]`` is group g's row count and ``starts[g]`` its offset
+    in that order, so repeated reductions over one grouping (the IRLS
+    iterations, the Monte Carlo's trial blocks) pay for the counting and
+    sorting once.
     """
 
     def __init__(self, label: np.ndarray):
@@ -139,7 +139,6 @@ class _Groups:
         self.counts = np.bincount(label)
         self.order = np.argsort(label, kind="stable")
         self.starts = np.cumsum(self.counts) - self.counts
-        self.first = self.order[self.starts]
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-group sums of ``values`` (..., rows) as (..., groups), for labels without gaps.

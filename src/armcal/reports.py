@@ -8,7 +8,8 @@ reports as whole columns of strings, ``residuals.tsv`` as a function that
 formats one chunk of rows, so that file is formatted and written a chunk at
 a time.  The cells a class of identical rows shares (its origin, sigma and
 weight, which the system and the result store per class) are formatted once
-per class.  ``repr`` is the only float formatter, and identical inputs give
+per class; a row's residual is its class's prediction minus its
+observation.  ``repr`` is the only float formatter, and identical inputs give
 byte-identical files.
 """
 
@@ -89,14 +90,15 @@ def write_ratio_report(out_dir: Path, baseline: EstimationResult, refined: Estim
 def write_residual_report(out_dir: Path, sys: StackedSystem, result: EstimationResult) -> Path:
     """Per-row diagnostics for the final solve (residuals in um), streamed a chunk of rows at a time.
     A chunk formats config..weight once per ``row_class`` class, each read per class as the system
-    and the result store them."""
+    and the result store them, and its residuals ``predicted[row_class] - dp`` from the result's
+    per-class predictions."""
     def cells(rows: slice) -> list[list[str]]:
         classes, inverse = np.unique(sys.row_class[rows], return_inverse=True)
         config, marker, sigma, weight = _reprs(sys.config[classes], sys.marker[classes],
                                                result.sigma[classes] / _UM, result.weights[classes])
         axis = list(map(AXES.__getitem__, sys.axis[classes].tolist()))
         prefix = _per_class(inverse, [config, marker, axis, sigma, weight], "\t")
-        return [prefix, *_reprs(result.residuals[rows] / _UM)]
+        return [prefix, *_reprs((result.predicted[sys.row_class[rows]] - sys.dp[rows]) / _UM)]
 
     header = ["config", "marker", "axis", "sigma_um", "weight", "residual_um"]
     return write_text(out_dir / "residuals.tsv", _render(header, sys.n_equations, cells, "\t"))

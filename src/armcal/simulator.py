@@ -273,8 +273,9 @@ def monte_carlo_compare(
     across trials, so each is one SVD, made before any block, plus a stacked
     product per block, and that SVD also gives the method's predicted
     covariance and CIs; IRLS runs one stacked SVD per iteration over the
-    block's still-running trials, each keeping its own stop iteration and
-    reason.
+    block's still-running trials, each ending as its own ``irls``
+    :class:`~armcal.estimator.EstimationResult` with its own stop iteration
+    and reason.
     Blocks are drawn and solved one after another, in trial order, so
     working memory scales with the block size, not with ``trials``.  Every
     estimate equals the one-trial solve of that trial bit for bit.  Failed

@@ -1,5 +1,5 @@
-"""Row-level references for the class-level library: one ``np.std`` call per group of rows, and
-a stacked system expanded to one class per row."""
+"""Row-level references for the class-level library: one ``np.std`` call per group of rows, a
+stacked system expanded to one class per row, and a result's residuals on every row."""
 
 from dataclasses import replace
 
@@ -15,6 +15,11 @@ def row_std(values, group):
     group = np.asarray(group)
     return np.stack([np.std(values[..., group == g], axis=-1, ddof=1) for g in range(group.max() + 1)],
                     axis=-1)
+
+
+def residuals(sys, res):
+    """The row residuals of ``res`` on ``sys``: each row's class prediction minus its observation."""
+    return res.predicted[sys.row_class] - sys.dp
 
 
 def unfolded(sys):

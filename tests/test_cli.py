@@ -13,6 +13,7 @@ from armcal.noise import DEFAULT_SIGMA0
 from armcal.regressor import ComplianceParameterMap, stack_system
 from armcal.reports import parameter_unit
 from armcal import reference
+from row_level import residuals
 
 # the CLI expresses the floor in um and converts back; mirror that round trip
 CLI_SIGMA0 = (DEFAULT_SIGMA0 / 1e-6) * 1e-6
@@ -736,6 +737,7 @@ class TestReportHelpers:
         for sys, estimate in [(s, e) for s in (bundled_system, combined)
                               for e in (lambda s: wls_estimate(s, robust_weights(s.sigma)), irls)]:
             res = estimate(sys)
+            row_residuals = residuals(sys, res)
             # reference: one row at a time, every float through repr(float(.))
             expected = ["config\tmarker\taxis\tsigma_um\tweight\tresidual_um"]
             for i in range(sys.n_equations):
@@ -743,7 +745,7 @@ class TestReportHelpers:
                 expected.append("\t".join([
                     str(sys.config[k]), str(sys.marker[k]), "xyz"[sys.axis[k]],
                     repr(float(res.sigma[k] / 1e-6)), repr(float(res.weights[k])),
-                    repr(float(res.residuals[i] / 1e-6)),
+                    repr(float(row_residuals[i] / 1e-6)),
                 ]))
             path = write_residual_report(tmp_path, sys, res)
             assert path.read_text() == "\n".join(expected) + "\n"

@@ -1,7 +1,7 @@
 """Least-squares solvers, weighting rules, covariances and the reweighting loop."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,8 +23,9 @@ from armcal.estimator import (
 )
 from armcal.noise import NoiseModel
 from armcal.regressor import StackedSystem, stack_system
+from armcal.reports import write_residual_report
 from armcal.simulator import noise_free_system, simulate_measurements
-from row_level import row_std, unfolded
+from row_level import residuals, row_std, unfolded
 
 UM = 1e-6
 
@@ -183,7 +184,7 @@ class TestCovariance:
             w = rng.uniform(0.1, 1.0, size=40)
             res = wls_estimate(sys, w)
             Bw = sys.B * w[:, None]
-            rw = w * res.residuals
+            rw = w * residuals(sys, res)
             scale = np.linalg.norm(Bw) * np.linalg.norm(w * sys.dp)
             assert np.linalg.norm(Bw.T @ rw) <= 1e-10 * scale
 
@@ -257,13 +258,27 @@ class TestRankHandling:
 
 
 class TestEstimationResult:
-    def test_residuals_definition(self):
+    def test_predicted_definition(self):
         rng = np.random.default_rng(17)
         sys = random_system(rng)
         res = ols_estimate(sys)
-        assert_allclose(res.residuals, sys.B @ res.x_hat - sys.dp, atol=1e-15)
+        for r in (res, wls_estimate(sys, robust_weights(sys.sigma))):
+            assert_array_equal(r.predicted, sys.B @ r.x_hat)
+            assert_allclose(residuals(sys, r), sys.B @ r.x_hat - sys.dp, atol=1e-15)
         assert res.method == "ols"
         assert_array_equal(res.weights, np.ones(sys.n_equations))
+
+    def test_result_keeps_its_own_weights(self, bundled_system, tmp_path):
+        # changing the caller's weight array after the solve changes neither the result
+        # nor the weight column its residual report writes
+        sys = bundled_system
+        w = robust_weights(sys.sigma)
+        res = wls_estimate(sys, w)
+        expected = w.copy()
+        w[:] = 5.0
+        assert_array_equal(res.weights, expected)
+        lines = write_residual_report(tmp_path, sys, res).read_text().splitlines()[1:]
+        assert [line.split("\t")[4] for line in lines] == [repr(float(v)) for v in expected[sys.row_class]]
 
     @pytest.mark.parametrize("mode", ["elastostatic", "geometric", "combined"])
     def test_weights_and_sigma_are_per_class(self, mode, bundled_study, bundled_design, nominal_model):
@@ -272,8 +287,9 @@ class TestEstimationResult:
                            mode=mode, params=params)
         assert len(sys.B) < sys.n_equations
         for res in (ols_estimate(sys), wls_estimate(sys, robust_weights(sys.sigma)), irls(sys)):
-            assert res.weights.shape == res.sigma.shape == (len(sys.B),)
-            assert res.residuals.shape == (sys.n_equations,)
+            assert res.weights.shape == res.sigma.shape == res.predicted.shape == (len(sys.B),)
+            # nothing in a result is per row
+            assert not [f.name for f in fields(res) if np.shape(getattr(res, f.name))[:1] == (sys.n_equations,)]
 
 
 class TestNoiseFreeRecovery:
@@ -282,7 +298,7 @@ class TestNoiseFreeRecovery:
         sys = noise_free_system(design, nominal_model)
         res = ols_estimate(sys)
         assert_allclose(res.x_hat, design.ground_truth.values, rtol=1e-10)
-        assert np.max(np.abs(res.residuals)) < 1e-15
+        assert np.max(np.abs(residuals(sys, res))) < 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -407,12 +423,15 @@ class TestIRLS:
         assert [f.stop_reason for f in fits] == ["rank_loss", "max_iter", "tolerance", "tolerance"]
         assert [len(f.iterations) for f in fits] == [4, 20, 9, 5]
         for t, fit in enumerate(fits):
-            ref = irls(replace(sys, dp=y[t]), **kw)
+            sys_t = replace(sys, dp=y[t])
+            ref = irls(sys_t, **kw)
+            assert (fit.method, fit.parameters) == ("irls", sys.columns)
             assert (fit.stop_reason, fit.converged) == (ref.stop_reason, ref.converged)
             for name in ("x_hat", "covariance", "ci3"):
                 assert_array_equal(getattr(fit, name), getattr(ref, name))
             # the stacked fit keeps one prediction, weight and sigma per class of identical rows
-            assert_array_equal(fit.predicted[sys.row_class] - y[t], ref.residuals)
+            assert_array_equal(fit.predicted, ref.predicted)
+            assert_array_equal(residuals(sys_t, fit), residuals(sys_t, ref))
             assert_array_equal(fit.weights, ref.weights)
             assert_array_equal(fit.sigma, ref.sigma)
             assert len(fit.iterations) == len(ref.iterations)

@@ -34,6 +34,7 @@ from armcal.estimator import EstimationResult
 from armcal.kinematics import forward_kinematics
 from armcal.regressor import StackedSystem, Study
 from armcal.simulator import simulate_measurements
+from row_level import residuals
 
 UM = 1e-6
 
@@ -460,17 +461,18 @@ def _sorted_study(n: int) -> Study:
 
 
 def _residual_inputs(n: int) -> tuple[StackedSystem, EstimationResult]:
-    """A system of ``n`` rows and a result whose weights repeat, whose sigmas repeat per
-    configuration and whose residuals hold signed zeros across the chunk boundaries."""
+    """A system of ``n`` rows, one class each, and a result whose weights repeat, whose sigmas
+    repeat per configuration and whose predictions, so residuals, hold signed zeros across the
+    chunk boundaries."""
     rng = np.random.default_rng(n)
     rows = np.arange(n)
     config, axis = rows // 6, rows % 3
     sys_ = StackedSystem(B=rng.normal(size=(n, 2)), dp=np.zeros(n), sigma=np.ones(n), config=config,
                          marker=rows // 3 % 2, axis=axis, columns=("k1", "k2"))
-    residuals = rng.normal(size=n) * 1e-5
-    _zeros_at_chunk_edges(residuals)
+    predicted = rng.normal(size=n) * 1e-5
+    _zeros_at_chunk_edges(predicted)  # p - 0.0 keeps the sign of a zero p, so the residuals hold them
     result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
-                              residuals=residuals, method="irls", weights=np.where(rows % 5, 1.0, 0.5),
+                              predicted=predicted, method="irls", weights=np.where(rows % 5, 1.0, 0.5),
                               sigma=1e-5 * (1.0 + config % 7 + axis / 3.0))
     return sys_, result
 
@@ -515,7 +517,7 @@ class TestStreamedTables:
         expected = _reference_table(
             [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
             [sys_.config, sys_.marker, np.array(["x", "y", "z"])[sys_.axis], result.sigma[sys_.row_class] / UM,
-             result.weights[sys_.row_class], result.residuals / UM], "\t")
+             result.weights[sys_.row_class], residuals(sys_, result) / UM], "\t")
         assert reports.write_residual_report(tmp_path, sys_, result).read_text() == expected
         assert ("\t-0.0\n" in expected) == (n >= CHUNK)
 
@@ -585,20 +587,20 @@ def _residual_reference(sys_: StackedSystem, result: EstimationResult) -> str:
                                                                        result.sigma, result.weights))
     return _reference_table(
         [], ["config", "marker", "axis", "sigma_um", "weight", "residual_um"],
-        [config, marker, np.array(["x", "y", "z"])[axis], sigma / UM, weight, result.residuals / UM], "\t")
+        [config, marker, np.array(["x", "y", "z"])[axis], sigma / UM, weight, residuals(sys_, result) / UM], "\t")
 
 
 def _classed_inputs(n_records: int) -> tuple[StackedSystem, EstimationResult]:
     """A system of ``n_records`` records of configuration 0 and marker 0, three rows each,
-    with one class per axis, and a result with one sigma and weight per class."""
+    with one class per axis, and a result with one prediction, sigma and weight per class."""
     rows = np.arange(3 * n_records)
     axis = rows % 3
     rng = np.random.default_rng(n_records)
-    sys_ = StackedSystem(B=rng.normal(size=(3, 2)), dp=np.zeros(len(rows)), sigma=np.ones(3),
+    sys_ = StackedSystem(B=rng.normal(size=(3, 2)), dp=rng.normal(size=len(rows)) * 1e-5, sigma=np.ones(3),
                          config=np.zeros(3, int), marker=np.zeros(3, int), axis=np.arange(3),
                          columns=("k1", "k2"), row_class=axis)
     result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
-                              residuals=rng.normal(size=len(rows)) * 1e-5, method="irls",
+                              predicted=rng.normal(size=3) * 1e-5, method="irls",
                               weights=np.array([1.0, 0.5, 0.25]), sigma=np.array([1e-5, 2e-5, 3e-5]))
     return sys_, result
 
@@ -615,7 +617,7 @@ class TestRepeatedCells:
                              marker=np.zeros(2, int), axis=np.zeros(2, int), columns=("k1", "k2"),
                              row_class=[0, 1, 1, 0, 0, 1])
         result = EstimationResult(parameters=("k1", "k2"), x_hat=np.zeros(2), covariance=np.eye(2), ci3=np.ones(2),
-                                  residuals=np.zeros(6), method="wls", weights=np.array([0.0, -0.0]),
+                                  predicted=np.zeros(2), method="wls", weights=np.array([0.0, -0.0]),
                                   sigma=np.full(2, 1e-5))
         text = reports.write_residual_report(tmp_path, sys_, result).read_text()
         assert text == _residual_reference(sys_, result)

@@ -26,8 +26,8 @@ NAMES = ("k2_1", "theta4", "a2")
 def _result(method, x_hat, ci3, iterations=()):
     unused = np.zeros(2)
     return EstimationResult(parameters=NAMES, x_hat=np.array(x_hat), covariance=np.eye(3),
-                            ci3=np.array(ci3), residuals=unused, method=method, weights=unused,
-                            sigma=unused, iterations=iterations, converged=True, stop_reason="tolerance")
+                            ci3=np.array(ci3), predicted=unused, method=method, weights=unused,
+                            sigma=unused, iterations=iterations, stop_reason="tolerance")
 
 
 OLS = _result("ols", [1.2345678e-07, -0.0, 1.23456789e-3], [2.5e-09, 1e-5, 2e-5])
