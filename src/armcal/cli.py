@@ -34,6 +34,7 @@ from .estimator import (
     wls_estimate,
 )
 from .fileio import (
+    _UM,
     load_measurements,
     load_model,
     load_noise_table,
@@ -46,9 +47,9 @@ from .noise import DEFAULT_SIGMA0, deflection_dispersions
 from .regressor import ComplianceParameterMap, stack_system
 from .simulator import monte_carlo_compare, simulate_measurements
 
-_UM = 1e-6
-#: The largest model reach (meters) accepted for the bundled design: marker positions stay
-#: far inside the 1.8e302 m whose micrometers overflow a float in a measurement file.
+#: The largest model reach, and the largest simulated dispersion, in meters accepted for the
+#: bundled design: marker positions and their draws stay far inside the 1.8e302 m whose
+#: micrometers overflow a float in a measurement file.
 _MAX_REACH = 1e300
 
 OUT_ENV = "ARMCAL_OUT"
@@ -117,11 +118,11 @@ def _replicate_noise(study, source):
                                      "give them with --noise") from None
 
 
-def _check_design_model(model, design) -> None:
-    """Reject a --model whose joints or markers the bundled design does not fit, or whose
-    reach exceeds :data:`_MAX_REACH`.  The reach, the base, tool and largest marker offsets
-    plus each joint's ``|a| + |d|`` and prismatic travel, bounds every marker's distance
-    from the base, since rotations keep lengths."""
+def _check_design_model(model, design, noise_path=None) -> None:
+    """Reject a --model whose joints or markers the bundled design does not fit, or whose reach,
+    or a sigma of the --noise table at ``noise_path``, exceeds :data:`_MAX_REACH`.  The reach, the
+    base, tool and largest marker offsets plus each joint's ``|a| + |d|`` and prismatic travel,
+    bounds every marker's distance from the base, since rotations keep lengths."""
     n, m = len(design.configurations[0]), design.markers
     _require(model.n_joints == n, "--model", f"a {n}-joint model for the bundled design", model.n_joints)
     _require(len(model.markers) >= m, "--model", f"a model with {m} or more markers", len(model.markers))
@@ -130,6 +131,8 @@ def _check_design_model(model, design) -> None:
              + max(math.hypot(*marker) for marker in model.markers)
              + sum(abs(j.a) + abs(j.d) + (j.kind == PRISMATIC) * t for j, t in zip(model.joints, travel)))
     _require(reach <= _MAX_REACH, "--model", f"a model whose reach is at most {_MAX_REACH:g} m", reach)
+    if noise_path and design.noise.sigma.max() > _MAX_REACH:
+        raise NoiseFormatError(f"{noise_path}: sigmas above {_MAX_REACH / _UM:g} um overflow the simulated positions")
 
 
 def _check_half_widths(args, ci3s) -> None:
@@ -247,7 +250,7 @@ def _cmd_simulate(args) -> int:
         mass_kg=args.mass,
         noise=noise,
     )
-    _check_design_model(model, design)
+    _check_design_model(model, design, args.noise)
     try:
         study = simulate_measurements(design, model)
     except OverflowError:

@@ -136,17 +136,17 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     and the sandwich ``G diag((w_c sigma_c)^2) G'`` have c columns.  One
     ``np.linalg.svd`` call factors all trials.
 
-    ``errors[t]`` is the exception trial t's solve raises (an identically
-    zero or rank-deficient regressor, a negative covariance diagonal) or
-    None.  A failed trial's singular values are set to infinity so its
-    solution reads zero instead of overflowing.
+    ``errors[t]`` is the ``RankDeficientError`` trial t's solve raises (an
+    identically zero or rank-deficient regressor) or None.  A failed trial's
+    singular values are set to infinity so its solution reads zero instead
+    of overflowing.
     """
     n = sys.n_parameters
     classes = sys.class_plan
     U, s, Vt = np.linalg.svd(sys.B * (np.sqrt(classes.counts) * w)[:, :, None], full_matrices=False)
     rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
     rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
-    errors: list[Exception | None] = [None] * len(s)
+    errors: list[RankDeficientError | None] = [None] * len(s)
     for t in np.flatnonzero(rank < n):
         if s[t, 0] == 0.0:
             errors[t] = RankDeficientError("weighted regressor is identically zero")
@@ -171,8 +171,6 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    for t in np.flatnonzero(np.any(np.diagonal(cov, axis1=1, axis2=2) < 0.0, axis=1)):
-        errors[t] = RuntimeError("covariance diagonal went negative; system is numerically unusable")
     return _Factors(classes, U, s, Vt, cov, errors)
 
 
@@ -301,11 +299,11 @@ def _irls_stack(
     predicts each class once; the re-estimate reads those predictions and
     the moments (:func:`_dispersions`).  A trial leaves the stack when it
     stops.  Returns per trial its ``"irls"`` :class:`EstimationResult`,
-    which :func:`irls` returns as it is, or the exception its solve raised
-    (rank loss at iteration 1, a negative covariance diagonal).  The solves
-    and the re-estimates use the system's own class and group plans; a
-    one-row group raises only at a re-estimate, so a single pass needs no
-    replicates.
+    which :func:`irls` returns as it is, or the ``RankDeficientError`` its
+    first solve raised; a later rank loss returns the last valid iterate.
+    The solves and the re-estimates use the system's own class and group
+    plans; a one-row group raises only at a re-estimate, so a single pass
+    needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -333,10 +331,7 @@ def _irls_stack(
         keep = np.zeros(live.shape[0], dtype=bool)
         for j, t in enumerate(live):
             if f.errors[j] is not None:
-                if prev is None or not isinstance(f.errors[j], RankDeficientError):
-                    final[t] = f.errors[j]
-                else:
-                    final[t] = result(*last[t], t, "rank_loss")
+                final[t] = f.errors[j] if prev is None else result(*last[t], t, "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
             if single_pass:

@@ -25,9 +25,10 @@ without the three standard-error columns in every row::
 
     config sigma_x sigma_y sigma_z [se_x se_y se_z]
 
-Both tables read numbers with numpy's C text reader (``np.loadtxt``) alone, so
-spellings only Python's ``int`` and ``float`` accept (``1_000``, non-ASCII
-digits) are refused.  Model files keep Python's ``float``.
+Both tables read their rows in one call of numpy's C text reader (``np.loadtxt``);
+only where it refuses them does :func:`_read_numbers` read each row alone, to
+name the first it refuses.  Spellings only Python's ``int`` and ``float`` accept
+(``1_000``, non-ASCII digits) are refused; model files keep Python's ``float``.
 
 Every table file is rendered by :func:`_render` and written ``_CHUNK_ROWS``
 rows at a time: a chunk formats only its own rows of each column, so writing
@@ -284,27 +285,48 @@ def _read_rows(lines: Sequence[str], dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
 
 
-def _checked_rows(table: np.ndarray, n_joints: int) -> Study | tuple[str, int, int]:
-    """The :class:`Study` of the rows :func:`_read_rows` parsed, or the first file-wide check they fail.
+def _read_numbers(rows: Sequence[tuple[int, str]], dtype, source: str, err, fault: str) -> np.ndarray:
+    """The (line number, text) ``rows`` read by :func:`_read_rows` in one call.  Only where
+    that call refuses them is each row read alone: the first it refuses raises ``err`` with
+    ``fault`` naming its line, and if none is refused alone ``err`` names no line."""
+    try:
+        return _read_rows([line for _, line in rows], dtype)
+    except (ValueError, Warning):
+        for lineno, line in rows:
+            try:
+                _read_rows([line], dtype)
+            except (ValueError, Warning):
+                raise err(f"{source}:{lineno}: {fault}") from None
+        raise err(f"{source}: {fault}") from None
 
-    ``table`` has the fields of the measurement header in file units.  A fault is
-    ``("finite", row, value column)`` (of the q, force, p0 and p columns), ``("key",
-    row, first row of its key)`` or ``("posture", row, first row of its
-    configuration)``, checked in that order.
+
+def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int, str]], source: str) -> Study:
+    """The :class:`Study` of ``table``, the fields of the measurement ``header`` in file units
+    read from ``rows``, the (line number, text) of each data line.
+
+    The file-wide checks run in order: finite q, force, p0 and p values, distinct (config,
+    marker, rep) keys, one posture per configuration.  The first fault raises
+    ``MeasurementFormatError`` naming its line; only then are ``rows`` listed.
     """
+    err = MeasurementFormatError
     finite = np.isfinite(np.hstack([table[name] for name in ("q", "force", "p0", "p")]))
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
-        return "finite", i, j
+        column = j + 3 + (j >= table["q"].shape[1] + 3)  # the value columns skip fmarker
+        lineno, line = list(rows)[i]
+        raise err(f"{source}:{lineno}: {header[column]} {line.split()[column]} is not finite")
     first = _first_of_key(np.stack([table[name] for name in ("config", "marker", "rep")], axis=1))
     repeats = np.flatnonzero(first != np.arange(len(table)))
     if repeats.size:
-        return "key", repeats[0], first[repeats[0]]
+        i, at = repeats[0], list(rows)
+        raise err(f"{source}:{at[i][0]}: config {table['config'][i]}, marker {table['marker'][i]}, "
+                  f"rep {table['rep'][i]} repeats line {at[first[i]][0]}")
     q = np.deg2rad(table["q"])
     first = _first_of_key(table["config"][:, None])
     moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
     if moved.size:
-        return "posture", moved[0], first[moved[0]]
+        i, at = moved[0], list(rows)
+        raise err(f"{source}:{at[i][0]}: config {table['config'][i]} joint angles differ from line {at[first[i]][0]}")
     return Study(config=table["config"], marker=table["marker"], rep=table["rep"], q=q, force=table["force"],
                  fmarker=table["fmarker"], p0=table["p0"] * _UM, p=table["p"] * _UM)
 
@@ -314,10 +336,10 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
 
     numpy's C reader converts every row after the header in one
     ``np.loadtxt`` call, and the file-wide checks of :func:`_checked_rows` run
-    on its columns.  Where the reader refuses the text or a check fails, a
-    scan names the first faulty line, each check in turn over the whole file:
-    the header, the column count of every row, the numbers of each row alone
-    (through the same reader), then the fault :func:`_checked_rows` found.
+    on its columns, naming the line of a fault.  Only where the reader refuses
+    the text is each rule checked in turn over the whole file: the column
+    count of every row, then the numbers of each row alone (through the same
+    reader, :func:`_read_numbers`), then the file-wide checks.
     """
     err = MeasurementFormatError
     lines = list(lines)
@@ -333,33 +355,14 @@ def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> 
     try:
         table = _read_rows(lines[lineno:], dtype)
     except (ValueError, Warning):
-        fault = None
-    else:
-        fault = _checked_rows(table, n_joints)
-        if isinstance(fault, Study):
-            return fault
-
-    rows = list(rows)
-    if not rows:
-        raise err(f"{source}: file has no measurement rows")
-    for lineno, line in rows:
-        if len(line.split()) != len(header):
-            raise err(f"{source}:{lineno}: expected {len(header)} columns, got {len(line.split())}")
-    if fault is None:  # the reader refused the text: name the first line it refuses alone
+        rows = list(rows)
+        if not rows:
+            raise err(f"{source}: file has no measurement rows") from None
         for lineno, line in rows:
-            try:
-                _read_rows([line], dtype)
-            except (ValueError, Warning):
-                raise err(f"{source}:{lineno}: non-numeric value or non-integer index") from None
-    check, i, k = fault
-    if check == "finite":
-        column = k + 3 + (k >= n_joints + 3)  # the value columns skip fmarker
-        raise err(f"{source}:{rows[i][0]}: {header[column]} {rows[i][1].split()[column]} is not finite")
-    config = table["config"][i]
-    if check == "key":
-        raise err(f"{source}:{rows[i][0]}: config {config}, marker {table['marker'][i]}, "
-                  f"rep {table['rep'][i]} repeats line {rows[k][0]}")
-    raise err(f"{source}:{rows[i][0]}: config {config} joint angles differ from line {rows[k][0]}")
+            if len(line.split()) != len(header):
+                raise err(f"{source}:{lineno}: expected {len(header)} columns, got {len(line.split())}") from None
+        table = _read_numbers(rows, dtype, source, err, "non-numeric value or non-integer index")
+    return _checked_rows(table, header, rows, source)
 
 
 def load_measurements(path: str | Path) -> Study:
@@ -381,16 +384,17 @@ def write_noise_table(path: str | Path, noise: NoiseModel) -> Path:
     return write_text(path, format_noise_table(noise))
 
 
-def _noise_dtype(width: int) -> list:
-    return [("config", np.int64), ("values", float, (width - 1,))]
+def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
+    """Parse into a :class:`NoiseModel`.
 
-
-def _scan_noise_rows(lines: Sequence[str], source: str) -> np.ndarray:
-    """The rows of a noise table read one at a time, raising the first header, column-count
-    or number fault in file order."""
+    One pass over the data lines applies, in file order, the header rule (only
+    the first line may be a header, naming the 4 or 7 columns) and the column
+    rule (4 or 7 columns, as in the first row).  :func:`_read_numbers` then
+    reads the rows in one call, and values (finite, non-negative) and ids
+    (distinct) are checked file-wide.  A fault names its line.
+    """
     err = NoiseFormatError
-    first: tuple[int, int] | None = None  # (line number, column count) of the first row
-    parsed: list[np.ndarray] = []
+    rows: list[tuple[int, str]] = []  # (line number, text) of each entry
     for index, (lineno, line) in enumerate(_data_lines(lines)):
         tokens = line.split()
         if tokens[0] == "config":
@@ -400,40 +404,14 @@ def _scan_noise_rows(lines: Sequence[str], source: str) -> np.ndarray:
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")
-        if first and len(tokens) != first[1]:
-            raise err(f"{source}:{lineno}: expected {first[1]} columns as on line {first[0]}, got {len(tokens)}")
-        first = first or (lineno, len(tokens))
-        try:
-            parsed.append(_read_rows([line], _noise_dtype(len(tokens))))
-        except (ValueError, Warning):
-            raise err(f"{source}:{lineno}: non-numeric value or configuration id beyond int64") from None
-    if not parsed:
+        if rows and len(tokens) != width:
+            raise err(f"{source}:{lineno}: expected {width} columns as on line {rows[0][0]}, got {len(tokens)}")
+        width = len(tokens)
+        rows.append((lineno, line))
+    if not rows:
         raise err(f"{source}: table has no entries")
-    return np.concatenate(parsed)
-
-
-def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseModel:
-    """Parse into a :class:`NoiseModel`.  Only the first line may be a header,
-    naming the 4 or 7 columns.
-
-    The rows after it are read in one ``np.loadtxt`` call.  Only where that
-    call refuses the text does :func:`_scan_noise_rows` check each row's
-    column count (that of the first row) and numbers in file order; values
-    (finite, non-negative) and ids (distinct) are then checked file-wide.  A
-    fault names its line.
-    """
-    err = NoiseFormatError
-    lines = list(lines)
-    rows = list(_data_lines(lines))  # (line number, text)
-    start = rows[0][0] if rows and rows[0][1].split() in (_NOISE_HEADER[:4], _NOISE_HEADER) else 0
-    rows = rows[1:] if start else rows
-    width = len(rows[0][1].split()) if rows else 0
-    try:
-        if width not in (4, 7):
-            raise ValueError(f"{width} columns")
-        table = _read_rows(lines[start:], _noise_dtype(width))
-    except (ValueError, Warning):
-        table = _scan_noise_rows(lines, source)
+    table = _read_numbers(rows, [("config", np.int64), ("values", float, (width - 1,))], source, err,
+                          "non-numeric value or configuration id beyond int64")
 
     config, values = table["config"], table["values"]
     bad = ~np.isfinite(values) | (values < 0.0)

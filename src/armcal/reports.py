@@ -21,12 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import EstimationResult
-from .fileio import _per_class, _render, _reprs, _whole, write_text
+from .fileio import _UM, _per_class, _render, _reprs, _whole, write_text
 from .noise import AXES
 from .regressor import StackedSystem
 from .simulator import ComplianceVector, MonteCarloReport
-
-_UM = 1e-6
 
 
 def parameter_unit(name: str) -> tuple[float, str]:

@@ -392,6 +392,34 @@ class TestErrorPaths:
         assert err == f"ERROR E_NOISE_FORMAT: {noise}: the dispersions overflow the 3-sigma half-widths\n"
         assert not out.exists()
 
+    def test_overflowing_dispersions_refused_by_simulate(self, study_dir, tmp_path, capsys):
+        # sigmas of 1e308 um draw positions whose micrometers overflow the measurement file
+        lines = (study_dir / "noise.tsv").read_text().splitlines()
+        lines[2:] = [" ".join([line.split()[0], "1e308", "1e308", "1e308", *line.split()[4:]]) for line in lines[2:]]
+        noise = write_text(tmp_path / "noise.tsv", "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--noise", str(noise), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (f"ERROR E_NOISE_FORMAT: {noise}: sigmas above 1e+306 um "
+                                           "overflow the simulated positions\n")
+        assert not (out / "measurements.tsv").exists()
+
+    def test_unloaded_study_is_rank_deficient(self, tmp_path, capsys):
+        # with no load every elastostatic regressor row is zero
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--mass", "0", "--out", str(study)) == 0
+        capsys.readouterr()
+        code = run_cli("calibrate", "--measurements", str(study / "measurements.tsv"), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == "ERROR E_RANK_DEFICIENT: weighted regressor is identically zero\n"
+
+    def test_joint_count_unlike_the_model(self, study_dir, tmp_path, capsys):
+        study = load_measurements(study_dir / "measurements.tsv")
+        five = write_measurements(tmp_path / "five.tsv", replace(study, q=study.q[:, :5]))
+        code, err = self._calibrate_error(five, study_dir, tmp_path, capsys)
+        assert code == 1
+        assert err == f"ERROR E_MEASUREMENT_FORMAT: {five}: config 1, marker 0, rep 1: 5 angles for 6 joints\n"
+
     @staticmethod
     def _with_token(study_dir, tmp_path, row, column, value):
         """Copy of the study's measurement file with one data-row field replaced."""

@@ -110,6 +110,19 @@ class TestModelFormat:
             load_model(tmp_path / "absent.model")
 
 
+def _refuse_several_rows(monkeypatch):
+    """Make the one number reader refuse every call over several rows but no row alone,
+    so a reader has no line to name."""
+    read_rows = fileio._read_rows
+
+    def refuse_several(rows, dtype):
+        if len(rows) > 1:
+            raise ValueError("refused")
+        return read_rows(rows, dtype)
+
+    monkeypatch.setattr(fileio, "_read_rows", refuse_several)
+
+
 @pytest.fixture(scope="module")
 def study(nominal_model):
     design = reference.study_design(seed=11, markers=2, repetitions=2)
@@ -235,6 +248,12 @@ class TestMeasurementFormat:
             parse_measurements(lines, source="f.tsv")
         assert str(exc.value) == message
 
+    def test_rows_refused_only_together_end_in_a_coded_error(self, study, monkeypatch):
+        _refuse_several_rows(monkeypatch)
+        with pytest.raises(MeasurementFormatError) as exc:
+            parse_measurements(format_measurements(study).splitlines(), source="f.tsv")
+        assert str(exc.value) == "f.tsv: non-numeric value or non-integer index"
+
     def test_duplicate_key_names_both_lines(self, study):
         lines = format_measurements(study).splitlines()
         lines.append(lines[3])  # config 1, marker 0, rep 2 a second time
@@ -333,6 +352,10 @@ class TestNoiseTableFormat:
             (("# noise", "config sigma_x", "1 10 10 10"), "must read 'config sigma_x sigma_y sigma_z "
                                                           r"\[se_x se_y se_z\]'"),
             (("# noise", "config sigma_x sigma_y sigma_z se_x", "1 10 10 10"), "must read"),
+            # the header and column rules run over every row before any number is read
+            (("1 a 10 10", "2 10 10"), "expected 4 or 7 columns, got 3"),
+            (("1 a 10 10", "2 10 10 10 1 1 1"), "expected 4 columns as on line 1, got 7"),
+            (("1 a 10 10", "config sigma_x sigma_y sigma_z"), "only the first line may be a header"),
         ],
     )
     def test_malformed_rows_rejected(self, row, message):
@@ -357,6 +380,12 @@ class TestNoiseTableFormat:
         with pytest.raises(NoiseFormatError, match="as on line 2") as exc:
             parse_noise_table(lines, source="n.tsv")
         assert "n.tsv:4:" in str(exc.value)
+
+    def test_rows_refused_only_together_end_in_a_coded_error(self, monkeypatch):
+        _refuse_several_rows(monkeypatch)
+        with pytest.raises(NoiseFormatError) as exc:
+            parse_noise_table(["1 10 10 10", "2 10 10 10"], source="n.tsv")
+        assert str(exc.value) == "n.tsv: non-numeric value or configuration id beyond int64"
 
     def test_duplicate_configuration_rejected(self):
         with pytest.raises(NoiseFormatError, match="duplicate"):

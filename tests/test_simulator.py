@@ -13,7 +13,7 @@ import armcal.noise as noise_mod
 import armcal.simulator as simulator_mod
 from row_level import unfolded
 from armcal import reference
-from armcal.errors import CalibrationError, MissingNoiseError, ReplicateCountError
+from armcal.errors import CalibrationError, MissingNoiseError, RankDeficientError, ReplicateCountError
 from armcal.estimator import irls, ols_estimate, optimal_weights, wls_estimate
 from armcal.kinematics import forward_kinematics, parameter_jacobian
 from armcal.noise import DEFAULT_SIGMA0, NoiseModel
@@ -371,6 +371,12 @@ class TestMonteCarloCompare:
         monkeypatch.setattr(simulator_mod, "_irls_stack", broken)
         with pytest.raises(RuntimeError, match="trials failed"):
             monte_carlo_compare(bundled_design, nominal_model, trials=50)
+
+    def test_unloaded_design_raises_before_any_trial(self, nominal_model, monkeypatch):
+        # the fixed OLS factorization sees an identically zero regressor
+        monkeypatch.setattr(simulator_mod, "_irls_stack", lambda *args: pytest.fail("a trial was solved"))
+        with pytest.raises(RankDeficientError, match="weighted regressor is identically zero"):
+            monte_carlo_compare(reference.study_design(mass_kg=0.0), nominal_model, trials=3)
 
     def test_trial_count_validated(self, bundled_design, nominal_model):
         with pytest.raises(ValueError, match="trials"):
