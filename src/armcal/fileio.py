@@ -129,9 +129,12 @@ def _vector(text: str, lineno: int, source: str, error, n: int = 3) -> np.ndarra
     if len(parts) != n:
         raise error(f"{source}:{lineno}: expected {n} comma-separated values, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError:
         raise error(f"{source}:{lineno}: non-numeric vector component in {text!r}") from None
+    if not np.isfinite(values).all():
+        raise error(f"{source}:{lineno}: non-finite vector component in {text!r}")
+    return values
 
 
 def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorModel:
@@ -389,14 +392,16 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
 
     One pass over the data lines applies, in file order, the header rule (only
     the first line may be a header, naming the 4 or 7 columns) and the column
-    rule (4 or 7 columns, as in the first row).  :func:`_read_numbers` then
-    reads the rows in one call, and values (finite, non-negative) and ids
-    (distinct) are checked file-wide.  A fault names its line.
+    rule (4 or 7 columns, as the header names or else as the first row has).
+    :func:`_read_numbers` then reads the rows in one call, and values (finite,
+    non-negative) and ids (distinct) are checked file-wide.  A fault names its line.
     """
     err = NoiseFormatError
     rows: list[tuple[int, str]] = []  # (line number, text) of each entry
     for index, (lineno, line) in enumerate(_data_lines(lines)):
         tokens = line.split()
+        if not index:  # the header, or else the first row, fixes the column count
+            first, width = lineno, len(tokens)
         if tokens[0] == "config":
             if index or tokens not in (_NOISE_HEADER[:4], _NOISE_HEADER):
                 raise err(f"{source}:{lineno}: only the first line may be a header, and it must read "
@@ -404,9 +409,8 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
             continue
         if len(tokens) not in (4, 7):
             raise err(f"{source}:{lineno}: expected 4 or 7 columns, got {len(tokens)}")
-        if rows and len(tokens) != width:
-            raise err(f"{source}:{lineno}: expected {width} columns as on line {rows[0][0]}, got {len(tokens)}")
-        width = len(tokens)
+        if len(tokens) != width:
+            raise err(f"{source}:{lineno}: expected {width} columns as on line {first}, got {len(tokens)}")
         rows.append((lineno, line))
     if not rows:
         raise err(f"{source}: table has no entries")

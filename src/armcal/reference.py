@@ -13,14 +13,26 @@ any particular serial number.
 
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 
-from .kinematics import ManipulatorModel
+from .kinematics import REVOLUTE, Joint, ManipulatorModel, transform
 from .noise import NoiseModel
 from .regressor import ComplianceParameterMap
 from .simulator import ComplianceVector, StudyDesign
+
+#: The bundled arm, one modified-DH revolute joint per row: a (m), alpha (deg), d (m), theta offset (deg).
+_DH_TABLE = (
+    (0.0, 0.0, 0.675, 0.0),
+    (0.350, -90.0, 0.0, 0.0),
+    (1.150, 0.0, 0.0, -90.0),
+    (0.041, -90.0, 1.200, 0.0),
+    (0.0, 90.0, 0.0, 0.0),
+    (0.0, -90.0, 0.240, 180.0),
+)
+#: The tool frame sits 100 mm along the flange axis.  Markers (m, tool frame) sit on a 200 mm-radius
+#: tool plate, 50 mm proud of the flange; the load hangs at marker 0.
+_TOOL_XYZ = (0.0, 0.0, 0.100)
+_MARKERS = ((0.200, 0.0, 0.050), (-0.100, 0.173205, 0.050), (-0.100, -0.173205, 0.050))
 
 #: Joint vectors of the bundled study, degrees, one row per configuration.
 #: Rows group into 5 blocks of 3 sharing the same second-joint angle.
@@ -98,11 +110,10 @@ DEFAULT_REPETITIONS = 6
 
 
 def nominal_model() -> ManipulatorModel:
-    """The bundled 6R model, parsed from the packaged model file."""
-    from .fileio import parse_model
-
-    text = resources.files("armcal.data").joinpath("kr270.model").read_text("utf-8")
-    return parse_model(text.splitlines(), source="<bundled kr270.model>")
+    """The bundled 6R model (KR-270 class), built from ``_DH_TABLE``, ``_TOOL_XYZ`` and ``_MARKERS``."""
+    joints = tuple(Joint(REVOLUTE, a, float(np.deg2rad(alpha)), d, float(np.deg2rad(theta)))
+                   for a, alpha, d, theta in _DH_TABLE)
+    return ManipulatorModel(joints=joints, base=transform(), tool=transform(_TOOL_XYZ), markers=_MARKERS)
 
 
 def configurations_rad() -> tuple[np.ndarray, ...]:

@@ -300,6 +300,21 @@ class TestErrorPaths:
         assert err.count("\n") == 1  # one line, no traceback
         assert not out.exists()
 
+    @pytest.mark.parametrize("rpy", ["inf,0,0", "1e400,0,0"])
+    @pytest.mark.parametrize("pose", ["base", "tool"])
+    def test_infinite_model_angle_is_one_coded_line(self, pose, rpy, study_dir, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        lines = format_model(reference.nominal_model()).splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(pose))
+        lines[lineno - 1] = f"{pose} xyz=0,0,0 rpy={rpy}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--measurements", str(study_dir / "measurements.tsv"),
+                       "--model", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"ERROR E_MODEL_FORMAT: {path}:{lineno}: non-finite vector component in '{rpy}'\n"
+        assert not out.exists()
+
     def test_unwritable_output_directory(self, study_dir, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")

@@ -38,12 +38,45 @@ from row_level import residuals
 
 UM = 1e-6
 
+#: The bundled model as it was once shipped, a model file in the package.
+KR270_MODEL = """\
+# Bundled heavy 6R manipulator (KR-270 class geometry).
+# Lengths in meters, angles in degrees.  Markers sit on a 200 mm-radius
+# tool plate, 50 mm proud of the flange; the load hangs at marker 0.
+convention modified-dh
+base xyz=0,0,0 rpy=0,0,0
+joint type=revolute a=0 alpha=0 d=0.675 theta_offset=0
+joint type=revolute a=0.350 alpha=-90 d=0 theta_offset=0
+joint type=revolute a=1.150 alpha=0 d=0 theta_offset=-90
+joint type=revolute a=0.041 alpha=-90 d=1.200 theta_offset=0
+joint type=revolute a=0 alpha=90 d=0 theta_offset=0
+joint type=revolute a=0 alpha=-90 d=0.240 theta_offset=180
+tool xyz=0,0,0.100 rpy=0,0,0
+marker xyz=0.200,0,0.050
+marker xyz=-0.100,0.173205,0.050
+marker xyz=-0.100,-0.173205,0.050
+"""
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of ``values``: equal only if every entry is, signed zeros included."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
 
 class TestModelFormat:
     def test_bundled_model_parses(self, nominal_model):
         assert nominal_model.n_joints == 6
         assert len(nominal_model.markers) == 3
         assert nominal_model.joints[0].kind == "revolute"
+
+    def test_bundled_model_equals_the_former_model_file_bit_for_bit(self):
+        built, parsed = reference.nominal_model(), parse_model(KR270_MODEL.splitlines())
+        assert [j.kind for j in built.joints] == [j.kind for j in parsed.joints]
+        assert _bits([[j.a, j.alpha, j.d, j.theta] for j in built.joints]) == \
+            _bits([[j.a, j.alpha, j.d, j.theta] for j in parsed.joints])
+        assert _bits(built.base) == _bits(parsed.base)
+        assert _bits(built.tool) == _bits(parsed.tool)
+        assert _bits(built.markers) == _bits(parsed.markers)
 
     def test_round_trip_preserves_kinematics(self, nominal_model):
         text = format_model(nominal_model)
@@ -88,6 +121,11 @@ class TestModelFormat:
             ("marker radius=3", "marker needs an xyz field"),
             ("marker xyz=1,2", "expected 3 comma-separated values"),
             ("base xyz=a,b,c", "non-numeric vector component"),
+            ("base xyz=0,0,0 rpy=inf,0,0", "non-finite vector component in 'inf,0,0'"),
+            ("tool rpy=0,1e400,0", "non-finite vector component in '0,1e400,0'"),
+            ("tool xyz=0,-inf,0", "non-finite vector component"),
+            ("marker xyz=nan,0,0", "non-finite vector component"),
+            ("joint type=revolute alpha=inf", "bad joint record"),
             ("base xyz", "expected key=value"),
         ],
     )
@@ -359,8 +397,9 @@ class TestNoiseTableFormat:
         ],
     )
     def test_malformed_rows_rejected(self, row, message):
-        # a string is the row after a header line; a tuple is the whole table
-        lines = list(row) if isinstance(row, tuple) else ["config sigma_x sigma_y sigma_z", row]
+        # a string is the row after a header naming 7 columns if it has 7, else 4; a tuple is the whole table
+        header = " ".join(fileio._NOISE_HEADER[:7 if isinstance(row, str) and len(row.split()) == 7 else 4])
+        lines = list(row) if isinstance(row, tuple) else [header, row]
         with pytest.raises(NoiseFormatError, match=message) as exc:
             parse_noise_table(lines, source="n.tsv")
         assert "n.tsv:2" in str(exc.value)
@@ -376,10 +415,18 @@ class TestNoiseTableFormat:
     @pytest.mark.parametrize("first, second", [("1 10 10 10 1 1 1", "2 10 10 10"),
                                                ("1 10 10 10", "2 10 10 10 1 1 1")])
     def test_mixed_column_counts_rejected(self, first, second):
-        lines = ["config sigma_x sigma_y sigma_z", first, "# comment", second]
+        lines = ["# no header: the first row fixes the column count", first, "# comment", second]
         with pytest.raises(NoiseFormatError, match="as on line 2") as exc:
             parse_noise_table(lines, source="n.tsv")
         assert "n.tsv:4:" in str(exc.value)
+
+    @pytest.mark.parametrize("header, row", [("config sigma_x sigma_y sigma_z", "1 10 10 10 1 1 1"),
+                                             (" ".join(fileio._NOISE_HEADER), "1 10 10 10")])
+    def test_header_fixes_the_column_count(self, header, row):
+        with pytest.raises(NoiseFormatError) as exc:
+            parse_noise_table([header, row], source="n.tsv")
+        width = len(header.split())
+        assert str(exc.value) == f"n.tsv:2: expected {width} columns as on line 1, got {len(row.split())}"
 
     def test_rows_refused_only_together_end_in_a_coded_error(self, monkeypatch):
         _refuse_several_rows(monkeypatch)

@@ -1,4 +1,4 @@
-"""Property tests: file round trips, fuzzed measurement and noise text, row-order independence."""
+"""Property tests: file round trips, fuzzed measurement, noise and model text, row-order independence."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from armcal import reference
-from armcal.errors import CalibrationError
+from armcal.errors import CalibrationError, ModelFormatError
 from armcal.fileio import (
     _reprs,
     format_measurements,
@@ -221,6 +221,46 @@ def test_fuzzed_noise_text_fails_only_with_coded_errors(noise_lines, edits, dupl
     try:
         parse_noise_table(edited(noise_lines, edits, duplicated))
     except CalibrationError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def model_lines(nominal_model):
+    return format_model(nominal_model).splitlines()
+
+
+def edited_fields(lines, edits):
+    """``lines`` with, per edit, the value of ``key=value`` field ``field`` of line ``row``
+    replaced by ``token``: the whole value if ``component`` is None, else that one of its
+    comma-separated components.  Lines without fields are left as they are."""
+    lines = list(lines)
+    for row, field, component, token in edits:
+        tokens = lines[row].split()
+        at = [i for i, t in enumerate(tokens) if "=" in t]
+        if at:
+            key, _, value = tokens[at[field % len(at)]].partition("=")
+            parts = value.split(",")
+            if component is None:
+                parts = [token]
+            else:
+                parts[component % len(parts)] = token
+            tokens[at[field % len(at)]] = f"{key}={','.join(parts)}"
+            lines[row] = " ".join(tokens)
+    return lines
+
+
+MODEL_TOKENS = st.one_of(TOKENS, st.sampled_from(["1e308", "-1e308", "90", "prismatic", "0,0", "1,2,3,4"]))
+
+
+@PROPERTY
+@example([(2, 1, 0, "inf")])  # an infinite base roll
+@example([(9, 1, None, "1e400,0,0")])  # an overflowing tool roll
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4), st.one_of(st.none(), st.integers(0, 2)),
+                          MODEL_TOKENS), max_size=4))
+def test_fuzzed_model_text_fails_only_with_coded_errors(model_lines, edits):
+    try:
+        parse_model(edited_fields(model_lines, edits))
+    except ModelFormatError:
         pass
 
 
