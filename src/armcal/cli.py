@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,18 +82,18 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise _UsageError(f"{flag} must be {rule}, got {value}")
 
 
-def _sigma0(args) -> float:
-    """The --sigma0 floor in meters: exactly ``DEFAULT_SIGMA0`` when the flag is not given."""
-    return DEFAULT_SIGMA0 if args.sigma0 is None else args.sigma0 * _UM
-
-
-def _check_estimator_args(args) -> None:
-    _require(args.sigma0 is None or (math.isfinite(args.sigma0) and args.sigma0 > 0.0), "--sigma0",
-             "positive and finite", args.sigma0)
+def _estimator_settings(args) -> dict:
+    """The checked ``sigma0``, ``lam``, ``rel_tol`` and ``max_iter`` keywords that :func:`irls` and
+    :func:`monte_carlo_compare` share, with --sigma0 in meters: exactly ``DEFAULT_SIGMA0`` when the
+    flag is not given, and refused when its micrometers underflow to zero meters."""
+    sigma0 = DEFAULT_SIGMA0 if args.sigma0 is None else args.sigma0 * _UM
+    rule = "large enough to stay positive in meters" if sigma0 == 0.0 < args.sigma0 else "positive and finite"
+    _require(math.isfinite(sigma0) and sigma0 > 0.0, "--sigma0", rule, args.sigma0)
     _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative and finite", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
     _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
              "non-negative (or non-finite for a single pass)", args.rel_tol)
+    return dict(sigma0=sigma0, lam=args.lam, rel_tol=args.rel_tol, max_iter=args.max_iter)
 
 
 def _check_study(study, model, source) -> None:
@@ -135,16 +136,22 @@ def _check_design_model(model, design, noise_path=None) -> None:
         raise NoiseFormatError(f"{noise_path}: sigmas above {_MAX_REACH / _UM:g} um overflow the simulated positions")
 
 
-def _check_half_widths(args, ci3s) -> None:
+def _accept_half_widths(args, settings, ci3s, held) -> None:
     """Reject a --sigma0 or --lambda that leaves a 3-sigma half-width to write that is not
-    finite and positive.  A huge sigma0 floor overflows the half-widths; the weights scale
-    with sigma0 / lambda, and a tiny ratio underflows them to zero."""
+    finite and positive, or else issue the warnings ``held`` back from the solve, as it would
+    have: a refused run prints its one error line alone.  A huge or a subnormal sigma0 floor
+    overflows the half-widths; the weights scale with sigma0 / lambda, and a tiny ratio
+    underflows them to zero."""
     ci3 = np.concatenate([np.ravel(c) for c in ci3s])
     sigma0 = f"{DEFAULT_SIGMA0 / _UM:g}" if args.sigma0 is None else args.sigma0  # the default as its help quotes it
-    _require(np.isfinite(ci3).all(), "--sigma0", "small enough for finite 3-sigma half-widths", sigma0)
-    flag, rule, value = (("--lambda", "small", args.lam) if args.lam > DEFAULT_LAMBDA
+    size = "large" if settings["sigma0"] < DEFAULT_SIGMA0 else "small"
+    _require(np.isfinite(ci3).all(), "--sigma0", f"{size} enough for finite 3-sigma half-widths", sigma0)
+    flag, rule, value = (("--lambda", "small", args.lam) if settings["lam"] > DEFAULT_LAMBDA
                          else ("--sigma0", "large", sigma0))
     _require((ci3 > 0.0).all(), flag, f"{rule} enough for positive 3-sigma half-widths", value)
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, __name__,
+                               globals().setdefault("__warningregistry__", {}))
 
 
 def _out_dir(args) -> Path:
@@ -190,7 +197,7 @@ def _compare_flags(cmp_: argparse.ArgumentParser) -> None:
 
 
 def _cmd_calibrate(args) -> int:
-    _check_estimator_args(args)
+    settings = _estimator_settings(args)
     params = args.params.split(",") if args.params else None
     if args.mode == "elastostatic":
         _require(args.params is None, "--params", "omitted in elastostatic mode", args.params)
@@ -203,23 +210,20 @@ def _cmd_calibrate(args) -> int:
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
     noise = load_noise_table(args.noise) if args.noise else _replicate_noise(study, args.measurements)
-    sigma0 = _sigma0(args)
-
     cmap = ComplianceParameterMap.from_configurations(study.q)
-    sys_ = stack_system(study, model, cmap, noise, mode=args.mode,
-                        params=params, sigma_floor=sigma0)
+    sys_ = stack_system(study, model, cmap, noise, mode=args.mode, params=params, sigma_floor=settings["sigma0"])
 
-    with np.errstate(over="ignore", invalid="ignore"):  # half-widths that overflow are refused below
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")  # half-widths that overflow are refused below, before any warning
         results = [ols_estimate(sys_)]
         if args.method == "wls":
-            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, sigma0, args.lam)))
+            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, settings["sigma0"], settings["lam"])))
         elif args.method == "irls":
-            results.append(irls(sys_, sigma0=sigma0, lam=args.lam,
-                                rel_tol=args.rel_tol, max_iter=args.max_iter))
+            results.append(irls(sys_, **settings))
     final = results[-1]
-    if args.noise and sys_.sigma.max() > sigma0 and not np.isfinite(results[0].ci3).all():  # the table's sigmas
-        raise NoiseFormatError(f"{args.noise}: the dispersions overflow the 3-sigma half-widths")
-    _check_half_widths(args, [r.ci3 for r in results] + [s.ci3 for s in final.iterations])
+    if args.noise and sys_.sigma.max() > settings["sigma0"] and not np.isfinite(results[0].ci3).all():
+        raise NoiseFormatError(f"{args.noise}: the dispersions overflow the 3-sigma half-widths")  # the table's sigmas
+    _accept_half_widths(args, settings, [r.ci3 for r in results] + [s.ci3 for s in final.iterations], held)
 
     out = _out_dir(args)
     written = reports.write_parameter_report(out, results)
@@ -269,23 +273,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_estimator_args(args)
+    settings = _estimator_settings(args)
     _require(args.trials >= 2, "--trials", "at least 2", args.trials)
     _require(args.seed >= 0, "--seed", "non-negative", args.seed)
     model = _load_model(args)
     design = reference.study_design(seed=args.seed)
     _check_design_model(model, design)
-    with np.errstate(over="ignore", invalid="ignore"):  # half-widths that overflow are refused below
-        mc = monte_carlo_compare(
-            design,
-            model,
-            trials=args.trials,
-            sigma0=_sigma0(args),
-            lam=args.lam,
-            rel_tol=args.rel_tol,
-            max_iter=args.max_iter,
-        )
-    _check_half_widths(args, [*mc.ci3.values(), *mc.irls_ci_traces])
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")  # half-widths that overflow are refused below, before any warning
+        mc = monte_carlo_compare(design, model, trials=args.trials, **settings)
+    _accept_half_widths(args, settings, [*mc.ci3.values(), *mc.irls_ci_traces], held)
     out = _out_dir(args)
     for path in reports.write_compare_report(out, mc):
         print(f"wrote {path}")

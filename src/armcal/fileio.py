@@ -7,7 +7,8 @@ at this boundary.  Floats are written with ``repr`` so values survive a
 write/read cycle unchanged.
 
 Model file grammar (one directive per line, ``key=value`` fields, vectors
-comma-separated)::
+comma-separated; a line gives only the fields shown here, each at most once, and
+a model at most one ``base`` and one ``tool`` line)::
 
     convention modified-dh
     base xyz=0,0,0 rpy=0,0,0
@@ -114,78 +115,78 @@ def _data_lines(lines: Iterable[str]):
             yield lineno, line
 
 
-def _fields(tokens: Sequence[str], lineno: int, source: str, error):
+#: The fields each kind of model line takes, each at most once, and their defaults; a marker needs its xyz.
+_MODEL_FIELDS = {"base": {"xyz": "0,0,0", "rpy": "0,0,0"}, "tool": {"xyz": "0,0,0", "rpy": "0,0,0"},
+                 "joint": {"type": "revolute", "a": "0", "alpha": "0", "d": "0", "theta_offset": "0"},
+                 "marker": {"xyz": None}}
+
+
+def _fields(kind: str, tokens: Sequence[str], where: str) -> dict:
+    """The ``key=value`` fields of a ``kind`` model line over their defaults."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise error(f"{source}:{lineno}: expected key=value field, got {tok!r}")
+            raise ModelFormatError(f"{where}: expected key=value field, got {tok!r}")
         key, _, value = tok.partition("=")
+        if key in out:
+            raise ModelFormatError(f"{where}: repeated {kind} field {key!r}")
         out[key] = value
-    return out
+    if kind == "marker" and "xyz" not in out:
+        raise ModelFormatError(f"{where}: marker needs an xyz field")
+    unknown = [key for key in out if key not in _MODEL_FIELDS[kind]]
+    if unknown:
+        raise ModelFormatError(f"{where}: unknown {kind} field {unknown[0]!r}")
+    return {**_MODEL_FIELDS[kind], **out}
 
 
-def _vector(text: str, lineno: int, source: str, error, n: int = 3) -> np.ndarray:
+def _vector(text: str, where: str) -> np.ndarray:
     parts = text.split(",")
-    if len(parts) != n:
-        raise error(f"{source}:{lineno}: expected {n} comma-separated values, got {text!r}")
+    if len(parts) != 3:
+        raise ModelFormatError(f"{where}: expected 3 comma-separated values, got {text!r}")
     try:
         values = np.array([float(p) for p in parts])
     except ValueError:
-        raise error(f"{source}:{lineno}: non-numeric vector component in {text!r}") from None
+        raise ModelFormatError(f"{where}: non-numeric vector component in {text!r}") from None
     if not np.isfinite(values).all():
-        raise error(f"{source}:{lineno}: non-finite vector component in {text!r}")
+        raise ModelFormatError(f"{where}: non-finite vector component in {text!r}")
     return values
 
 
 def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorModel:
-    base = np.eye(4)
-    tool = np.eye(4)
+    poses: dict[str, np.ndarray] = {}
     joints: list[Joint] = []
     markers: list[np.ndarray] = []
-    err = ModelFormatError
     for lineno, line in _data_lines(lines):
+        where = f"{source}:{lineno}"
         kind, *rest = line.split()
         if kind == "convention":
             if rest != ["modified-dh"]:
-                raise err(f"{source}:{lineno}: unsupported convention {' '.join(rest)!r}")
-        elif kind in ("base", "tool"):
-            f = _fields(rest, lineno, source, err)
-            xyz = _vector(f.get("xyz", "0,0,0"), lineno, source, err)
-            rpy = np.deg2rad(_vector(f.get("rpy", "0,0,0"), lineno, source, err))
-            T = transform(xyz, rpy)
-            if kind == "base":
-                base = T
-            else:
-                tool = T
-        elif kind == "joint":
-            f = _fields(rest, lineno, source, err)
-            try:
-                joints.append(
-                    Joint(
-                        kind=f.get("type", "revolute"),
-                        a=float(f.get("a", "0")),
-                        alpha=float(np.deg2rad(float(f.get("alpha", "0")))),
-                        d=float(f.get("d", "0")),
-                        theta=float(np.deg2rad(float(f.get("theta_offset", "0")))),
-                    )
-                )
-            except ValueError as exc:
-                raise err(f"{source}:{lineno}: bad joint record ({exc})") from None
+                raise ModelFormatError(f"{where}: unsupported convention {' '.join(rest)!r}")
+        elif kind not in _MODEL_FIELDS:
+            raise ModelFormatError(f"{where}: unknown directive {kind!r}")
+        elif kind in poses:
+            raise ModelFormatError(f"{where}: repeated {kind} line")
         elif kind == "marker":
-            f = _fields(rest, lineno, source, err)
-            if "xyz" not in f:
-                raise err(f"{source}:{lineno}: marker needs an xyz field")
-            markers.append(_vector(f["xyz"], lineno, source, err))
+            markers.append(_vector(_fields(kind, rest, where)["xyz"], where))
+        elif kind == "joint":
+            f = _fields(kind, rest, where)
+            try:
+                joints.append(Joint(kind=f["type"], a=float(f["a"]), alpha=float(np.deg2rad(float(f["alpha"]))),
+                                    d=float(f["d"]), theta=float(np.deg2rad(float(f["theta_offset"])))))
+            except ValueError as exc:
+                raise ModelFormatError(f"{where}: bad joint record ({exc})") from None
         else:
-            raise err(f"{source}:{lineno}: unknown directive {kind!r}")
+            f = _fields(kind, rest, where)
+            poses[kind] = transform(_vector(f["xyz"], where), np.deg2rad(_vector(f["rpy"], where)))
     if not joints:
-        raise err(f"{source}: model declares no joints")
+        raise ModelFormatError(f"{source}: model declares no joints")
     if not markers:
-        raise err(f"{source}: model declares no markers")
+        raise ModelFormatError(f"{source}: model declares no markers")
     try:
-        return ManipulatorModel(joints=tuple(joints), base=base, tool=tool, markers=tuple(markers))
+        return ManipulatorModel(joints=tuple(joints), base=poses.get("base", np.eye(4)),
+                                tool=poses.get("tool", np.eye(4)), markers=tuple(markers))
     except ValueError as exc:
-        raise err(f"{source}: {exc}") from None
+        raise ModelFormatError(f"{source}: {exc}") from None
 
 
 def _read_lines(path: Path, error, what: str) -> list[str]:

@@ -20,7 +20,7 @@ of identical rows once: its regressor row, sigma and origin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Literal, Sequence
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class ComplianceParameterMap:
     """Layout of the compliance parameter vector.
 
     ``bucket_levels`` are reference angles (radians, strictly increasing) of
-    the bucketed joint; each level owns one parameter.  ``tail_joints`` are
+    the bucketed joint, joint 2 (index ``bucket_joint``, the same for every
+    map); each level owns one parameter.  ``tail_joints`` are
     0-based indices of joints that own one parameter each regardless of
     posture.  Joints in neither set are treated as rigid.  Parameter order is
     bucket levels first, then tail joints.
@@ -111,7 +112,7 @@ class ComplianceParameterMap:
 
     bucket_levels: tuple[float, ...] = ()
     tail_joints: tuple[int, ...] = ()
-    bucket_joint: int = 1
+    bucket_joint: ClassVar[int] = 1
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.bucket_levels)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: workflows, determinism, error paths."""
 
 import argparse
+import math
 import shutil
 from dataclasses import replace
 
@@ -15,9 +16,6 @@ from armcal.reports import parameter_unit
 from armcal import reference
 from row_level import residuals
 
-# the CLI expresses the floor in um and converts back; mirror that round trip
-CLI_SIGMA0 = (DEFAULT_SIGMA0 / 1e-6) * 1e-6
-
 
 def run_cli(*argv):
     return main(list(argv))
@@ -29,7 +27,7 @@ def stacked_from_files(measurements, noise_path):
     noise = load_noise_table(noise_path)
     cmap = ComplianceParameterMap.from_configurations(study.q)
     return stack_system(
-        study, reference.nominal_model(), cmap, noise, sigma_floor=CLI_SIGMA0
+        study, reference.nominal_model(), cmap, noise, sigma_floor=DEFAULT_SIGMA0
     )
 
 
@@ -109,7 +107,7 @@ class TestCalibrate:
         sys = stacked_from_files(
             study_dir / "measurements.tsv", study_dir / "noise.tsv"
         )
-        res = wls_estimate(sys, robust_weights(sys.sigma, CLI_SIGMA0, 1.0))
+        res = wls_estimate(sys, robust_weights(sys.sigma, DEFAULT_SIGMA0, 1.0))
         for i, name in enumerate(res.parameters):
             est, ci3 = reported[name]
             assert est == res.x_hat[i]  # byte-for-byte repr round trip
@@ -185,7 +183,7 @@ class TestCalibrate:
         sys = stacked_from_files(
             study_dir / "measurements.tsv", study_dir / "noise.tsv"
         )
-        res = irls(sys, sigma0=CLI_SIGMA0)
+        res = irls(sys, sigma0=DEFAULT_SIGMA0)
         for i, name in enumerate(res.parameters):
             assert reported[name][0] == res.x_hat[i]
 
@@ -528,6 +526,16 @@ class TestErrorPaths:
             (("compare", "--trials", "3", "--sigma0", "1e-300"), "--sigma0"),
             (("compare", "--trials", "3", "--sigma0", "1e300"), "--sigma0"),
             (("compare", "--trials", "3", "--lambda", "1e300"), "--lambda"),
+            # rows naming a rule after the flag: a subnormal sigma0 floor in meters, whose weights
+            # underflow until the sandwich overflows, and one whose meters underflow to zero
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--sigma0", "5e-318"),
+             "--sigma0 large enough for finite 3-sigma half-widths"),
+            (("compare", "--trials", "3", "--sigma0", "5e-318"), "--sigma0 large enough for finite 3-sigma half-widths"),
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "ols",
+              "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
+            (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "irls",
+              "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
+            (("compare", "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, study_dir, tmp_path, capsys):
@@ -536,7 +544,8 @@ class TestErrorPaths:
                 str(study_dir / a) if a in ("measurements.tsv", "noise.tsv") else a for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"ERROR E_USAGE: {flag} ")
+        flag, _, rule = flag.partition(" ")
+        assert err.startswith(f"ERROR E_USAGE: {flag} must be {rule}")
         if argv[-1] in ("inf", "nan"):
             assert f" and finite, got {argv[-1]}\n" in err
         assert err.count("\n") == 1
@@ -571,6 +580,21 @@ class TestErrorPaths:
         assert capsys.readouterr().err == ("ERROR E_USAGE: --sigma0 must be large enough for positive "
                                            f"3-sigma half-widths, got {quoted}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_solver_warnings_of_an_accepted_run_are_issued(self, tmp_path):
+        # joint 3 tilted by 1e-6 deg: d2 and d3 are nearly the same parameter
+        model = reference.nominal_model()
+        joints = list(model.joints)
+        joints[2] = replace(joints[2], alpha=math.radians(1e-6))
+        path = str(write_text(tmp_path / "near.model", format_model(replace(model, joints=tuple(joints)))))
+        assert run_cli("simulate", "--model", path, "--out", str(tmp_path / "s")) == 0
+        with pytest.warns(RuntimeWarning, match="near rank deficiency") as caught:
+            code = run_cli("calibrate", "--model", path, "--measurements", str(tmp_path / "s" / "measurements.tsv"),
+                           "--mode", "geometric", "--params", "d2,d3,a2", "--method", "ols",
+                           "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert caught[0].filename.endswith("cli.py")  # named where the CLI solved, as the solver names it
+        assert (tmp_path / "out" / "parameters.tsv").exists()
 
     def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
         code = run_cli(

@@ -127,6 +127,12 @@ class TestModelFormat:
             ("marker xyz=nan,0,0", "non-finite vector component"),
             ("joint type=revolute alpha=inf", "bad joint record"),
             ("base xyz", "expected key=value"),
+            # typos and repeats, which would otherwise give a wrong model silently
+            ("joint type=revolute a=0.35 alfa=-90", "unknown joint field 'alfa'"),
+            ("joint a=1 a=2", "repeated joint field 'a'"),
+            ("marker xyz=0,0,0 rpy=1,2,3", "unknown marker field 'rpy'"),
+            ("base xyz=0,0,0 xyz=0,0,1", "repeated base field 'xyz'"),
+            ("tool xyz=0,0,0.1 theta_offset=5", "unknown tool field 'theta_offset'"),
         ],
     )
     def test_malformed_lines_carry_location(self, line, message):
@@ -134,6 +140,12 @@ class TestModelFormat:
         with pytest.raises(ModelFormatError, match=message) as exc:
             parse_model(lines, source="model.txt")
         assert "model.txt:2" in str(exc.value)
+
+    @pytest.mark.parametrize("kind", ["base", "tool"])
+    def test_repeated_pose_line_rejected(self, kind):
+        lines = [f"{kind} xyz=0,0,0", "joint type=revolute", "marker xyz=0,0,0", f"{kind} xyz=1,0,0"]
+        with pytest.raises(ModelFormatError, match=f"model.txt:4: repeated {kind} line"):
+            parse_model(lines, source="model.txt")
 
     def test_model_without_joints_rejected(self):
         with pytest.raises(ModelFormatError, match="no joints"):

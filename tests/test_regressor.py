@@ -62,9 +62,7 @@ class TestWrench:
 
 class TestComplianceParameterMap:
     def test_parameter_names_buckets_then_tails(self):
-        cmap = ComplianceParameterMap(
-            bucket_levels=(-1.0, 0.5), tail_joints=(2, 3), bucket_joint=1
-        )
+        cmap = ComplianceParameterMap(bucket_levels=(-1.0, 0.5), tail_joints=(2, 3))
         assert cmap.parameter_names == ("k2_1", "k2_2", "k3", "k4")
         assert cmap.n_parameters == 4
 
@@ -82,7 +80,7 @@ class TestComplianceParameterMap:
 
     def test_bucket_joint_cannot_be_tail(self):
         with pytest.raises(ValueError, match="cannot also"):
-            ComplianceParameterMap(bucket_levels=(0.0,), tail_joints=(1,), bucket_joint=1)
+            ComplianceParameterMap(bucket_levels=(0.0,), tail_joints=(ComplianceParameterMap.bucket_joint,))
 
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError, match="empty"):

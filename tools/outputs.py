@@ -13,7 +13,9 @@ The matrix:
 - on each of those six studies, ``calibrate --method ols|wls|irls`` in elastostatic,
   geometric and combined mode (``--params a2,d3,theta4,tool_x`` in the last two), with and
   without the study's ``--noise`` table, into ``sim-s<seed>-r<reps>/<method>-<mode>[-noise]/``;
-- ``compare --trials 200`` into ``compare/``.
+- ``compare --trials 200`` into ``compare/``;
+- a few valid non-default estimator settings (:data:`SETTINGS`): ``calibrate`` on ``sim-s0-r6``
+  into ``sim-s0-r6/settings-<name>/`` and ``compare`` into ``compare-settings/``.
 
 Each command runs as ``python -m armcal.cli`` in a fresh interpreter with the checkout's
 ``src`` as ``PYTHONPATH``, from inside the output directory with relative paths, so
@@ -35,6 +37,16 @@ REPETITIONS = (1, 6, 60)
 METHODS = ("ols", "wls", "irls")
 PARAMS = ("--params", "a2,d3,theta4,tool_x")
 MODES = {"elastostatic": (), "geometric": PARAMS, "combined": PARAMS}
+#: Non-default --sigma0, --lambda, --rel-tol and --max-iter runs: (subdirectory, CLI arguments).
+SETTINGS = (
+    ("sim-s0-r6/settings-irls", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                 "--sigma0", "5", "--lambda", "2", "--rel-tol", "1e-4", "--max-iter", "7"]),
+    ("sim-s0-r6/settings-wls", ["calibrate", "--measurements", "../measurements.tsv", "--method", "wls",
+                                "--sigma0", "25", "--lambda", "0.5"]),
+    ("sim-s0-r6/settings-wls-noise", ["calibrate", "--measurements", "../measurements.tsv", "--method", "wls",
+                                      "--sigma0", "25", "--lambda", "0.5", "--noise", "../noise.tsv"]),
+    ("compare-settings", ["compare", "--trials", "200", "--sigma0", "5", "--lambda", "2", "--max-iter", "7"]),
+)
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -51,7 +63,7 @@ def commands() -> list[tuple[str, list[str]]]:
                                 "--mode", mode, *params, *(["--noise", "../noise.tsv"] if noise else [])]
                         runs.append((f"{study}/{method}-{mode}{'-noise' if noise else ''}", argv))
     runs.append(("compare", ["compare", "--trials", "200"]))
-    return runs
+    return runs + list(SETTINGS)
 
 
 def run(checkout: Path, out: Path) -> int:
