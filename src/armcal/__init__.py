@@ -39,7 +39,6 @@ from .noise import (
     DEFAULT_SIGMA0,
     NoiseModel,
     build_sigma,
-    deflection_dispersions,
 )
 from .regressor import (
     ComplianceParameterMap,
@@ -82,7 +81,6 @@ __all__ = [
     "StudyDesign",
     "UnderDeterminedError",
     "build_sigma",
-    "deflection_dispersions",
     "elastostatic_regressor",
     "forward_kinematics",
     "irls",

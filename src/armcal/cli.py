@@ -19,6 +19,7 @@ import os
 import shutil
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
+    _replicate_sigma,
     irls,
     ols_estimate,
     robust_weights,
@@ -44,7 +46,7 @@ from .fileio import (
     write_noise_table,
 )
 from .kinematics import PRISMATIC
-from .noise import DEFAULT_SIGMA0, deflection_dispersions
+from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import ComplianceParameterMap, stack_system
 from .simulator import monte_carlo_compare, simulate_measurements
 
@@ -110,15 +112,6 @@ def _check_study(study, model, source) -> None:
         raise MeasurementFormatError(f"{where(i)}: marker {index[i]} not in the model's 0..{n_markers - 1}")
 
 
-def _replicate_noise(study, source):
-    """:func:`deflection_dispersions` of the study, whose overflow names the measurement file."""
-    try:
-        return deflection_dispersions(study.config, study.deflection)
-    except OverflowError:
-        raise MeasurementFormatError(f"{source}: the deflection dispersions overflow the float range; "
-                                     "give them with --noise") from None
-
-
 def _check_design_model(model, design, noise_path=None) -> None:
     """Reject a --model whose joints or markers the bundled design does not fit, or whose reach,
     or a sigma of the --noise table at ``noise_path``, exceeds :data:`_MAX_REACH`.  The reach, the
@@ -167,7 +160,7 @@ def _load_model(args):
 def _calibrate_flags(cal: argparse.ArgumentParser) -> None:
     cal.add_argument("--measurements", required=True, help="measurement file path")
     cal.add_argument("--model", help="model file (default: bundled 6R model)")
-    cal.add_argument("--noise", help="noise table; omit to estimate from replicates")
+    cal.add_argument("--noise", help="noise table; omit to estimate from repeated postures")
     cal.add_argument("--method", choices=("ols", "wls", "irls"), default="wls")
     cal.add_argument("--mode", choices=("elastostatic", "geometric", "combined"),
                      default="elastostatic")
@@ -209,9 +202,15 @@ def _cmd_calibrate(args) -> int:
     _require(ids_ok, "--params", "distinct parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
-    noise = load_noise_table(args.noise) if args.noise else _replicate_noise(study, args.measurements)
+    noise = load_noise_table(args.noise) if args.noise else NoiseModel.uniform(np.unique(study.config), 1.0)
     cmap = ComplianceParameterMap.from_configurations(study.q)
     sys_ = stack_system(study, model, cmap, noise, mode=args.mode, params=params, sigma_floor=settings["sigma0"])
+    if not args.noise:  # the scatter within repeated postures in place of the unit table
+        try:
+            sys_ = replace(sys_, sigma=_replicate_sigma(sys_, settings["sigma0"]))
+        except OverflowError:
+            raise MeasurementFormatError(f"{args.measurements}: the deflection dispersions overflow the float "
+                                         "range; give them with --noise") from None
 
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as held:
         warnings.simplefilter("always")  # half-widths that overflow are refused below, before any warning

@@ -33,8 +33,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import RankDeficientError
-from .noise import DEFAULT_SIGMA0, _Groups
+from .errors import RankDeficientError, ReplicateCountError
+from .noise import AXES, DEFAULT_SIGMA0, _Groups
 from .regressor import StackedSystem
 
 #: Relative singular-value cutoff below which a direction counts as collapsed.
@@ -276,6 +276,30 @@ def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, sc
     plan = sys.class_group_plan
     std = plan.pooled_std(sys.class_plan.counts, predicted - mean, scatter)
     return np.maximum(std[:, plan.label], sigma0)
+
+
+def _pure_error(sys: StackedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each (configuration, axis) group's pure error, one entry per group of ``sys.class_group_plan``:
+    the scatter ``sum_k Q_k`` of its rows about their own class means (``sys.class_plan.moments``)
+    and its degrees of freedom ``sum_k (r_k - 1)``.  Neither depends on a fit."""
+    plan = sys.class_group_plan
+    return plan.sum(sys.class_plan.moments(sys.dp)[1]), plan.sum(sys.class_plan.counts - 1)
+
+
+def _replicate_sigma(sys: StackedSystem, sigma0: float) -> np.ndarray:
+    """Per-class dispersions, floored at ``sigma0``, each its group's ``sqrt(scatter / dof)``
+    (:func:`_pure_error`), so differences between postures never count as noise.  A group without
+    a repeated posture raises ``ReplicateCountError``, one whose dispersion overflows ``OverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scatter, dof = (a[sys.class_group_plan.label] for a in _pure_error(sys))  # per class
+    if not dof.all():
+        k = np.argmin(dof)
+        raise ReplicateCountError(f"configuration {sys.config[k]} has no repeated posture on axis {AXES[sys.axis[k]]} "
+                                  "to estimate its dispersion from; give the dispersions with --noise")
+    sigma = np.sqrt(scatter / dof)
+    if not np.isfinite(sigma).all():
+        raise OverflowError("a replicate dispersion overflows the float range")
+    return np.maximum(sigma, sigma0)
 
 
 def _irls_stack(

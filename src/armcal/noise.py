@@ -10,8 +10,8 @@ difference, which is what gets regressed).
 A stacked system carries, per class of identical rows, int arrays of
 configuration ids and axes (0..2, indexing :data:`AXES`).  Observations are
 reduced in one place, :meth:`_Groups.moments`, to per-group means and
-scatters; :func:`deflection_dispersions` and the reweighting stage's pooled
-std (:meth:`_Groups.pooled_std`) both read dispersions from those moments.
+scatters, which the estimate from repeated postures and the reweighting
+stage's pooled std (:meth:`_Groups.pooled_std`) both read dispersions from.
 """
 
 from __future__ import annotations
@@ -83,33 +83,6 @@ class NoiseModel:
         return cls(config=config, sigma=np.full((config.size, 3), float(sigma)))
 
 
-def deflection_dispersions(config: np.ndarray, deflection: np.ndarray) -> NoiseModel:
-    """Noise model from raw deflection replicates of an experiment.
-
-    Pools the loaded-minus-unloaded differences ``deflection[i]`` (meters) of
-    all rows of each configuration ``config[i]`` into one unbiased sample
-    dispersion per (configuration, axis), ``sqrt(scatter / (n - 1))`` from
-    the moments (:meth:`_Groups.moments`) of the configuration's n rows about
-    their own mean.  Before any fit has been run this is the non-compensated
-    dispersion (marker-to-marker signal spread included), which is the usual
-    starting point when the tracker noise is unknown.  A configuration with one row
-    raises :class:`ReplicateCountError`, and finite deflections whose
-    dispersion exceeds the float range raise ``OverflowError``.
-    """
-    ids, row = np.unique(np.asarray(config, dtype=int).reshape(-1), return_inverse=True)
-    deflection = np.asarray(deflection, dtype=float)
-    if deflection.shape != (row.size, len(AXES)):
-        raise ValueError(f"config and deflection length mismatch: {row.size} ids, deflection {deflection.shape}")
-    configs = _Groups(row)
-    _require_replicates(configs.counts)
-    n = configs.counts[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.sqrt(configs.moments(deflection.T)[1].T / (n - 1))
-    if np.isfinite(deflection).all() and not np.isfinite(sigma).all():
-        raise OverflowError("a deflection dispersion overflows the float range")
-    return NoiseModel(config=ids, sigma=sigma, se=sigma / np.sqrt(2.0 * (n - 1)))
-
-
 def build_sigma(
     noise: NoiseModel, config: np.ndarray, axis: np.ndarray, floor: float = DEFAULT_SIGMA0
 ) -> np.ndarray:
@@ -166,11 +139,8 @@ class _Groups:
         one value raises :class:`ReplicateCountError`.
         """
         n = self.sum(counts)
-        _require_replicates(n)
+        if np.any(n == 1):
+            raise ReplicateCountError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")
         centre = self.sum(counts * mean) / n
         return np.sqrt(self.sum(scatter + counts * (mean - centre[..., self.label]) ** 2) / (n - 1))
 
-
-def _require_replicates(counts: np.ndarray) -> None:
-    if np.any(counts == 1):
-        raise ReplicateCountError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")

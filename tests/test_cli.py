@@ -3,6 +3,7 @@
 import argparse
 import math
 import shutil
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -199,6 +200,32 @@ class TestCalibrate:
         )
         assert (tmp_path / "parameters.tsv").exists()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_replicate_dispersions_match_the_true_table(self, seed, tmp_path):
+        # the scatter within repeated postures stands in for the study's own noise table
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--seed", str(seed), "--out", str(study)) == 0
+        measurements, noise = str(study / "measurements.tsv"), str(study / "noise.tsv")
+
+        def calibrate(out, *argv):
+            assert run_cli("calibrate", "--measurements", measurements, "--out", str(tmp_path / out), *argv) == 0
+            return tmp_path / out
+
+        blind, told = calibrate("blind"), calibrate("told", "--noise", noise)
+        for method in ("ols", "wls"):
+            table = read_estimates(told / "parameters.tsv", method)
+            estimates = read_estimates(blind / "parameters.tsv", method)
+            ratio = [ci3 / table[name][1] for name, (_, ci3) in estimates.items()]
+            assert len(ratio) == 9 and 0.7 <= min(ratio) and max(ratio) <= 1.4, (method, ratio)
+
+        # a geometric row observes one position, whose dispersion is the table's over sqrt(2)
+        geometric = ("--mode", "geometric", "--params", "a2,d3,theta4,tool_x")
+        blind = calibrate("blind-geometric", *geometric)
+        told = calibrate("told-geometric", "--noise", noise, *geometric)
+        sigma = lambda out: [float(row.split("\t")[3]) for row in (out / "residuals.tsv").read_text().splitlines()[1:]]
+        ratio = statistics.median(b / t for b, t in zip(sigma(blind), sigma(told)))
+        assert 0.6 <= ratio <= 0.8, ratio
+
     def test_residual_report_row_count(self, study_dir, tmp_path):
         assert (
             run_cli(
@@ -375,6 +402,22 @@ class TestErrorPaths:
         )
         assert code == 0, capsys.readouterr().err
         assert (tmp_path / "out" / "trace.tsv").read_text().count("\n") == 2  # header + 1
+
+    def test_unrepeated_postures_need_a_noise_table(self, tmp_path, capsys):
+        # three markers but one repetition: no posture repeats, so no dispersion is estimable
+        study = tmp_path / "study"
+        assert run_cli("simulate", "--repetitions", "1", "--out", str(study)) == 0
+        capsys.readouterr()
+        measurements = str(study / "measurements.tsv")
+        code = run_cli("calibrate", "--measurements", measurements, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR E_REPLICATES:") and err.count("\n") == 1
+        assert "--noise" in err
+        assert not (tmp_path / "out").exists()
+        code = run_cli("calibrate", "--measurements", measurements, "--noise", str(study / "noise.tsv"),
+                       "--out", str(tmp_path / "out"))
+        assert code == 0, capsys.readouterr().err
 
     def test_overflowing_dispersions_without_noise(self, tmp_path, capsys):
         # finite positions near 1e305 um, whose squared spread overflows

@@ -479,3 +479,32 @@ class TestIRLS:
         assert DEFAULT_LAMBDA == 1.0
         assert DEFAULT_REL_TOL == 1e-3
         assert DEFAULT_MAX_ITER == 20
+
+
+class TestReplicateSigma:
+    """The dispersions of a run without a noise table, from the scatter within repeated postures."""
+
+    def test_pure_error_of_the_bundled_design(self, bundled_system):
+        # three markers of six repetitions: 3 x (6 - 1) degrees of freedom per (configuration, axis)
+        scatter, dof = estimator_mod._pure_error(bundled_system)
+        assert_array_equal(dof, np.full(45, 15))
+        sys = bundled_system
+        own_mean = (sys.class_plan.sum(sys.dp) / sys.class_plan.counts)[sys.row_class]
+        expected = np.bincount(sys.class_group_plan.label[sys.row_class], (sys.dp - own_mean) ** 2)
+        assert_allclose(scatter, expected, rtol=1e-12)
+
+    def test_stated_std_matches_monte_carlo_scatter(self, nominal_model):
+        # 200 bundled elastostatic studies, each solved with its own table-less sigmas: the mean
+        # stated std of every parameter is within 15 % of the spread of its estimates
+        estimates, stated = {}, {}
+        for seed in range(1000, 1200):
+            design = reference.study_design(seed=seed)
+            study = simulate_measurements(design, nominal_model)
+            sys = stack_system(study, nominal_model, design.cmap, NoiseModel.uniform(design.config_ids, 1.0))
+            sys = replace(sys, sigma=estimator_mod._replicate_sigma(sys, DEFAULT_SIGMA0))
+            for res in (ols_estimate(sys), wls_estimate(sys, robust_weights(sys.sigma)), irls(sys)):
+                estimates.setdefault(res.method, []).append(res.x_hat)
+                stated.setdefault(res.method, []).append(res.ci3 / 3.0)
+        for method in ("ols", "wls", "irls"):
+            ratio = np.mean(stated[method], axis=0) / np.std(estimates[method], axis=0, ddof=1)
+            assert np.all(np.abs(ratio - 1.0) <= 0.15), (method, ratio)

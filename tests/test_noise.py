@@ -8,71 +8,66 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from armcal import reference
 from armcal.errors import MissingNoiseError, ReplicateCountError
+from armcal.estimator import _replicate_sigma
 from armcal.noise import (
     DEFAULT_SIGMA0,
     NoiseModel,
     build_sigma,
     _Groups,
-    deflection_dispersions,
 )
-from armcal.regressor import StackedSystem
+from armcal.regressor import StackedSystem, stack_system
 from armcal.simulator import simulate_measurements
 
 UM = 1e-6
 
 
-def dispersions_of(values):
-    """The noise model of one configuration whose deflection rows are ``values``."""
-    return deflection_dispersions(np.ones(len(values), dtype=int), values)
+def dispersions_of(values, posture=None, config=(1,)):
+    """Unfloored dispersions of a run without a table, estimated from the rows ``values`` (n, 3)
+    of posture ``posture[i]`` (numbered 0, 1, ...; default: one posture) of configuration
+    ``config[posture[i]]``, as a (configurations, 3) array in ascending configuration order."""
+    values = np.asarray(values, dtype=float)
+    posture = np.zeros(len(values), dtype=int) if posture is None else np.asarray(posture)
+    classes = 3 * len(config)
+    sys = StackedSystem(B=np.ones((classes, 1)), dp=values, sigma=np.ones(classes), config=np.repeat(config, 3),
+                        marker=np.zeros(classes), axis=np.tile(np.arange(3), len(config)), columns=("k",),
+                        row_class=posture[:, None] * 3 + np.arange(3))
+    ids = np.unique(config)
+    table = np.empty((ids.size, 3))
+    table[np.searchsorted(ids, sys.config), sys.axis] = _replicate_sigma(sys, 0.0)
+    return table
 
 
 class TestEstimateDispersions:
-    """Dispersions estimated from replicates by ``deflection_dispersions``."""
+    """Dispersions estimated from the scatter within repeated postures (``estimator._replicate_sigma``)."""
 
     def test_identical_replicates_give_zero(self):
-        model = dispersions_of(np.tile([1.0, -2.0, 0.5], (6, 1)))
-        assert_array_equal(model.sigma[model.rows(1)], np.zeros(3))
+        assert_array_equal(dispersions_of(np.tile([1.0, -2.0, 0.5], (6, 1))), np.zeros((1, 3)))
 
     def test_two_point_hand_computed_std(self):
         # sample std of {0, 2} um about the mean 1 um is sqrt(2) um
-        model = dispersions_of(np.array([[0.0, 0.0, 0.0], [2 * UM, 0.0, 0.0]]))
-        assert_allclose(model.sigma[model.rows(1)], [math.sqrt(2.0) * UM, 0.0, 0.0], rtol=1e-15)
-        assert_allclose(
-            model.se[model.rows(1), 0], math.sqrt(2.0) * UM / math.sqrt(2.0), rtol=1e-15
-        )
+        sigma = dispersions_of(np.array([[0.0, 0.0, 0.0], [2 * UM, 0.0, 0.0]]))
+        assert_allclose(sigma[0], [math.sqrt(2.0) * UM, 0.0, 0.0], rtol=1e-15)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(42)
         values = rng.normal(size=(12, 3)) * 50 * UM
         offset = np.array([0.125, -0.25, 0.5])  # exactly representable shifts
-        a = dispersions_of(values)
-        b = dispersions_of(values + offset)
-        assert_allclose(b.sigma, a.sigma, rtol=1e-9)
+        assert_allclose(dispersions_of(values + offset), dispersions_of(values), rtol=1e-9)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
         values = rng.normal(size=(9, 3))
-        a = dispersions_of(values)
-        b = dispersions_of(values * 2.0)
-        assert_array_equal(b.sigma, 2.0 * a.sigma)
+        assert_array_equal(dispersions_of(values * 2.0), 2.0 * dispersions_of(values))
 
     def test_single_replicate_rejected(self):
-        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
+        with pytest.raises(ReplicateCountError, match="configuration 1 has no repeated posture on axis x.*--noise"):
             dispersions_of(np.zeros((1, 3)))
 
     def test_overflowing_dispersion_raises_overflow_error(self):
         # finite deflections whose squared spread exceeds the float range
         with pytest.raises(OverflowError, match="overflows the float range"):
             dispersions_of(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]))
-        assert dispersions_of(np.array([[1e150, 0.0, 0.0], [-1e150, 0.0, 0.0]])).sigma[0, 0] > 0.0
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            dispersions_of(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="finite"):
-            dispersions_of(np.full((3, 3), np.nan))
-        with pytest.raises(ValueError, match="no configurations"):
-            dispersions_of(np.zeros((0, 3)))
+        assert dispersions_of(np.array([[1e150, 0.0, 0.0], [-1e150, 0.0, 0.0]]))[0, 0] > 0.0
 
     def test_estimate_concentrates_within_chi_standard_error(self):
         # true sigma 150 um, 18 replicates: the large-sample standard error is
@@ -84,20 +79,22 @@ class TestEstimateDispersions:
         trials = 300
         for _ in range(trials):
             draws = rng.normal(size=(18, 3)) * true
-            est = dispersions_of(draws).sigma[0]
+            est = dispersions_of(draws)[0]
             hits += np.all(np.abs(est - true) <= band)
         assert hits / trials >= 0.99
 
     def test_groups_follow_configuration_and_axis(self):
+        # six postures of three configurations, each posture about its own mean, rows shuffled
         rng = np.random.default_rng(3)
-        config = rng.permutation(np.repeat([7, 2, 5], [4, 2, 9]))
-        values = rng.normal(size=(15, 3)) * 50 * UM
-        model = deflection_dispersions(config, values)
-        assert model.config.tolist() == [2, 5, 7]
-        for k, cfg in enumerate(model.config):
-            rows = values[config == cfg]
-            assert_allclose(model.sigma[k], np.std(rows, axis=0, ddof=1), rtol=1e-12)
-            assert_allclose(model.se[k], model.sigma[k] / math.sqrt(2.0 * (len(rows) - 1)), rtol=1e-15)
+        config, sizes = (7, 7, 2, 5, 5, 5), [2, 2, 2, 3, 4, 2]
+        posture = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        values = rng.normal(size=(len(posture), 3)) * 50 * UM + rng.normal(size=(len(sizes), 3))[posture]
+        sigma = dispersions_of(values, posture, config)
+        for k, cfg in enumerate((2, 5, 7)):
+            own = [p for p in range(len(sizes)) if config[p] == cfg]
+            scatter = sum((sizes[p] - 1) * np.var(values[posture == p], axis=0, ddof=1) for p in own)
+            dof = sum(sizes[p] - 1 for p in own)  # each posture spends one degree of freedom on its mean
+            assert_allclose(sigma[k], np.sqrt(scatter / dof), rtol=1e-12)
 
 
 class TestNoiseModel:
@@ -220,27 +217,27 @@ class TestGroupedDispersions:
             assert_allclose(mean[:, g], np.mean(rows, axis=1), rtol=1e-12)
             assert_allclose(np.sqrt(scatter[:, g] / (n - 1)), np.std(rows, axis=1, ddof=1), rtol=1e-12)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            deflection_dispersions(np.ones(3, dtype=int), np.zeros((4, 3)))
-
     def test_single_row_group_rejected(self):
-        with pytest.raises(ReplicateCountError, match=">= 2 rows"):
-            deflection_dispersions(np.array([1, 1, 2]), np.zeros((3, 3)))
+        # configuration 2's one row repeats no posture
+        with pytest.raises(ReplicateCountError, match="configuration 2 has no repeated posture"):
+            dispersions_of(np.zeros((3, 3)), np.array([0, 0, 1]), (1, 2))
 
-    def test_deflection_dispersions_match_manual_pooling(self, nominal_model):
+    def test_replicate_dispersions_pool_within_postures(self, nominal_model):
+        # two markers of four repetitions: each marker's deflections scatter about their own mean
         design = reference.study_design(seed=5, markers=2, repetitions=4)
         study = simulate_measurements(design, nominal_model)
-        model = deflection_dispersions(study.config, study.p - study.p0)
+        sys = stack_system(study, nominal_model, design.cmap, NoiseModel.uniform(design.config_ids, 1.0))
+        sigma = _replicate_sigma(sys, 0.0)
         for cfg in (1, 8, 15):
-            stacked = np.array(
-                [study.p[i] - study.p0[i] for i in range(len(study)) if study.config[i] == cfg]
-            )  # (markers * reps, 3)
-            assert stacked.shape[0] == 8
-            assert_allclose(model.sigma[model.rows(cfg)], np.std(stacked, axis=0, ddof=1), rtol=1e-12)
+            rows = [study.deflection[(study.config == cfg) & (study.marker == m)] for m in (0, 1)]
+            assert rows[0].shape == rows[1].shape == (4, 3)
+            manual = np.sqrt(sum(3 * np.var(r, axis=0, ddof=1) for r in rows) / 6)
+            assert_allclose(sigma[sys.config == cfg], np.tile(manual, 2), rtol=1e-12)
 
     def test_deflection_dispersions_need_replicates(self, nominal_model):
-        design = reference.study_design(seed=5, markers=1, repetitions=1)
+        # three markers of one repetition: markers are distinct postures, not replicates
+        design = reference.study_design(seed=5, repetitions=1)
         study = simulate_measurements(design, nominal_model)
-        with pytest.raises(ReplicateCountError):
-            deflection_dispersions(study.config, study.p - study.p0)
+        sys = stack_system(study, nominal_model, design.cmap, NoiseModel.uniform(design.config_ids, 1.0))
+        with pytest.raises(ReplicateCountError, match="--noise"):
+            _replicate_sigma(sys, DEFAULT_SIGMA0)
