@@ -1,7 +1,9 @@
 """Ordinary, weighted and iteratively reweighted least-squares identification.
 
-All solvers go through one singular-value decomposition of the (weighted)
-regressor, never through explicitly formed normal equations, and report the
+All solvers factor the (weighted) regressor by a Householder QR, never
+through explicitly formed normal equations; a solve whose R cannot certify
+full rank is factored by a singular-value decomposition instead, which
+counts the rank and names the weak directions.  All report the
 heteroscedasticity-aware sandwich covariance
 
     cov(x) = (B' W^2 B)^-1  B' W^2 S^2 W^2 B  (B' W^2 B)^-1
@@ -13,15 +15,16 @@ standard deviations throughout.
 The repetitions of a posture are identical rows with one weight and one
 sigma, and a :class:`StackedSystem` stores each class of r identical rows
 (``row_class``) once, so the solve runs on the distinct rows: each class
-becomes its row ``B_c`` scaled by sqrt(r).  With Q the orthonormal expansion
-of classes to rows, W B = Q (sqrt(r) W_c B_c) exactly, so the singular
-values and V are those of the full system and the condition number is not
-squared, as it would be by the normal equations.  The observations enter
-only through their per-class means, read once per solve: every solve folds
-them to Q' W y = w_c sqrt(r) mean_c (:func:`_solve`), and the reweighting
-stage re-estimates its dispersions from the same means and the per-class
-scatters (:meth:`_Groups.moments`).  Weights, sigmas and predictions are
-given and reported per class, one per row of ``B``; nothing is kept per row.
+becomes its row ``B_c`` scaled by sqrt(r).  With E the orthonormal expansion
+of classes to rows, W B = E (sqrt(r) W_c B_c) exactly, so the QR's R (up
+to the signs of its rows), the singular values and V are those of the full
+system and the condition number is not squared, as it would be by the
+normal equations.  The observations enter only through their per-class
+means, read once per solve: every solve folds them to
+E' W y = w_c sqrt(r) mean_c (:func:`_solve`), and the reweighting stage
+re-estimates its dispersions from the same means and the per-class scatters
+(:meth:`_Groups.moments`).  Weights, sigmas and predictions are given and
+reported per class, one per row of ``B``; nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -115,26 +118,43 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
 
 
 class _Factors(NamedTuple):
-    """One factorization per trial of folded weighted regressors, from :func:`_factor`."""
+    """One factorization per trial of folded weighted regressors, from :func:`_factor`.
+
+    Trial t solves as ``x = Mt[t]' ((L[t]' q) / d[t])``: ``(L, Mt) = (Q, R^-T)`` of a QR that
+    certifies full rank, with no division (``d`` is None when every trial is certified, 1 for a
+    certified trial among SVD ones), or ``(U, V')`` with ``d = s`` of an SVD.
+    """
 
     classes: _Groups
-    U: np.ndarray
-    s: np.ndarray
-    Vt: np.ndarray
+    L: np.ndarray
+    d: np.ndarray | None
+    Mt: np.ndarray
     cov: np.ndarray
     errors: list
 
 
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
-    """SVD and sandwich covariance of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
+    """Factors and sandwich covariance of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
 
     ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
-    per class of the system.  The (c, n) matrix
-    ``sqrt(r) w_c B_c`` of the distinct rows is factored in place of the
-    (m, n) one: its singular values and V are the same, row k of its U is
-    sqrt(r_k) times each full-U row of class k, and the pseudo-inverse G
-    and the sandwich ``G diag((w_c sigma_c)^2) G'`` have c columns.  One
-    ``np.linalg.svd`` call factors all trials.
+    per class of the system.  The (c, n) matrix ``A = sqrt(r) w_c B_c`` of
+    the distinct rows is factored in place of the (m, n) one: the full
+    matrix is its product with an orthonormal matrix, so its QR has the same
+    R (up to the signs of its rows) and its SVD the same singular values and
+    V.  The pseudo-inverse G and the sandwich ``G diag((w_c sigma_c)^2) G'``
+    have c columns.
+
+    One ``np.linalg.qr`` call factors all trials, and one ``np.linalg.inv``
+    inverts their n x n R, so ``G = R^-1 Q'``.  Since
+    ``1 / (|R|_F |R^-1|_F) <= s_min / s_max``, a trial whose bound exceeds
+    ``RANK_WARN`` has full rank and is not near deficiency.  Every other
+    trial (a smaller or non-finite bound, an exactly singular R, or fewer
+    classes than parameters) is factored by one ``np.linalg.svd`` call,
+    which counts its rank and warns of a near deficiency.  Both fill one
+    :class:`_Factors` layout, R^-1 kept transposed as V is, since the
+    bits of a matrix-vector product depend on the layout of its matrix:
+    each trial solves as it would alone, whichever branch its neighbours
+    take.
 
     ``errors[t]`` is the ``RankDeficientError`` trial t's solve raises (an
     identically zero or rank-deficient regressor) or None.  A failed trial's
@@ -143,39 +163,61 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     """
     n = sys.n_parameters
     classes = sys.class_plan
-    U, s, Vt = np.linalg.svd(sys.B * (np.sqrt(classes.counts) * w)[:, :, None], full_matrices=False)
-    rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
-    rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
-    errors: list[RankDeficientError | None] = [None] * len(s)
-    for t in np.flatnonzero(rank < n):
-        if s[t, 0] == 0.0:
-            errors[t] = RankDeficientError("weighted regressor is identically zero")
-            continue
-        directions = tuple(_describe_direction(Vt[t, i], sys.columns) for i in range(rank[t], n))
-        errors[t] = RankDeficientError(
-            f"information matrix is rank deficient ({rank[t]}/{n}); "
-            f"unidentifiable: {'; '.join(directions)}",
-            directions=directions,
-        )
-    for t in np.flatnonzero((rank == n) & (rel[:, -1] < RANK_WARN)):
-        warnings.warn(
-            "information matrix is near rank deficiency "
-            f"(relative singular value {rel[t, -1]:.2e}); weakest direction: "
-            f"{_describe_direction(Vt[t, -1], sys.columns)}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    s[rank < n] = np.inf
+    A = sys.B * (np.sqrt(classes.counts) * w)[:, :, None]
+    certified = np.zeros(len(A), dtype=bool)
+    if len(sys.B) >= n:  # R is square
+        with np.errstate(all="ignore"):
+            Q, R = np.linalg.qr(A)
+            try:
+                Rinv = np.linalg.inv(R)
+                nonsingular = True
+            except np.linalg.LinAlgError:  # a zero on the diagonal of one R fails the batch
+                nonsingular = np.diagonal(R, axis1=1, axis2=2).all(axis=1)
+                Rinv = np.linalg.inv(np.where(nonsingular[:, None, None], R, np.eye(n)))
+            bound = 1.0 / (np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(Rinv, axis=(1, 2)))
+            certified = nonsingular & (bound > RANK_WARN)
+        L, d, Mt = Q, None, Rinv.transpose(0, 2, 1).copy()
+    svd = np.flatnonzero(~certified)
+    errors: list[RankDeficientError | None] = [None] * len(A)
+    if svd.size:
+        U, s, Vt = np.linalg.svd(A[svd], full_matrices=False)
+        rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
+        rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
+        for i in np.flatnonzero(rank < n):
+            if s[i, 0] == 0.0:
+                errors[svd[i]] = RankDeficientError("weighted regressor is identically zero")
+                continue
+            directions = tuple(_describe_direction(Vt[i, k], sys.columns) for k in range(rank[i], n))
+            errors[svd[i]] = RankDeficientError(
+                f"information matrix is rank deficient ({rank[i]}/{n}); "
+                f"unidentifiable: {'; '.join(directions)}",
+                directions=directions,
+            )
+        for i in np.flatnonzero((rank == n) & (rel[:, -1] < RANK_WARN)):
+            warnings.warn(
+                "information matrix is near rank deficiency "
+                f"(relative singular value {rel[i, -1]:.2e}); weakest direction: "
+                f"{_describe_direction(Vt[i, -1], sys.columns)}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        s[rank < n] = np.inf
+        if svd.size == len(A):
+            L, d, Mt = U, s, Vt
+        else:  # a certified trial divides by 1, exactly
+            d = np.ones((len(A), n))
+            L[svd], d[svd], Mt[svd] = U, s, Vt
 
-    G = Vt.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / s[:, :, None])  # pinv of each folded matrix
+    LT = L.transpose(0, 2, 1) if d is None else L.transpose(0, 2, 1) / d[:, :, None]
+    G = Mt.transpose(0, 2, 1) @ LT  # pinv of each folded matrix
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return _Factors(classes, U, s, Vt, cov, errors)
+    return _Factors(classes, L, d, Mt, cov, errors)
 
 
 def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Solutions ``V ((U' q[t]) / s)`` of a (T, c) stack of per-class observation means.
+    """Solutions ``Mt' ((L' q[t]) / d)`` of a (T, c) stack of per-class observation means.
 
     ``q[t] = w[t] sqrt(r) mean[t]`` are the folded observations, one per
     class of r rows with weight ``w[t]``.  The factors and the weights may
@@ -184,8 +226,10 @@ def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
     equals the one-trial solve bit for bit.
     """
     q = w * (np.sqrt(f.classes.counts) * mean)
-    c = (f.U.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0] / f.s
-    return (f.Vt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
+    c = (f.L.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
+    if f.d is not None:
+        c /= f.d
+    return (f.Mt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
 
 
 def _weighted_solve(
@@ -318,7 +362,7 @@ def _irls_stack(
     means and scatters (``sys.class_plan.moments``), and ``sigma`` holds its
     starting dispersions, one per class (T, c).  Weights and dispersions are
     kept per class through the loop.  Each iteration solves the trials still
-    running with one stacked SVD, folding the class means as
+    running with one stacked :func:`_factor` call, folding the class means as
     :func:`wls_estimate` does (so a single pass equals it bit for bit), and
     predicts each class once; the re-estimate reads those predictions and
     the moments (:func:`_dispersions`).  A trial leaves the stack when it

@@ -270,17 +270,19 @@ def monte_carlo_compare(
     re-estimate at a zero prediction.  Every solve factors the distinct
     rows only, one per class of a posture's identical repetitions (see
     :mod:`armcal.estimator`).  OLS and WLS share ``B`` and their weights
-    across trials, so each is one SVD, made before any block, plus a stacked
-    product per block, and that SVD also gives the method's predicted
-    covariance and CIs; IRLS runs one stacked SVD per iteration over the
-    block's still-running trials, each ending as its own ``irls``
+    across trials, so each is one factorization, made before any block, plus
+    a stacked product per block, and that factorization also gives the
+    method's predicted covariance and CIs; IRLS runs one stacked
+    factorization per iteration over the block's still-running trials
+    (a QR, or an SVD for a trial the QR cannot certify as full rank), each
+    ending as its own ``irls``
     :class:`~armcal.estimator.EstimationResult` with its own stop iteration
     and reason.
     Blocks are drawn and solved one after another, in trial order, so
     working memory scales with the block size, not with ``trials``.  Every
     estimate equals the one-trial solve of that trial bit for bit.  Failed
-    trials are recorded with their reason; a block whose stacked SVD fails
-    as a whole is solved again trial by trial, so that only the failing
+    trials are recorded with their reason; a block whose stacked QR or SVD
+    fails as a whole is solved again trial by trial, so that only the failing
     trial is recorded.  More than 5% failed trials abort.  A design with a
     one-row (configuration, axis) group raises ``ReplicateCountError``
     before any trial is solved.
@@ -312,7 +314,7 @@ def monte_carlo_compare(
         x = {name: _solve(f, w, mean) for name, (f, w) in fixed.items()}
         try:
             fits = _irls_stack(base, mean, scatter, sigma_raw, *irls_args)
-        except np.linalg.LinAlgError:  # the stacked SVD fails as a whole: solve trial by trial
+        except np.linalg.LinAlgError:  # a stacked QR or SVD fails as a whole: solve trial by trial
             fits = []
             for j in range(len(block_trials)):
                 try:

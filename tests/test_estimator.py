@@ -1,6 +1,7 @@
 """Least-squares solvers, weighting rules, covariances and the reweighting loop."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from armcal.estimator import (
 from armcal.noise import NoiseModel
 from armcal.regressor import StackedSystem, stack_system
 from armcal.reports import write_residual_report
-from armcal.simulator import noise_free_system, simulate_measurements
+from armcal.simulator import monte_carlo_compare, noise_free_system, simulate_measurements
 from row_level import residuals, row_std, unfolded
 
 UM = 1e-6
@@ -255,6 +256,55 @@ class TestRankHandling:
         with pytest.raises(ValueError, match="length"):
             wls_estimate(sys, np.ones(sys.n_equations))
         assert_array_equal(wls_estimate(sys, np.ones(len(sys.B))).x_hat, ols_estimate(sys).x_hat)
+
+    @pytest.mark.parametrize("mode, params", [("elastostatic", None), ("geometric", ["a2", "d3", "theta4", "tool_x"]),
+                                              ("combined", ["a2", "d3", "theta4", "tool_x"])])
+    def test_bundled_design_never_reaches_the_svd(self, mode, params, bundled_study, bundled_design, nominal_model,
+                                                  monkeypatch):
+        # the QR bound certifies every bundled solve as full rank, so none runs the SVD
+        real_svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(args[0].shape) or real_svd(*args, **kw))
+        sys = stack_system(bundled_study, nominal_model, bundled_design.cmap, bundled_design.noise, mode=mode,
+                           params=params)
+        ols_estimate(sys)
+        wls_estimate(sys, robust_weights(sys.sigma))
+        wls_estimate(sys, optimal_weights(sys.sigma))
+        irls(sys)
+        if mode == "elastostatic":
+            monte_carlo_compare(bundled_design, nominal_model, 40)
+        assert calls == []
+        with pytest.warns(RuntimeWarning, match="near rank deficiency"):  # the count sees a solve that needs it
+            ols_estimate(make_system(np.array([[1.0, 0.0], [0.0, 5e-9], [0.0, 0.0]]), np.zeros(3), np.ones(3)))
+        assert calls == [(1, 3, 2)]
+
+    def test_near_deficient_trial_among_certified_ones(self):
+        # only the rows of axis 1 inform kb: down-weighting them in trial 0 leaves it near rank
+        # deficiency, and trial 4 weights every row zero, so its R is singular and fails the batched
+        # inverse; both take the SVD in one stack with the QR factors of the other trials
+        rng = np.random.default_rng(11)
+        sys = make_system(rng.normal(size=(12, 3)), np.zeros(12), np.ones(12), columns=("ka", "kb", "kc"))
+        sys = replace(sys, B=np.where((sys.axis == 1)[:, None] | (np.arange(3) != 1), sys.B, 0.0))
+        w = rng.uniform(0.5, 2.0, size=(5, 12))
+        w[0, sys.axis == 1] *= 1e-9
+        w[4] = 0.0
+        sigma, mean = rng.uniform(0.5, 2.0, size=(5, 12)), rng.normal(size=(5, 12))
+        s = np.linalg.svd(sys.B * w[0, :, None], compute_uv=False)
+        assert estimator_mod.RANK_CUTOFF < s[-1] / s[0] < estimator_mod.RANK_WARN
+        with pytest.warns(RuntimeWarning, match="near rank deficiency") as caught:
+            f = estimator_mod._factor(sys, w, sigma)
+        assert len(caught) == 1
+        assert f.errors[:4] == [None] * 4
+        assert str(f.errors[4]) == "weighted regressor is identically zero"
+        assert_array_equal(f.d[1:4], 1.0)  # the certified trials divide by one
+        x = estimator_mod._solve(f, w, mean)
+        assert_array_equal(x[4], 0.0)
+        for t in range(5):
+            with warnings.catch_warnings(record=True) as one:
+                warnings.simplefilter("always")
+                f_t = estimator_mod._factor(sys, w[t:t + 1], sigma[t:t + 1])
+            assert (len(one), f_t.d is None) == ((1, False) if t == 0 else (0, t < 4))
+            assert_array_equal(x[t], estimator_mod._solve(f_t, w[t:t + 1], mean[t:t + 1])[0])
+            assert_array_equal(f.cov[t], f_t.cov[0])
 
 
 class TestEstimationResult:

@@ -561,11 +561,13 @@ def crossing_study(model, rng):
 
 
 def prefold_solve(sys, w):
-    """Estimate and covariance by the SVD of every row of ``w B``, in the solver's order of operations."""
+    """Estimate and covariance by the QR of every row of ``w B``, in the solver's order of operations
+    (R^-1 kept transposed, as V' is by an SVD)."""
     sys = unfolded(sys)
-    U, s, Vt = np.linalg.svd(sys.B * w[:, None], full_matrices=False)
-    x = Vt.T @ ((U.T @ (sys.dp * w)) / s)
-    G = Vt.T @ np.divide(U.T, s[:, None], order="C")
+    Q, R = np.linalg.qr(sys.B * w[:, None])
+    Mt = np.linalg.inv(R).T.copy()
+    x = Mt.T @ (Q.T @ (sys.dp * w))
+    G = Mt.T @ Q.T
     cov = (G * (w * sys.sigma) ** 2) @ G.T
     return x, 0.5 * (cov + cov.T)
 

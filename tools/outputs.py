@@ -7,6 +7,12 @@ prints nothing::
     python tools/outputs.py . b
     diff -r a b
 
+and ``python tools/outputs.py --diff a b`` reports how they differ, per output file
+name (``trace.tsv``, ``run.txt``, ...): how many of its files differ, the largest
+numeric drift of a cell (its |difference| over the largest |value| in its column of
+that file), and every difference that is not numeric, such as a changed message or
+line count.  It exits 1 when any file differs.
+
 The matrix:
 
 - ``simulate`` at seeds 0 and 7, with 1, 6 and 60 repetitions, into ``sim-s<seed>-r<reps>/``;
@@ -27,6 +33,7 @@ checkout's own program needs numpy.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -82,11 +89,92 @@ def run(checkout: Path, out: Path) -> int:
     return failed
 
 
+def _cells(path: Path) -> list[list[str]]:
+    """The lines of ``path`` split into cells: at tabs in a ``.tsv``, at runs of blanks elsewhere."""
+    sep = "\t" if path.suffix == ".tsv" else None
+    return [line.split(sep) for line in path.read_text().splitlines()]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _file_drift(a: list[list[str]], b: list[list[str]]) -> tuple[float, str, list[str]]:
+    """(largest relative numeric drift, where, non-numeric differences) of two files' cells."""
+    if len(a) != len(b):
+        return 0.0, "", [f"{len(a)} lines != {len(b)} lines"]
+    scale: dict[int, float] = {}  # per column, the largest |value| in either file
+    for row in a + b:
+        for j, cell in enumerate(row):
+            value = _number(cell)
+            if value is not None:
+                scale[j] = max(scale.get(j, 0.0), abs(value))
+    worst, where, notes = 0.0, "", []
+    for i, (x, y) in enumerate(zip(a, b), 1):
+        if x == y:
+            continue
+        if len(x) != len(y):
+            notes.append(f"line {i}: {' '.join(x)!r} != {' '.join(y)!r}")
+            continue
+        for j, (u, v) in enumerate(zip(x, y)):
+            if u == v:
+                continue
+            nu, nv = _number(u), _number(v)
+            if nu is None or nv is None:
+                notes.append(f"line {i} column {j + 1}: {u!r} != {v!r}")
+            elif scale[j] and abs(nu - nv) / scale[j] > worst:
+                worst, where = abs(nu - nv) / scale[j], f"line {i} column {j + 1}"
+    return worst, where, notes
+
+
+def drift(a: Path, b: Path) -> int:
+    """Print, per output file name, how the files under ``a`` and ``b`` differ; 1 if any does, else 0."""
+    paths = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()})
+    names: dict[str, list] = {}  # file name -> [files, differing, worst drift, where]
+    notes = []
+    for rel in paths:
+        stat = names.setdefault(rel.name, [0, 0, 0.0, ""])
+        stat[0] += 1
+        if not ((a / rel).is_file() and (b / rel).is_file()):
+            stat[1] += 1
+            notes.append(f"{rel}: only under {a if (a / rel).is_file() else b}")
+            continue
+        if (a / rel).read_bytes() == (b / rel).read_bytes():
+            continue
+        stat[1] += 1
+        worst, where, file_notes = _file_drift(_cells(a / rel), _cells(b / rel))
+        if worst > stat[2]:
+            stat[2:] = [worst, f"{rel} {where}"]
+        notes += [f"{rel}: {note}" for note in file_notes]
+    for name, (files, differ, worst, where) in sorted(names.items()):
+        numeric = f"; largest drift {worst:.3g} of its column, at {where}" if worst else ""
+        print(f"{name}: {differ} of {files} files differ{numeric}")
+    if notes:
+        print("non-numeric differences:")
+        print("\n".join(f"  {note}" for note in notes))
+    return int(any(stat[1] for stat in names.values()))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path, help="repository root whose src/armcal runs")
-    parser.add_argument("out", type=Path, help="directory to write into; must not exist")
+    parser.add_argument("checkout", type=Path, nargs="?", help="repository root whose src/armcal runs")
+    parser.add_argument("out", type=Path, nargs="?", help="directory to write into; must not exist")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("A", "B"),
+                        help="report how two output directories differ instead of running the matrix")
     args = parser.parse_args(argv)
+    if args.diff:
+        if args.checkout:
+            parser.error("--diff takes no checkout or output directory")
+        for root in args.diff:
+            if not root.is_dir():
+                parser.error(f"{root} is not a directory")
+        return drift(*args.diff)
+    if args.out is None:
+        parser.error("need a checkout and an output directory")
     if not (args.checkout / "src" / "armcal" / "cli.py").is_file():
         parser.error(f"{args.checkout} has no src/armcal/cli.py")
     if args.out.exists():
