@@ -6,6 +6,10 @@ kilograms.  Outputs are written atomically (write-then-rename), so a failed
 run never leaves partial files.  Errors print one machine-parsable line to
 stderr, ``ERROR <CODE>: message``, and exit nonzero.
 
+Each number is checked against the numeric domain (``estimator._DOMAIN``) where
+it is read, the flags here and the files in :mod:`armcal.fileio`.  Inside it every
+half-width is finite and positive, so no result is checked after the fact.
+
 :func:`main` keeps no state between calls.  It builds the parser of the
 subcommand its argv names, not all three, and reads the model on every call.
 """
@@ -18,18 +22,18 @@ import math
 import os
 import shutil
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import reference, reports
-from .errors import CalibrationError, MeasurementFormatError, NoiseFormatError
+from .errors import CalibrationError, MeasurementFormatError
 from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
+    _DOMAIN,
     _replicate_sigma,
     irls,
     ols_estimate,
@@ -45,15 +49,9 @@ from .fileio import (
     write_measurements,
     write_noise_table,
 )
-from .kinematics import PRISMATIC
 from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import ComplianceParameterMap, stack_system
 from .simulator import monte_carlo_compare, simulate_measurements
-
-#: The largest model reach, and the largest simulated dispersion, in meters accepted for the
-#: bundled design: marker positions and their draws stay far inside the 1.8e302 m whose
-#: micrometers overflow a float in a measurement file.
-_MAX_REACH = 1e300
 
 OUT_ENV = "ARMCAL_OUT"
 
@@ -86,12 +84,12 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
 
 def _estimator_settings(args) -> dict:
     """The checked ``sigma0``, ``lam``, ``rel_tol`` and ``max_iter`` keywords that :func:`irls` and
-    :func:`monte_carlo_compare` share, with --sigma0 in meters: exactly ``DEFAULT_SIGMA0`` when the
-    flag is not given, and refused when its micrometers underflow to zero meters."""
+    :func:`monte_carlo_compare` share, with --sigma0 in meters (exactly ``DEFAULT_SIGMA0`` when the
+    flag is not given).  --sigma0 and --lambda must lie in the ``_DOMAIN``."""
     sigma0 = DEFAULT_SIGMA0 if args.sigma0 is None else args.sigma0 * _UM
-    rule = "large enough to stay positive in meters" if sigma0 == 0.0 < args.sigma0 else "positive and finite"
-    _require(math.isfinite(sigma0) and sigma0 > 0.0, "--sigma0", rule, args.sigma0)
-    _require(math.isfinite(args.lam) and args.lam >= 0.0, "--lambda", "non-negative and finite", args.lam)
+    (lo, hi), lam_max = _DOMAIN["sigma0"], _DOMAIN["lambda"][1]
+    _require(lo <= sigma0 <= hi, "--sigma0", f"in {lo / _UM:g}..{hi / _UM:g} um and finite", args.sigma0)
+    _require(0.0 <= args.lam <= lam_max, "--lambda", f"in 0..{lam_max:g} and finite", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
     _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
              "non-negative (or non-finite for a single pass)", args.rel_tol)
@@ -112,39 +110,12 @@ def _check_study(study, model, source) -> None:
         raise MeasurementFormatError(f"{where(i)}: marker {index[i]} not in the model's 0..{n_markers - 1}")
 
 
-def _check_design_model(model, design, noise_path=None) -> None:
-    """Reject a --model whose joints or markers the bundled design does not fit, or whose reach,
-    or a sigma of the --noise table at ``noise_path``, exceeds :data:`_MAX_REACH`.  The reach, the
-    base, tool and largest marker offsets plus each joint's ``|a| + |d|`` and prismatic travel,
-    bounds every marker's distance from the base, since rotations keep lengths."""
+def _check_design_model(model, design) -> None:
+    """Reject a --model whose joints or markers the bundled design does not fit.  Its lengths
+    were checked against the ``_DOMAIN`` as it was read, which bounds its reach."""
     n, m = len(design.configurations[0]), design.markers
     _require(model.n_joints == n, "--model", f"a {n}-joint model for the bundled design", model.n_joints)
     _require(len(model.markers) >= m, "--model", f"a model with {m} or more markers", len(model.markers))
-    travel = np.abs(design.configurations).max(axis=0).tolist()
-    reach = (math.hypot(*model.base[:3, 3]) + math.hypot(*model.tool[:3, 3])
-             + max(math.hypot(*marker) for marker in model.markers)
-             + sum(abs(j.a) + abs(j.d) + (j.kind == PRISMATIC) * t for j, t in zip(model.joints, travel)))
-    _require(reach <= _MAX_REACH, "--model", f"a model whose reach is at most {_MAX_REACH:g} m", reach)
-    if noise_path and design.noise.sigma.max() > _MAX_REACH:
-        raise NoiseFormatError(f"{noise_path}: sigmas above {_MAX_REACH / _UM:g} um overflow the simulated positions")
-
-
-def _accept_half_widths(args, settings, ci3s, held) -> None:
-    """Reject a --sigma0 or --lambda that leaves a 3-sigma half-width to write that is not
-    finite and positive, or else issue the warnings ``held`` back from the solve, as it would
-    have: a refused run prints its one error line alone.  A huge or a subnormal sigma0 floor
-    overflows the half-widths; the weights scale with sigma0 / lambda, and a tiny ratio
-    underflows them to zero."""
-    ci3 = np.concatenate([np.ravel(c) for c in ci3s])
-    sigma0 = f"{DEFAULT_SIGMA0 / _UM:g}" if args.sigma0 is None else args.sigma0  # the default as its help quotes it
-    size = "large" if settings["sigma0"] < DEFAULT_SIGMA0 else "small"
-    _require(np.isfinite(ci3).all(), "--sigma0", f"{size} enough for finite 3-sigma half-widths", sigma0)
-    flag, rule, value = (("--lambda", "small", args.lam) if settings["lam"] > DEFAULT_LAMBDA
-                         else ("--sigma0", "large", sigma0))
-    _require((ci3 > 0.0).all(), flag, f"{rule} enough for positive 3-sigma half-widths", value)
-    for w in held:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, __name__,
-                               globals().setdefault("__warningregistry__", {}))
 
 
 def _out_dir(args) -> Path:
@@ -206,24 +177,14 @@ def _cmd_calibrate(args) -> int:
     cmap = ComplianceParameterMap.from_configurations(study.q)
     sys_ = stack_system(study, model, cmap, noise, mode=args.mode, params=params, sigma_floor=settings["sigma0"])
     if not args.noise:  # the scatter within repeated postures in place of the unit table
-        try:
-            sys_ = replace(sys_, sigma=_replicate_sigma(sys_, settings["sigma0"]))
-        except OverflowError:
-            raise MeasurementFormatError(f"{args.measurements}: the deflection dispersions overflow the float "
-                                         "range; give them with --noise") from None
+        sys_ = replace(sys_, sigma=_replicate_sigma(sys_, settings["sigma0"]))
 
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("always")  # half-widths that overflow are refused below, before any warning
-        results = [ols_estimate(sys_)]
-        if args.method == "wls":
-            results.append(wls_estimate(sys_, robust_weights(sys_.sigma, settings["sigma0"], settings["lam"])))
-        elif args.method == "irls":
-            results.append(irls(sys_, **settings))
+    results = [ols_estimate(sys_)]
+    if args.method == "wls":
+        results.append(wls_estimate(sys_, robust_weights(sys_.sigma, settings["sigma0"], settings["lam"])))
+    elif args.method == "irls":
+        results.append(irls(sys_, **settings))
     final = results[-1]
-    if args.noise and sys_.sigma.max() > settings["sigma0"] and not np.isfinite(results[0].ci3).all():
-        raise NoiseFormatError(f"{args.noise}: the dispersions overflow the 3-sigma half-widths")  # the table's sigmas
-    _accept_half_widths(args, settings, [r.ci3 for r in results] + [s.ci3 for s in final.iterations], held)
-
     out = _out_dir(args)
     written = reports.write_parameter_report(out, results)
     if len(results) > 1:
@@ -244,7 +205,8 @@ def _cmd_simulate(args) -> int:
     _require(1 <= args.markers <= n_markers, "--markers", f"in 1..{n_markers}", args.markers)
     _require(args.repetitions >= 1, "--repetitions", "at least 1", args.repetitions)
     _require(args.seed >= 0, "--seed", "non-negative", args.seed)
-    _require(math.isfinite(args.mass) and args.mass >= 0.0, "--mass", "non-negative and finite", args.mass)
+    lo, hi = _DOMAIN["mass"]
+    _require(args.mass == 0.0 or lo <= args.mass <= hi, "--mass", f"0 or in {lo:g}..{hi:g} kg and finite", args.mass)
     noise = load_noise_table(args.noise) if args.noise else None
     design = reference.study_design(
         seed=args.seed,
@@ -253,11 +215,8 @@ def _cmd_simulate(args) -> int:
         mass_kg=args.mass,
         noise=noise,
     )
-    _check_design_model(model, design, args.noise)
-    try:
-        study = simulate_measurements(design, model)
-    except OverflowError:
-        raise _UsageError(f"--mass must be small enough for finite loaded positions, got {args.mass}") from None
+    _check_design_model(model, design)
+    study = simulate_measurements(design, model)
     out = _out_dir(args)
     written = [
         write_measurements(out / "measurements.tsv", study),
@@ -278,10 +237,7 @@ def _cmd_compare(args) -> int:
     model = _load_model(args)
     design = reference.study_design(seed=args.seed)
     _check_design_model(model, design)
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("always")  # half-widths that overflow are refused below, before any warning
-        mc = monte_carlo_compare(design, model, trials=args.trials, **settings)
-    _accept_half_widths(args, settings, [*mc.ci3.values(), *mc.irls_ci_traces], held)
+    mc = monte_carlo_compare(design, model, trials=args.trials, **settings)
     out = _out_dir(args)
     for path in reports.write_compare_report(out, mc):
         print(f"wrote {path}")

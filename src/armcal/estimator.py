@@ -49,6 +49,48 @@ DEFAULT_LAMBDA = 1.0
 DEFAULT_REL_TOL = 1e-3
 DEFAULT_MAX_ITER = 20
 
+#: The numeric domain: per kind of value read, its smallest nonzero and largest magnitude in SI (:func:`_inside`).
+_DOMAIN = {"length": (1e-30, 1e3), "joint": (0.0, 1e3), "position": (0.0, 1e3), "force": (1e-30, 1e7),
+           "mass": (1e-30, 1e6), "sigma": (0.0, 1.0), "sigma0": (1e-12, 1.0), "lambda": (0.0, 1e6)}
+
+
+def _inside(kind: str, values) -> np.ndarray:
+    """Whether each of ``values`` is 0 or has a magnitude within the ``_DOMAIN[kind]`` limits.
+
+    The domain: model lengths (a, d, xyz) 0 or 1e-30..1e3 m; measured joint values (rad, or m
+    for a prismatic joint) and marker positions within 1e3; force components 0 or 1e-30..1e7 N;
+    the simulated mass 0 or 1e-30..1e6 kg; noise-table sigmas 0..1 m; sigma0 1e-12..1 m;
+    lambda 0..1e6.  It is wide of any robot, and keeps every value of a solve finite and
+    every 3-sigma half-width positive.  For a model of n joints:
+
+    * markers lie within rho <= (3 sqrt(3) + 3 n) km of the base, so levers are below 2 rho
+      and observations below rho + 2 km; the scatter within a posture comes from measured
+      positions alone, so every dispersion lies in [sigma0, 3 km];
+    * weights w = sigma0 / (sigma0 + lam sigma) lie in [3e-22, 1], w sigma above
+      sigma0 / (1 + lam) >= 1e-18 m, and (w sigma)_max / w_min <= 2 sigma_max, since
+      w sigma < sigma0 / lam wherever lam sigma exceeds sigma0;
+    * the largest regressor entry b, a lever times a lever times a force (or 1, or a lever,
+      in geometric columns), is below (2 rho)^2 sqrt(3) 1e7 N < 1e19 for n <= 40, and the
+      floors keep it above 1e-30^2 1e-30 = 1e-90 unless no lever is as long as the
+      shortest length;
+    * a solve that passes the rank check has s_min(A) >= 1e-10 w_min b, A = sqrt(r) W B.
+      So the entries of its pseudo-inverse G and of R^-1 are below 1e122, and
+      ci3_i = 3 |G_i diag(w sigma)| lies between 3 (w sigma)_min / |A|_F > 3e-37 / sqrt(rows n)
+      and 6e10 sigma_max / b < 2e104: their squares stay inside the float range.
+
+    This bounds the first solve of each method.  An IRLS re-estimate reads the residuals of
+    a least-squares fit, which stay near the scale of the observations; the edge tests run it.
+    """
+    lo, hi = _DOMAIN[kind]
+    size = np.abs(values)
+    return (size <= hi) & ((size >= lo) | (size == 0.0))
+
+
+def _span(kind: str, unit: str, scale: float = 1.0) -> str:
+    """The rule :func:`_inside` applies to ``kind``, for values in ``unit``, ``scale`` per SI unit."""
+    lo, hi = (limit * scale for limit in _DOMAIN[kind])
+    return f"0 or {lo:g}..{hi:g} {unit} in magnitude" if lo else f"at most {hi:g} {unit} in magnitude"
+
 
 @dataclass(frozen=True)
 class IterationSnapshot:
@@ -333,17 +375,13 @@ def _pure_error(sys: StackedSystem) -> tuple[np.ndarray, np.ndarray]:
 def _replicate_sigma(sys: StackedSystem, sigma0: float) -> np.ndarray:
     """Per-class dispersions, floored at ``sigma0``, each its group's ``sqrt(scatter / dof)``
     (:func:`_pure_error`), so differences between postures never count as noise.  A group without
-    a repeated posture raises ``ReplicateCountError``, one whose dispersion overflows ``OverflowError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scatter, dof = (a[sys.class_group_plan.label] for a in _pure_error(sys))  # per class
+    a repeated posture raises ``ReplicateCountError``."""
+    scatter, dof = (a[sys.class_group_plan.label] for a in _pure_error(sys))  # per class
     if not dof.all():
         k = np.argmin(dof)
         raise ReplicateCountError(f"configuration {sys.config[k]} has no repeated posture on axis {AXES[sys.axis[k]]} "
                                   "to estimate its dispersion from; give the dispersions with --noise")
-    sigma = np.sqrt(scatter / dof)
-    if not np.isfinite(sigma).all():
-        raise OverflowError("a replicate dispersion overflows the float range")
-    return np.maximum(sigma, sigma0)
+    return np.maximum(np.sqrt(scatter / dof), sigma0)
 
 
 def _irls_stack(

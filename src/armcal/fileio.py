@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MeasurementFormatError, ModelFormatError, NoiseFormatError
+from .estimator import _inside, _span
 from .kinematics import Joint, ManipulatorModel, transform
 from .noise import NoiseModel
 from .regressor import BUCKET_TOL, Study, _run_starts
@@ -139,7 +140,7 @@ def _fields(kind: str, tokens: Sequence[str], where: str) -> dict:
     return {**_MODEL_FIELDS[kind], **out}
 
 
-def _vector(text: str, where: str) -> np.ndarray:
+def _vector(text: str, where: str, length: bool = False) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ModelFormatError(f"{where}: expected 3 comma-separated values, got {text!r}")
@@ -149,6 +150,8 @@ def _vector(text: str, where: str) -> np.ndarray:
         raise ModelFormatError(f"{where}: non-numeric vector component in {text!r}") from None
     if not np.isfinite(values).all():
         raise ModelFormatError(f"{where}: non-finite vector component in {text!r}")
+    if length and not _inside("length", values).all():
+        raise ModelFormatError(f"{where}: each component of {text!r} must be {_span('length', 'm')}")
     return values
 
 
@@ -167,17 +170,20 @@ def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorMod
         elif kind in poses:
             raise ModelFormatError(f"{where}: repeated {kind} line")
         elif kind == "marker":
-            markers.append(_vector(_fields(kind, rest, where)["xyz"], where))
+            markers.append(_vector(_fields(kind, rest, where)["xyz"], where, length=True))
         elif kind == "joint":
             f = _fields(kind, rest, where)
             try:
-                joints.append(Joint(kind=f["type"], a=float(f["a"]), alpha=float(np.deg2rad(float(f["alpha"]))),
-                                    d=float(f["d"]), theta=float(np.deg2rad(float(f["theta_offset"])))))
+                joint = Joint(kind=f["type"], a=float(f["a"]), alpha=float(np.deg2rad(float(f["alpha"]))),
+                              d=float(f["d"]), theta=float(np.deg2rad(float(f["theta_offset"]))))
             except ValueError as exc:
                 raise ModelFormatError(f"{where}: bad joint record ({exc})") from None
+            if not _inside("length", [joint.a, joint.d]).all():
+                raise ModelFormatError(f"{where}: joint a={f['a']}, d={f['d']} must each be {_span('length', 'm')}")
+            joints.append(joint)
         else:
             f = _fields(kind, rest, where)
-            poses[kind] = transform(_vector(f["xyz"], where), np.deg2rad(_vector(f["rpy"], where)))
+            poses[kind] = transform(_vector(f["xyz"], where, length=True), np.deg2rad(_vector(f["rpy"], where)))
     if not joints:
         raise ModelFormatError(f"{source}: model declares no joints")
     if not markers:
@@ -308,31 +314,36 @@ def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int
     """The :class:`Study` of ``table``, the fields of the measurement ``header`` in file units
     read from ``rows``, the (line number, text) of each data line.
 
-    The file-wide checks run in order: finite q, force, p0 and p values, distinct (config,
-    marker, rep) keys, one posture per configuration.  The first fault raises
+    The file-wide checks run in order: q, force, p0 and p values finite and in the ``_DOMAIN``,
+    distinct (config, marker, rep) keys, one posture per configuration.  The first fault raises
     ``MeasurementFormatError`` naming its line; only then are ``rows`` listed.
     """
     err = MeasurementFormatError
-    finite = np.isfinite(np.hstack([table[name] for name in ("q", "force", "p0", "p")]))
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        column = j + 3 + (j >= table["q"].shape[1] + 3)  # the value columns skip fmarker
+    n = table["q"].shape[1]
+    q, p0, p = np.deg2rad(table["q"]), table["p0"] * _UM, table["p"] * _UM
+    inside = np.hstack([_inside("joint", q), _inside("force", table["force"]), _inside("position", p0),
+                        _inside("position", p)])
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        column = j + 3 + (j >= n + 3)  # the value columns skip fmarker
         lineno, line = list(rows)[i]
-        raise err(f"{source}:{lineno}: {header[column]} {line.split()[column]} is not finite")
+        rule = _span(*(("joint", "deg", 180.0 / np.pi) if j < n else ("force", "N") if j < n + 3
+                       else ("position", "um", 1.0 / _UM)))
+        fault = f"must be {rule}" if np.isfinite(np.hstack([q, table["force"], p0, p])[i, j]) else "is not finite"
+        raise err(f"{source}:{lineno}: {header[column]} {line.split()[column]} {fault}")
     first = _first_of_key(np.stack([table[name] for name in ("config", "marker", "rep")], axis=1))
     repeats = np.flatnonzero(first != np.arange(len(table)))
     if repeats.size:
         i, at = repeats[0], list(rows)
         raise err(f"{source}:{at[i][0]}: config {table['config'][i]}, marker {table['marker'][i]}, "
                   f"rep {table['rep'][i]} repeats line {at[first[i]][0]}")
-    q = np.deg2rad(table["q"])
     first = _first_of_key(table["config"][:, None])
     moved = np.flatnonzero(np.max(np.abs(q - q[first]), axis=1) > BUCKET_TOL)
     if moved.size:
         i, at = moved[0], list(rows)
         raise err(f"{source}:{at[i][0]}: config {table['config'][i]} joint angles differ from line {at[first[i]][0]}")
     return Study(config=table["config"], marker=table["marker"], rep=table["rep"], q=q, force=table["force"],
-                 fmarker=table["fmarker"], p0=table["p0"] * _UM, p=table["p"] * _UM)
+                 fmarker=table["fmarker"], p0=p0, p=p)
 
 
 def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> Study:
@@ -394,8 +405,8 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
     One pass over the data lines applies, in file order, the header rule (only
     the first line may be a header, naming the 4 or 7 columns) and the column
     rule (4 or 7 columns, as the header names or else as the first row has).
-    :func:`_read_numbers` then reads the rows in one call, and values (finite,
-    non-negative) and ids (distinct) are checked file-wide.  A fault names its line.
+    :func:`_read_numbers` then reads the rows in one call, and values (finite, >= 0, in
+    the ``_DOMAIN``) and ids (distinct) are checked file-wide.  A fault names its line.
     """
     err = NoiseFormatError
     rows: list[tuple[int, str]] = []  # (line number, text) of each entry
@@ -418,17 +429,16 @@ def parse_noise_table(lines: Iterable[str], source: str = "<noise>") -> NoiseMod
     table = _read_numbers(rows, [("config", np.int64), ("values", float, (width - 1,))], source, err,
                           "non-numeric value or configuration id beyond int64")
 
-    config, values = table["config"], table["values"]
-    bad = ~np.isfinite(values) | (values < 0.0)
+    config, values = table["config"], table["values"] * _UM
+    bad = (values < 0.0) | ~_inside("sigma", values)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise err(f"{source}:{rows[i][0]}: {_NOISE_HEADER[j + 1]} {rows[i][1].split()[j + 1]} "
-                  "must be finite and >= 0")
+                  f"must be finite and >= 0, {_span('sigma', 'um', 1.0 / _UM)}")
     repeats = np.flatnonzero(_first_of_key(config[:, None]) != np.arange(len(rows)))
     if repeats.size:
         i = repeats[0]
         raise err(f"{source}:{rows[i][0]}: duplicate entry for configuration {config[i]}")
-    values *= _UM
     return NoiseModel(config=config, sigma=values[:, :3], se=values[:, 3:] if values.shape[1] == 6 else None)
 
 

@@ -24,6 +24,7 @@ from .estimator import (
     DEFAULT_LAMBDA,
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
+    _DOMAIN,
     _dispersions,
     _factor,
     _irls_stack,
@@ -85,8 +86,8 @@ class StudyDesign:
     ``configurations`` are joint vectors in radians; configuration ids are
     their 1-based positions and the noise model must cover all of them.  The
     load is a dead weight drawn uniformly from ``mass_range_kg`` per
-    configuration and hangs at marker 0 (pure vertical force, no torque); a
-    zero mass means an unloaded study.
+    configuration, at most the ``_DOMAIN`` mass, and hangs at marker 0 (pure
+    vertical force, no torque); a zero mass means an unloaded study.
     """
 
     configurations: tuple[np.ndarray, ...]
@@ -110,8 +111,8 @@ class StudyDesign:
         if self.markers < 1 or self.repetitions < 1:
             raise ValueError("markers and repetitions must be at least 1")
         lo, hi = self.mass_range_kg
-        if not (0.0 <= lo <= hi):
-            raise ValueError("mass range must satisfy 0 <= lo <= hi")
+        if not (0.0 <= lo <= hi <= _DOMAIN["mass"][1]):
+            raise ValueError(f"mass range must satisfy 0 <= lo <= hi <= {_DOMAIN['mass'][1]:g} kg")
         if len(self.ground_truth.values) != self.cmap.n_parameters:
             raise ValueError("ground truth length does not match the compliance map")
         object.__setattr__(self, "configurations", tuple(configs))
@@ -131,9 +132,7 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     positions coincide exactly.  Rows come out sorted by (config, marker,
     repetition); draws are consumed in that fixed order (per configuration
     the load mass, then the unloaded and loaded noise 3-vectors of each
-    row), so identical seeds reproduce identical studies bit for bit.  A load
-    that leaves the unloaded positions finite and the loaded ones not raises
-    ``OverflowError``.
+    row), so identical seeds reproduce identical studies bit for bit.
     """
     if design.markers > len(model.markers):
         raise ValueError(f"design asks for {design.markers} markers, model has {len(model.markers)}")
@@ -148,8 +147,7 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     eps = np.array(eps) * (design.noise.sigma[design.noise.rows(design.config_ids)]
                            / math.sqrt(2.0))[:, None, None, None]
     forces = np.zeros((len(masses), 3))
-    with np.errstate(over="ignore"):  # an overflowing load is refused below
-        forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
+    forces[:, 2] = -np.array(masses) * STANDARD_GRAVITY
 
     # kinematics once over the (configuration, marker) pairs; the load hangs at marker 0
     pair_cfg, pair_marker = np.indices((len(forces), design.markers)).reshape(2, -1)
@@ -163,12 +161,8 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     unloaded = (p[:, 0] + shift).reshape(len(forces), design.markers, 1, 3)
     wrench = np.concatenate([forces[pair_cfg], np.zeros((len(q), 3))], axis=1)
     p0 = unloaded + eps[..., 0, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        deflection = ((_regressors(model, q, frames, p, wrench, design.cmap) @ design.ground_truth.values)
-                      .reshape(unloaded.shape) if np.isfinite(forces).all() else np.inf)
-        p = unloaded + deflection + eps[..., 1, :]
-    if np.isfinite(p0).all() and not np.isfinite(p).all():
-        raise OverflowError(f"a load of {hi} kg overflows the simulated positions")
+    deflection = _regressors(model, q, frames, p, wrench, design.cmap) @ design.ground_truth.values
+    p = unloaded + deflection.reshape(unloaded.shape) + eps[..., 1, :]
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
     return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
                  q=np.asarray(design.configurations)[cfg], force=forces[cfg],

@@ -419,22 +419,18 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "out"))
         assert code == 0, capsys.readouterr().err
 
-    def test_overflowing_dispersions_without_noise(self, tmp_path, capsys):
-        # finite positions near 1e305 um, whose squared spread overflows
-        study = tmp_path / "study"
-        assert run_cli("simulate", "--mass", "1e305", "--out", str(study)) == 0
-        capsys.readouterr()
-        measurements = study / "measurements.tsv"
+    def test_overflowing_dispersions_without_noise(self, study_dir, tmp_path, capsys):
+        # a finite position of 1e305 um, whose squared spread would overflow, is refused at read
+        edited = self._with_token(study_dir, tmp_path, 2, 16, "1e305")  # px of the first data line
         out = tmp_path / "out"
-        code = run_cli("calibrate", "--measurements", str(measurements), "--out", str(out))
-        err = capsys.readouterr().err
+        code = run_cli("calibrate", "--measurements", str(edited), "--out", str(out))
         assert code == 1
-        assert err == (f"ERROR E_MEASUREMENT_FORMAT: {measurements}: the deflection dispersions "
-                       "overflow the float range; give them with --noise\n")
+        assert capsys.readouterr().err == (f"ERROR E_MEASUREMENT_FORMAT: {edited}:3: px 1e305 "
+                                           "must be at most 1e+09 um in magnitude\n")
         assert not out.exists()
 
     def test_overflowing_dispersions_in_noise_table(self, study_dir, tmp_path, capsys):
-        # a finite sigma of 1e200 um, whose square in the OLS half-widths overflows
+        # a finite sigma of 1e200 um, whose square in the half-widths would overflow, is refused at read
         lines = (study_dir / "noise.tsv").read_text().splitlines()
         tokens = lines[2].split()
         tokens[1] = "1e200"
@@ -445,19 +441,20 @@ class TestErrorPaths:
         code = run_cli("calibrate", "--measurements", str(measurements), "--noise", str(noise), "--out", str(out))
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"ERROR E_NOISE_FORMAT: {noise}: the dispersions overflow the 3-sigma half-widths\n"
+        assert err == (f"ERROR E_NOISE_FORMAT: {noise}:3: sigma_x 1e200 must be finite and >= 0, "
+                       "at most 1e+06 um in magnitude\n")
         assert not out.exists()
 
     def test_overflowing_dispersions_refused_by_simulate(self, study_dir, tmp_path, capsys):
-        # sigmas of 1e308 um draw positions whose micrometers overflow the measurement file
+        # sigmas of 1e308 um, whose draws would overflow the measurement file, are refused at read
         lines = (study_dir / "noise.tsv").read_text().splitlines()
         lines[2:] = [" ".join([line.split()[0], "1e308", "1e308", "1e308", *line.split()[4:]]) for line in lines[2:]]
         noise = write_text(tmp_path / "noise.tsv", "\n".join(lines) + "\n")
         out = tmp_path / "out"
         code = run_cli("simulate", "--noise", str(noise), "--out", str(out))
         assert code == 1
-        assert capsys.readouterr().err == (f"ERROR E_NOISE_FORMAT: {noise}: sigmas above 1e+306 um "
-                                           "overflow the simulated positions\n")
+        assert capsys.readouterr().err == (f"ERROR E_NOISE_FORMAT: {noise}:3: sigma_x 1e308 must be finite and "
+                                           ">= 0, at most 1e+06 um in magnitude\n")
         assert not (out / "measurements.tsv").exists()
 
     def test_unloaded_study_is_rank_deficient(self, tmp_path, capsys):
@@ -551,15 +548,15 @@ class TestErrorPaths:
             (("compare", "--sigma0", "nan"), "--sigma0"),
             (("compare", "--lambda", "inf"), "--lambda"),
             (("compare", "--lambda", "nan"), "--lambda"),
-            # finite masses whose load overflows the loaded positions or the force itself
+            # finite masses beyond the 1e6 kg of the numeric domain, whose load would overflow
             (("simulate", "--mass", "5e306"), "--mass"),
             (("simulate", "--mass", "1e307"), "--mass"),
             (("simulate", "--mass", "2e307"), "--mass"),
             (("simulate", "--mass", "1e308"), "--mass"),
-            # link lengths whose marker positions overflow, in micrometers or in meters
-            (("simulate", "--model", "long-1e308.model"), "--model"),
-            (("simulate", "--model", "long-1.5e308.model"), "--model"),
-            # a sigma0 floor whose half-widths overflow, or weights whose half-widths underflow to 0
+            # link lengths beyond the domain's 1 km, refused on the model line that gives them
+            pytest.param(("simulate", "--model", "long-1e308.model"), "E_MODEL_FORMAT", id="argv26---model"),
+            pytest.param(("simulate", "--model", "long-1.5e308.model"), "E_MODEL_FORMAT", id="argv27---model"),
+            # a sigma0 floor or a lambda outside the domain, whose half-widths would overflow or underflow to 0
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--sigma0", "1e300"),
              "--sigma0"),
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "irls",
@@ -569,22 +566,27 @@ class TestErrorPaths:
             (("compare", "--trials", "3", "--sigma0", "1e-300"), "--sigma0"),
             (("compare", "--trials", "3", "--sigma0", "1e300"), "--sigma0"),
             (("compare", "--trials", "3", "--lambda", "1e300"), "--lambda"),
-            # rows naming a rule after the flag: a subnormal sigma0 floor in meters, whose weights
-            # underflow until the sandwich overflows, and one whose meters underflow to zero
+            # rows naming the domain's rule after the flag: a subnormal sigma0 floor in meters, and one
+            # whose meters underflow to zero
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--sigma0", "5e-318"),
-             "--sigma0 large enough for finite 3-sigma half-widths"),
-            (("compare", "--trials", "3", "--sigma0", "5e-318"), "--sigma0 large enough for finite 3-sigma half-widths"),
+             "--sigma0 in 1e-06..1e+06 um"),
+            (("compare", "--trials", "3", "--sigma0", "5e-318"), "--sigma0 in 1e-06..1e+06 um"),
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "ols",
-              "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
+              "--sigma0", "1e-320"), "--sigma0 in 1e-06..1e+06 um"),
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "irls",
-              "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
-            (("compare", "--sigma0", "1e-320"), "--sigma0 large enough to stay positive in meters"),
+              "--sigma0", "1e-320"), "--sigma0 in 1e-06..1e+06 um"),
+            (("compare", "--sigma0", "1e-320"), "--sigma0 in 1e-06..1e+06 um"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, study_dir, tmp_path, capsys):
         out = tmp_path / "out"
         argv = [model_file(tmp_path, a) if a.endswith(".model") else
                 str(study_dir / a) if a in ("measurements.tsv", "noise.tsv") else a for a in argv]
+        if flag == "E_MODEL_FORMAT":  # refused as the model file is read, naming the line of the first joint
+            assert run_cli(*argv, "--out", str(out)) == 1
+            assert capsys.readouterr().err.startswith(f"ERROR E_MODEL_FORMAT: {argv[-1]}:4: joint a=")
+            assert not out.exists()
+            return
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
         flag, _, rule = flag.partition(" ")
@@ -610,19 +612,6 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.err == f"ERROR E_USAGE: {message}\n"
         assert captured.out == ""
-
-    @pytest.mark.parametrize("sigma0, quoted", [((), "10"), (("--sigma0", "10"), "10.0")])
-    def test_sigma0_quoted_as_given(self, sigma0, quoted, tmp_path, capsys):
-        # a 1e200 kg load: the default floor's weights underflow every half-width to zero
-        assert run_cli("simulate", "--mass", "1e200", "--out", str(tmp_path / "s")) == 0
-        capsys.readouterr()
-        code = run_cli("calibrate", "--measurements", str(tmp_path / "s" / "measurements.tsv"),
-                       "--noise", str(tmp_path / "s" / "noise.tsv"), "--method", "wls", *sigma0,
-                       "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert capsys.readouterr().err == ("ERROR E_USAGE: --sigma0 must be large enough for positive "
-                                           f"3-sigma half-widths, got {quoted}\n")
-        assert not (tmp_path / "out").exists()
 
     def test_solver_warnings_of_an_accepted_run_are_issued(self, tmp_path):
         # joint 3 tilted by 1e-6 deg: d2 and d3 are nearly the same parameter
@@ -656,6 +645,84 @@ class TestErrorPaths:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR E_USAGE: --max-iter ")
+
+
+#: Each limit of the numeric domain: (argv, what the value sets, a value just inside, one just outside).
+#: A flag takes the value; ``<file>:<column>`` sets that column of every data line of the study's file;
+#: ``model:<kind>:<field>`` sets the last component of that field on the model's first such line.
+DOMAIN_EDGES = [
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "--sigma0", "1e-6", "9.99e-7"),
+    (("calibrate", "--method", "irls"), "--sigma0", "1e6", "1.000001e6"),
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "--lambda", "1e6", "1.000001e6"),
+    (("compare", "--trials", "3"), "--sigma0", "1e-6", "9.99e-7"),
+    (("compare", "--trials", "3"), "--lambda", "1e6", "1.000001e6"),
+    (("simulate",), "--mass", "1e6", "1.000001e6"),
+    (("simulate",), "--mass", "1e-30", "9.99e-31"),
+    (("simulate",), "model:joint:a", "1000", "1000.000001"),
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "model:marker:xyz", "1e-30", "9.99e-31"),
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "noise.tsv:1", "1e6", "1.000001e6"),  # sigma_x
+    (("calibrate", "--method", "irls"), "measurements.tsv:16", "-1e9", "1.000001e9"),  # px
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "measurements.tsv:11", "-1e7", "-1.000001e7"),  # fz
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "measurements.tsv:11", "-1e-30", "-9.99e-31"),
+    (("calibrate", "--method", "irls"), "measurements.tsv:11", "-1e-30", "-9.99e-31"),
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "measurements.tsv:3", "57295.7", "57295.8"),  # q1
+]
+
+
+def _domain_cases():
+    """One case per side of each limit, then the bundled study with every force scaled by 1e-300."""
+    cases = [(argv, target, value, side == "inside") for argv, target, *values in DOMAIN_EDGES
+             for side, value in zip(("inside", "outside"), values)]
+    calibrate = ("calibrate", "--method", "irls")
+    cases += [(argv, "measurements.tsv:11", "-2.598762249999999e-297", False)
+              for argv in (calibrate, (*calibrate, "--noise", "noise.tsv"))]
+    return [pytest.param(*case, id="-".join([case[0][0], *(["noise"] if "noise.tsv" in case[0] else []), *case[1:3]]))
+            for case in cases]
+
+
+class TestNumericDomain:
+    @pytest.mark.parametrize("argv, target, value, inside", _domain_cases())
+    def test_limits(self, argv, target, value, inside, study_dir, tmp_path, capsys):
+        files = {name: study_dir / name for name in ("measurements.tsv", "noise.tsv")}
+        edit = []
+        if target.startswith("--"):
+            edit = [target, value]
+        elif target.startswith("model:"):
+            _, kind, field = target.split(":")
+            lines = format_model(reference.nominal_model()).splitlines()
+            i = next(i for i, line in enumerate(lines) if line.startswith(kind))
+            key, text = field + "=", next(t for t in lines[i].split() if t.startswith(field + "="))
+            lines[i] = lines[i].replace(text, key + ",".join([*text[len(key):].split(",")[:-1], value]))
+            edit = ["--model", str(write_text(tmp_path / "edge.model", "\n".join(lines) + "\n"))]
+        else:
+            name, column = target.split(":")
+            lines = files[name].read_text().splitlines()
+            for i in range(2, len(lines)):  # a comment and the header, then the data lines
+                tokens = lines[i].split()
+                tokens[int(column)] = value
+                lines[i] = " ".join(tokens)
+            files[name] = write_text(tmp_path / name, "\n".join(lines) + "\n")
+        if argv[0] == "calibrate":
+            argv = [*argv, "--measurements", "measurements.tsv"]
+        out = tmp_path / "out"
+        code = run_cli(*(str(files.get(a, a)) for a in argv), *edit, "--out", str(out))
+        err = capsys.readouterr().err
+        if not inside:
+            assert code != 0 and err.startswith("ERROR E_") and err.count("\n") == 1, err
+            quoted = repr(float(value)) if target.startswith("--") else value  # a flag as argparse read it
+            assert quoted in err and "--noise" not in err and (target == "--sigma0") == ("--sigma0" in err)
+            assert not out.exists()
+            return
+        assert code == 0, err
+        for path in out.iterdir():
+            for token in path.read_text().split():
+                try:
+                    assert math.isfinite(float(token)), path.name
+                except ValueError:  # not a number
+                    pass
+        if (out / "parameters.tsv").exists():
+            assert all(float(line.split("\t")[3]) > 0.0
+                       for line in (out / "parameters.tsv").read_text().splitlines()[1:])
 
 
 class TestCompare:

@@ -63,10 +63,15 @@ class TestEstimateDispersions:
         with pytest.raises(ReplicateCountError, match="configuration 1 has no repeated posture on axis x.*--noise"):
             dispersions_of(np.zeros((1, 3)))
 
-    def test_overflowing_dispersion_raises_overflow_error(self):
-        # finite deflections whose squared spread exceeds the float range
-        with pytest.raises(OverflowError, match="overflows the float range"):
-            dispersions_of(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]))
+    def test_overflowing_dispersion_is_refused_by_the_system(self):
+        # finite deflections far outside the numeric domain, whose squared spread exceeds the
+        # float range: the dispersion reads infinite, and no stacked system takes it
+        with np.errstate(over="ignore"):
+            sigma = dispersions_of(np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0]]))[0]
+        assert sigma[0] == np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            StackedSystem(B=np.ones((3, 1)), dp=np.zeros(3), sigma=np.maximum(sigma, 1.0), config=np.ones(3),
+                          marker=np.zeros(3), axis=np.arange(3), columns=("k",))
         assert dispersions_of(np.array([[1e150, 0.0, 0.0], [-1e150, 0.0, 0.0]]))[0, 0] > 0.0
 
     def test_estimate_concentrates_within_chi_standard_error(self):

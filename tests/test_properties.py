@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 from armcal import reference
 from armcal.errors import CalibrationError, ModelFormatError
+from armcal.estimator import _inside
 from armcal.fileio import (
     _reprs,
     format_measurements,
@@ -32,6 +33,11 @@ def finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 
 
+def within(kind, lo, hi):
+    """Floats in [lo, hi] that the numeric domain of ``kind`` holds: 0, or none smaller than its floor."""
+    return finite(lo, hi).filter(lambda v: _inside(kind, v))
+
+
 def within_ulps(actual, expected, ulps):
     """Every entry of ``actual`` within ``ulps`` units in the last place of ``expected``."""
     gap = np.abs(np.asarray(actual) - expected)
@@ -48,13 +54,14 @@ def studies(draw):
                for c in sorted({c for c, _, _ in keys})}
     n = len(keys)
 
-    def block(lo, hi):
-        return draw(st.lists(st.lists(finite(lo, hi), min_size=3, max_size=3), min_size=n, max_size=n))
+    def block(values):
+        return draw(st.lists(st.lists(values, min_size=3, max_size=3), min_size=n, max_size=n))
 
     config, marker, rep = zip(*keys)
     return Study(config=config, marker=marker, rep=rep, q=[posture[c] for c in config],
-                 force=block(-1e6, 1e6), fmarker=draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
-                 p0=block(-10.0, 10.0), p=block(-10.0, 10.0))
+                 force=block(within("force", -1e6, 1e6)),
+                 fmarker=draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                 p0=block(finite(-10.0, 10.0)), p=block(finite(-10.0, 10.0)))
 
 
 @PROPERTY
@@ -89,7 +96,7 @@ def models(draw):
     """Models of 1-7 joints with arbitrary base and tool poses.  The pitch of a pose
     stays 1e-4 rad from +-90 deg, comes within 1e-8 to 1e-5 rad of it, or sits there
     exactly (the gimbal case)."""
-    length, angle = finite(-2.0, 2.0), finite(-math.pi, math.pi)
+    length, angle = within("length", -2.0, 2.0), finite(-math.pi, math.pi)
     near_gimbal = st.builds(lambda sign, gap: sign * (math.pi / 2 - gap),
                             st.sampled_from([-1.0, 1.0]), finite(1e-8, 1e-5))
     pitch = st.one_of(st.sampled_from([-math.pi / 2, math.pi / 2]), near_gimbal, finite(-1.5707, 1.5707))
@@ -123,8 +130,10 @@ def test_model_round_trip(model):
         assert np.max(np.abs(pose[:3, :3] - expected[:3, :3])) <= 1e-12
 
 
-#: Floats that format unusually: not-a-number, infinities and subnormals.
-SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.5e-308]
+#: Floats that format unusually (not-a-number, infinities and subnormals), and the limits of the
+#: numeric domain with values just past them.
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.5e-308,
+                  1e-30, 9.999999999999999e-31, 1e3, 1000.0000000000001, 1e6, 1000000.0000000001, 1e9, 1e7]
 
 
 @st.composite
@@ -160,13 +169,18 @@ def measurement_lines(nominal_model):
 TOKENS = st.one_of(
     st.sampled_from(["0", "-1", "7", "1.5", "nan", "inf", "-inf", "1e400", "1_000", "0x10",
                      "99999999999999999999", "q7", "config", "#", "", "fmarker"]),
+    # each limit of the numeric domain in file units, and a value just past it: positions (um),
+    # force components (N, with their floor), joint values (deg) and noise sigmas (um)
+    st.sampled_from(["-1e9", "1.000001e9", "1e7", "-1.000001e7", "-1e-30", "9.99e-31", "57295.7",
+                     "-57295.8", "1e6", "1.000001e6"]),
     st.text(alphabet="0123456789.e+-_xnaif# \t", max_size=8),
 )
 
 
 #: Tokens that must end in a coded error in any number column: an integer
-#: beyond int64, not-a-number, a float overflow and a negative value.
-HAZARDS = st.sampled_from(["99999999999999999999", "nan", "1e400", "-1"])
+#: beyond int64, not-a-number, a float overflow, a negative value and a
+#: non-integer beyond every limit of the numeric domain.
+HAZARDS = st.sampled_from(["99999999999999999999", "nan", "1e400", "-1", "1.000001e9"])
 
 
 def aimed(rows, columns):
@@ -249,7 +263,8 @@ def edited_fields(lines, edits):
     return lines
 
 
-MODEL_TOKENS = st.one_of(TOKENS, st.sampled_from(["1e308", "-1e308", "90", "prismatic", "0,0", "1,2,3,4"]))
+MODEL_TOKENS = st.one_of(TOKENS, st.sampled_from(["1e308", "-1e308", "90", "prismatic", "0,0", "1,2,3,4",
+                                                  "-1000", "1000.000001", "1e-30", "-9.99e-31"]))
 
 
 @PROPERTY

@@ -21,7 +21,9 @@ The matrix:
   without the study's ``--noise`` table, into ``sim-s<seed>-r<reps>/<method>-<mode>[-noise]/``;
 - ``compare --trials 200`` into ``compare/``;
 - a few valid non-default estimator settings (:data:`SETTINGS`): ``calibrate`` on ``sim-s0-r6``
-  into ``sim-s0-r6/settings-<name>/`` and ``compare`` into ``compare-settings/``.
+  into ``sim-s0-r6/settings-<name>/`` and ``compare`` into ``compare-settings/``, then the
+  edges of the numeric domain: ``--sigma0`` at 1e-6 and 1e6 um, ``--lambda`` at 1e6, and a
+  study simulated at the largest ``--mass`` (1e6 kg) into ``sim-mass-max/``, calibrated there.
 
 Each command runs as ``python -m armcal.cli`` in a fresh interpreter with the checkout's
 ``src`` as ``PYTHONPATH``, from inside the output directory with relative paths, so
@@ -44,7 +46,8 @@ REPETITIONS = (1, 6, 60)
 METHODS = ("ols", "wls", "irls")
 PARAMS = ("--params", "a2,d3,theta4,tool_x")
 MODES = {"elastostatic": (), "geometric": PARAMS, "combined": PARAMS}
-#: Non-default --sigma0, --lambda, --rel-tol and --max-iter runs: (subdirectory, CLI arguments).
+#: Non-default --sigma0, --lambda, --rel-tol and --max-iter runs, then the edges of the numeric domain:
+#: (subdirectory, CLI arguments).
 SETTINGS = (
     ("sim-s0-r6/settings-irls", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
                                  "--sigma0", "5", "--lambda", "2", "--rel-tol", "1e-4", "--max-iter", "7"]),
@@ -53,6 +56,15 @@ SETTINGS = (
     ("sim-s0-r6/settings-wls-noise", ["calibrate", "--measurements", "../measurements.tsv", "--method", "wls",
                                       "--sigma0", "25", "--lambda", "0.5", "--noise", "../noise.tsv"]),
     ("compare-settings", ["compare", "--trials", "200", "--sigma0", "5", "--lambda", "2", "--max-iter", "7"]),
+    ("sim-s0-r6/settings-sigma0-min", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                       "--sigma0", "1e-6", "--noise", "../noise.tsv"]),
+    ("sim-s0-r6/settings-sigma0-max", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                       "--sigma0", "1e6"]),
+    ("sim-s0-r6/settings-lambda-max", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                       "--lambda", "1e6", "--noise", "../noise.tsv"]),
+    ("sim-mass-max", ["simulate", "--mass", "1e6"]),
+    ("sim-mass-max/irls-noise", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                 "--noise", "../noise.tsv"]),
 )
 
 
