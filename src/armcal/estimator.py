@@ -288,7 +288,7 @@ def _weighted_solve(
     f = _factor(sys, w[None], sys.sigma[None])
     if f.errors[0] is not None:
         raise f.errors[0]
-    x = _solve(f, w[None], sys.class_plan.sum(sys.dp) / sys.class_plan.counts)[0]
+    x = _solve(f, w[None], sys.class_plan.moments(sys.dp)[0])[0]
     return EstimationResult(
         parameters=sys.columns,
         x_hat=x,

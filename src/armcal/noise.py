@@ -123,9 +123,13 @@ class _Groups:
 
     def moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-group means and scatters (summed squared deviations from the mean) of
-        ``values`` (..., rows), each (..., groups); the scatter is taken in a second pass."""
-        mean = self.sum(values) / self.counts
-        return mean, self.sum((values - mean[..., self.label]) ** 2)
+        ``values`` (..., rows), each (..., groups); the scatter is taken in a second pass.
+        Each group is shifted by its first value first, so a group of equal values reads
+        that value and a zero scatter exactly."""
+        first = values[..., self.order[self.starts]]
+        shifted = values - first[..., self.label]
+        offset = self.sum(shifted) / self.counts
+        return first + offset, self.sum((shifted - offset[..., self.label]) ** 2)
 
     def pooled_std(self, counts: np.ndarray, mean: np.ndarray, scatter: np.ndarray) -> np.ndarray:
         """Grouped sample stds (ddof=1) of values known only through per-row statistics.

@@ -42,6 +42,8 @@ class TestEstimateDispersions:
 
     def test_identical_replicates_give_zero(self):
         assert_array_equal(dispersions_of(np.tile([1.0, -2.0, 0.5], (6, 1))), np.zeros((1, 3)))
+        # values whose sum over the three replicates does not divide back to them exactly
+        assert_array_equal(dispersions_of(np.tile([0.1, 0.7, 1e-5 / 3], (3, 1))), np.zeros((1, 3)))
 
     def test_two_point_hand_computed_std(self):
         # sample std of {0, 2} um about the mean 1 um is sqrt(2) um
