@@ -111,8 +111,7 @@ def _check_study(study, model, source) -> None:
 
 
 def _check_design_model(model, design) -> None:
-    """Reject a --model whose joints or markers the bundled design does not fit.  Its lengths
-    were checked against the ``_DOMAIN`` as it was read, which bounds its reach."""
+    """Reject a --model whose joints or markers the bundled design does not fit; reading it bounded its reach."""
     n, m = len(design.configurations[0]), design.markers
     _require(model.n_joints == n, "--model", f"a {n}-joint model for the bundled design", model.n_joints)
     _require(len(model.markers) >= m, "--model", f"a model with {m} or more markers", len(model.markers))

@@ -71,15 +71,14 @@ def _inside(kind: str, values) -> np.ndarray:
       w sigma < sigma0 / lam wherever lam sigma exceeds sigma0;
     * the largest regressor entry b, a lever times a lever times a force (or 1, or a lever,
       in geometric columns), is below (2 rho)^2 sqrt(3) 1e7 N < 1e19 for n <= 40, and the
-      floors keep it above 1e-30^2 1e-30 = 1e-90 unless no lever is as long as the
+      floors keep it above (1e-30)^2 1e-30 = 1e-90 unless no lever is as long as the
       shortest length;
-    * a solve that passes the rank check has s_min(A) >= 1e-10 w_min b, A = sqrt(r) W B.
-      So the entries of its pseudo-inverse G and of R^-1 are below 1e122, and
-      ci3_i = 3 |G_i diag(w sigma)| lies between 3 (w sigma)_min / |A|_F > 3e-37 / sqrt(rows n)
-      and 6e10 sigma_max / b < 2e104: their squares stay inside the float range.
+    * a solve that passes the rank check has s_min(A) >= 1e-10 w_min b, A = sqrt(r) W B, so the
+      entries of its pseudo-inverse G and of R^-1 are below 1e122, and ci3_i = 3 |G_i diag(w sigma)|
+      lies in (3e-37 / sqrt(rows n), 6e10 sigma_max / b < 2e104): their squares are finite and positive.
 
-    This bounds the first solve of each method.  An IRLS re-estimate reads the residuals of
-    a least-squares fit, which stay near the scale of the observations; the edge tests run it.
+    This bounds the first solve of each method; an IRLS re-estimate reads the residuals of a
+    least-squares fit, which stay near the scale of the observations (the edge tests run it).
     """
     lo, hi = _DOMAIN[kind]
     size = np.abs(values)

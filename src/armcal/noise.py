@@ -122,10 +122,9 @@ class _Groups:
         return np.add.reduceat(values[..., self.order], self.starts, axis=-1)
 
     def moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group means and scatters (summed squared deviations from the mean) of
-        ``values`` (..., rows), each (..., groups); the scatter is taken in a second pass.
-        Each group is shifted by its first value first, so a group of equal values reads
-        that value and a zero scatter exactly."""
+        """Per-group means and scatters (summed squared deviations from the mean) of ``values`` (..., rows),
+        each (..., groups), taken about each group's first value in two passes: a group of equal values
+        reads that value and a zero scatter exactly."""
         first = values[..., self.order[self.starts]]
         shifted = values - first[..., self.label]
         offset = self.sum(shifted) / self.counts
