@@ -23,11 +23,16 @@ The matrix:
 - a few valid non-default estimator settings (:data:`SETTINGS`): ``calibrate`` on ``sim-s0-r6``
   into ``sim-s0-r6/settings-<name>/`` and ``compare`` into ``compare-settings/``, then the
   edges of the numeric domain: ``--sigma0`` at 1e-6 and 1e6 um, ``--lambda`` at 1e6, and a
-  study simulated at the largest ``--mass`` (1e6 kg) into ``sim-mass-max/``, calibrated there.
+  study simulated at the largest ``--mass`` (1e6 kg) into ``sim-mass-max/``, calibrated there;
+- the solves a QR cannot certify, which take the SVD: the exactly deficient ``--params d2,d3`` on
+  ``sim-s0-r6`` (``E_RANK_DEFICIENT``), and a study of the near-deficient model :data:`NEAR_MODEL`
+  simulated into ``sim-near/`` and calibrated there in geometric mode with ``--params d2,d3,a2``
+  by each method (a near-rank warning).
 
 Each command runs as ``python -m armcal.cli`` in a fresh interpreter with the checkout's
 ``src`` as ``PYTHONPATH``, from inside the output directory with relative paths, so
-no absolute path enters a file.  Its exit code, standard output and standard error are
+no absolute path enters a file; a warning raised in the checkout's code is located by its
+file name alone, without directory or line number.  Its exit code, standard output and standard error are
 written to ``run.txt`` beside its output files.  Uses the standard library only; the
 checkout's own program needs numpy.
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +52,22 @@ REPETITIONS = (1, 6, 60)
 METHODS = ("ols", "wls", "irls")
 PARAMS = ("--params", "a2,d3,theta4,tool_x")
 MODES = {"elastostatic": (), "geometric": PARAMS, "combined": PARAMS}
+#: The bundled model with joint 3 tilted by 1e-6 deg, so that d2 and d3 are nearly the same parameter.
+NEAR_MODEL = """\
+# armcal manipulator model
+convention modified-dh
+base xyz=0.0,0.0,0.0 rpy=0.0,0.0,0.0
+joint type=revolute a=0.0 alpha=0.0 d=0.675 theta_offset=0.0
+joint type=revolute a=0.35 alpha=-90.0 d=0.0 theta_offset=0.0
+joint type=revolute a=1.15 alpha=1e-06 d=0.0 theta_offset=-90.0
+joint type=revolute a=0.041 alpha=-90.0 d=1.2 theta_offset=0.0
+joint type=revolute a=0.0 alpha=90.0 d=0.0 theta_offset=0.0
+joint type=revolute a=0.0 alpha=-90.0 d=0.24 theta_offset=180.0
+tool xyz=0.0,0.0,0.1 rpy=0.0,0.0,0.0
+marker xyz=0.2,0.0,0.05
+marker xyz=-0.1,0.173205,0.05
+marker xyz=-0.1,-0.173205,0.05
+"""
 #: Non-default --sigma0, --lambda, --rel-tol and --max-iter runs, then the edges of the numeric domain:
 #: (subdirectory, CLI arguments).
 SETTINGS = (
@@ -66,6 +88,15 @@ SETTINGS = (
     ("sim-mass-max/irls-noise", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
                                  "--noise", "../noise.tsv"]),
 )
+#: The solves that take the SVD: (subdirectory, CLI arguments); ``sim-near/near.model`` holds :data:`NEAR_MODEL`.
+RANK = (
+    ("sim-s0-r6/deficient-ols", ["calibrate", "--measurements", "../measurements.tsv", "--method", "ols",
+                                 "--mode", "geometric", "--params", "d2,d3"]),
+    ("sim-near", ["simulate", "--model", "near.model"]),
+    *((f"sim-near/{method}-geometric", ["calibrate", "--model", "../near.model", "--measurements",
+                                        "../measurements.tsv", "--method", method, "--mode", "geometric",
+                                        "--params", "d2,d3,a2"]) for method in METHODS),
+)
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -82,20 +113,24 @@ def commands() -> list[tuple[str, list[str]]]:
                                 "--mode", mode, *params, *(["--noise", "../noise.tsv"] if noise else [])]
                         runs.append((f"{study}/{method}-{mode}{'-noise' if noise else ''}", argv))
     runs.append(("compare", ["compare", "--trials", "200"]))
-    return runs + list(SETTINGS)
+    return runs + list(SETTINGS) + list(RANK)
 
 
 def run(checkout: Path, out: Path) -> int:
     """Run every command of :func:`commands` with ``checkout``'s CLI into ``out``; the count that failed."""
     env = {k: v for k, v in os.environ.items() if k != "ARMCAL_OUT"}
     env["PYTHONPATH"] = str(checkout.resolve() / "src")
+    src = re.escape(env["PYTHONPATH"])
+    (out / "sim-near").mkdir(parents=True)
+    (out / "sim-near" / "near.model").write_text(NEAR_MODEL)
     failed = 0
     for subdir, argv in commands():
         where = out / subdir
         where.mkdir(parents=True, exist_ok=True)
         done = subprocess.run([sys.executable, "-m", "armcal.cli", *argv, "--out", "."], cwd=where, env=env,
                               capture_output=True, text=True)
-        (where / "run.txt").write_text(f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}")
+        stderr = re.sub(rf"^{src}/\S*?(\w+\.py):\d+:", r"\1:", done.stderr, flags=re.M)
+        (where / "run.txt").write_text(f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{stderr}")
         failed += done.returncode != 0
         print(f"{done.returncode} {subdir}: armcal {' '.join(argv)}", flush=True)
     return failed
