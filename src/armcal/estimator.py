@@ -3,10 +3,12 @@
 All solvers factor the (weighted) regressor by a Householder QR, never
 through explicitly formed normal equations; a solve whose R cannot certify
 full rank is factored by a singular-value decomposition instead, which
-counts the rank and names the weak directions.  All report the
+counts the rank and names the weak directions.  Either way a solve keeps one
+matrix, the pseudo-inverse G of W B (R^-1 Q' of the QR, or (V / s) U' of the
+SVD): the estimate is G W y, and all solvers report the
 heteroscedasticity-aware sandwich covariance
 
-    cov(x) = (B' W^2 B)^-1  B' W^2 S^2 W^2 B  (B' W^2 B)^-1
+    cov(x) = G (W S)^2 G' = (B' W^2 B)^-1  B' W^2 S^2 W^2 B  (B' W^2 B)^-1
 
 with S = diag(sigma).  With the optimal weighting W = S^-1 this collapses to
 the reduced form (B' S^-2 B)^-1.  Confidence intervals are plus/minus three
@@ -21,9 +23,9 @@ to the signs of its rows), the singular values and V are those of the full
 system and the condition number is not squared, as it would be by the
 normal equations.  The observations enter only through their per-class
 means, read once per solve: every solve folds them to
-E' W y = w_c sqrt(r) mean_c (:func:`_solve`), and the reweighting stage
-re-estimates its dispersions from the same means and the per-class scatters
-(:meth:`_Groups.moments`).  Weights, sigmas and predictions are given and
+E' W y = w_c sqrt(r) mean_c and multiplies them by the folded matrix's G
+(:func:`_solve`), and the reweighting stage re-estimates its dispersions
+from the same means and the per-class scatters (:meth:`_Groups.moments`).  Weights, sigmas and predictions are given and
 reported per class, one per row of ``B``; nothing is kept per row.
 """
 
@@ -58,7 +60,8 @@ def _inside(kind: str, values) -> np.ndarray:
     """Whether each of ``values`` is 0 or has a magnitude within the ``_DOMAIN[kind]`` limits.
 
     The domain: model lengths (a, d, xyz) 0 or 1e-30..1e3 m; measured joint values (rad, or m
-    for a prismatic joint) and marker positions within 1e3; force components 0 or 1e-30..1e7 N;
+    for a prismatic joint) and marker positions within 1e3, the positions ``simulate`` writes
+    included (a model or mass that moves one outside is refused); force components 0 or 1e-30..1e7 N;
     the simulated mass 0 or 1e-30..1e6 kg; noise-table sigmas 0..1 m; sigma0 1e-12..1 m;
     lambda 0..1e6.  It is wide of any robot, and keeps every value of a solve finite and
     every 3-sigma half-width positive.  For a model of n joints:
@@ -159,23 +162,20 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
 
 
 class _Factors(NamedTuple):
-    """One factorization per trial of folded weighted regressors, from :func:`_factor`.
+    """One pseudo-inverse per trial of folded weighted regressors, from :func:`_factor`.
 
-    Trial t solves as ``x = Mt[t]' ((L[t]' q) / d[t])``: ``(L, Mt) = (Q, R^-T)`` of a QR that
-    certifies full rank, with no division (``d`` is None when every trial is certified, 1 for a
-    certified trial among SVD ones), or ``(U, V')`` with ``d = s`` of an SVD.
+    ``G[t]`` is trial t's (n, c) pseudo-inverse, ``R^-1 Q'`` of a QR that certifies full rank or
+    ``(V / s) U'`` of an SVD, and ``cov[t]`` its sandwich covariance; trial t solves as ``x = G[t] q``.
     """
 
     classes: _Groups
-    L: np.ndarray
-    d: np.ndarray | None
-    Mt: np.ndarray
+    G: np.ndarray
     cov: np.ndarray
     errors: list
 
 
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
-    """Factors and sandwich covariance of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
+    """Pseudo-inverses and sandwich covariances of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
 
     ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
     per class of the system.  The (c, n) matrix ``A = sqrt(r) w_c B_c`` of
@@ -191,20 +191,19 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     ``RANK_WARN`` has full rank and is not near deficiency.  Every other
     trial (a smaller or non-finite bound, an exactly singular R, or fewer
     classes than parameters) is factored by one ``np.linalg.svd`` call,
-    which counts its rank and warns of a near deficiency.  Both fill one
-    :class:`_Factors` layout, R^-1 kept transposed as V is, since the
-    bits of a matrix-vector product depend on the layout of its matrix:
-    each trial solves as it would alone, whichever branch its neighbours
-    take.
+    which counts its rank and warns of a near deficiency, and its G is
+    ``(V / s) U'``.  Each trial's G is its own product, so each trial
+    solves as it would alone, whichever branch its neighbours take.
 
     ``errors[t]`` is the ``RankDeficientError`` trial t's solve raises (an
     identically zero or rank-deficient regressor) or None.  A failed trial's
-    singular values are set to infinity so its solution reads zero instead
-    of overflowing.
+    singular values are set to infinity so its G, and so its solution, reads
+    zero instead of overflowing.
     """
     n = sys.n_parameters
     classes = sys.class_plan
     A = sys.B * (np.sqrt(classes.counts) * w)[:, :, None]
+    G = np.empty((len(A), n, A.shape[1]))
     certified = np.zeros(len(A), dtype=bool)
     if len(sys.B) >= n:  # R is square
         with np.errstate(all="ignore"):
@@ -217,7 +216,7 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
                 Rinv = np.linalg.inv(np.where(nonsingular[:, None, None], R, np.eye(n)))
             bound = 1.0 / (np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(Rinv, axis=(1, 2)))
             certified = nonsingular & (bound > RANK_WARN)
-        L, d, Mt = Q, None, Rinv.transpose(0, 2, 1).copy()
+            np.matmul(Rinv, Q.transpose(0, 2, 1), out=G)
     svd = np.flatnonzero(~certified)
     errors: list[RankDeficientError | None] = [None] * len(A)
     if svd.size:
@@ -243,34 +242,24 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
                 stacklevel=4,
             )
         s[rank < n] = np.inf
-        if svd.size == len(A):
-            L, d, Mt = U, s, Vt
-        else:  # a certified trial divides by 1, exactly
-            d = np.ones((len(A), n))
-            L[svd], d[svd], Mt[svd] = U, s, Vt
+        G[svd] = (Vt.transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
 
-    LT = L.transpose(0, 2, 1) if d is None else L.transpose(0, 2, 1) / d[:, :, None]
-    G = Mt.transpose(0, 2, 1) @ LT  # pinv of each folded matrix
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return _Factors(classes, L, d, Mt, cov, errors)
+    return _Factors(classes, G, cov, errors)
 
 
 def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Solutions ``Mt' ((L' q[t]) / d)`` of a (T, c) stack of per-class observation means.
+    """Solutions ``G[t] q[t]`` of a (T, c) stack of per-class observation means.
 
     ``q[t] = w[t] sqrt(r) mean[t]`` are the folded observations, one per
-    class of r rows with weight ``w[t]``.  The factors and the weights may
-    hold one slice shared by every trial.  Each trial is its own
-    matrix-vector product in this association order, so a stacked solve
-    equals the one-trial solve bit for bit.
+    class of r rows with weight ``w[t]``.  ``f`` and the weights may hold
+    one slice shared by every trial.  Each trial is its own matrix-vector
+    product, so a stacked solve equals the one-trial solve bit for bit.
     """
     q = w * (np.sqrt(f.classes.counts) * mean)
-    c = (f.L.transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
-    if f.d is not None:
-        c /= f.d
-    return (f.Mt.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0]
+    return (f.G @ q[:, :, None])[:, :, 0]
 
 
 def _weighted_solve(

@@ -264,9 +264,9 @@ def monte_carlo_compare(
     re-estimate at a zero prediction.  Every solve factors the distinct
     rows only, one per class of a posture's identical repetitions (see
     :mod:`armcal.estimator`).  OLS and WLS share ``B`` and their weights
-    across trials, so each is one factorization, made before any block, plus
-    a stacked product per block, and that factorization also gives the
-    method's predicted covariance and CIs; IRLS runs one stacked
+    across trials, so each is one pseudo-inverse, made before any block, plus
+    its product with the block's folded class means, and that pseudo-inverse
+    also gives the method's predicted covariance and CIs; IRLS runs one stacked
     factorization per iteration over the block's still-running trials
     (a QR, or an SVD for a trial the QR cannot certify as full rank), each
     ending as its own ``irls``

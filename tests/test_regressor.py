@@ -562,12 +562,11 @@ def crossing_study(model, rng):
 
 def prefold_solve(sys, w):
     """Estimate and covariance by the QR of every row of ``w B``, in the solver's order of operations
-    (R^-1 kept transposed, as V' is by an SVD)."""
+    (the pseudo-inverse G = R^-1 Q' first, then G times the weighted observations)."""
     sys = unfolded(sys)
     Q, R = np.linalg.qr(sys.B * w[:, None])
-    Mt = np.linalg.inv(R).T.copy()
-    x = Mt.T @ (Q.T @ (sys.dp * w))
-    G = Mt.T @ Q.T
+    G = np.linalg.inv(R) @ Q.T
+    x = G @ (sys.dp * w)
     cov = (G * (w * sys.sigma) ** 2) @ G.T
     return x, 0.5 * (cov + cov.T)
 
