@@ -34,7 +34,9 @@ from .estimator import (
     DEFAULT_MAX_ITER,
     DEFAULT_REL_TOL,
     _DOMAIN,
+    _inside,
     _replicate_sigma,
+    _span,
     irls,
     ols_estimate,
     robust_weights,
@@ -216,6 +218,11 @@ def _cmd_simulate(args) -> int:
     )
     _check_design_model(model, design)
     study = simulate_measurements(design, model)
+    positions = np.hstack([study.p0, study.p]).ravel()  # in the file's order: p0 then p, row by row
+    outside = positions[~_inside("position", positions)]
+    if outside.size:
+        raise _UsageError(f"--model/--mass must keep every simulated position {_span('position', 'um', 1.0 / _UM)}, "
+                          f"got {outside[0] / _UM:g} um")
     out = _out_dir(args)
     written = [
         write_measurements(out / "measurements.tsv", study),

@@ -6,6 +6,7 @@ import shutil
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from armcal.cli import OUT_ENV, build_parser, main
@@ -14,6 +15,7 @@ from armcal.fileio import format_model, load_measurements, load_noise_table, wri
 from armcal.noise import DEFAULT_SIGMA0
 from armcal.regressor import ComplianceParameterMap, stack_system
 from armcal.reports import parameter_unit
+from armcal.simulator import simulate_measurements
 from armcal import reference
 from row_level import residuals
 
@@ -457,6 +459,26 @@ class TestErrorPaths:
                                            ">= 0, at most 1e+06 um in magnitude\n")
         assert not (out / "measurements.tsv").exists()
 
+    @pytest.mark.parametrize("joint, mass", [(2, None), (2, "1e6"), (0, None)], ids=["a3", "a3-mass-max", "a1"])
+    def test_simulated_positions_outside_the_domain(self, joint, mass, tmp_path, capsys):
+        # a 1000 m link is a valid model length, but the markers it carries (and, for joint 3, their
+        # deflection) leave the 1e9 um position limit that calibrate reads the study file under
+        model = reference.nominal_model()
+        joints = list(model.joints)
+        joints[joint] = replace(joints[joint], a=1000.0)
+        model = replace(model, joints=tuple(joints))
+        path = str(write_text(tmp_path / "long.model", format_model(model)))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--model", path, *(["--mass", mass] if mass else []), "--out", str(out))
+        design = reference.study_design(seed=0, **({"mass_kg": float(mass)} if mass else {}))
+        study = simulate_measurements(design, model)
+        positions = np.hstack([study.p0, study.p]).ravel()
+        first = positions[np.abs(positions) > 1e3][0]  # in the order the file would hold them
+        assert code == 2
+        assert capsys.readouterr().err == ("ERROR E_USAGE: --model/--mass must keep every simulated position at most "
+                                           f"1e+09 um in magnitude, got {first / 1e-6:g} um\n")
+        assert not out.exists()
+
     def test_unloaded_study_is_rank_deficient(self, tmp_path, capsys):
         # with no load every elastostatic regressor row is zero
         study = tmp_path / "study"
@@ -658,7 +680,7 @@ DOMAIN_EDGES = [
     (("compare", "--trials", "3"), "--lambda", "1e6", "1.000001e6"),
     (("simulate",), "--mass", "1e6", "1.000001e6"),
     (("simulate",), "--mass", "1e-30", "9.99e-31"),
-    (("simulate",), "model:joint:a", "1000", "1000.000001"),
+    (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "model:joint:a", "1000", "1000.000001"),
     (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "model:marker:xyz", "1e-30", "9.99e-31"),
     (("calibrate", "--method", "irls", "--noise", "noise.tsv"), "noise.tsv:1", "1e6", "1.000001e6"),  # sigma_x
     (("calibrate", "--method", "irls"), "measurements.tsv:16", "-1e9", "1.000001e9"),  # px

@@ -191,6 +191,17 @@ class TestMeasurementFormat:
         assert_allclose(again.p, study.p, rtol=1e-12)
         assert_allclose(again.force, study.force, rtol=1e-15, atol=0)
 
+    def test_every_joint_column_is_read_in_degrees(self, study):
+        # the file does not know which joints are prismatic: a travel of 0.5 m is written, and
+        # read back, as 28.64788975654116 "degrees", and a bare 0.5 reads as 0.5 deg in radians
+        q = study.q.copy()
+        q[:, 2] = 0.5
+        lines = format_measurements(replace(study, q=q)).splitlines()
+        assert {line.split()[5] for line in lines[2:]} == {"28.64788975654116"}
+        assert_array_equal(parse_measurements(lines).q[:, 2], 0.5)
+        lines[2:] = [" ".join([*line.split()[:5], "0.5", *line.split()[6:]]) for line in lines[2:]]
+        assert_array_equal(parse_measurements(lines).q[:, 2], np.deg2rad(0.5))
+
     def test_header_names_columns(self, study):
         header = format_measurements(study).splitlines()[1]
         assert header.split() == [
