@@ -25,8 +25,9 @@ normal equations.  The observations enter only through their per-class
 means, read once per solve: every solve folds them to
 E' W y = w_c sqrt(r) mean_c and multiplies them by the folded matrix's G
 (:func:`_solve`), and the reweighting stage re-estimates its dispersions
-from the same means and the per-class scatters (:meth:`_Groups.moments`).  Weights, sigmas and predictions are given and
-reported per class, one per row of ``B``; nothing is kept per row.
+from the same means and the per-class scatters (:meth:`_Groups.moments`).
+Weights, sigmas and predictions are given and reported per class, one per
+row of ``B``; nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -203,7 +204,6 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     n = sys.n_parameters
     classes = sys.class_plan
     A = sys.B * (np.sqrt(classes.counts) * w)[:, :, None]
-    G = np.empty((len(A), n, A.shape[1]))
     certified = np.zeros(len(A), dtype=bool)
     if len(sys.B) >= n:  # R is square
         with np.errstate(all="ignore"):
@@ -216,11 +216,13 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
                 Rinv = np.linalg.inv(np.where(nonsingular[:, None, None], R, np.eye(n)))
             bound = 1.0 / (np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(Rinv, axis=(1, 2)))
             certified = nonsingular & (bound > RANK_WARN)
-            np.matmul(Rinv, Q.transpose(0, 2, 1), out=G)
+            G = Rinv @ Q.transpose(0, 2, 1)
+    else:  # every trial takes the SVD, which fills G
+        G = np.empty((len(A), n, len(sys.B)))
     svd = np.flatnonzero(~certified)
     errors: list[RankDeficientError | None] = [None] * len(A)
     if svd.size:
-        U, s, Vt = np.linalg.svd(A[svd], full_matrices=False)
+        U, s, Vt = np.linalg.svd(A[svd], full_matrices=len(sys.B) < n)  # V spans all n directions, c < n too
         rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
         rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
         for i in np.flatnonzero(rank < n):
@@ -242,7 +244,7 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
                 stacklevel=4,
             )
         s[rank < n] = np.inf
-        G[svd] = (Vt.transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
+        G[svd] = (Vt[:, :s.shape[1]].transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
 
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)

@@ -369,6 +369,18 @@ class TestErrorPaths:
         assert code == 1
         assert "ERROR E_RANK_DEFICIENT:" in capsys.readouterr().err
 
+    def test_fewer_distinct_rows_than_parameters(self, study_dir, tmp_path, capsys):
+        # one marker in one configuration: 36 rows, but 3 distinct ones for 8 parameters
+        study = load_measurements(study_dir / "measurements.tsv")
+        one = write_measurements(tmp_path / "one.tsv", study.take((study.config == 1) & (study.marker == 0)))
+        out = tmp_path / "out"
+        code = run_cli("calibrate", "--measurements", str(one), "--noise", str(study_dir / "noise.tsv"),
+                       "--mode", "geometric", "--params", "a2,a3,a4,d2,d3,d4,theta2,theta3", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR E_RANK_DEFICIENT: information matrix is rank deficient (3/8)") and err.count("\n") == 1
+        assert not out.exists()
+
 
     def test_replicate_starved_study_under_irls(self, tmp_path, capsys):
         # one marker, one repetition: every (configuration, axis) group is one row

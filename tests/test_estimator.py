@@ -218,6 +218,18 @@ class TestRankHandling:
         assert "ka" in exc.value.directions[0]
         assert "kb" in exc.value.directions[0]
 
+    def test_fewer_classes_than_parameters(self):
+        # six rows in two classes of identical rows cannot identify three parameters: no QR is
+        # taken, and the SVD fills every trial's pseudo-inverse, zero for a rank-deficient trial
+        sys = StackedSystem(B=[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]], dp=np.arange(6.0), sigma=[1.0, 2.0],
+                            config=[1, 1], marker=[0, 0], axis=[0, 1], columns=("ka", "kb", "kc"),
+                            row_class=[0, 0, 0, 1, 1, 1])
+        f = estimator_mod._factor(sys, np.ones((2, 2)), np.ones((2, 2)))
+        assert all(str(e).startswith("information matrix is rank deficient (2/3)") for e in f.errors)
+        assert_array_equal(f.G, 0.0)
+        with pytest.raises(RankDeficientError, match=r"\(2/3\)"):
+            ols_estimate(sys)
+
     def test_near_deficiency_warns_with_weakest_direction(self):
         B = np.array([[1.0, 0.0], [0.0, 5e-9], [0.0, 0.0]])
         sys = make_system(B, np.zeros(3), np.ones(3), columns=("ka", "kb"))
