@@ -8,7 +8,8 @@ stderr, ``ERROR <CODE>: message``, and exit nonzero.
 
 Each number is checked against the numeric domain (``estimator._DOMAIN``) where
 it is read, the flags here and the files in :mod:`armcal.fileio`.  Inside it every
-half-width is finite and positive, so no result is checked after the fact.
+half-width is finite and positive, so no result of a solve is checked after the
+fact; ``simulate`` holds the positions it is about to write to the same domain.
 
 :func:`main` keeps no state between calls.  It builds the parser of the
 subcommand its argv names, not all three, and reads the model on every call.

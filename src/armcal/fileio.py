@@ -3,11 +3,11 @@
 All formats are UTF-8, whitespace-separated, with ``#`` comment lines.  The
 public units are degrees for angles, micrometers for positions, newtons for
 forces and meters for model lengths; everything becomes SI (radians, meters)
-at this boundary.  A measurement file does not say which joints are prismatic, so
-every ``q`` column is read in degrees and converted to radians, a prismatic
-joint's travel included: a travel of 0.5 m is written ``28.64788975654116``, as
-:func:`write_measurements` writes it.  Floats are written with ``repr`` so values survive a
-write/read cycle unchanged.
+at this boundary.  A measurement file does not say which joints are
+prismatic, so every ``q`` column is read in degrees and converted to
+radians, a prismatic joint's travel included: a travel of 0.5 m is written
+``28.64788975654116``, as :func:`write_measurements` writes it.  Floats are
+written with ``repr`` so values survive a write/read cycle unchanged.
 
 Model file grammar (one directive per line, ``key=value`` fields, vectors
 comma-separated; a line gives only the fields shown here, each at most once, and
