@@ -378,9 +378,9 @@ class TestErrorPaths:
                        "--mode", "geometric", "--params", "a2,a3,a4,d2,d3,d4,theta2,theta3", "--out", str(out))
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("ERROR E_RANK_DEFICIENT: information matrix is rank deficient (3/8)") and err.count("\n") == 1
+        assert err.startswith("ERROR E_RANK_DEFICIENT: information matrix is rank deficient (3/8)")
+        assert err.count("\n") == 1
         assert not out.exists()
-
 
     def test_replicate_starved_study_under_irls(self, tmp_path, capsys):
         # one marker, one repetition: every (configuration, axis) group is one row
