@@ -13,6 +13,7 @@ fact; ``simulate`` holds the positions it is about to write to the same domain.
 
 :func:`main` keeps no state between calls.  It builds the parser of the
 subcommand its argv names, not all three, and reads the model on every call.
+``calibrate`` runs in three steps, load, fit (:func:`_fit`) and write, so a failed fit makes no directory.
 """
 
 from __future__ import annotations
@@ -162,6 +163,22 @@ def _compare_flags(cmp_: argparse.ArgumentParser) -> None:
     _add_common_estimator_args(cmp_)
 
 
+def _fit(study, model, noise, mode, params, method, settings):
+    """``(system, results)`` of a loaded study, OLS and then ``method`` unless it is ols.  ``noise`` None reads
+    each sigma from the scatter within repeated postures; ``settings`` are :func:`_estimator_settings`'s."""
+    cmap = ComplianceParameterMap.from_configurations(study.q)
+    table = NoiseModel.uniform(np.unique(study.config), 1.0) if noise is None else noise
+    sys_ = stack_system(study, model, cmap, table, mode=mode, params=params, sigma_floor=settings["sigma0"])
+    if noise is None:
+        sys_ = replace(sys_, sigma=_replicate_sigma(sys_, settings["sigma0"]))
+    results = [ols_estimate(sys_)]
+    if method == "wls":
+        results.append(wls_estimate(sys_, robust_weights(sys_.sigma, settings["sigma0"], settings["lam"])))
+    elif method == "irls":
+        results.append(irls(sys_, **settings))
+    return sys_, tuple(results)
+
+
 def _cmd_calibrate(args) -> int:
     settings = _estimator_settings(args)
     params = args.params.split(",") if args.params else None
@@ -175,17 +192,8 @@ def _cmd_calibrate(args) -> int:
     _require(ids_ok, "--params", "distinct parameter ids of the model, e.g. a2,theta4,tool_x", args.params)
     study = load_measurements(args.measurements)
     _check_study(study, model, args.measurements)
-    noise = load_noise_table(args.noise) if args.noise else NoiseModel.uniform(np.unique(study.config), 1.0)
-    cmap = ComplianceParameterMap.from_configurations(study.q)
-    sys_ = stack_system(study, model, cmap, noise, mode=args.mode, params=params, sigma_floor=settings["sigma0"])
-    if not args.noise:  # the scatter within repeated postures in place of the unit table
-        sys_ = replace(sys_, sigma=_replicate_sigma(sys_, settings["sigma0"]))
-
-    results = [ols_estimate(sys_)]
-    if args.method == "wls":
-        results.append(wls_estimate(sys_, robust_weights(sys_.sigma, settings["sigma0"], settings["lam"])))
-    elif args.method == "irls":
-        results.append(irls(sys_, **settings))
+    noise = load_noise_table(args.noise) if args.noise else None
+    sys_, results = _fit(study, model, noise, args.mode, params, args.method, settings)
     final = results[-1]
     out = _out_dir(args)
     written = reports.write_parameter_report(out, results)

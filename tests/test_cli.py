@@ -9,10 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from armcal.cli import OUT_ENV, build_parser, main
-from armcal.estimator import irls, robust_weights, wls_estimate
+from armcal.cli import OUT_ENV, _estimator_settings, _fit, build_parser, main
+from armcal.estimator import _replicate_sigma, irls, ols_estimate, robust_weights, wls_estimate
 from armcal.fileio import format_model, load_measurements, load_noise_table, write_measurements, write_text
-from armcal.noise import DEFAULT_SIGMA0
+from armcal.noise import DEFAULT_SIGMA0, NoiseModel
 from armcal.regressor import ComplianceParameterMap, stack_system
 from armcal.reports import parameter_unit
 from armcal.simulator import simulate_measurements
@@ -156,6 +156,16 @@ class TestCalibrate:
         assert trace[0].split("\t")[0] == "iteration"
         assert (tmp_path / "trace.txt").exists()
 
+    @pytest.mark.parametrize("argv, stopped", [(("--rel-tol", "0", "--max-iter", "2"), True), ((), False)],
+                             ids=["max-iter", "converged"])
+    def test_early_stop_note(self, argv, stopped, study_dir, tmp_path, capsys):
+        assert run_cli("calibrate", "--measurements", str(study_dir / "measurements.tsv"),
+                       "--noise", str(study_dir / "noise.tsv"), "--method", "irls", *argv,
+                       "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert (out[-1] == "note: reweighting stopped early (max_iter)") is stopped
+        assert not any(line.startswith("note:") for line in out[:-1])
+
     @pytest.mark.parametrize("rel_tol", ["inf", "-inf", "nan"])
     def test_non_finite_rel_tol_requests_a_single_pass(self, rel_tol, study_dir, tmp_path):
         assert (
@@ -258,6 +268,34 @@ class TestCalibrate:
             outs.append(out)
         for name in ("parameters.tsv", "parameters.txt", "ratios.tsv", "trace.tsv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestFit:
+    """``_fit``, the stack and solve of ``calibrate``, on a study in memory."""
+
+    @pytest.mark.parametrize("method", ["ols", "wls", "irls"])
+    @pytest.mark.parametrize("table", [True, False], ids=["noise", "replicates"])
+    @pytest.mark.parametrize("mode, params", [("elastostatic", None), ("combined", ["a2", "d3", "theta4", "tool_x"])])
+    def test_matches_the_direct_calls(self, mode, params, table, method, bundled_design, bundled_study,
+                                      nominal_model):
+        settings = _estimator_settings(build_parser("calibrate").parse_args(["calibrate", "--measurements", "-"]))
+        sigma0 = settings["sigma0"]
+        noise = bundled_design.noise if table else NoiseModel.uniform(np.unique(bundled_study.config), 1.0)
+        cmap = ComplianceParameterMap.from_configurations(bundled_study.q)
+        expected = stack_system(bundled_study, nominal_model, cmap, noise, mode=mode, params=params, sigma_floor=sigma0)
+        if not table:
+            expected = replace(expected, sigma=_replicate_sigma(expected, sigma0))
+        solves = {"ols": (), "wls": (lambda s: wls_estimate(s, robust_weights(s.sigma, sigma0, settings["lam"])),),
+                  "irls": (lambda s: irls(s, **settings),)}[method]
+        expected_results = [solve(expected) for solve in (ols_estimate, *solves)]
+
+        sys_, results = _fit(bundled_study, nominal_model, noise if table else None, mode, params, method, settings)
+        for name in ("B", "dp", "sigma"):
+            assert np.array_equal(getattr(sys_, name), getattr(expected, name)), name
+        assert isinstance(results, tuple) and [r.method for r in results] == [r.method for r in expected_results]
+        for res, want in zip(results, expected_results):
+            for name in ("x_hat", "covariance", "predicted"):
+                assert np.array_equal(getattr(res, name), getattr(want, name)), (res.method, name)
 
 
 class TestErrorPaths:

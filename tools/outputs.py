@@ -21,7 +21,8 @@ The matrix:
   without the study's ``--noise`` table, into ``sim-s<seed>-r<reps>/<method>-<mode>[-noise]/``;
 - ``compare --trials 200`` into ``compare/``;
 - a few valid non-default estimator settings (:data:`SETTINGS`): ``calibrate`` on ``sim-s0-r6``
-  into ``sim-s0-r6/settings-<name>/`` and ``compare`` into ``compare-settings/``, then the
+  into ``sim-s0-r6/settings-<name>/`` (``settings-irls-max-iter`` stops reweighting at
+  ``--max-iter 2`` and prints its early-stop note) and ``compare`` into ``compare-settings/``, then the
   edges of the numeric domain: ``--sigma0`` at 1e-6 and 1e6 um, ``--lambda`` at 1e6, and a
   study simulated at the largest ``--mass`` (1e6 kg) into ``sim-mass-max/``, calibrated there;
 - the solves a QR cannot certify, which take the SVD: the exactly deficient ``--params d2,d3`` on
@@ -77,6 +78,8 @@ SETTINGS = (
                                 "--sigma0", "25", "--lambda", "0.5"]),
     ("sim-s0-r6/settings-wls-noise", ["calibrate", "--measurements", "../measurements.tsv", "--method", "wls",
                                       "--sigma0", "25", "--lambda", "0.5", "--noise", "../noise.tsv"]),
+    ("sim-s0-r6/settings-irls-max-iter", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
+                                          "--noise", "../noise.tsv", "--rel-tol", "0", "--max-iter", "2"]),
     ("compare-settings", ["compare", "--trials", "200", "--sigma0", "5", "--lambda", "2", "--max-iter", "7"]),
     ("sim-s0-r6/settings-sigma0-min", ["calibrate", "--measurements", "../measurements.tsv", "--method", "irls",
                                        "--sigma0", "1e-6", "--noise", "../noise.tsv"]),
