@@ -200,7 +200,7 @@ def parse_model(lines: Iterable[str], source: str = "<model>") -> ManipulatorMod
 
 def _read_lines(path: Path, error, what: str) -> list[str]:
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from None
 

@@ -1,5 +1,6 @@
 """Text formats: write/read round trips and rejection of malformed input."""
 
+import codecs
 import os
 from dataclasses import replace
 import stat
@@ -495,6 +496,20 @@ class TestGroundTruthFormat:
         assert [name for name, _ in rows] == list(names)
         assert [text for _, text in rows] == [repr(v) for v in values.tolist()]
         assert [float(text) for _, text in rows] == values.tolist()
+
+
+@pytest.mark.parametrize("load, fmt, value", [
+    (load_model, format_model, lambda request: request.getfixturevalue("nominal_model")),
+    (load_measurements, format_measurements, lambda request: request.getfixturevalue("study")),
+    (load_noise_table, format_noise_table, lambda request: request.getfixturevalue("bundled_design").noise),
+], ids=["model", "measurements", "noise"])
+def test_leading_byte_order_mark_is_read_past(load, fmt, value, request, tmp_path):
+    # spreadsheet exports start a UTF-8 file with a byte-order mark; write_text writes none
+    plain = write_text(tmp_path / "plain", fmt(value(request)))
+    marked = tmp_path / "marked"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert not plain.read_bytes().startswith(codecs.BOM_UTF8)
+    assert fmt(load(marked)) == fmt(load(plain))
 
 
 class TestAtomicWrite:
