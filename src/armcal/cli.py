@@ -164,8 +164,8 @@ def _compare_flags(cmp_: argparse.ArgumentParser) -> None:
 
 
 def _fit(study, model, noise, mode, params, method, settings):
-    """``(system, results)`` of a loaded study, OLS and then ``method`` unless it is ols.  ``noise`` None reads
-    each sigma from the scatter within repeated postures; ``settings`` are :func:`_estimator_settings`'s."""
+    """``(system, results)`` of a loaded study: OLS, then ``method`` unless it is ols.  With ``noise`` None,
+    each sigma is the scatter within repeated postures.  ``settings`` come from :func:`_estimator_settings`."""
     cmap = ComplianceParameterMap.from_configurations(study.q)
     table = NoiseModel.uniform(np.unique(study.config), 1.0) if noise is None else noise
     sys_ = stack_system(study, model, cmap, table, mode=mode, params=params, sigma_floor=settings["sigma0"])
