@@ -27,7 +27,9 @@ E' W y = w_c sqrt(r) mean_c and multiplies them by the folded matrix's G
 (:func:`_solve`), and the reweighting stage re-estimates its dispersions
 from the same means and the per-class scatters (:meth:`_Groups.moments`).
 Weights, sigmas and predictions are given and reported per class, one per
-row of ``B``; nothing is kept per row.
+row of ``B``; nothing is kept per row.  A stack of T solves is one record,
+:class:`_Factors`: per trial its weights, sigmas, G, covariance and 3-sigma
+half-widths, and every result is one row of it (:func:`_result`).
 """
 
 from __future__ import annotations
@@ -163,20 +165,23 @@ def _describe_direction(v: np.ndarray, names: Sequence[str]) -> str:
 
 
 class _Factors(NamedTuple):
-    """One pseudo-inverse per trial of folded weighted regressors, from :func:`_factor`.
-
-    ``G[t]`` is trial t's (n, c) pseudo-inverse, ``R^-1 Q'`` of a QR that certifies full rank or
-    ``(V / s) U'`` of an SVD, and ``cov[t]`` its sandwich covariance; trial t solves as ``x = G[t] q``.
+    """The solve of T trials of folded weighted regressors, from :func:`_factor`: per trial t its (c,)
+    weights ``w[t]`` and sigmas ``sigma[t]``, its (n, c) pseudo-inverse ``G[t]`` (``R^-1 Q'`` of a QR that
+    certifies full rank, or ``(V / s) U'`` of an SVD), its sandwich covariance ``cov[t]``, the half-widths
+    ``ci3[t] = 3 sqrt(diag(cov[t]))`` and ``errors[t]``, the ``RankDeficientError`` it raises or None.
     """
 
     classes: _Groups
+    w: np.ndarray
+    sigma: np.ndarray
     G: np.ndarray
     cov: np.ndarray
+    ci3: np.ndarray
     errors: list
 
 
 def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
-    """Pseudo-inverses and sandwich covariances of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
+    """The solve record of the weighted regressors ``(w[t, :, None] * sys.B)[sys.row_class]``.
 
     ``w`` and ``sigma`` are (T, c) stacks, one row per trial and one column
     per class of the system.  The (c, n) matrix ``A = sqrt(r) w_c B_c`` of
@@ -187,19 +192,17 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     have c columns.
 
     One ``np.linalg.qr`` call factors all trials, and one ``np.linalg.inv``
-    inverts their n x n R, so ``G = R^-1 Q'``.  Since
+    inverts their n x n R (the identity in place of an R with a zero on its
+    diagonal, which is exactly singular), so ``G = R^-1 Q'``.  Since
     ``1 / (|R|_F |R^-1|_F) <= s_min / s_max``, a trial whose bound exceeds
     ``RANK_WARN`` has full rank and is not near deficiency.  Every other
-    trial (a smaller or non-finite bound, an exactly singular R, or fewer
-    classes than parameters) is factored by one ``np.linalg.svd`` call,
-    which counts its rank and warns of a near deficiency, and its G is
-    ``(V / s) U'``.  Each trial's G is its own product, so each trial
-    solves as it would alone, whichever branch its neighbours take.
-
-    ``errors[t]`` is the ``RankDeficientError`` trial t's solve raises (an
-    identically zero or rank-deficient regressor) or None.  A failed trial's
-    singular values are set to infinity so its G, and so its solution, reads
-    zero instead of overflowing.
+    trial (a smaller or non-finite bound, a singular R, or fewer classes
+    than parameters) is factored by one ``np.linalg.svd`` call, which counts
+    its rank and warns of a near deficiency, and its G is ``(V / s) U'``.
+    Each trial's G is its own product, so each trial solves as it would
+    alone, whichever branch its neighbours take.  A trial whose regressor
+    is identically zero or rank deficient gets its error, and its singular
+    values are set to infinity so its G, and so its solution, reads zero.
     """
     n = sys.n_parameters
     classes = sys.class_plan
@@ -208,12 +211,8 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     if len(sys.B) >= n:  # R is square
         with np.errstate(all="ignore"):
             Q, R = np.linalg.qr(A)
-            try:
-                Rinv = np.linalg.inv(R)
-                nonsingular = True
-            except np.linalg.LinAlgError:  # a zero on the diagonal of one R fails the batch
-                nonsingular = np.diagonal(R, axis1=1, axis2=2).all(axis=1)
-                Rinv = np.linalg.inv(np.where(nonsingular[:, None, None], R, np.eye(n)))
+            nonsingular = np.diagonal(R, axis1=1, axis2=2).all(axis=1)
+            Rinv = np.linalg.inv(np.where(nonsingular[:, None, None], R, np.eye(n)))
             bound = 1.0 / (np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(Rinv, axis=(1, 2)))
             certified = nonsingular & (bound > RANK_WARN)
             G = Rinv @ Q.transpose(0, 2, 1)
@@ -249,19 +248,27 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return _Factors(classes, G, cov, errors)
+    ci3 = 3.0 * np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    return _Factors(classes, w, sigma, G, cov, ci3, errors)
 
 
-def _solve(f: _Factors, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _solve(f: _Factors, mean: np.ndarray) -> np.ndarray:
     """Solutions ``G[t] q[t]`` of a (T, c) stack of per-class observation means.
 
-    ``q[t] = w[t] sqrt(r) mean[t]`` are the folded observations, one per
-    class of r rows with weight ``w[t]``.  ``f`` and the weights may hold
-    one slice shared by every trial.  Each trial is its own matrix-vector
-    product, so a stacked solve equals the one-trial solve bit for bit.
+    ``q[t] = f.w[t] sqrt(r) mean[t]`` are the folded observations, one per
+    class of r rows.  ``f`` may hold one trial, shared by every row of
+    ``mean``.  Each trial is its own matrix-vector product, so a stacked
+    solve equals the one-trial solve bit for bit.
     """
-    q = w * (np.sqrt(f.classes.counts) * mean)
+    q = f.w * (np.sqrt(f.classes.counts) * mean)
     return (f.G @ q[:, :, None])[:, :, 0]
+
+
+def _result(sys: StackedSystem, method: str, f: _Factors, x: np.ndarray, predicted: np.ndarray, j: int,
+            iterations: tuple = (), stop_reason: str = "") -> EstimationResult:
+    """Trial ``j`` of the solve record ``f``, with row ``j`` of its estimates ``x`` and predictions ``predicted``."""
+    return EstimationResult(sys.columns, x[j], f.cov[j], f.ci3[j], predicted[j], method, f.w[j], f.sigma[j],
+                            iterations, stop_reason)
 
 
 def _weighted_solve(
@@ -278,17 +285,8 @@ def _weighted_solve(
     f = _factor(sys, w[None], sys.sigma[None])
     if f.errors[0] is not None:
         raise f.errors[0]
-    x = _solve(f, w[None], sys.class_plan.moments(sys.dp)[0])[0]
-    return EstimationResult(
-        parameters=sys.columns,
-        x_hat=x,
-        covariance=f.cov[0],
-        ci3=3.0 * np.sqrt(np.diag(f.cov[0])),
-        predicted=sys.B @ x,
-        method=method,
-        weights=w,
-        sigma=sys.sigma,
-    )
+    x = _solve(f, sys.class_plan.moments(sys.dp)[0])
+    return _result(sys, method, f, x, (sys.B @ x[:, :, None])[:, :, 0], 0)
 
 
 def ols_estimate(sys: StackedSystem) -> EstimationResult:
@@ -406,41 +404,33 @@ def _irls_stack(
     single_pass = not math.isfinite(rel_tol)
     final: list[EstimationResult | Exception | None] = [None] * mean.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
-    last: list[tuple | None] = [None] * mean.shape[0]  # a running trial's latest iterate: (arrays, row)
+    last: list[tuple | None] = [None] * mean.shape[0]  # a running trial's latest iterate: (f, x, predicted, j)
     live = np.arange(mean.shape[0])  # trials still iterating
     prev = None  # their estimates from the previous iteration
-
-    def result(arrays: tuple, j: int, t: int, reason: str) -> EstimationResult:
-        """Trial ``t``'s result from row ``j`` of one iteration's stacked ``(x, cov, ci3, predicted, w, sigma)``."""
-        x, cov, ci3, predicted, w, s = (a[j] for a in arrays)
-        return EstimationResult(sys.columns, x, cov, ci3, predicted, "irls", w, s, tuple(trace[t]), reason)
-
     for it in range(1, max_iter + 1):
-        w = robust_weights(sigma, sigma0, lam)
-        f = _factor(sys, w, sigma)
-        x = _solve(f, w, mean[live])
+        f = _factor(sys, robust_weights(sigma, sigma0, lam), sigma)
+        x = _solve(f, mean[live])
         predicted = (sys.B @ x[:, :, None])[:, :, 0]  # one row per class
-        ci3 = 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2))
-        arrays = (x, f.cov, ci3, predicted, w, sigma)
         if prev is not None:
             change = np.max(np.abs(x - prev) / np.maximum(np.abs(prev), 1e-300), axis=1)
         keep = np.zeros(live.shape[0], dtype=bool)
         for j, t in enumerate(live):
             if f.errors[j] is not None:
-                final[t] = f.errors[j] if prev is None else result(*last[t], t, "rank_loss")
+                final[t] = f.errors[j] if prev is None else _result(sys, "irls", *last[t], tuple(trace[t]),
+                                                                     "rank_loss")
                 continue
-            trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=ci3[j]))
+            trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=f.ci3[j]))
             if single_pass:
                 reason = "single_pass"
             elif prev is not None and change[j] < rel_tol:
                 reason = "tolerance"
             elif it < max_iter:
                 keep[j] = True
-                last[t] = (arrays, j)
+                last[t] = (f, x, predicted, j)
                 continue
             else:
                 reason = "max_iter"
-            final[t] = result(arrays, j, t, reason)
+            final[t] = _result(sys, "irls", f, x, predicted, j, tuple(trace[t]), reason)
         live, prev = live[keep], x[keep]
         if not live.size:  # no iteration follows: skip the re-estimate
             break

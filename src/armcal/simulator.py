@@ -48,8 +48,7 @@ STANDARD_GRAVITY = 9.80665  # m/s^2
 #: row of observations per trial (:func:`_block_trials`); it sets how many
 #: trials are solved together, 20 on the bundled design.  The working memory
 #: scales with this block, not with the trial count.  It is the largest block
-#: whose Python allocations at 100 trials peak no higher (2.1 MB) than the
-#: 12-trial blocks of the row-level dispersion re-estimate did.
+#: whose Python allocations at 100 trials peak no higher than 2.1 MB.
 _BLOCK_BYTES = 5 << 16
 
 
@@ -286,12 +285,11 @@ def monte_carlo_compare(
     base = noise_free_system(design, model)
     dp_clean, sigma_true = base.dp, base.sigma[base.row_class]
 
-    fixed, cov, ci3 = {}, {}, {}
+    fixed = {}  # per method, its solve record, shared by every trial
     for name, w in (("ols", np.ones_like(base.sigma)), ("wls", optimal_weights(base.sigma))):
-        f = _factor(base, w[None], base.sigma[None])
+        fixed[name] = f = _factor(base, w[None], base.sigma[None])
         if f.errors[0] is not None:
             raise f.errors[0]
-        fixed[name], cov[name], ci3[name] = (f, w), f.cov[0], 3.0 * np.sqrt(np.diag(f.cov[0]))
 
     block, irls_args = _block_trials(base), (sigma0, lam, rel_tol, max_iter)
     failures: list[tuple[int, str, str]] = []
@@ -305,7 +303,7 @@ def monte_carlo_compare(
         dp += dp_clean
         mean, scatter = base.class_plan.moments(dp)
         sigma_raw = _dispersions(base, 0.0, mean, scatter, sigma0)  # a one-row group raises here
-        x = {name: _solve(f, w, mean) for name, (f, w) in fixed.items()}
+        x = {name: _solve(f, mean) for name, f in fixed.items()}
         try:
             fits = _irls_stack(base, mean, scatter, sigma_raw, *irls_args)
         except np.linalg.LinAlgError:  # a stacked QR or SVD fails as a whole: solve trial by trial
@@ -329,16 +327,15 @@ def monte_carlo_compare(
     x_ols, x_wls, x_irls, ci3_irls, traces, converged = zip(*solved)
     estimates = {"ols": np.asarray(x_ols), "wls": np.asarray(x_wls), "irls": np.asarray(x_irls)}
     n_ok = len(solved)
-    nested = np.abs(estimates["wls"] - estimates["ols"]) + ci3["wls"] <= ci3["ols"]
+    nested = np.abs(estimates["wls"] - estimates["ols"]) + fixed["wls"].ci3[0] <= fixed["ols"].ci3[0]
     return MonteCarloReport(
         parameters=base.columns,
         truth=np.array(design.ground_truth.values),
         trials=trials,
         failures=tuple(failures),
         estimates=estimates,
-        ci3={"ols": np.tile(ci3["ols"], (n_ok, 1)), "wls": np.tile(ci3["wls"], (n_ok, 1)),
-             "irls": np.asarray(ci3_irls)},
-        predicted_cov=cov,
+        ci3={**{name: np.tile(f.ci3[0], (n_ok, 1)) for name, f in fixed.items()}, "irls": np.asarray(ci3_irls)},
+        predicted_cov={name: f.cov[0] for name, f in fixed.items()},
         irls_ci_traces=traces,
         irls_iterations=np.array([len(trace) for trace in traces]),
         irls_converged=np.asarray(converged),

@@ -289,10 +289,11 @@ class TestRankHandling:
             ols_estimate(make_system(np.array([[1.0, 0.0], [0.0, 5e-9], [0.0, 0.0]]), np.zeros(3), np.ones(3)))
         assert calls == [(1, 3, 2)]
 
-    def test_near_deficient_trial_among_certified_ones(self):
-        # only the rows of axis 1 inform kb: down-weighting them in trial 0 leaves it near rank
-        # deficiency, and trial 4 weights every row zero, so its R is singular and fails the batched
-        # inverse; both take the SVD in one stack with the QR factors of the other trials
+    @staticmethod
+    def mixed_stack():
+        """(system, w, sigma, mean) of five trials: only the rows of axis 1 inform kb, so down-weighting
+        them in trial 0 leaves it near rank deficiency, and trial 4 weights every row zero, so its R is
+        exactly singular; both take the SVD in one stack with the QR factors of the other trials."""
         rng = np.random.default_rng(11)
         sys = make_system(rng.normal(size=(12, 3)), np.zeros(12), np.ones(12), columns=("ka", "kb", "kc"))
         sys = replace(sys, B=np.where((sys.axis == 1)[:, None] | (np.arange(3) != 1), sys.B, 0.0))
@@ -300,6 +301,10 @@ class TestRankHandling:
         w[0, sys.axis == 1] *= 1e-9
         w[4] = 0.0
         sigma, mean = rng.uniform(0.5, 2.0, size=(5, 12)), rng.normal(size=(5, 12))
+        return sys, w, sigma, mean
+
+    def test_near_deficient_trial_among_certified_ones(self):
+        sys, w, sigma, mean = self.mixed_stack()
         s = np.linalg.svd(sys.B * w[0, :, None], compute_uv=False)
         assert estimator_mod.RANK_CUTOFF < s[-1] / s[0] < estimator_mod.RANK_WARN
         with pytest.warns(RuntimeWarning, match="near rank deficiency") as caught:
@@ -307,7 +312,7 @@ class TestRankHandling:
         assert len(caught) == 1
         assert f.errors[:4] == [None] * 4
         assert str(f.errors[4]) == "weighted regressor is identically zero"
-        x = estimator_mod._solve(f, w, mean)
+        x = estimator_mod._solve(f, mean)
         assert_array_equal(x[4], 0.0)
         for t in range(5):
             with warnings.catch_warnings(record=True) as one:
@@ -315,8 +320,28 @@ class TestRankHandling:
                 f_t = estimator_mod._factor(sys, w[t:t + 1], sigma[t:t + 1])
             assert len(one) == (t == 0)
             assert_array_equal(f.G[t], f_t.G[0])  # each trial's pseudo-inverse, QR or SVD, as it is alone
-            assert_array_equal(x[t], estimator_mod._solve(f_t, w[t:t + 1], mean[t:t + 1])[0])
+            assert_array_equal(x[t], estimator_mod._solve(f_t, mean[t:t + 1])[0])
             assert_array_equal(f.cov[t], f_t.cov[0])
+
+    def test_stack_record_is_its_one_trial_records(self, monkeypatch):
+        # one inverse serves the whole stack, the exactly singular R included, and each trial's
+        # weights, sigmas, pseudo-inverse, covariance, half-widths and error are its one-trial ones
+        sys, w, sigma, _ = self.mixed_stack()
+        real_inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or real_inv(a))
+        with pytest.warns(RuntimeWarning, match="near rank deficiency"):
+            f = estimator_mod._factor(sys, w, sigma)
+        assert calls == [(5, 3, 3)]
+        for t in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                f_t = estimator_mod._factor(sys, w[t:t + 1], sigma[t:t + 1])
+            for name in ("w", "sigma", "G", "cov", "ci3"):
+                assert getattr(f, name)[t].tobytes() == getattr(f_t, name)[0].tobytes(), (t, name)
+            e, e_t = f.errors[t], f_t.errors[0]
+            assert (type(e), str(e)) == (type(e_t), str(e_t))
+        assert_array_equal(f.ci3, 3.0 * np.sqrt(np.diagonal(f.cov, axis1=1, axis2=2)))
+        assert (f.ci3[4] == 0.0).all() and (f.ci3[:4] > 0.0).all()
 
 
 class TestEstimationResult:
