@@ -4,7 +4,8 @@ Units at this boundary are the public ones: joint angles in degrees,
 positions in micrometers, sigma levels in micrometers, load mass in
 kilograms.  Outputs are written atomically (write-then-rename), so a failed
 run never leaves partial files.  Errors print one machine-parsable line to
-stderr, ``ERROR <CODE>: message``, and exit nonzero.
+stderr, ``ERROR <CODE>: message``, and exit nonzero; a warning prints one
+line, ``WARNING <Category>: message``.
 
 Each number is checked against the numeric domain (``estimator._DOMAIN``) where
 it is read, the flags here and the files in :mod:`armcal.fileio`.  Inside it every
@@ -24,6 +25,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -289,6 +291,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: f"WARNING {category.__name__}: {message}\n"
     try:
         args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         return _COMMANDS[args.command][2](args)
@@ -301,6 +305,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR E_IO: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -2,13 +2,20 @@
 
 import argparse
 import math
+import os
+import re
 import shutil
 import statistics
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import armcal
 from armcal.cli import OUT_ENV, _estimator_settings, _fit, build_parser, main
 from armcal.estimator import _replicate_sigma, irls, ols_estimate, robust_weights, wls_estimate
 from armcal.fileio import format_model, load_measurements, load_noise_table, write_measurements, write_text
@@ -43,6 +50,21 @@ def model_file(directory, name):
            "one-marker.model": replace(model, markers=model.markers[:1]),
            "long-1e308.model": long(1e308), "long-1.5e308.model": long(1.5e308)}[name]
     return str(write_text(directory / name, format_model(cut)))
+
+
+@pytest.fixture(scope="module")
+def near_study(tmp_path_factory):
+    """The ``calibrate`` arguments, without ``--out``, that warn of a near rank deficiency: a study of the
+    bundled model with joint 3 tilted by 1e-6 deg, so that d2 and d3 are nearly the same parameter."""
+    out = tmp_path_factory.mktemp("near")
+    model = reference.nominal_model()
+    joints = list(model.joints)
+    joints[2] = replace(joints[2], alpha=math.radians(1e-6))
+    path = str(write_text(out / "near.model", format_model(replace(model, joints=tuple(joints)))))
+    assert run_cli("simulate", "--model", path, "--out", str(out)) == 0
+    measurements = str(out / "measurements.tsv")
+    return ["calibrate", "--model", path, "--measurements", measurements, "--mode", "geometric",
+            "--params", "d2,d3,a2", "--method", "ols"]
 
 
 @pytest.fixture(scope="module")
@@ -685,20 +707,25 @@ class TestErrorPaths:
         assert captured.err == f"ERROR E_USAGE: {message}\n"
         assert captured.out == ""
 
-    def test_solver_warnings_of_an_accepted_run_are_issued(self, tmp_path):
-        # joint 3 tilted by 1e-6 deg: d2 and d3 are nearly the same parameter
-        model = reference.nominal_model()
-        joints = list(model.joints)
-        joints[2] = replace(joints[2], alpha=math.radians(1e-6))
-        path = str(write_text(tmp_path / "near.model", format_model(replace(model, joints=tuple(joints)))))
-        assert run_cli("simulate", "--model", path, "--out", str(tmp_path / "s")) == 0
+    def test_solver_warnings_of_an_accepted_run_are_issued(self, near_study, tmp_path):
+        formatwarning = warnings.formatwarning
         with pytest.warns(RuntimeWarning, match="near rank deficiency") as caught:
-            code = run_cli("calibrate", "--model", path, "--measurements", str(tmp_path / "s" / "measurements.tsv"),
-                           "--mode", "geometric", "--params", "d2,d3,a2", "--method", "ols",
-                           "--out", str(tmp_path / "out"))
+            code = run_cli(*near_study, "--out", str(tmp_path / "out"))
         assert code == 0
         assert caught[0].filename.endswith("cli.py")  # named where the CLI solved, as the solver names it
         assert (tmp_path / "out" / "parameters.tsv").exists()
+        assert warnings.formatwarning is formatwarning  # main restores the format it replaced
+
+    def test_solver_warning_is_one_stderr_line(self, near_study, tmp_path):
+        # a fresh interpreter shows the warning as the user sees it: its category and message,
+        # with no file, line number or source text
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", OUT_ENV)}
+        env["PYTHONPATH"] = str(Path(armcal.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "armcal.cli", *near_study, "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert re.fullmatch(r"WARNING RuntimeWarning: information matrix is near rank deficiency "
+                            r"\(relative singular value [0-9.e+-]+\); weakest direction: [^\n]*d2[^\n]*\n", done.stderr)
 
     def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
         code = run_cli(

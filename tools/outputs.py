@@ -32,10 +32,11 @@ The matrix:
 
 Each command runs as ``python -m armcal.cli`` in a fresh interpreter with the checkout's
 ``src`` as ``PYTHONPATH``, from inside the output directory with relative paths, so
-no absolute path enters a file; a warning raised in the checkout's code is located by its
-file name alone, without directory or line number.  Its exit code, standard output and standard error are
-written to ``run.txt`` beside its output files.  Uses the standard library only; the
-checkout's own program needs numpy.
+no absolute path enters a file.  The CLI prints a warning as one line, ``WARNING <Category>:
+message``, with no location; an older checkout that prints a warning's location is shown
+with its file name alone, without directory or line number.  Each command's exit code,
+standard output and standard error are written to ``run.txt`` beside its output files.
+Uses the standard library only; the checkout's own program needs numpy.
 """
 
 from __future__ import annotations
