@@ -77,12 +77,8 @@ def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
     return path
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _reprs(*blocks: np.ndarray) -> list[list[str]]:
-    """``repr`` of every value (:func:`_fmt` of a float), one list per column of each 1-D or (N, k) block."""
+    """``repr`` of every value as a Python number, one list per column of each 1-D or (N, k) block."""
     columns = (c for b in blocks for c in np.atleast_2d(np.asarray(b).T).tolist())
     return [list(map(repr, col)) for col in columns]
 
@@ -225,20 +221,18 @@ def _rpy_from_matrix(R: np.ndarray) -> tuple[float, float, float]:
 
 
 def format_model(model: ManipulatorModel) -> str:
+    csv = lambda values: ",".join(_reprs(np.asarray(values, dtype=float))[0])
+
     def pose_fields(T: np.ndarray) -> str:
-        xyz = ",".join(_fmt(v) for v in T[:3, 3])
-        rpy = ",".join(_fmt(np.rad2deg(v)) for v in _rpy_from_matrix(T[:3, :3]))
-        return f"xyz={xyz} rpy={rpy}"
+        return f"xyz={csv(T[:3, 3])} rpy={csv(np.rad2deg(_rpy_from_matrix(T[:3, :3])))}"
 
     lines = ["# armcal manipulator model", "convention modified-dh", f"base {pose_fields(model.base)}"]
     for j in model.joints:
-        lines.append(
-            f"joint type={j.kind} a={_fmt(j.a)} alpha={_fmt(np.rad2deg(j.alpha))} "
-            f"d={_fmt(j.d)} theta_offset={_fmt(np.rad2deg(j.theta))}"
-        )
+        a, alpha, d, theta = _reprs(np.array([j.a, np.rad2deg(j.alpha), j.d, np.rad2deg(j.theta)]))[0]
+        lines.append(f"joint type={j.kind} a={a} alpha={alpha} d={d} theta_offset={theta}")
     lines.append(f"tool {pose_fields(model.tool)}")
     for m in model.markers:
-        lines.append("marker xyz=" + ",".join(_fmt(v) for v in m))
+        lines.append(f"marker xyz={csv(m)}")
     return "\n".join(lines) + "\n"
 
 
