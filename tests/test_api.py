@@ -1,6 +1,7 @@
 """The public API: ``armcal.__all__`` is spelled out here so any change shows in a diff.
 
-Also the dependency rule: the package imports only the standard library and numpy.
+Also the import rules: the package imports only the standard library and numpy, and each
+module uses every name it imports.
 """
 
 import ast
@@ -85,6 +86,37 @@ def test_package_imports_only_stdlib_and_numpy():
     assert modules
     for path in modules:
         assert imported_packages(path.read_text(encoding="utf-8")) <= allowed, path.name
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never references, as ``line <n>: <name>``.  A name
+    counts as referenced when it is read anywhere or listed in ``__all__``; an import on a line
+    marked ``# noqa: F401`` is exempt, and so are ``__future__`` imports."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.partition(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path, numpy as np\nfrom .a import (\n    b,\n"
+              "    c,  # noqa: F401\n)\nfrom .d import e\n__all__ = ['e']\nnp.zeros(os.sep)\n")
+    assert unused_imports(source) == ["line 4: b"]
+
+
+def test_package_modules_use_every_import():
+    modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def traced_targets() -> dict[str, tuple[str, ...]]:
