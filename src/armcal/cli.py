@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import shutil
 import sys
@@ -91,14 +90,14 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
 def _estimator_settings(args) -> dict:
     """The checked ``sigma0``, ``lam``, ``rel_tol`` and ``max_iter`` keywords that :func:`irls` and
     :func:`monte_carlo_compare` share, with --sigma0 in meters (exactly ``DEFAULT_SIGMA0`` when the
-    flag is not given).  --sigma0 and --lambda must lie in the ``_DOMAIN``."""
+    flag is not given).  --sigma0 and --lambda must lie in the ``_DOMAIN``, and --rel-tol must be
+    non-negative (``inf`` stops at the first comparison, iteration 2; NaN is refused)."""
     sigma0 = DEFAULT_SIGMA0 if args.sigma0 is None else args.sigma0 * _UM
     (lo, hi), lam_max = _DOMAIN["sigma0"], _DOMAIN["lambda"][1]
     _require(lo <= sigma0 <= hi, "--sigma0", f"in {lo / _UM:g}..{hi / _UM:g} um and finite", args.sigma0)
     _require(0.0 <= args.lam <= lam_max, "--lambda", f"in 0..{lam_max:g} and finite", args.lam)
     _require(args.max_iter >= 1, "--max-iter", "at least 1", args.max_iter)
-    _require(not math.isfinite(args.rel_tol) or args.rel_tol >= 0.0, "--rel-tol",
-             "non-negative (or non-finite for a single pass)", args.rel_tol)
+    _require(args.rel_tol >= 0.0, "--rel-tol", "non-negative", args.rel_tol)
     return dict(sigma0=sigma0, lam=args.lam, rel_tol=args.rel_tol, max_iter=args.max_iter)
 
 
@@ -168,7 +167,7 @@ def _compare_flags(cmp_: argparse.ArgumentParser) -> None:
 def _fit(study, model, noise, mode, params, method, settings):
     """``(system, results)`` of a loaded study: OLS, then ``method`` unless it is ols.  With ``noise`` None,
     each sigma is the scatter within repeated postures.  ``settings`` come from :func:`_estimator_settings`."""
-    cmap = ComplianceParameterMap.from_configurations(study.q)
+    cmap = None if mode == "geometric" else ComplianceParameterMap.from_configurations(study.q)
     table = NoiseModel.uniform(np.unique(study.config), 1.0) if noise is None else noise
     sys_ = stack_system(study, model, cmap, table, mode=mode, params=params, sigma_floor=settings["sigma0"])
     if noise is None:
@@ -189,6 +188,8 @@ def _cmd_calibrate(args) -> int:
     elif not params:
         raise _UsageError(f"--mode {args.mode} requires --params")
     model = _load_model(args)
+    _require(args.mode == "geometric" or model.n_joints >= 2, "--model",
+             f"a model of 2 or more joints in {args.mode} mode", model.n_joints)
     ids = params or ()
     ids_ok = set(model.parameter_ids()).issuperset(ids) and len(set(ids)) == len(ids)
     _require(ids_ok, "--params", "distinct parameter ids of the model, e.g. a2,theta4,tool_x", args.params)

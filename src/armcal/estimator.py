@@ -320,10 +320,11 @@ def irls(
     final predictions, weights and dispersions are per class, as the loop
     keeps them.
 
-    Stops when the largest per-parameter relative change drops below
-    ``rel_tol`` or after ``max_iter`` iterations; a non-finite ``rel_tol``
-    requests a single weighted pass.  If a later iteration loses rank, the
-    last valid iterate is returned flagged (``converged=False``,
+    Stops when the largest per-parameter relative change, compared with
+    ``rel_tol`` as given from iteration 2 on, drops below it, or after
+    ``max_iter`` iterations; ``max_iter=1`` is one weighted pass, equal to
+    :func:`wls_estimate` with the rule's weights.  If a later iteration loses
+    rank, the last valid iterate is returned flagged (``converged=False``,
     ``stop_reason='rank_loss'``).
 
     This is the one-trial case of the stacked loop the Monte Carlo comparison
@@ -389,19 +390,18 @@ def _irls_stack(
     starting dispersions, one per class (T, c).  Weights and dispersions are
     kept per class through the loop.  Each iteration solves the trials still
     running with one stacked :func:`_factor` call, folding the class means as
-    :func:`wls_estimate` does (so a single pass equals it bit for bit), and
+    :func:`wls_estimate` does (so ``max_iter=1`` equals it bit for bit), and
     predicts each class once; the re-estimate reads those predictions and
     the moments (:func:`_dispersions`).  A trial leaves the stack when it
     stops.  Returns per trial its ``"irls"`` :class:`EstimationResult`,
     which :func:`irls` returns as it is, or the ``RankDeficientError`` its
     first solve raised; a later rank loss returns the last valid iterate.
     The solves and the re-estimates use the system's own class and group
-    plans; a one-row group raises only at a re-estimate, so a single pass
+    plans; a one-row group raises only at a re-estimate, so ``max_iter=1``
     needs no replicates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    single_pass = not math.isfinite(rel_tol)
     final: list[EstimationResult | Exception | None] = [None] * mean.shape[0]
     trace: list[list[IterationSnapshot]] = [[] for _ in final]
     last: list[tuple | None] = [None] * mean.shape[0]  # a running trial's latest iterate: (f, x, predicted, j)
@@ -420,9 +420,7 @@ def _irls_stack(
                                                                      "rank_loss")
                 continue
             trace[t].append(IterationSnapshot(index=it, x_hat=x[j], ci3=f.ci3[j]))
-            if single_pass:
-                reason = "single_pass"
-            elif prev is not None and change[j] < rel_tol:
+            if prev is not None and change[j] < rel_tol:
                 reason = "tolerance"
             elif it < max_iter:
                 keep[j] = True

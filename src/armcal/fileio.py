@@ -54,7 +54,7 @@ from .errors import MeasurementFormatError, ModelFormatError, NoiseFormatError
 from .estimator import _inside, _span
 from .kinematics import Joint, ManipulatorModel, transform
 from .noise import NoiseModel
-from .regressor import BUCKET_TOL, Study, _run_starts
+from .regressor import BUCKET_TOL, Study, _class_starts
 
 _UM = 1e-6
 #: Rows per text chunk of a table file: each chunk is formatted, joined and written
@@ -245,15 +245,15 @@ def _measurement_header(n_joints: int) -> list[str]:
 def _measurement_chunks(study: Study) -> Iterator[str]:
     """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk
     gathers its own rows of the (config, marker, rep) order, so no sorted copy of the
-    study is made, formats config, marker, q, force and fmarker once per run of rows
-    whose bits agree, and each distinct rep once."""
+    study is made, formats config, marker, q, force and fmarker once per class run of
+    :func:`~armcal.regressor._class_starts`, as stacking groups them, and each distinct rep once."""
     if not len(study):
         raise ValueError("no records to write")
     order = np.lexsort((study.rep, study.marker, study.config))
 
     def cells(rows: slice) -> list[list[str]]:
         s = study.take(order[rows])
-        start = _run_starts(s.config, s.marker, s.q, s.force, s.fmarker)
+        start = _class_starts(s)
         run = start.cumsum() - 1
         origin = _per_class(run, _reprs(s.config[start], s.marker[start]), " ")
         load = _per_class(run, _reprs(np.rad2deg(s.q[start]), s.force[start], s.fmarker[start]), " ")

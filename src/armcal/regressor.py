@@ -25,7 +25,7 @@ from typing import ClassVar, Literal, Sequence
 import numpy as np
 
 from .errors import BucketMatchError, UnderDeterminedError
-from .kinematics import ManipulatorModel, _check_rotations, _joint_jacobians, _kinematics, _parameter_jacobians
+from .kinematics import ManipulatorModel, _joint_jacobians, _kinematics, _parameter_jacobians
 from .kinematics import joint_jacobian  # noqa: F401  bench/tests reach armcal.regressor.joint_jacobian
 from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 
@@ -33,14 +33,11 @@ from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 BUCKET_TOL = 1e-6
 
 
-def _bits(a: np.ndarray) -> np.ndarray:
-    """``a`` viewed as unsigned ints of its item size, equal where the bits are: ``-0.0 != 0.0``."""
-    return a.view(f"u{a.itemsize}")
-
-
-def _run_starts(*columns: np.ndarray) -> np.ndarray:
-    """True at each row that starts a run of consecutive rows whose ``columns`` agree bit for bit."""
-    bits = np.column_stack([_bits(c) for c in columns])
+def _class_starts(study: Study) -> np.ndarray:
+    """True at each row of ``study`` that starts a class run: consecutive rows whose configuration,
+    marker, joint vector, force and force marker agree bit for bit (``-0.0 != 0.0``)."""
+    columns = (study.config, study.marker, study.q, study.force, study.fmarker)
+    bits = np.column_stack([c.view(f"u{c.itemsize}") for c in columns])
     return np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]
 
 
@@ -162,14 +159,17 @@ class ComplianceParameterMap:
     @classmethod
     def from_configurations(cls, configurations: Sequence[np.ndarray] | np.ndarray) -> "ComplianceParameterMap":
         """The 6R layout: joint 2 (index 1) bucketed at the distinct angles it takes in the rows
-        of ``configurations``, and one parameter each for tail joints 3..6 (indices 2..5)."""
-        angles = np.asarray(configurations, dtype=float)[:, cls.bucket_joint]
-        distinct, first = np.unique(angles, return_index=True)
+        of ``configurations``, and one parameter each for those of tail joints 3..6 (indices 2..5)
+        that the configurations have, so a 3-joint model gets ``k3`` alone and a 2-joint model
+        none.  Configurations need at least two joints."""
+        q = np.asarray(configurations, dtype=float)
+        distinct, first = np.unique(q[:, cls.bucket_joint], return_index=True)
         levels: list[float] = []
         for angle in distinct[np.argsort(first)].tolist():  # in order of first appearance
             if not any(abs(angle - v) <= BUCKET_TOL for v in levels):
                 levels.append(angle)
-        return cls(bucket_levels=tuple(sorted(levels)), tail_joints=(2, 3, 4, 5))
+        tails = tuple(range(2, min(q.shape[1], 6)))  # those of joints 3..6 that q has
+        return cls(bucket_levels=tuple(sorted(levels)), tail_joints=tails)
 
 
 def _regressors(model: ManipulatorModel, q, frames: np.ndarray, p: np.ndarray, wrench,
@@ -226,7 +226,8 @@ class StackedSystem:
     measurement axis ``axis[k]`` (0..2, an index into ``noise.AXES``).  So
     the full regressor is ``B[row_class]``, and the solver factors each
     class once (see :mod:`armcal.estimator`).  ``columns`` names the entries
-    of ``x``.
+    of ``x``.  In a system that :func:`stack_system` builds, a class is one
+    run of :func:`_class_starts` at one block kind and axis.
 
     ``class_plan`` groups the rows by ``row_class``, and ``class_group_plan``
     groups the classes by their (configuration, axis) pair, the unit that
@@ -314,15 +315,13 @@ def stack_system(
     stacked as independent rows of ``dp``, not averaged: averaging would
     hide the very replicate scatter the weighting stage feeds on.
 
-    Kinematics and regressor blocks are built once per run of consecutive
-    sorted rows whose determining values (joint vector, observed marker,
-    force and its application marker, not the configuration id) agree bit
-    for bit, so the repetitions of a posture share one block.  A posture
-    that recurs after a different one is built again, to the same bits.
-    The system's ``row_class`` is that run, split where the configuration
-    (and so the dispersion) changes, then the block kind and the axis.  Each
-    class's ``B`` row, sigma and origin are gathered at its first row, so
-    no (rows, parameters) matrix is built.
+    The system's classes are the runs of :func:`_class_starts` (the sorted
+    rows whose configuration, marker, joint vector, force and force marker
+    agree bit for bit), split by block kind and axis.  Kinematics and
+    regressor blocks are built once per class run, so the repetitions of a
+    posture share one block and no (rows, parameters) matrix is built; a
+    posture that recurs under another configuration, or after a different
+    posture, is built again, to the same bits.
     """
     if not len(study):
         raise ValueError("no records to stack")
@@ -345,15 +344,14 @@ def stack_system(
     else:
         columns = tuple(params) + cmap.parameter_names
 
-    start = _run_starts(s.q, s.marker, s.force, s.fmarker)  # a posture starts where the key changes
-    rows, posture = np.flatnonzero(start), np.cumsum(start) - 1  # each run's first row; each row's run
+    start = _class_starts(s)
+    rows, run = np.flatnonzero(start), np.cumsum(start) - 1  # each class run's first row; each row's run
     q, marker = s.q[rows], s.marker[rows]
     # the regressor also needs the position of the marker the load is applied at
     markers = marker[:, None] if mode == "geometric" else np.stack([marker, s.fmarker[rows]], axis=1)
-    frames, R, p = _kinematics(model, q, markers)
+    frames, _, p = _kinematics(model, q, markers)
     blocks = np.zeros((len(rows), 2 if mode == "combined" else 1, 3, len(columns)))
     if mode != "elastostatic":
-        _check_rotations(R)
         fk = p[:, 0]
         blocks[..., :len(params)] = _parameter_jacobians(model, frames, fk, params)[:, None]
     if mode != "geometric":
@@ -367,13 +365,11 @@ def stack_system(
     if mode == "elastostatic":
         dp = s.deflection
     else:
-        fk = fk[posture]
+        fk = fk[run]
         dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
-    split = start | np.r_[False, s.config[1:] != s.config[:-1]]  # a class run starts here
-    first = np.flatnonzero(split)  # each class run's first row
-    config = np.repeat(s.config[first], per_record)
-    axis = np.tile(np.arange(len(AXES)), len(first) * blocks.shape[1])
-    return StackedSystem(B=blocks[posture[first]].reshape(-1, len(columns)), dp=dp.reshape(-1),
+    config = np.repeat(s.config[rows], per_record)
+    axis = np.tile(np.arange(len(AXES)), len(rows) * blocks.shape[1])
+    return StackedSystem(B=blocks.reshape(-1, len(columns)), dp=dp.reshape(-1),
                          sigma=build_sigma(noise, config, axis, floor=sigma_floor), config=config,
-                         marker=np.repeat(s.marker[first], per_record), axis=axis, columns=columns,
-                         row_class=(np.cumsum(split) - 1)[:, None] * per_record + np.arange(per_record))
+                         marker=np.repeat(marker, per_record), axis=axis, columns=columns,
+                         row_class=run[:, None] * per_record + np.arange(per_record))

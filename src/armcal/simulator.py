@@ -31,7 +31,7 @@ from .estimator import (
     _solve,
     optimal_weights,
 )
-from .kinematics import ManipulatorModel, _check_rotations, _kinematics, _parameter_jacobians
+from .kinematics import ManipulatorModel, _kinematics, _parameter_jacobians
 from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import (
     ComplianceParameterMap,
@@ -152,8 +152,7 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     pair_cfg, pair_marker = np.indices((len(forces), design.markers)).reshape(2, -1)
     q = np.asarray(design.configurations)[pair_cfg]
     markers = np.stack([pair_marker, np.zeros_like(pair_marker)], axis=1)
-    frames, R, p = _kinematics(model, q, markers)
-    _check_rotations(R)
+    frames, _, p = _kinematics(model, q, markers)
     geo = sorted(design.geometry_error or {})
     delta = [design.geometry_error[name] for name in geo]
     shift = _parameter_jacobians(model, frames, p[:, 0], geo) @ delta if geo else 0.0

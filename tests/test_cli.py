@@ -42,11 +42,12 @@ def stacked_from_files(measurements, noise_path):
 
 
 def model_file(directory, name):
-    """The bundled model cut to five joints or to one marker, or with its first two links
+    """The bundled model cut to five joints, to one joint or to one marker, or with its first two links
     ``a`` = 1e308 or 1.5e308 m long, written to ``directory / name``."""
     model = reference.nominal_model()
     long = lambda a: replace(model, joints=tuple(replace(j, a=a) for j in model.joints[:2]) + model.joints[2:])
     cut = {"five-joint.model": replace(model, joints=model.joints[:5]),
+           "one-joint.model": replace(model, joints=model.joints[:1]),
            "one-marker.model": replace(model, markers=model.markers[:1]),
            "long-1e308.model": long(1e308), "long-1.5e308.model": long(1.5e308)}[name]
     return str(write_text(directory / name, format_model(cut)))
@@ -189,19 +190,25 @@ class TestCalibrate:
         assert not any(line.startswith("note:") for line in out[:-1])
 
     @pytest.mark.parametrize("rel_tol", ["inf", "-inf", "nan"])
-    def test_non_finite_rel_tol_requests_a_single_pass(self, rel_tol, study_dir, tmp_path):
-        assert (
-            run_cli(
-                "calibrate",
-                "--measurements", str(study_dir / "measurements.tsv"),
-                "--noise", str(study_dir / "noise.tsv"),
-                "--method", "irls",
-                f"--rel-tol={rel_tol}",
-                "--out", str(tmp_path),
-            )
-            == 0
+    def test_rel_tol_is_compared_as_given(self, rel_tol, study_dir, tmp_path, capsys):
+        # inf stops at the first comparison, iteration 2; a tolerance below zero or NaN is refused
+        code = run_cli(
+            "calibrate",
+            "--measurements", str(study_dir / "measurements.tsv"),
+            "--noise", str(study_dir / "noise.tsv"),
+            "--method", "irls",
+            f"--rel-tol={rel_tol}",
+            "--out", str(tmp_path),
         )
-        assert len((tmp_path / "trace.tsv").read_text().splitlines()) == 1 + 1
+        err = capsys.readouterr().err
+        if rel_tol == "inf":
+            assert (code, err) == (0, "")
+            assert len((tmp_path / "trace.tsv").read_text().splitlines()) == 1 + 2
+            assert "converged=True (tolerance)" in (tmp_path / "trace.txt").read_text()
+        else:
+            assert code == 2
+            assert err == f"ERROR E_USAGE: --rel-tol must be non-negative, got {rel_tol}\n"
+            assert not any(tmp_path.iterdir())
 
     def test_irls_defaults_match_in_process(self, study_dir, tmp_path):
         assert (
@@ -318,6 +325,36 @@ class TestFit:
         for res, want in zip(results, expected_results):
             for name in ("x_hat", "covariance", "predicted"):
                 assert np.array_equal(getattr(res, name), getattr(want, name)), (res.method, name)
+
+
+@pytest.fixture(scope="module")
+def short_models(tmp_path_factory):
+    """``calibrate`` arguments, without ``--mode`` and ``--out``, of the bundled model and study
+    cut to their first 1 and 3 joints, by joint count."""
+    out = tmp_path_factory.mktemp("short")
+    model = reference.nominal_model()
+    study = simulate_measurements(reference.study_design(seed=0), model)
+    argv = {}
+    for n in (1, 3):
+        path = write_text(out / f"{n}-joint.model", format_model(replace(model, joints=model.joints[:n])))
+        measurements = write_measurements(out / f"{n}-joint.tsv", replace(study, q=study.q[:, :n]))
+        argv[n] = ["calibrate", "--model", str(path), "--measurements", str(measurements)]
+    return argv
+
+
+class TestShortModels:
+    """Models of fewer than six joints: the compliance map keeps the joints they have, and a
+    1-joint model, which has none to keep, calibrates in geometric mode."""
+
+    def test_three_joint_model_keeps_its_tail_joint(self, short_models, tmp_path):
+        assert run_cli(*short_models[3], "--out", str(tmp_path)) == 0
+        names = list(read_estimates(tmp_path / "parameters.tsv", "wls"))
+        assert [n for n in names if not n.startswith("k2_")] == ["k3"]  # after joint 2's bucket levels
+
+    def test_one_joint_model_in_geometric_mode(self, short_models, tmp_path):
+        argv = ["--mode", "geometric", "--params", "a1,d1,tool_x", "--out", str(tmp_path)]
+        assert run_cli(*short_models[1], *argv) == 0
+        assert list(read_estimates(tmp_path / "parameters.tsv", "wls")) == ["a1", "d1", "tool_x"]
 
 
 class TestErrorPaths:
@@ -670,6 +707,11 @@ class TestErrorPaths:
             (("calibrate", "--measurements", "measurements.tsv", "--noise", "noise.tsv", "--method", "irls",
               "--sigma0", "1e-320"), "--sigma0 in 1e-06..1e+06 um"),
             (("compare", "--sigma0", "1e-320"), "--sigma0 in 1e-06..1e+06 um"),
+            # compliances need joint 2, which a 1-joint model lacks; checked before the measurement file is read
+            (("calibrate", "--model", "one-joint.model", "--measurements", "absent.tsv"),
+             "--model a model of 2 or more joints in elastostatic mode, got 1"),
+            (("calibrate", "--model", "one-joint.model", "--measurements", "absent.tsv", "--mode", "combined",
+              "--params", "tool_x"), "--model a model of 2 or more joints in combined mode, got 1"),
         ],
     )
     def test_invalid_flag_value(self, argv, flag, study_dir, tmp_path, capsys):

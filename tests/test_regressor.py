@@ -495,17 +495,17 @@ class TestPostureReuse:
     @pytest.mark.parametrize(
         "mode, params, expected",
         [
-            ("elastostatic", None, dict(_kinematics=[45], _regressors=[45], _parameter_jacobians=[])),
-            ("combined", GEOMETRIC_PARAMS, dict(_kinematics=[45], _regressors=[45],
-                                                _parameter_jacobians=[45])),
+            ("elastostatic", None, dict(_kinematics=1, _regressors=1, _parameter_jacobians=0)),
+            ("combined", GEOMETRIC_PARAMS, dict(_kinematics=1, _regressors=1, _parameter_jacobians=1)),
         ],
     )
     def test_bundled_study_builds_each_posture_once(
         self, mode, params, expected, bundled_study, nominal_model, bundled_design, monkeypatch
     ):
-        # 15 configurations x 3 markers = 45 postures, at 6 repetitions (270 rows)
-        # and at 60 (2,700 rows): every batched kernel runs once over the 45,
-        # and no per-posture public function runs
+        # every batched kernel runs once (or never), over one posture per class run: the 45 of
+        # 15 configurations x 3 markers at 6 repetitions (270 rows) and at 60 (2,700 rows), and
+        # the 6 of the crossing study, whose posture shared by configurations 1 and 2 is built
+        # once for each; no per-posture public function runs
         postures = {name: [] for name in expected}
         public = Counter()
 
@@ -528,13 +528,29 @@ class TestPostureReuse:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         long_study = simulate_measurements(reference.study_design(seed=0, repetitions=60), nominal_model)
-        for study in (bundled_study, long_study):
+        bundled = (bundled_design.cmap, bundled_design.noise)
+        studies = [(bundled_study, *bundled, 45), (long_study, *bundled, 45),
+                   (*crossing_study(nominal_model, np.random.default_rng(5)), 6)]
+        for study, cmap, noise, runs in studies:
             for sizes in postures.values():
                 sizes.clear()
-            stack_system(study, nominal_model, bundled_design.cmap,
-                         bundled_design.noise, mode=mode, params=params)
-            assert postures == expected
+            sys = stack_system(study, nominal_model, cmap, noise, mode=mode, params=params)
+            assert sys.row_class.max() + 1 == runs * (6 if mode == "combined" else 3)  # the class runs
+            assert postures == {name: [runs] * calls for name, calls in expected.items()}
         assert sum(public.values()) == 0
+
+
+def test_rotations_are_checked_where_they_enter(nominal_model, bundled_design):
+    # a base and a tool each 0.45e-9 off orthonormal pass the model's check, while the tool
+    # rotation they compose to does not: only a public Pose checks that one
+    off = np.diag([1.0 + 0.45e-9] * 3 + [1.0])
+    model = replace(nominal_model, base=nominal_model.base @ off, tool=nominal_model.tool @ off)
+    study = simulate_measurements(bundled_design, model)
+    for mode, params in (("elastostatic", None), ("geometric", GEOMETRIC_PARAMS), ("combined", GEOMETRIC_PARAMS)):
+        sys = stack_system(study, model, bundled_design.cmap, bundled_design.noise, mode=mode, params=params)
+        assert sys.n_equations == (6 if mode == "combined" else 3) * len(study)
+    with pytest.raises(ValueError, match="not a proper rotation"):
+        forward_kinematics(model, bundled_design.configurations[0])
 
 
 def unfolded_fit(sys, w, sigma):
