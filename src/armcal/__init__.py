@@ -14,7 +14,6 @@ from .errors import (
     NoiseFormatError,
     RankDeficientError,
     ReplicateCountError,
-    UnderDeterminedError,
 )
 from .estimator import (
     EstimationResult,
@@ -79,7 +78,6 @@ __all__ = [
     "StackedSystem",
     "Study",
     "StudyDesign",
-    "UnderDeterminedError",
     "build_sigma",
     "elastostatic_regressor",
     "forward_kinematics",

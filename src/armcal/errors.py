@@ -50,12 +50,6 @@ class BucketMatchError(CalibrationError):
     code = "E_BUCKET_MATCH"
 
 
-class UnderDeterminedError(CalibrationError):
-    """Raised when a stacked system has fewer scalar equations than unknowns."""
-
-    code = "E_UNDERDETERMINED"
-
-
 class RankDeficientError(CalibrationError):
     """Raised when the (weighted) information matrix is numerically rank deficient.
 

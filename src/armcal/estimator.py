@@ -347,9 +347,14 @@ def _dispersions(sys: StackedSystem, predicted: np.ndarray, mean: np.ndarray, sc
     observations (``sys.class_plan.moments``), which the pooled std of each
     (configuration, axis) group reads in place of the rows.  A zero
     ``predicted`` gives the raw scatter of the observations themselves.
+    The first group of one row raises ``ReplicateCountError`` naming it.
     """
-    plan = sys.class_group_plan
-    std = plan.pooled_std(sys.class_plan.counts, predicted - mean, scatter)
+    plan, counts = sys.class_group_plan, sys.class_plan.counts
+    lone = np.flatnonzero((counts == 1) & (plan.counts[plan.label] == 1))  # a one-row class alone in its group
+    if lone.size:
+        raise ReplicateCountError(f"configuration {sys.config[lone[0]]} has one row on axis {AXES[sys.axis[lone[0]]]}; "
+                                  "every (configuration, axis) group needs >= 2 rows to estimate a dispersion")
+    std = plan.pooled_std(counts, predicted - mean, scatter)
     return np.maximum(std[:, plan.label], sigma0)
 
 

@@ -215,7 +215,11 @@ def _kinematics(model: ManipulatorModel, q, marker) -> tuple[np.ndarray, np.ndar
 def forward_kinematics(model: ManipulatorModel, q, marker: int = 0) -> Pose:
     """Pose of a tool marker: world position plus the tool-frame rotation."""
     _, R, p = _kinematics(model, np.reshape(q, (1, -1)), [[marker]])
-    return Pose(position=p[0, 0], rotation=R[0])
+    pose = object.__new__(Pose)  # R composes the model's checked rotations, so it is not checked again
+    for name, arr in (("position", p[0, 0]), ("rotation", R[0])):
+        arr.setflags(write=False)
+        object.__setattr__(pose, name, arr)
+    return pose
 
 
 def _joint_jacobians(model: ManipulatorModel, frames: np.ndarray, p: np.ndarray) -> np.ndarray:

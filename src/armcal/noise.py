@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import MissingNoiseError, ReplicateCountError
+from .errors import MissingNoiseError
 
 AXES = ("x", "y", "z")
 
@@ -138,12 +138,10 @@ class _Groups:
         that mean.  A group of n values with mean c has the scatter
         ``sum(scatter + counts * (mean - c)**2)`` over its rows, the exact
         algebra of the sample variance, so the values themselves are never
-        read.  Returns (..., groups), for labels without gaps; a group of
-        one value raises :class:`ReplicateCountError`.
+        read.  Returns (..., groups), for labels without gaps; every group
+        must hold two values or more (``estimator._dispersions`` checks).
         """
         n = self.sum(counts)
-        if np.any(n == 1):
-            raise ReplicateCountError("every (configuration, axis) group needs >= 2 rows to estimate a dispersion")
         centre = self.sum(counts * mean) / n
         return np.sqrt(self.sum(scatter + counts * (mean - centre[..., self.label]) ** 2) / (n - 1))
 

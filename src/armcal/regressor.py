@@ -24,7 +24,7 @@ from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
-from .errors import BucketMatchError, UnderDeterminedError
+from .errors import BucketMatchError
 from .kinematics import ManipulatorModel, _joint_jacobians, _kinematics, _parameter_jacobians
 from .kinematics import joint_jacobian  # noqa: F401  bench/tests reach armcal.regressor.joint_jacobian
 from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
@@ -163,6 +163,8 @@ class ComplianceParameterMap:
         that the configurations have, so a 3-joint model gets ``k3`` alone and a 2-joint model
         none.  Configurations need at least two joints."""
         q = np.asarray(configurations, dtype=float)
+        if q.ndim != 2 or q.shape[1] < 2:
+            raise ValueError(f"configurations need at least two joints, got shape {q.shape}")
         distinct, first = np.unique(q[:, cls.bucket_joint], return_index=True)
         levels: list[float] = []
         for angle in distinct[np.argsort(first)].tolist():  # in order of first appearance
@@ -321,7 +323,8 @@ def stack_system(
     regressor blocks are built once per class run, so the repetitions of a
     posture share one block and no (rows, parameters) matrix is built; a
     posture that recurs under another configuration, or after a different
-    posture, is built again, to the same bits.
+    posture, is built again, to the same bits.  A study of fewer equations
+    than parameters stacks; the solver names what it cannot determine.
     """
     if not len(study):
         raise ValueError("no records to stack")
@@ -359,9 +362,6 @@ def stack_system(
         blocks[:, -1, :, -cmap.n_parameters:] = _regressors(model, q, frames, p, wrench, cmap)
     # each row contributes one 3-row block, or two (unloaded, loaded) when combined
     per_record = 3 * blocks.shape[1]
-    m = per_record * len(s)
-    if m < len(columns):
-        raise UnderDeterminedError(f"{m} scalar equations cannot determine {len(columns)} parameters")
     if mode == "elastostatic":
         dp = s.deflection
     else:

@@ -1,15 +1,18 @@
 """The public API: ``armcal.__all__`` is spelled out here so any change shows in a diff.
 
 Also the import rules: the package imports only the standard library and numpy, and each
-module uses every name it imports.
+module uses every name it imports; and the README's table of error codes is the set the
+package and the command line can print.
 """
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import armcal
+from armcal import errors
 
 PUBLIC_API = [
     "BucketMatchError",
@@ -33,7 +36,6 @@ PUBLIC_API = [
     "StackedSystem",
     "Study",
     "StudyDesign",
-    "UnderDeterminedError",
     "build_sigma",
     "elastostatic_regressor",
     "forward_kinematics",
@@ -53,7 +55,7 @@ PUBLIC_API = [
 
 
 def test_public_names_are_exactly_the_listed_ones():
-    assert len(PUBLIC_API) == 37
+    assert len(PUBLIC_API) == 36
     assert PUBLIC_API == sorted(PUBLIC_API)
     assert sorted(armcal.__all__) == PUBLIC_API
 
@@ -61,6 +63,16 @@ def test_public_names_are_exactly_the_listed_ones():
 def test_every_public_name_resolves():
     for name in armcal.__all__:
         assert getattr(armcal, name, None) is not None, name
+
+
+def test_readme_errors_table_lists_exactly_the_codes_printed():
+    # every concrete CalibrationError's code, and the command line's own E_USAGE and E_IO, once each
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n### Errors\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `(E_[A-Z_]+)` \|", table, flags=re.MULTILINE)
+    raised = [cls.code for cls in vars(errors).values() if isinstance(cls, type)
+              and issubclass(cls, errors.CalibrationError) and cls is not errors.CalibrationError]
+    assert sorted(listed) == sorted(raised + ["E_USAGE", "E_IO"])
 
 
 def imported_packages(source: str) -> set[str]:

@@ -479,6 +479,19 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_fewer_equations_than_parameters(self, study_dir, tmp_path, capsys):
+        # one row: 3 scalar equations for 5 parameters (one bucket level and k3..k6)
+        study = load_measurements(study_dir / "measurements.tsv")
+        one = write_measurements(tmp_path / "one.tsv", study.take(slice(1)))
+        out = tmp_path / "out"
+        code = run_cli("calibrate", "--measurements", str(one), "--noise", str(study_dir / "noise.tsv"),
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR E_RANK_DEFICIENT: information matrix is rank deficient (3/5); unidentifiable: ")
+        assert err.count("\n") == 1 and err.count("ERROR") == 1
+        assert not out.exists()
+
     def test_replicate_starved_study_under_irls(self, tmp_path, capsys):
         # one marker, one repetition: every (configuration, axis) group is one row
         study = tmp_path / "study"
@@ -492,10 +505,10 @@ class TestErrorPaths:
             "--method", "irls",
             "--out", str(tmp_path / "out"),
         )
-        err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("ERROR E_REPLICATES:")
-        assert err.count("\n") == 1  # one line, no traceback
+        assert capsys.readouterr().err == (  # one line naming the first one-row group, no traceback
+            "ERROR E_REPLICATES: configuration 1 has one row on axis x; "
+            "every (configuration, axis) group needs >= 2 rows to estimate a dispersion\n")
         assert not (tmp_path / "out").exists()
 
     def test_single_irls_pass_needs_no_replicates(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import scalar_chain
 from row_level import residuals, row_std, unfolded
 from armcal import estimator, kinematics, reference, regressor
-from armcal.errors import BucketMatchError, MissingNoiseError, UnderDeterminedError
+from armcal.errors import BucketMatchError, MissingNoiseError, RankDeficientError
 from armcal.estimator import irls, ols_estimate, optimal_weights, robust_weights, wls_estimate
 from armcal.kinematics import (
     PRISMATIC,
@@ -118,6 +118,11 @@ class TestComplianceParameterMap:
         assert cmap.parameter_names == (
             "k2_1", "k2_2", "k2_3", "k2_4", "k2_5", "k3", "k4", "k5", "k6",
         )
+
+    @pytest.mark.parametrize("q", [np.zeros((3, 1)), np.zeros(6)])
+    def test_from_configurations_needs_rows_of_two_joints(self, q):
+        with pytest.raises(ValueError, match="at least two joints"):
+            ComplianceParameterMap.from_configurations(q)
 
 
 class TestElastostaticRegressor:
@@ -289,11 +294,15 @@ class TestStackSystem:
         x2 = ols_estimate(sys2).x_hat
         assert_allclose(x2, x1, rtol=1e-12)
 
-    def test_under_determined_stack_rejected(self, nominal_model, bundled_design):
+    def test_under_determined_stack_refused_by_every_solver(self, nominal_model, bundled_design):
         design = reference.study_design(seed=1, markers=1, repetitions=1)
         records = simulate_measurements(design, nominal_model).take(slice(2))  # 6 rows < 9 params
-        with pytest.raises(UnderDeterminedError, match="cannot determine"):
-            stack_system(records, nominal_model, bundled_design.cmap, design.noise)
+        sys = stack_system(records, nominal_model, bundled_design.cmap, design.noise)
+        assert (sys.n_equations, sys.n_parameters) == (6, 9)
+        for solve in (ols_estimate, lambda s: wls_estimate(s, robust_weights(s.sigma)), irls):
+            with pytest.raises(RankDeficientError, match=r"rank deficient \(\d/9\)") as err:
+                solve(sys)
+            assert err.value.directions
 
     def test_missing_noise_entry_rejected(
         self, bundled_study, nominal_model, bundled_design
@@ -541,16 +550,18 @@ class TestPostureReuse:
 
 
 def test_rotations_are_checked_where_they_enter(nominal_model, bundled_design):
-    # a base and a tool each 0.45e-9 off orthonormal pass the model's check, while the tool
-    # rotation they compose to does not: only a public Pose checks that one
+    # a base and a tool each 0.45e-9 off orthonormal pass the model's check, and the tool rotation
+    # they compose to, 1.8e-9 off, is not checked again: only a Pose built by hand checks its rotation
     off = np.diag([1.0 + 0.45e-9] * 3 + [1.0])
     model = replace(nominal_model, base=nominal_model.base @ off, tool=nominal_model.tool @ off)
     study = simulate_measurements(bundled_design, model)
     for mode, params in (("elastostatic", None), ("geometric", GEOMETRIC_PARAMS), ("combined", GEOMETRIC_PARAMS)):
         sys = stack_system(study, model, bundled_design.cmap, bundled_design.noise, mode=mode, params=params)
         assert sys.n_equations == (6 if mode == "combined" else 3) * len(study)
+    pose = forward_kinematics(model, bundled_design.configurations[0])
+    assert isinstance(pose, kinematics.Pose)
     with pytest.raises(ValueError, match="not a proper rotation"):
-        forward_kinematics(model, bundled_design.configurations[0])
+        kinematics.Pose(pose.position, pose.rotation)
 
 
 def unfolded_fit(sys, w, sigma):
