@@ -279,8 +279,6 @@ def _weighted_solve(
         raise ValueError("weight vector length does not match the system")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    if not np.any(w > 0.0):
-        raise ValueError("all rows have zero weight")
 
     f = _factor(sys, w[None], sys.sigma[None])
     if f.errors[0] is not None:

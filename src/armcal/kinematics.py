@@ -9,6 +9,8 @@ by joint ``i`` (all angles in radians, lengths in meters) is
 composed left to right behind a fixed base transform and followed by a fixed
 tool transform.  Markers are fixed points of the tool frame; all public
 positions are marker positions in the world (base/measurement) frame.
+The base and tool rotation blocks and a :class:`Pose` rotation pass one rule,
+:func:`_check_rotation`: finite, |R'R - I| <= 1e-9 (``_ROTATION_TOL``), det R > 0.
 
 The private kernels take P postures at once (``_kinematics`` advances every
 chain by one stacked product per joint); the public functions are their P = 1
@@ -33,24 +35,36 @@ PRISMATIC = "prismatic"
 _TOOL_PARAMS = ("tool_x", "tool_y", "tool_z")
 _JOINT_FIELDS = ("a", "alpha", "d", "theta")
 
-#: Orthonormality tolerance for rotation blocks of user-supplied transforms.
+#: Orthonormality tolerance of the one rotation rule, :func:`_check_rotation`.
 _ROTATION_TOL = 1e-9
 
 
-def _check_rigid(T: np.ndarray, what: str) -> None:
-    T = np.asarray(T, dtype=float)
+def _check_rotation(R, what: str) -> np.ndarray:
+    """Read-only copy of the 3x3 ``R``; raise unless it is a proper rotation (the module's one rule)."""
+    R = np.array(R, dtype=float)
+    if R.shape != (3, 3):
+        raise ValueError(f"{what} rotation must be 3x3, got {R.shape}")
+    with np.errstate(invalid="ignore"):  # a non-finite R reads NaN or inf in both and is refused
+        err = np.max(np.abs(R.T @ R - np.eye(3)))
+        det = np.linalg.det(R)
+    if not (err <= _ROTATION_TOL and det > 0.0):
+        raise ValueError(f"{what} rotation is not a proper rotation (|R'R - I| = {err:.3e}, det R = {det:.3e})")
+    R.setflags(write=False)
+    return R
+
+
+def _check_rigid(T, what: str) -> np.ndarray:
+    """Read-only copy of the 4x4 rigid transform ``T``; its rotation block follows :func:`_check_rotation`."""
+    T = np.array(T, dtype=float)
     if T.shape != (4, 4):
         raise ValueError(f"{what} transform must be 4x4, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError(f"{what} transform contains non-finite entries")
-    R = T[:3, :3]
-    err = np.max(np.abs(R.T @ R - np.eye(3)))
-    if err > _ROTATION_TOL:
-        raise ValueError(f"{what} rotation block is not orthonormal (|R'R - I| = {err:.3e})")
-    if np.linalg.det(R) < 0.0:
-        raise ValueError(f"{what} rotation block is left-handed")
+    _check_rotation(T[:3, :3], what)
     if np.max(np.abs(T[3] - (0.0, 0.0, 0.0, 1.0))) > 0.0:
         raise ValueError(f"{what} transform has a non-trivial last row")
+    T.setflags(write=False)
+    return T
 
 
 @dataclass(frozen=True)
@@ -86,21 +100,17 @@ class ManipulatorModel:
     def __post_init__(self):
         if len(self.joints) < 1:
             raise ValueError("model needs at least one joint")
-        _check_rigid(self.base, "base")
-        _check_rigid(self.tool, "tool")
+        base = _check_rigid(self.base, "base")
+        tool = _check_rigid(self.tool, "tool")
         if len(self.markers) < 1:
             raise ValueError("model needs at least one marker")
         markers = []
         for i, m in enumerate(self.markers):
-            m = np.asarray(m, dtype=float).reshape(3)
+            m = np.array(m, dtype=float).reshape(3)
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"marker {i} offset is not finite")
             m.setflags(write=False)
             markers.append(m)
-        base = np.asarray(self.base, dtype=float)
-        tool = np.asarray(self.tool, dtype=float)
-        base.setflags(write=False)
-        tool.setflags(write=False)
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "tool", tool)
@@ -127,15 +137,12 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
-        R = np.asarray(self.rotation, dtype=float)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        _check_rotations(R)
+        p = np.array(self.position, dtype=float).reshape(3)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("pose position is not finite")
         p.setflags(write=False)
-        R.setflags(write=False)
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "rotation", _check_rotation(self.rotation, "pose"))
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -177,14 +184,6 @@ def _check_marker(model: ManipulatorModel, marker) -> np.ndarray:
     if np.any(outside):
         raise ValueError(f"marker index {marker[outside][0]} out of range 0..{len(model.markers) - 1}")
     return marker
-
-
-def _check_rotations(R: np.ndarray) -> None:
-    """Raise unless every rotation of the (..., 3, 3) stack ``R`` is proper."""
-    err = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)), axis=(-2, -1))
-    bad = (err > _ROTATION_TOL) | (np.linalg.det(R) < 0.0)
-    if np.any(bad):
-        raise ValueError(f"rotation is not a proper rotation (|R'R - I| = {err[bad][0]:.3e})")
 
 
 def _kinematics(model: ManipulatorModel, q, marker) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -216,6 +216,11 @@ def elastostatic_regressor(
 Mode = Literal["elastostatic", "geometric", "combined"]
 
 
+def _own(a, dtype) -> np.ndarray:
+    """``a`` as a ``dtype`` array that no caller can write: a read-only array is shared, anything else copied."""
+    return np.array(a, dtype=dtype, copy=None if isinstance(a, np.ndarray) and not a.flags.writeable else True)
+
+
 @dataclass(frozen=True)
 class StackedSystem:
     """Tall linear system ``B x = dp`` of classes of identical rows, with per-class dispersions.
@@ -235,7 +240,7 @@ class StackedSystem:
     groups the classes by their (configuration, axis) pair, the unit that
     carries one dispersion, numbered without gaps; both are planned once per
     system for every solve and dispersion re-estimate.  All arrays are
-    read-only.
+    read-only copies; an input that is already read-only is shared.
     """
 
     B: np.ndarray
@@ -250,16 +255,13 @@ class StackedSystem:
     class_group_plan: _Groups = field(init=False, repr=False)
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
-        dp = np.asarray(self.dp, dtype=float).reshape(-1)
-        sigma = np.asarray(self.sigma, dtype=float).reshape(-1)
-        config, marker, axis = (
-            np.asarray(a, dtype=int).reshape(-1) for a in (self.config, self.marker, self.axis)
-        )
+        B = _own(self.B, float)
+        dp, sigma = (_own(a, float).reshape(-1) for a in (self.dp, self.sigma))
+        config, marker, axis = (_own(a, int).reshape(-1) for a in (self.config, self.marker, self.axis))
         c, n = B.shape
         if any(a.shape[0] != c for a in (sigma, config, marker, axis)):
             raise ValueError("B, sigma, config, marker and axis disagree on the row count")
-        row_class = np.arange(len(dp)) if self.row_class is None else np.asarray(self.row_class, dtype=int).reshape(-1)
+        row_class = np.arange(len(dp)) if self.row_class is None else _own(self.row_class, int).reshape(-1)
         if row_class.shape[0] != dp.shape[0]:
             raise ValueError("row_class disagrees with dp on the row count")
         if np.any(row_class < 0) or not np.all(np.bincount(row_class)):

@@ -62,7 +62,7 @@ class ComplianceVector:
     REPORT_SCALE = 1e6  # SI -> report units
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = np.array(self.values, dtype=float).reshape(-1)
         if not np.all(np.isfinite(v)):
             raise ValueError("compliances must be finite")
         if np.any(v <= 0.0):
@@ -102,7 +102,7 @@ class StudyDesign:
     def __post_init__(self):
         configs = []
         for q in self.configurations:
-            q = np.asarray(q, dtype=float).reshape(-1)
+            q = np.array(q, dtype=float).reshape(-1)
             q.setflags(write=False)
             configs.append(q)
         if not configs:

@@ -1,8 +1,9 @@
 """The public API: ``armcal.__all__`` is spelled out here so any change shows in a diff.
 
 Also the import rules: the package imports only the standard library and numpy, and each
-module uses every name it imports; and the README's table of error codes is the set the
-package and the command line can print.
+module uses every name it imports; the README's table of error codes is the set the
+package and the command line can print; and each checked constructor keeps its own copies
+of the arrays it is given.
 """
 
 import ast
@@ -10,6 +11,10 @@ import importlib
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
 
 import armcal
 from armcal import errors
@@ -73,6 +78,41 @@ def test_readme_errors_table_lists_exactly_the_codes_printed():
     raised = [cls.code for cls in vars(errors).values() if isinstance(cls, type)
               and issubclass(cls, errors.CalibrationError) and cls is not errors.CalibrationError]
     assert sorted(listed) == sorted(raised + ["E_USAGE", "E_IO"])
+
+
+CHECKED_INPUTS = {  # each checked constructor with input arrays its caller can still write
+    "Study": lambda: (armcal.Study, dict(
+        config=np.array([1]), marker=np.array([0]), rep=np.array([0]), q=np.zeros((1, 6)),
+        force=np.array([[0.0, 0.0, -9.8]]), fmarker=np.array([0]), p0=np.zeros((1, 3)), p=np.ones((1, 3)))),
+    "NoiseModel": lambda: (armcal.NoiseModel, dict(
+        config=np.array([2, 1]), sigma=np.ones((2, 3)), se=np.full((2, 3), 0.5))),
+    "ManipulatorModel": lambda: (armcal.ManipulatorModel, dict(
+        joints=(armcal.Joint("revolute", 0.1, 0.0, 0.0, 0.0),), base=np.eye(4), tool=np.eye(4),
+        markers=(np.zeros(3), np.ones(3)))),
+    "Pose": lambda: (armcal.Pose, dict(position=np.zeros(3), rotation=np.eye(3))),
+    "ComplianceVector": lambda: (armcal.ComplianceVector, dict(values=np.array([1.0, 2.0]))),
+    "StudyDesign": lambda: (armcal.StudyDesign, dict(
+        configurations=(np.zeros(6), np.ones(6)), cmap=armcal.ComplianceParameterMap(tail_joints=(0,)),
+        noise=armcal.NoiseModel.uniform([1, 2], 1e-5), ground_truth=armcal.ComplianceVector([1e-6]))),
+    "StackedSystem": lambda: (armcal.StackedSystem, dict(
+        B=np.ones((3, 1)), dp=np.zeros(6), sigma=np.ones(3), config=np.ones(3, dtype=int),
+        marker=np.zeros(3, dtype=int), axis=np.arange(3), columns=("k1",), row_class=np.tile(np.arange(3), 2))),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_INPUTS)
+def test_checked_constructors_keep_their_own_copies(name):
+    # the caller's arrays stay writeable, and writing them changes nothing in the object
+    cls, kwargs = CHECKED_INPUTS[name]()
+    obj = cls(**kwargs)
+    given = {key: value if isinstance(value, tuple) else (value,) for key, value in kwargs.items()}
+    given = {key: arrays for key, arrays in given.items() if isinstance(arrays[0], np.ndarray)}
+    before = {key: np.array(getattr(obj, key)) for key in given}
+    for arrays in given.values():
+        for a in arrays:
+            a += 1
+    for key, value in before.items():
+        assert_array_equal(np.array(getattr(obj, key)), value, err_msg=f"{name}.{key}")
 
 
 def imported_packages(source: str) -> set[str]:

@@ -249,10 +249,12 @@ class TestRankHandling:
         res_reduced = wls_estimate(reduced, np.ones(4))
         assert_allclose(res.x_hat, res_reduced.x_hat, rtol=1e-12)
 
-    def test_all_zero_weights_rejected(self):
-        sys = make_system(np.ones((3, 1)), np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError, match="zero weight"):
-            wls_estimate(sys, np.zeros(3))
+    def test_all_zero_weights_rejected(self, bundled_system):
+        # the solver's one rank check refuses them, as for any other rank fault
+        for sys in (make_system(np.ones((3, 1)), np.zeros(3), np.ones(3)), bundled_system):
+            with pytest.raises(RankDeficientError, match="weighted regressor is identically zero") as exc:
+                wls_estimate(sys, np.zeros(len(sys.B)))
+            assert exc.value.code == "E_RANK_DEFICIENT"
 
     def test_weight_vector_validated(self):
         sys = make_system(np.ones((3, 1)), np.zeros(3), np.ones(3))

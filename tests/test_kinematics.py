@@ -22,7 +22,6 @@ from armcal.kinematics import (
     Pose,
     PRISMATIC,
     REVOLUTE,
-    _check_rotations,
     _joint_jacobians,
     _kinematics,
     _parameter_jacobians,
@@ -270,15 +269,6 @@ class TestBatchedKernels:
         with pytest.raises(ValueError, match=f"expected {model.n_joints} joint values, got 2"):
             _kinematics(model, np.zeros((3, 2)), [[0], [0], [0]])
 
-    def test_improper_rotation_in_a_stack_rejected(self):
-        R = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 1.0, -1.0])])
-        _check_rotations(R[:2])
-        with pytest.raises(ValueError, match="proper rotation"):
-            _check_rotations(R)
-        R[1, 0, 0] = 1.0 + 1e-6
-        with pytest.raises(ValueError, match=r"\|R'R - I\| = 2\.000e-06"):
-            _check_rotations(R)
-
 
 class TestParameterJacobian:
     def test_link_length_derivative_is_link_axis(self, link1):
@@ -359,7 +349,7 @@ class TestValidation:
     def test_bad_rotation_block_rejected(self):
         T = np.eye(4)
         T[0, 0] = 1.1
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(ValueError, match=r"base rotation is not a proper rotation \(\|R'R - I\| = 2\.100e-01, "):
             ManipulatorModel(
                 joints=(Joint(kind=REVOLUTE, a=0, alpha=0, d=0, theta=0),),
                 base=T,
@@ -370,7 +360,8 @@ class TestValidation:
     def test_left_handed_rotation_rejected(self):
         T = np.eye(4)
         T[0, 0] = -1.0
-        with pytest.raises(ValueError, match="left-handed"):
+        with pytest.raises(ValueError, match=r"tool rotation is not a proper rotation "
+                                             r"\(\|R'R - I\| = 0\.000e\+00, det R = -1\.000e\+00\)"):
             ManipulatorModel(
                 joints=(Joint(kind=REVOLUTE, a=0, alpha=0, d=0, theta=0),),
                 base=np.eye(4),
@@ -409,8 +400,28 @@ class TestValidation:
             Joint(kind=REVOLUTE, a=np.nan, alpha=0, d=0, theta=0)
 
     def test_pose_requires_proper_rotation(self):
-        with pytest.raises(ValueError, match="proper rotation"):
+        with pytest.raises(ValueError, match="pose rotation is not a proper rotation"):
             Pose(position=np.zeros(3), rotation=np.eye(3) * 2.0)
+        with pytest.raises(ValueError, match=r"\(\|R'R - I\| = 0\.000e\+00, det R = -1\.000e\+00\)"):
+            Pose(position=np.zeros(3), rotation=np.diag([1.0, 1.0, -1.0]))
+        R = np.eye(3)
+        R[0, 0] = 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"\|R'R - I\| = 2\.000e-06, det R = 1\.000e\+00"):
+            Pose(position=np.zeros(3), rotation=R)
+        with pytest.raises(ValueError, match=r"pose rotation must be 3x3, got \(2, 2\)"):
+            Pose(position=np.zeros(3), rotation=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pose_refuses_non_finite_values(self, bad):
+        # refused as ValueErrors, with no RuntimeWarning from the determinant on the way
+        with pytest.raises(ValueError, match=r"pose rotation is not a proper rotation \(\|R'R - I\| = (nan|inf)"):
+            Pose(position=np.zeros(3), rotation=np.full((3, 3), bad))
+        R = np.eye(3)
+        R[1, 2] = bad
+        with pytest.raises(ValueError, match="pose rotation is not a proper rotation"):
+            Pose(position=np.zeros(3), rotation=R)
+        with pytest.raises(ValueError, match="pose position is not finite"):
+            Pose(position=[0.0, 0.0, bad], rotation=np.eye(3))
 
     def test_rpy_matrix_is_composed_rotation(self):
         rng = np.random.default_rng(2)
