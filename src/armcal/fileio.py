@@ -339,6 +339,8 @@ def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int
     if moved.size:
         i, at = moved[0], list(rows)
         raise err(f"{source}:{at[i][0]}: config {table['config'][i]} joint angles differ from line {at[first[i]][0]}")
+    for a in (q, p0, p):  # frozen, so the study shares them; it copies the field views, which hold the whole table
+        a.setflags(write=False)
     return Study(config=table["config"], marker=table["marker"], rep=table["rep"], q=q, force=table["force"],
                  fmarker=table["fmarker"], p0=p0, p=p)
 

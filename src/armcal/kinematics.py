@@ -11,6 +11,8 @@ tool transform.  Markers are fixed points of the tool frame; all public
 positions are marker positions in the world (base/measurement) frame.
 The base and tool rotation blocks and a :class:`Pose` rotation pass one rule,
 :func:`_check_rotation`: finite, |R'R - I| <= 1e-9 (``_ROTATION_TOL``), det R > 0.
+Every checked constructor of the package stores its arrays through :func:`_frozen`,
+which copies what a caller can still write and shares only what nobody can.
 
 The private kernels take P postures at once (``_kinematics`` advances every
 chain by one stacked product per joint); the public functions are their P = 1
@@ -39,9 +41,21 @@ _JOINT_FIELDS = ("a", "alpha", "d", "theta")
 _ROTATION_TOL = 1e-9
 
 
+def _frozen(a, dtype=float, shape=None) -> np.ndarray:
+    """``a`` (reshaped to ``shape``, if given) as a read-only ``dtype`` array that nobody can write: it is
+    shared only when it and the array that owns its memory are both read-only ndarrays, else copied."""
+    if shape is not None:
+        a = np.reshape(a, shape)
+    owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+    shared = isinstance(owner, np.ndarray) and not (a.flags.writeable or owner.flags.writeable)
+    a = np.array(a, dtype=dtype, copy=None if shared else True)
+    a.setflags(write=False)
+    return a
+
+
 def _check_rotation(R, what: str) -> np.ndarray:
-    """Read-only copy of the 3x3 ``R``; raise unless it is a proper rotation (the module's one rule)."""
-    R = np.array(R, dtype=float)
+    """``R`` through :func:`_frozen`; raise unless it is a 3x3 proper rotation (the module's one rule)."""
+    R = _frozen(R)
     if R.shape != (3, 3):
         raise ValueError(f"{what} rotation must be 3x3, got {R.shape}")
     with np.errstate(invalid="ignore"):  # a non-finite R reads NaN or inf in both and is refused
@@ -49,13 +63,12 @@ def _check_rotation(R, what: str) -> np.ndarray:
         det = np.linalg.det(R)
     if not (err <= _ROTATION_TOL and det > 0.0):
         raise ValueError(f"{what} rotation is not a proper rotation (|R'R - I| = {err:.3e}, det R = {det:.3e})")
-    R.setflags(write=False)
     return R
 
 
 def _check_rigid(T, what: str) -> np.ndarray:
-    """Read-only copy of the 4x4 rigid transform ``T``; its rotation block follows :func:`_check_rotation`."""
-    T = np.array(T, dtype=float)
+    """``T`` through :func:`_frozen`; raise unless a 4x4 rigid transform (rotation: :func:`_check_rotation`)."""
+    T = _frozen(T)
     if T.shape != (4, 4):
         raise ValueError(f"{what} transform must be 4x4, got {T.shape}")
     if not np.all(np.isfinite(T)):
@@ -63,7 +76,6 @@ def _check_rigid(T, what: str) -> np.ndarray:
     _check_rotation(T[:3, :3], what)
     if np.max(np.abs(T[3] - (0.0, 0.0, 0.0, 1.0))) > 0.0:
         raise ValueError(f"{what} transform has a non-trivial last row")
-    T.setflags(write=False)
     return T
 
 
@@ -104,17 +116,12 @@ class ManipulatorModel:
         tool = _check_rigid(self.tool, "tool")
         if len(self.markers) < 1:
             raise ValueError("model needs at least one marker")
-        markers = []
-        for i, m in enumerate(self.markers):
-            m = np.array(m, dtype=float).reshape(3)
+        markers = tuple(_frozen(m, float, 3) for m in self.markers)
+        for i, m in enumerate(markers):
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"marker {i} offset is not finite")
-            m.setflags(write=False)
-            markers.append(m)
-        object.__setattr__(self, "joints", tuple(self.joints))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "tool", tool)
-        object.__setattr__(self, "markers", tuple(markers))
+        for name, value in (("joints", tuple(self.joints)), ("base", base), ("tool", tool), ("markers", markers)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_joints(self) -> int:
@@ -137,10 +144,9 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.position, dtype=float).reshape(3)
+        p = _frozen(self.position, float, 3)
         if not np.all(np.isfinite(p)):
             raise ValueError("pose position is not finite")
-        p.setflags(write=False)
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "rotation", _check_rotation(self.rotation, "pose"))
 
@@ -214,10 +220,9 @@ def _kinematics(model: ManipulatorModel, q, marker) -> tuple[np.ndarray, np.ndar
 def forward_kinematics(model: ManipulatorModel, q, marker: int = 0) -> Pose:
     """Pose of a tool marker: world position plus the tool-frame rotation."""
     _, R, p = _kinematics(model, np.reshape(q, (1, -1)), [[marker]])
-    pose = object.__new__(Pose)  # R composes the model's checked rotations, so it is not checked again
+    pose = object.__new__(Pose)  # unchecked: a checked base and tool may compose to just past the tolerance
     for name, arr in (("position", p[0, 0]), ("rotation", R[0])):
-        arr.setflags(write=False)
-        object.__setattr__(pose, name, arr)
+        object.__setattr__(pose, name, _frozen(arr))
     return pose
 
 

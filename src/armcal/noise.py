@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import MissingNoiseError
+from .kinematics import _frozen
 
 AXES = ("x", "y", "z")
 
@@ -45,27 +46,24 @@ class NoiseModel:
     se: np.ndarray | None = None
 
     def __post_init__(self):
-        config = np.array(self.config, dtype=int).reshape(-1)
-        order = np.argsort(config)
-        config = config[order]
+        config = _frozen(self.config, int, -1)
+        order = np.argsort(config) if np.any(config[1:] < config[:-1]) else slice(None)  # sorted rows are shared
+        config = _frozen(config[order], int)
         if not config.size:
             raise ValueError("noise table has no configurations")
         repeated = config[1:][config[1:] == config[:-1]]
         if repeated.size:
             raise ValueError(f"configuration {repeated[0]} is listed twice")
-        config.setflags(write=False)
         object.__setattr__(self, "config", config)
         for name in ("sigma", "se"):
             if getattr(self, name) is None:
                 continue
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _frozen(getattr(self, name))
             if arr.shape != (config.size, 3):
                 raise ValueError(f"noise column {name} has shape {arr.shape} for {config.size} configurations")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
                 raise ValueError(f"noise column {name} must be finite and >= 0")
-            arr = arr[order]
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr[order]))
 
     def rows(self, config) -> np.ndarray:
         """Table row of each configuration id in ``config`` (same shape)."""

@@ -25,7 +25,7 @@ from typing import ClassVar, Literal, Sequence
 import numpy as np
 
 from .errors import BucketMatchError
-from .kinematics import ManipulatorModel, _joint_jacobians, _kinematics, _parameter_jacobians
+from .kinematics import ManipulatorModel, _frozen, _joint_jacobians, _kinematics, _parameter_jacobians
 from .kinematics import joint_jacobian  # noqa: F401  bench/tests reach armcal.regressor.joint_jacobian
 from .noise import AXES, DEFAULT_SIGMA0, NoiseModel, _Groups, build_sigma
 
@@ -50,7 +50,7 @@ class Study:
     joint angles ``q`` (N, joints, radians), the force ``force`` (N, 3,
     newtons) applied at marker ``fmarker[i]``, the unloaded marker position
     ``p0`` and the loaded one ``p`` (N, 3, meters in the measurement frame).
-    Columns are copied, must agree on the row count and hold finite values.
+    Columns pass through :func:`~armcal.kinematics._frozen`, must agree on the row count and be finite.
     """
 
     config: np.ndarray
@@ -66,18 +66,13 @@ class Study:
         n = len(self.config)
         for f in fields(self):
             index = f.name in ("config", "marker", "rep", "fmarker")
-            arr = np.array(getattr(self, f.name), dtype=int if index else float)
+            arr = _frozen(getattr(self, f.name), int if index else float)
             shape = (n,) if index else (n, 3)  # q: (n, joints)
             if arr.shape[:1] != (n,) or arr.ndim != len(shape) or (f.name != "q" and arr.shape != shape):
                 raise ValueError(f"study column {f.name} has shape {arr.shape} for {n} rows")
-            self._set(f.name, arr)
-
-    def _set(self, name: str, column: np.ndarray) -> None:
-        """Store ``column`` read-only as column ``name``; a float column must be finite."""
-        if column.dtype.kind == "f" and not np.all(np.isfinite(column)):
-            raise ValueError(f"study column {name} contains non-finite values")
-        column.setflags(write=False)
-        object.__setattr__(self, name, column)
+            if not (index or np.all(np.isfinite(arr))):
+                raise ValueError(f"study column {f.name} contains non-finite values")
+            object.__setattr__(self, f.name, arr)
 
     def __len__(self) -> int:
         return len(self.config)
@@ -87,12 +82,12 @@ class Study:
         return self.p - self.p0
 
     def take(self, rows) -> "Study":
-        """The rows ``rows`` (an index array, mask or slice) as a new study, each column
-        gathered once; only the finiteness of the float columns is checked again."""
-        part = object.__new__(Study)
-        for f in fields(self):
-            part._set(f.name, getattr(self, f.name)[rows])
-        return part
+        """The rows ``rows`` (an index array, mask or slice) as a new, fully checked study; each
+        column is gathered once and frozen, so the new study shares it rather than copying it."""
+        columns = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
+        for column in columns.values():
+            column.setflags(write=False)
+        return Study(**columns)
 
 
 @dataclass(frozen=True)
@@ -216,11 +211,6 @@ def elastostatic_regressor(
 Mode = Literal["elastostatic", "geometric", "combined"]
 
 
-def _own(a, dtype) -> np.ndarray:
-    """``a`` as a ``dtype`` array that no caller can write: a read-only array is shared, anything else copied."""
-    return np.array(a, dtype=dtype, copy=None if isinstance(a, np.ndarray) and not a.flags.writeable else True)
-
-
 @dataclass(frozen=True)
 class StackedSystem:
     """Tall linear system ``B x = dp`` of classes of identical rows, with per-class dispersions.
@@ -239,8 +229,10 @@ class StackedSystem:
     ``class_plan`` groups the rows by ``row_class``, and ``class_group_plan``
     groups the classes by their (configuration, axis) pair, the unit that
     carries one dispersion, numbered without gaps; both are planned once per
-    system for every solve and dispersion re-estimate.  All arrays are
-    read-only copies; an input that is already read-only is shared.
+    system for every solve and dispersion re-estimate.  All arrays are stored
+    by :func:`~armcal.kinematics._frozen`'s rule: an input that a caller can
+    still write, also through another view of its memory, is copied, and one
+    that nobody can write, such as another system's, is shared.
     """
 
     B: np.ndarray
@@ -255,13 +247,13 @@ class StackedSystem:
     class_group_plan: _Groups = field(init=False, repr=False)
 
     def __post_init__(self):
-        B = _own(self.B, float)
-        dp, sigma = (_own(a, float).reshape(-1) for a in (self.dp, self.sigma))
-        config, marker, axis = (_own(a, int).reshape(-1) for a in (self.config, self.marker, self.axis))
+        B = _frozen(self.B)
+        dp, sigma = (_frozen(a, float, -1) for a in (self.dp, self.sigma))
+        config, marker, axis = (_frozen(a, int, -1) for a in (self.config, self.marker, self.axis))
         c, n = B.shape
         if any(a.shape[0] != c for a in (sigma, config, marker, axis)):
             raise ValueError("B, sigma, config, marker and axis disagree on the row count")
-        row_class = np.arange(len(dp)) if self.row_class is None else _own(self.row_class, int).reshape(-1)
+        row_class = _frozen(np.arange(len(dp)) if self.row_class is None else self.row_class, int, -1)
         if row_class.shape[0] != dp.shape[0]:
             raise ValueError("row_class disagrees with dp on the row count")
         if np.any(row_class < 0) or not np.all(np.bincount(row_class)):
@@ -279,7 +271,6 @@ class StackedSystem:
             raise ValueError("stacked system contains non-finite values")
         for name, arr in (("B", B), ("dp", dp), ("sigma", sigma), ("config", config),
                           ("marker", marker), ("axis", axis), ("row_class", row_class)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         group = np.unique(config, return_inverse=True)[1].reshape(-1) * len(AXES) + axis
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -369,9 +360,11 @@ def stack_system(
     else:
         fk = fk[run]
         dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
-    config = np.repeat(s.config[rows], per_record)
+    config, marker = np.repeat(s.config[rows], per_record), np.repeat(marker, per_record)
     axis = np.tile(np.arange(len(AXES)), len(rows) * blocks.shape[1])
-    return StackedSystem(B=blocks.reshape(-1, len(columns)), dp=dp.reshape(-1),
-                         sigma=build_sigma(noise, config, axis, floor=sigma_floor), config=config,
-                         marker=np.repeat(marker, per_record), axis=axis, columns=columns,
-                         row_class=run[:, None] * per_record + np.arange(per_record))
+    sigma = build_sigma(noise, config, axis, floor=sigma_floor)
+    row_class = run[:, None] * per_record + np.arange(per_record)
+    for a in (blocks, dp, sigma, config, marker, axis, row_class):  # frozen here, so the system shares them
+        a.setflags(write=False)
+    return StackedSystem(B=blocks.reshape(-1, len(columns)), dp=dp, sigma=sigma, config=config, marker=marker,
+                         axis=axis, columns=columns, row_class=row_class)

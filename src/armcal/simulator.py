@@ -31,7 +31,7 @@ from .estimator import (
     _solve,
     optimal_weights,
 )
-from .kinematics import ManipulatorModel, _kinematics, _parameter_jacobians
+from .kinematics import ManipulatorModel, _frozen, _kinematics, _parameter_jacobians
 from .noise import DEFAULT_SIGMA0, NoiseModel
 from .regressor import (
     ComplianceParameterMap,
@@ -62,12 +62,11 @@ class ComplianceVector:
     REPORT_SCALE = 1e6  # SI -> report units
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float).reshape(-1)
+        v = _frozen(self.values, float, -1)
         if not np.all(np.isfinite(v)):
             raise ValueError("compliances must be finite")
         if np.any(v <= 0.0):
             raise ValueError("compliances must be strictly positive")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -82,7 +81,7 @@ class ComplianceVector:
 class StudyDesign:
     """Everything needed to run one synthetic deflection study.
 
-    ``configurations`` are joint vectors in radians; configuration ids are
+    ``configurations`` are joint vectors in radians, all of one length; configuration ids are
     their 1-based positions and the noise model must cover all of them.  The
     load is a dead weight drawn uniformly from ``mass_range_kg`` per
     configuration, at most the ``_DOMAIN`` mass, and hangs at marker 0 (pure
@@ -100,13 +99,12 @@ class StudyDesign:
     seed: int = 0
 
     def __post_init__(self):
-        configs = []
-        for q in self.configurations:
-            q = np.array(q, dtype=float).reshape(-1)
-            q.setflags(write=False)
-            configs.append(q)
+        configs = tuple(_frozen(q, float, -1) for q in self.configurations)
         if not configs:
             raise ValueError("study needs at least one configuration")
+        counts = sorted({q.size for q in configs})
+        if len(counts) > 1:
+            raise ValueError(f"configurations differ in joint count ({', '.join(map(str, counts))}); all need the same")
         if self.markers < 1 or self.repetitions < 1:
             raise ValueError("markers and repetitions must be at least 1")
         lo, hi = self.mass_range_kg
@@ -114,7 +112,7 @@ class StudyDesign:
             raise ValueError(f"mass range must satisfy 0 <= lo <= hi <= {_DOMAIN['mass'][1]:g} kg")
         if len(self.ground_truth.values) != self.cmap.n_parameters:
             raise ValueError("ground truth length does not match the compliance map")
-        object.__setattr__(self, "configurations", tuple(configs))
+        object.__setattr__(self, "configurations", configs)
         self.noise.rows(self.config_ids)  # raises MissingNoiseError on gaps
         if self.geometry_error is not None:
             object.__setattr__(self, "geometry_error", dict(self.geometry_error))
@@ -162,10 +160,11 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     deflection = _regressors(model, q, frames, p, wrench, design.cmap) @ design.ground_truth.values
     p = unloaded + deflection.reshape(unloaded.shape) + eps[..., 1, :]
     cfg, marker, rep = np.indices((len(forces), design.markers, design.repetitions)).reshape(3, -1)
-    return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1,
-                 q=np.asarray(design.configurations)[cfg], force=forces[cfg],
-                 fmarker=np.zeros_like(cfg),
-                 p0=np.reshape(p0, (-1, 3)), p=np.reshape(p, (-1, 3)))
+    q, force = np.asarray(design.configurations)[cfg], forces[cfg]
+    for a in (q, force, p0, p):  # frozen here, so the study shares them
+        a.setflags(write=False)
+    return Study(config=np.asarray(design.config_ids)[cfg], marker=marker, rep=rep + 1, q=q, force=force,
+                 fmarker=np.zeros_like(cfg), p0=np.reshape(p0, (-1, 3)), p=np.reshape(p, (-1, 3)))
 
 
 def noise_free_system(design: StudyDesign, model: ManipulatorModel) -> StackedSystem:

@@ -2,14 +2,16 @@
 
 Also the import rules: the package imports only the standard library and numpy, and each
 module uses every name it imports; the README's table of error codes is the set the
-package and the command line can print; and each checked constructor keeps its own copies
-of the arrays it is given.
+package and the command line can print; each checked constructor keeps its own copies
+of the arrays its caller can write and shares those nobody can; and no module builds an
+object past its constructor's checks but ``forward_kinematics``.
 """
 
 import ast
 import importlib
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,36 @@ def test_checked_constructors_keep_their_own_copies(name):
         assert_array_equal(np.array(getattr(obj, key)), value, err_msg=f"{name}.{key}")
 
 
+def arrays_of(value) -> tuple:
+    """``value`` as a tuple of its arrays: a tuple argument's items, or ``value`` alone."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("name", CHECKED_INPUTS)
+def test_checked_constructors_copy_what_a_caller_can_write_and_share_the_rest(name):
+    # a read-only view of an array its caller can still write is copied, so writing that array
+    # changes nothing in the object; an input nobody can write, such as the object's own arrays, is shared
+    cls, kwargs = CHECKED_INPUTS[name]()
+    writable = {key: arrays_of(value) for key, value in kwargs.items() if isinstance(arrays_of(value)[0], np.ndarray)}
+    for key, arrays in writable.items():
+        views = tuple(a[...] for a in arrays)
+        for view in views:
+            view.setflags(write=False)
+        kwargs[key] = views if isinstance(kwargs[key], tuple) else views[0]
+    obj = cls(**kwargs)
+    before = {key: [np.array(a) for a in arrays_of(getattr(obj, key))] for key in writable}
+    for arrays in writable.values():
+        for a in arrays:
+            a += 1
+    for key, values in before.items():
+        for stored, value in zip(arrays_of(getattr(obj, key)), values, strict=True):
+            assert_array_equal(stored, value, err_msg=f"{name}.{key}")
+    again = replace(obj)
+    for key in writable:
+        for shared, stored in zip(arrays_of(getattr(again, key)), arrays_of(getattr(obj, key)), strict=True):
+            assert np.shares_memory(shared, stored), f"{name}.{key}"
+
+
 def imported_packages(source: str) -> set[str]:
     """Top-level names of every package that ``import`` and ``from ... import`` lines of ``source``
     name, ``armcal`` for relative imports."""
@@ -169,6 +201,40 @@ def test_package_modules_use_every_import():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def direct_new_calls(source: str) -> list[str]:
+    """The innermost function around each call of some ``<name>.__new__(...)`` in ``source``, an
+    object made without running its class's checks, in source order; ``<module>`` outside any."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
+                sites.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_direct_new_calls_are_found():
+    source = ("x = object.__new__(A)\nclass B:\n    def f(self):\n        def g():\n"
+              "            return B.__new__(B)\n        return g, object.__setattr__\n")
+    assert direct_new_calls(source) == ["<module>", "g"]
+
+
+def test_only_forward_kinematics_makes_an_object_past_its_checks():
+    # forward_kinematics does not check the rotation it composes from a model's checked base and tool
+    # again (tests/test_regressor.py::test_rotations_are_checked_where_they_enter); every other object
+    # is made by its constructor
+    modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
+    assert modules
+    sites = {path.name: direct_new_calls(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: calls for name, calls in sites.items() if calls} == {"kinematics.py": ["forward_kinematics"]}
 
 
 def traced_targets() -> dict[str, tuple[str, ...]]:

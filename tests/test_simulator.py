@@ -77,6 +77,11 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError, match="ground truth length"):
             quiet_design(ground_truth=ComplianceVector(np.full(4, 1e-6)))
 
+    def test_configurations_share_one_joint_count(self, bundled_design):
+        # refused where the design is made, not later as numpy's inhomogeneous-shape error
+        with pytest.raises(ValueError, match=r"configurations differ in joint count \(5, 6\)"):
+            replace(bundled_design, configurations=(np.zeros(6), np.zeros(5)))
+
     def test_config_ids_are_one_based(self, bundled_design):
         assert bundled_design.config_ids == tuple(range(1, 16))
 
