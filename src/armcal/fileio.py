@@ -243,16 +243,15 @@ def _measurement_header(n_joints: int) -> list[str]:
 
 
 def _measurement_chunks(study: Study) -> Iterator[str]:
-    """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk
-    gathers its own rows of the (config, marker, rep) order, so no sorted copy of the
-    study is made, formats config, marker, q, force and fmarker once per class run of
+    """The text of :func:`format_measurements` in :func:`_render` chunks.  Each chunk is a
+    view ``study.take(rows)`` of the study's rows, kept in (config, marker, rep) order, and
+    formats config, marker, q, force and fmarker once per class run of
     :func:`~armcal.regressor._class_starts`, as stacking groups them, and each distinct rep once."""
     if not len(study):
         raise ValueError("no records to write")
-    order = np.lexsort((study.rep, study.marker, study.config))
 
     def cells(rows: slice) -> list[list[str]]:
-        s = study.take(order[rows])
+        s = study.take(rows)
         start = _class_starts(s)
         run = start.cumsum() - 1
         origin = _per_class(run, _reprs(s.config[start], s.marker[start]), " ")
@@ -346,7 +345,7 @@ def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int
 
 
 def parse_measurements(lines: Iterable[str], source: str = "<measurements>") -> Study:
-    """Parse into a :class:`Study` in file order.
+    """Parse into a :class:`Study`, in its (config, marker, rep) row order whatever the file's.
 
     numpy's C reader converts every row after the header in one
     ``np.loadtxt`` call, and the file-wide checks of :func:`_checked_rows` run

@@ -11,8 +11,8 @@ tool transform.  Markers are fixed points of the tool frame; all public
 positions are marker positions in the world (base/measurement) frame.
 The base and tool rotation blocks and a :class:`Pose` rotation pass one rule,
 :func:`_check_rotation`: finite, |R'R - I| <= 1e-9 (``_ROTATION_TOL``), det R > 0.
-Every checked constructor of the package stores its arrays through :func:`_frozen`,
-which copies what a caller can still write and shares only what nobody can.
+Every checked constructor of the package stores its arrays through :func:`_frozen`: no write
+through an array its caller held reaches them, unless one is made writeable again on purpose.
 
 The private kernels take P postures at once (``_kinematics`` advances every
 chain by one stacked product per joint); the public functions are their P = 1
@@ -42,8 +42,9 @@ _ROTATION_TOL = 1e-9
 
 
 def _frozen(a, dtype=float, shape=None) -> np.ndarray:
-    """``a`` (reshaped to ``shape``, if given) as a read-only ``dtype`` array that nobody can write: it is
-    shared only when it and the array that owns its memory are both read-only ndarrays, else copied."""
+    """``a`` (reshaped to ``shape``, if given) as a read-only ``dtype`` array, shared only when it and the array
+    that owns its memory are both read-only ndarrays, else copied.  So no write through an array the caller held
+    reaches it, unless someone makes the owner writeable again on purpose, which numpy allows."""
     if shape is not None:
         a = np.reshape(a, shape)
     owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a

@@ -11,8 +11,8 @@ loading of the link changes the effective stiffness), which is modelled by
 bucketing: each declared reference angle owns a separate parameter.
 
 ``stack_system`` assembles the 3-row blocks of a :class:`Study`'s rows into
-one tall linear system ``B x = dp``, sorted deterministically by
-(configuration, marker, repetition, axis) regardless of input order.  The
+one tall linear system ``B x = dp``, in the (configuration, marker,
+repetition) order the study keeps, then by axis, whatever the input order.  The
 repetitions of a posture are identical rows, so the system stores each class
 of identical rows once: its regressor row, sigma and origin.
 """
@@ -34,8 +34,8 @@ BUCKET_TOL = 1e-6
 
 
 def _class_starts(study: Study) -> np.ndarray:
-    """True at each row of ``study`` that starts a class run: consecutive rows whose configuration,
-    marker, joint vector, force and force marker agree bit for bit (``-0.0 != 0.0``)."""
+    """True at each row of ``study`` that starts a class run: consecutive rows of its (config, marker, rep)
+    order whose configuration, marker, joint vector, force and force marker agree bit for bit (``-0.0 != 0.0``)."""
     columns = (study.config, study.marker, study.q, study.force, study.fmarker)
     bits = np.column_stack([c.view(f"u{c.itemsize}") for c in columns])
     return np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]
@@ -51,6 +51,7 @@ class Study:
     newtons) applied at marker ``fmarker[i]``, the unloaded marker position
     ``p0`` and the loaded one ``p`` (N, 3, meters in the measurement frame).
     Columns pass through :func:`~armcal.kinematics._frozen`, must agree on the row count and be finite.
+    Rows are kept in (config, marker, rep) order: rows already in it are shared, others gathered once.
     """
 
     config: np.ndarray
@@ -73,6 +74,12 @@ class Study:
             if not (index or np.all(np.isfinite(arr))):
                 raise ValueError(f"study column {f.name} contains non-finite values")
             object.__setattr__(self, f.name, arr)
+        unordered = np.zeros(max(n - 1, 0), bool)  # rows i, i + 1 out of order on the keys seen so far
+        for key in (self.rep, self.marker, self.config):  # from the last key of the order to the first
+            unordered &= key[1:] == key[:-1]
+            unordered |= key[1:] < key[:-1]
+        if unordered.any():
+            vars(self).update(vars(self.take(np.lexsort((self.rep, self.marker, self.config)))))
 
     def __len__(self) -> int:
         return len(self.config)
@@ -82,8 +89,8 @@ class Study:
         return self.p - self.p0
 
     def take(self, rows) -> "Study":
-        """The rows ``rows`` (an index array, mask or slice) as a new, fully checked study; each
-        column is gathered once and frozen, so the new study shares it rather than copying it."""
+        """The rows ``rows`` (an index array, mask or slice) as a new, fully checked study in key order; each
+        column is gathered once and frozen, so the new study shares it (rows out of key order are gathered again)."""
         columns = {f.name: getattr(self, f.name)[rows] for f in fields(self)}
         for column in columns.values():
             column.setflags(write=False)
@@ -231,8 +238,8 @@ class StackedSystem:
     carries one dispersion, numbered without gaps; both are planned once per
     system for every solve and dispersion re-estimate.  All arrays are stored
     by :func:`~armcal.kinematics._frozen`'s rule: an input that a caller can
-    still write, also through another view of its memory, is copied, and one
-    that nobody can write, such as another system's, is shared.
+    still write, also through another view of its memory, is copied, and a
+    read-only one with a read-only owner, such as another system's, is shared.
     """
 
     B: np.ndarray
@@ -305,12 +312,12 @@ def stack_system(
       against ``p0 - fk`` and a loaded block ``[J | A]`` against ``p - fk``,
       so the unknowns are the concatenation (geometric first).
 
-    Rows are sorted by (config, marker, rep) and axes expand x, y, z so the
-    row order never depends on input order.  Repeated experiments are
-    stacked as independent rows of ``dp``, not averaged: averaging would
-    hide the very replicate scatter the weighting stage feeds on.
+    Rows come in the study's (config, marker, rep) order, read in place,
+    and axes expand x, y, z.  Repeated experiments are stacked as
+    independent rows of ``dp``, not averaged: averaging would hide the
+    very replicate scatter the weighting stage feeds on.
 
-    The system's classes are the runs of :func:`_class_starts` (the sorted
+    The system's classes are the runs of :func:`_class_starts` (the
     rows whose configuration, marker, joint vector, force and force marker
     agree bit for bit), split by block kind and axis.  Kinematics and
     regressor blocks are built once per class run, so the repetitions of a
@@ -330,8 +337,6 @@ def stack_system(
             raise ValueError(f"{mode} stacking needs a geometric parameter selection")
         params = list(params)
 
-    s = study.take(np.lexsort((study.rep, study.marker, study.config)))
-
     columns: tuple[str, ...]
     if mode == "elastostatic":
         columns = cmap.parameter_names
@@ -340,27 +345,27 @@ def stack_system(
     else:
         columns = tuple(params) + cmap.parameter_names
 
-    start = _class_starts(s)
+    start = _class_starts(study)
     rows, run = np.flatnonzero(start), np.cumsum(start) - 1  # each class run's first row; each row's run
-    q, marker = s.q[rows], s.marker[rows]
+    q, marker = study.q[rows], study.marker[rows]
     # the regressor also needs the position of the marker the load is applied at
-    markers = marker[:, None] if mode == "geometric" else np.stack([marker, s.fmarker[rows]], axis=1)
+    markers = marker[:, None] if mode == "geometric" else np.stack([marker, study.fmarker[rows]], axis=1)
     frames, _, p = _kinematics(model, q, markers)
     blocks = np.zeros((len(rows), 2 if mode == "combined" else 1, 3, len(columns)))
     if mode != "elastostatic":
         fk = p[:, 0]
         blocks[..., :len(params)] = _parameter_jacobians(model, frames, fk, params)[:, None]
     if mode != "geometric":
-        wrench = np.concatenate([s.force[rows], np.zeros((len(rows), 3))], axis=1)
+        wrench = np.concatenate([study.force[rows], np.zeros((len(rows), 3))], axis=1)
         blocks[:, -1, :, -cmap.n_parameters:] = _regressors(model, q, frames, p, wrench, cmap)
     # each row contributes one 3-row block, or two (unloaded, loaded) when combined
     per_record = 3 * blocks.shape[1]
     if mode == "elastostatic":
-        dp = s.deflection
+        dp = study.deflection
     else:
         fk = fk[run]
-        dp = s.p0 - fk if mode == "geometric" else np.stack([s.p0 - fk, s.p - fk], axis=1)
-    config, marker = np.repeat(s.config[rows], per_record), np.repeat(marker, per_record)
+        dp = study.p0 - fk if mode == "geometric" else np.stack([study.p0 - fk, study.p - fk], axis=1)
+    config, marker = np.repeat(study.config[rows], per_record), np.repeat(marker, per_record)
     axis = np.tile(np.arange(len(AXES)), len(rows) * blocks.shape[1])
     sigma = build_sigma(noise, config, axis, floor=sigma_floor)
     row_class = run[:, None] * per_record + np.arange(per_record)

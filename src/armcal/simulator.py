@@ -126,10 +126,10 @@ def simulate_measurements(design: StudyDesign, model: ManipulatorModel) -> Study
     """Generate one full study: a row per (config, marker, repetition).
 
     With all sigmas zero and zero compliances the loaded and unloaded
-    positions coincide exactly.  Rows come out sorted by (config, marker,
-    repetition); draws are consumed in that fixed order (per configuration
-    the load mass, then the unloaded and loaded noise 3-vectors of each
-    row), so identical seeds reproduce identical studies bit for bit.
+    positions coincide exactly.  Rows are made in the (config, marker, rep)
+    order a study keeps, so it shares them; draws are consumed in that order
+    (per configuration the load mass, then the unloaded and loaded noise
+    3-vectors of each row), so identical seeds give identical studies bit for bit.
     """
     if design.markers > len(model.markers):
         raise ValueError(f"design asks for {design.markers} markers, model has {len(model.markers)}")

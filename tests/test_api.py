@@ -3,8 +3,8 @@
 Also the import rules: the package imports only the standard library and numpy, and each
 module uses every name it imports; the README's table of error codes is the set the
 package and the command line can print; each checked constructor keeps its own copies
-of the arrays its caller can write and shares those nobody can; and no module builds an
-object past its constructor's checks but ``forward_kinematics``.
+of the arrays its caller can write and shares read-only ones; no module builds an
+object past its constructor's checks but ``forward_kinematics``; and only ``Study`` orders rows by key.
 """
 
 import ast
@@ -235,6 +235,31 @@ def test_only_forward_kinematics_makes_an_object_past_its_checks():
     assert modules
     sites = {path.name: direct_new_calls(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: calls for name, calls in sites.items() if calls} == {"kinematics.py": ["forward_kinematics"]}
+
+
+def lexsort_sites(source: str) -> list[str]:
+    """The top-level class or function around each call of ``lexsort`` (``np.lexsort(...)`` or a bare
+    ``lexsort(...)``) in ``source``, in source order; ``<module>`` outside any."""
+    sites = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        sites += [where for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and "lexsort" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    return sites
+
+
+def test_lexsort_calls_are_found():
+    source = ("from numpy import lexsort\nk = lexsort((a,))\nclass S:\n    def f(self):\n"
+              "        return np.lexsort((b, a))\ndef g():\n    return np.sort(a), np.lexsort\n")
+    assert lexsort_sites(source) == ["<module>", "S"]
+
+
+def test_only_study_orders_rows():
+    # a Study keeps its rows in (config, marker, rep) order, so no other code sorts a study again
+    modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
+    assert modules
+    sites = {path.name: lexsort_sites(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: calls for name, calls in sites.items() if calls} == {"regressor.py": ["Study"]}
 
 
 def traced_targets() -> dict[str, tuple[str, ...]]:

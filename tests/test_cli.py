@@ -298,6 +298,19 @@ class TestCalibrate:
         for name in ("parameters.tsv", "parameters.txt", "ratios.tsv", "trace.tsv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["elastostatic", "combined"])
+    def test_file_row_order_changes_no_output(self, mode, study_dir, tmp_path):
+        lines = (study_dir / "measurements.tsv").read_text().splitlines(keepends=True)
+        rows = [lines[i] for i in 2 + np.random.default_rng(4).permutation(len(lines) - 2)]
+        shuffled = write_text(tmp_path / "shuffled.tsv", lines[:2] + rows)
+        params = ["--params", "a2,d3,theta4,tool_x"] if mode == "combined" else []
+        outputs = []
+        for name, measurements in (("sorted", study_dir / "measurements.tsv"), ("shuffled", shuffled)):
+            assert run_cli("calibrate", "--measurements", str(measurements), "--noise", str(study_dir / "noise.tsv"),
+                           "--method", "irls", "--mode", mode, *params, "--out", str(tmp_path / name)) == 0
+            outputs.append(output_bytes(tmp_path / name))
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+
 
 class TestFit:
     """``_fit``, the stack and solve of ``calibrate``, on a study in memory."""

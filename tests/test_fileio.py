@@ -230,6 +230,12 @@ class TestMeasurementFormat:
         reordered = study.take(slice(None, None, -1))
         assert format_measurements(reordered) == format_measurements(study)
 
+    def test_rows_are_read_into_key_order(self, study, assert_same_study):
+        lines = format_measurements(study).splitlines()
+        rows = [lines[i] for i in 2 + np.random.default_rng(2).permutation(len(lines) - 2)]
+        assert rows != lines[2:]
+        assert_same_study(parse_measurements(lines[:2] + rows), parse_measurements(lines))
+
     def test_malformed_row_names_line(self, study):
         lines = format_measurements(study).splitlines()
         lines[5] = lines[5] + " surplus"

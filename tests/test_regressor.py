@@ -736,9 +736,26 @@ class TestStackSystemChecks:
         q = bundled_study.q.copy()
         q[100, 3] = np.nan
         object.__setattr__(planted, "q", q)  # past the Study check, as a caller could
-        with pytest.raises(ValueError, match="^study column q contains non-finite values$"):
+        with pytest.raises(ValueError, match="^joint vector contains non-finite values$"):
             stack_system(planted, nominal_model, bundled_design.cmap, bundled_design.noise,
                          mode=mode, params=params)
+
+
+@pytest.mark.parametrize("mode, params, limit", [("elastostatic", None, 4e6),
+                                                  ("combined", GEOMETRIC_PARAMS, 6e6)])
+def test_stacking_reads_the_study_in_place(mode, params, limit, nominal_model):
+    # on a 600-repetition study (27,000 rows) stack_system neither sorts nor copies the study's
+    # columns: it peaks at its own per-row arrays, under 4 MB (elastostatic) and 6 MB (combined)
+    design = reference.study_design(seed=0, repetitions=600)
+    study = simulate_measurements(design, nominal_model)
+    tracemalloc.start()
+    try:
+        sys = stack_system(study, nominal_model, design.cmap, design.noise, mode=mode, params=params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys.n_equations == 3 * len(study) * (2 if mode == "combined" else 1)
+    assert peak < limit
 
 
 class TestStudy:
@@ -764,12 +781,22 @@ class TestStudy:
         assert not study.p.flags.writeable
         assert study.config.dtype == study.fmarker.dtype == np.int64
 
-    def test_take_selects_and_reorders_rows(self, bundled_study):
-        rows = np.array([5, 0, 3])
-        part = bundled_study.take(rows)
+    def test_take_selects_rows_and_keeps_key_order(self, bundled_study):
+        part = bundled_study.take(np.array([5, 0, 3]))
         assert len(part) == 3
         for name in ("config", "marker", "rep", "q", "force", "fmarker", "p0", "p"):
-            assert_array_equal(getattr(part, name), getattr(bundled_study, name)[rows])
+            assert_array_equal(getattr(part, name), getattr(bundled_study, name)[[0, 3, 5]])
+
+    def test_rows_are_kept_in_key_order(self, bundled_study, assert_same_study):
+        # a shuffled, writable input is gathered into (config, marker, rep) order; a key-ordered,
+        # read-only one is shared
+        order = np.random.default_rng(5).permutation(len(bundled_study))
+        shuffled = Study(**{f.name: getattr(bundled_study, f.name)[order] for f in fields(Study)})
+        assert_same_study(shuffled, bundled_study)
+        assert not any(getattr(shuffled, f.name).flags.writeable for f in fields(Study))
+        again = Study(**{f.name: getattr(bundled_study, f.name) for f in fields(Study)})
+        for f in fields(Study):
+            assert np.shares_memory(getattr(again, f.name), getattr(bundled_study, f.name)), f.name
 
     def test_take_gathers_each_column_once(self, nominal_model, assert_same_study):
         # a reordered 600-repetition study (27,000 rows) peaks at its gathered columns, not
