@@ -306,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR E_IO: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR E_MEMORY: {exc}", file=sys.stderr)
+        return 1
     finally:
         warnings.formatwarning = formatwarning
 

@@ -197,12 +197,14 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
     ``1 / (|R|_F |R^-1|_F) <= s_min / s_max``, a trial whose bound exceeds
     ``RANK_WARN`` has full rank and is not near deficiency.  Every other
     trial (a smaller or non-finite bound, a singular R, or fewer classes
-    than parameters) is factored by one ``np.linalg.svd`` call, which counts
-    its rank and warns of a near deficiency, and its G is ``(V / s) U'``.
-    Each trial's G is its own product, so each trial solves as it would
-    alone, whichever branch its neighbours take.  A trial whose regressor
-    is identically zero or rank deficient gets its error, and its singular
-    values are set to infinity so its G, and so its solution, reads zero.
+    than parameters) is factored alone by its own ``np.linalg.svd`` call,
+    which counts its rank and warns of a near deficiency, and its G is
+    ``(V / s) U'``.  Each trial's G is its own product, so each trial solves
+    as it would alone, whichever branch its neighbours take.  A trial whose
+    regressor is identically zero or rank deficient, or whose SVD fails
+    (``LinAlgError``, as on a non-finite regressor), gets its error and a
+    zero G, so its solution reads zero.  Neither the QR nor the inverse of
+    an R with no zero on its diagonal raises, so no stack fails as a whole.
     """
     n = sys.n_parameters
     classes = sys.class_plan
@@ -218,32 +220,28 @@ def _factor(sys: StackedSystem, w: np.ndarray, sigma: np.ndarray) -> _Factors:
             G = Rinv @ Q.transpose(0, 2, 1)
     else:  # every trial takes the SVD, which fills G
         G = np.empty((len(A), n, len(sys.B)))
-    svd = np.flatnonzero(~certified)
     errors: list[RankDeficientError | None] = [None] * len(A)
-    if svd.size:
-        U, s, Vt = np.linalg.svd(A[svd], full_matrices=len(sys.B) < n)  # V spans all n directions, c < n too
-        rel = s / np.maximum(s[:, :1], np.finfo(float).tiny)
-        rank = np.count_nonzero(rel > RANK_CUTOFF, axis=1)
-        for i in np.flatnonzero(rank < n):
-            if s[i, 0] == 0.0:
-                errors[svd[i]] = RankDeficientError("weighted regressor is identically zero")
-                continue
-            directions = tuple(_describe_direction(Vt[i, k], sys.columns) for k in range(rank[i], n))
-            errors[svd[i]] = RankDeficientError(
-                f"information matrix is rank deficient ({rank[i]}/{n}); "
-                f"unidentifiable: {'; '.join(directions)}",
-                directions=directions,
-            )
-        for i in np.flatnonzero((rank == n) & (rel[:, -1] < RANK_WARN)):
-            warnings.warn(
-                "information matrix is near rank deficiency "
-                f"(relative singular value {rel[i, -1]:.2e}); weakest direction: "
-                f"{_describe_direction(Vt[i, -1], sys.columns)}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        s[rank < n] = np.inf
-        G[svd] = (Vt[:, :s.shape[1]].transpose(0, 2, 1) / s[:, None, :]) @ U.transpose(0, 2, 1)
+    for t in np.flatnonzero(~certified):  # each trial the QR bound cannot certify, alone
+        G[t] = 0.0  # a trial with an error solves to zero
+        try:
+            U, s, Vt = np.linalg.svd(A[t], full_matrices=len(sys.B) < n)  # V spans all n directions, c < n too
+        except np.linalg.LinAlgError as exc:
+            errors[t] = RankDeficientError(f"weighted regressor could not be factored ({exc})")
+            continue
+        rel = s / max(s[0], np.finfo(float).tiny)
+        rank = np.count_nonzero(rel > RANK_CUTOFF)
+        if s[0] == 0.0:
+            errors[t] = RankDeficientError("weighted regressor is identically zero")
+        elif rank < n:
+            directions = tuple(_describe_direction(v, sys.columns) for v in Vt[rank:])
+            errors[t] = RankDeficientError(f"information matrix is rank deficient ({rank}/{n}); "
+                                           f"unidentifiable: {'; '.join(directions)}", directions=directions)
+        else:
+            if rel[-1] < RANK_WARN:
+                warnings.warn("information matrix is near rank deficiency "
+                              f"(relative singular value {rel[-1]:.2e}); weakest direction: "
+                              f"{_describe_direction(Vt[-1], sys.columns)}", RuntimeWarning, stacklevel=4)
+            G[t] = (Vt.T / s) @ U.T
 
     ws = w * sigma
     cov = (G * ws[:, None, :] ** 2) @ G.transpose(0, 2, 1)

@@ -312,7 +312,9 @@ def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int
 
     The file-wide checks run in order: q, force, p0 and p values finite and in the ``_DOMAIN``,
     distinct (config, marker, rep) keys, one posture per configuration.  The first fault raises
-    ``MeasurementFormatError`` naming its line; only then are ``rows`` listed.
+    ``MeasurementFormatError`` naming its line; only then are ``rows`` listed.  Every row then
+    reads the joint angles of its configuration's first row in the file, so rows that differ
+    within ``BUCKET_TOL`` (or by the sign of a zero) are one posture.
     """
     err = MeasurementFormatError
     n = table["q"].shape[1]
@@ -338,6 +340,7 @@ def _checked_rows(table: np.ndarray, header: list[str], rows: Iterable[tuple[int
     if moved.size:
         i, at = moved[0], list(rows)
         raise err(f"{source}:{at[i][0]}: config {table['config'][i]} joint angles differ from line {at[first[i]][0]}")
+    q = q[first]  # one posture per configuration: its first row's, bit for bit
     for a in (q, p0, p):  # frozen, so the study shares them; it copies the field views, which hold the whole table
         a.setflags(write=False)
     return Study(config=table["config"], marker=table["marker"], rep=table["rep"], q=q, force=table["force"],

@@ -265,16 +265,16 @@ def monte_carlo_compare(
     its product with the block's folded class means, and that pseudo-inverse
     also gives the method's predicted covariance and CIs; IRLS runs one stacked
     factorization per iteration over the block's still-running trials
-    (a QR, or an SVD for a trial the QR cannot certify as full rank), each
-    ending as its own ``irls``
+    (a QR, and its own SVD for each trial the QR cannot certify as full
+    rank), each ending as its own ``irls``
     :class:`~armcal.estimator.EstimationResult` with its own stop iteration
     and reason.
     Blocks are drawn and solved one after another, in trial order, so
     working memory scales with the block size, not with ``trials``.  Every
     estimate equals the one-trial solve of that trial bit for bit.  Failed
-    trials are recorded with their reason; a block whose stacked QR or SVD
-    fails as a whole is solved again trial by trial, so that only the failing
-    trial is recorded.  More than 5% failed trials abort.  A design with a
+    trials are recorded with their reason: a solve fault, a failed SVD
+    included, is its own trial's error in the solve record, so it fails
+    that trial only.  More than 5% failed trials abort.  A design with a
     one-row (configuration, axis) group raises ``ReplicateCountError``
     before any trial is solved.
     """
@@ -302,15 +302,7 @@ def monte_carlo_compare(
         mean, scatter = base.class_plan.moments(dp)
         sigma_raw = _dispersions(base, 0.0, mean, scatter, sigma0)  # a one-row group raises here
         x = {name: _solve(f, mean) for name, f in fixed.items()}
-        try:
-            fits = _irls_stack(base, mean, scatter, sigma_raw, *irls_args)
-        except np.linalg.LinAlgError:  # a stacked QR or SVD fails as a whole: solve trial by trial
-            fits = []
-            for j in range(len(block_trials)):
-                try:
-                    fits += _irls_stack(base, mean[j:j + 1], scatter[j:j + 1], sigma_raw[j:j + 1], *irls_args)
-                except np.linalg.LinAlgError as exc:
-                    fits.append(exc)
+        fits = _irls_stack(base, mean, scatter, sigma_raw, *irls_args)
         for j, (t, fit) in enumerate(zip(block_trials, fits)):
             if isinstance(fit, Exception):
                 failures.append((t, type(fit).__name__, str(fit)))

@@ -4,7 +4,8 @@ Also the import rules: the package imports only the standard library and numpy, 
 module uses every name it imports; the README's table of error codes is the set the
 package and the command line can print; each checked constructor keeps its own copies
 of the arrays its caller can write and shares read-only ones; no module builds an
-object past its constructor's checks but ``forward_kinematics``; and only ``Study`` orders rows by key.
+object past its constructor's checks but ``forward_kinematics``; only ``Study`` orders rows by key;
+and only ``estimator._factor`` calls a numpy factorization or names ``LinAlgError``.
 """
 
 import ast
@@ -73,13 +74,13 @@ def test_every_public_name_resolves():
 
 
 def test_readme_errors_table_lists_exactly_the_codes_printed():
-    # every concrete CalibrationError's code, and the command line's own E_USAGE and E_IO, once each
+    # every concrete CalibrationError's code, and the command line's own E_USAGE, E_IO and E_MEMORY, once each
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n### Errors\n", 1)[1].split("\n#", 1)[0]
     listed = re.findall(r"^\| `(E_[A-Z_]+)` \|", table, flags=re.MULTILINE)
     raised = [cls.code for cls in vars(errors).values() if isinstance(cls, type)
               and issubclass(cls, errors.CalibrationError) and cls is not errors.CalibrationError]
-    assert sorted(listed) == sorted(raised + ["E_USAGE", "E_IO"])
+    assert sorted(listed) == sorted(raised + ["E_USAGE", "E_IO", "E_MEMORY"])
 
 
 CHECKED_INPUTS = {  # each checked constructor with input arrays its caller can still write
@@ -237,29 +238,52 @@ def test_only_forward_kinematics_makes_an_object_past_its_checks():
     assert {name: calls for name, calls in sites.items() if calls} == {"kinematics.py": ["forward_kinematics"]}
 
 
-def lexsort_sites(source: str) -> list[str]:
-    """The top-level class or function around each call of ``lexsort`` (``np.lexsort(...)`` or a bare
-    ``lexsort(...)``) in ``source``, in source order; ``<module>`` outside any."""
-    sites = []
+def name_sites(source: str, called=(), named=()) -> list[str]:
+    """The top-level class or function around each call of a name in ``called`` (``np.lexsort(...)``,
+    ``np.linalg.svd(...)`` or a bare ``svd(...)``) and each use of a name in ``named`` (``LinAlgError`` or
+    ``np.linalg.LinAlgError``) in ``source``, in source order; ``<module>`` outside any."""
+    found, name = [], lambda node: getattr(node, "attr", None) or getattr(node, "id", None)
     for top in ast.parse(source).body:
         where = getattr(top, "name", "<module>")
-        sites += [where for node in ast.walk(top) if isinstance(node, ast.Call)
-                  and "lexsort" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
-    return sites
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and name(node.func) in called) or name(node) in named:
+                found.append(where)
+    return found
 
 
 def test_lexsort_calls_are_found():
     source = ("from numpy import lexsort\nk = lexsort((a,))\nclass S:\n    def f(self):\n"
               "        return np.lexsort((b, a))\ndef g():\n    return np.sort(a), np.lexsort\n")
-    assert lexsort_sites(source) == ["<module>", "S"]
+    assert name_sites(source, called={"lexsort"}) == ["<module>", "S"]
 
 
 def test_only_study_orders_rows():
     # a Study keeps its rows in (config, marker, rep) order, so no other code sorts a study again
     modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
     assert modules
-    sites = {path.name: lexsort_sites(path.read_text(encoding="utf-8")) for path in modules}
-    assert {name: calls for name, calls in sites.items() if calls} == {"regressor.py": ["Study"]}
+    found = {path.name: name_sites(path.read_text(encoding="utf-8"), called={"lexsort"}) for path in modules}
+    assert {name: calls for name, calls in found.items() if calls} == {"regressor.py": ["Study"]}
+
+
+#: The numpy factorizations, any of which can raise ``LinAlgError``.
+FACTORIZATIONS = {"qr", "svd", "inv", "solve", "lstsq", "pinv", "cholesky"}
+
+
+def test_solve_fault_sites_are_found():
+    source = ("from numpy.linalg import LinAlgError, svd\nU = svd(a)\ndef f():\n    try:\n"
+              "        return np.linalg.inv(a)\n    except np.linalg.LinAlgError:\n        raise LinAlgError('x')\n"
+              "class S:\n    solver = np.linalg.qr\ndef g():\n    return np.linalg.det(a), _solve(a)\n")
+    assert name_sites(source, FACTORIZATIONS, {"LinAlgError"}) == ["<module>", "f", "f", "f"]
+
+
+def test_only_factor_factorizes():
+    # one solve path: every factorization, and every LinAlgError it can raise, is in estimator._factor,
+    # which turns each trial's fault into that trial's RankDeficientError
+    modules = sorted(Path(armcal.__file__).parent.glob("*.py"))
+    assert modules
+    found = {path.name: name_sites(path.read_text(encoding="utf-8"), FACTORIZATIONS, {"LinAlgError"})
+             for path in modules}
+    assert {name: set(where) for name, where in found.items() if where} == {"estimator.py": {"_factor"}}
 
 
 def traced_targets() -> dict[str, tuple[str, ...]]:

@@ -311,6 +311,23 @@ class TestCalibrate:
             outputs.append(output_bytes(tmp_path / name))
         assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
+    def test_jittered_repetitions_are_one_posture(self, study_dir, tmp_path):
+        # repetitions 2.. of each configuration shifted in q1 by (rep - 1) * 1e-7 deg, within the
+        # loader's 1e-6 rad: every row reads its configuration's first row's angles, as in the source
+        lines = (study_dir / "measurements.tsv").read_text().splitlines(keepends=True)
+        rows = [line.split() for line in lines[2:]]
+        for row in rows:
+            row[3] = repr(float(row[3]) + (int(row[2]) - 1) * 1e-7)
+        jittered = write_text(tmp_path / "jittered.tsv", "".join(lines[:2] + [" ".join(row) + "\n" for row in rows]))
+        assert jittered.read_text() != (study_dir / "measurements.tsv").read_text()
+        assert len(stacked_from_files(jittered, study_dir / "noise.tsv").B) == 135
+        outputs = []
+        for name, measurements in (("source", study_dir / "measurements.tsv"), ("jittered", jittered)):
+            assert run_cli("calibrate", "--measurements", str(measurements), "--method", "irls",
+                           "--out", str(tmp_path / name)) == 0
+            outputs.append(output_bytes(tmp_path / name))
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+
 
 class TestFit:
     """``_fit``, the stack and solve of ``calibrate``, on a study in memory."""
@@ -794,6 +811,33 @@ class TestErrorPaths:
         assert done.returncode == 0
         assert re.fullmatch(r"WARNING RuntimeWarning: information matrix is near rank deficiency "
                             r"\(relative singular value [0-9.e+-]+\); weakest direction: [^\n]*d2[^\n]*\n", done.stderr)
+
+    def test_failed_svd_is_one_coded_line(self, near_study, tmp_path, capsys, monkeypatch):
+        # the near-deficient solve takes the SVD, and an SVD that fails is a rank fault of that solve
+        def svd(*args, **kw):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        out = tmp_path / "out"
+        assert run_cli(*near_study, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("ERROR E_RANK_DEFICIENT: weighted regressor could not be factored "
+                                "(SVD did not converge)\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_allocation_failure_is_one_coded_line(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for a study too large to allocate; the real allocation is never made here
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 13.1 TiB for an array")
+
+        monkeypatch.setattr(armcal.cli, "simulate_measurements", too_large)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--repetitions", "100000000000", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ERROR E_MEMORY: Unable to allocate 13.1 TiB for an array\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_geometric_parameter(self, study_dir, tmp_path, capsys):
         code = run_cli(

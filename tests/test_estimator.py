@@ -289,7 +289,7 @@ class TestRankHandling:
         assert calls == []
         with pytest.warns(RuntimeWarning, match="near rank deficiency"):  # the count sees a solve that needs it
             ols_estimate(make_system(np.array([[1.0, 0.0], [0.0, 5e-9], [0.0, 0.0]]), np.zeros(3), np.ones(3)))
-        assert calls == [(1, 3, 2)]
+        assert calls == [(3, 2)]  # the trial's own matrix, not a stack
 
     @staticmethod
     def mixed_stack():
@@ -324,6 +324,26 @@ class TestRankHandling:
             assert_array_equal(f.G[t], f_t.G[0])  # each trial's pseudo-inverse, QR or SVD, as it is alone
             assert_array_equal(x[t], estimator_mod._solve(f_t, mean[t:t + 1])[0])
             assert_array_equal(f.cov[t], f_t.cov[0])
+
+    def test_failed_svd_is_its_trials_error(self, monkeypatch):
+        # an SVD that raises fails its own trial only: the trial gets a coded error and a zero
+        # pseudo-inverse, and every other trial is the solve record of the stack without it
+        sys, w, sigma, _ = self.mixed_stack()
+        real_svd, failing = np.linalg.svd, sys.B * w[0, :, None]
+
+        def svd(a, *args, **kw):
+            if any(np.array_equal(m, failing) for m in a.reshape(-1, *a.shape[-2:])):  # alone or in a stack
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        f = estimator_mod._factor(sys, w, sigma)
+        assert isinstance(f.errors[0], RankDeficientError)
+        assert str(f.errors[0]) == "weighted regressor could not be factored (SVD did not converge)"
+        assert_array_equal(f.G[0], 0.0)
+        rest = estimator_mod._factor(sys, w[1:], sigma[1:])
+        assert [(type(e), str(e)) for e in f.errors[1:]] == [(type(e), str(e)) for e in rest.errors]
+        assert f.G[1:].tobytes() == rest.G.tobytes()
 
     def test_stack_record_is_its_one_trial_records(self, monkeypatch):
         # one inverse serves the whole stack, the exactly singular R included, and each trial's

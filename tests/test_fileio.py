@@ -349,6 +349,22 @@ class TestMeasurementFormat:
         lines[3] = self._shift_q1(lines[3], 1e-5)  # 1.7e-7 rad, below BUCKET_TOL
         assert len(parse_measurements(lines)) == len(study)
 
+    def test_rows_of_a_configuration_read_its_first_posture(self, study):
+        # a shift below BUCKET_TOL, or the sign of a zero, makes no second posture: each row reads the first's angles
+        lines = format_measurements(study).splitlines()
+        rows = [i for i, line in enumerate(lines) if line.split()[0] == "1"]
+        set_q1 = lambda line, value: " ".join(line.split()[:3] + [value] + line.split()[4:])
+        lines = [set_q1(line, "0.0") if i in rows else line for i, line in enumerate(lines)]
+        source = parse_measurements(lines)
+        lines[rows[1]] = set_q1(lines[rows[1]], "-0.0")
+        lines[rows[2]] = self._shift_q1(lines[rows[2]], 1e-5)  # 1.7e-7 rad
+        assert parse_measurements(lines).q.tobytes() == source.q.tobytes()
+
+    def test_empty_study_is_not_written(self, study, tmp_path):
+        with pytest.raises(ValueError, match="^no records to write$"):
+            write_measurements(tmp_path / "m.tsv", study.take(slice(0, 0)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_header_rejected(self, study):
         lines = format_measurements(study).splitlines()
         with pytest.raises(MeasurementFormatError, match="header"):

@@ -369,6 +369,16 @@ class TestValidation:
                 markers=(np.zeros(3),),
             )
 
+    @pytest.mark.parametrize("base, message", [
+        (np.eye(3), r"base transform must be 4x4, got \(3, 3\)"),
+        (np.vstack([[1.0, 0.0, 0.0, np.nan], np.eye(4)[1:]]), "base transform contains non-finite entries"),
+        (np.vstack([np.eye(4)[:3], [0.5, 0.0, 0.0, 1.0]]), "base transform has a non-trivial last row"),
+    ], ids=["shape", "non-finite", "last-row"])
+    def test_base_that_is_no_rigid_transform_rejected(self, base, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ManipulatorModel(joints=(Joint(kind=REVOLUTE, a=0, alpha=0, d=0, theta=0),), base=base, tool=np.eye(4),
+                             markers=(np.zeros(3),))
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one joint"):
             ManipulatorModel(joints=(), base=np.eye(4), tool=np.eye(4), markers=(np.zeros(3),))

@@ -82,6 +82,10 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError, match=r"configurations differ in joint count \(5, 6\)"):
             replace(bundled_design, configurations=(np.zeros(6), np.zeros(5)))
 
+    def test_at_least_one_configuration(self, bundled_design):
+        with pytest.raises(ValueError, match="^study needs at least one configuration$"):
+            replace(bundled_design, configurations=())
+
     def test_config_ids_are_one_based(self, bundled_design):
         assert bundled_design.config_ids == tuple(range(1, 16))
 
@@ -487,22 +491,26 @@ class TestBatchedEquivalence:
         assert_other_trials_kept(mc, unpatched, failing)
 
     def test_failed_stacked_svd_fails_only_its_trial(self, bundled_design, nominal_model, monkeypatch):
-        # an SVD that fails for one trial fails its whole stack: the block is solved
-        # again trial by trial, and only that trial is recorded as failed
+        # a failed SVD enters as its trial's error in the stacked solve record: only that
+        # trial is recorded as failed, and every other trial keeps its unpatched bits
         base = noise_free_system(bundled_design, nominal_model)
         trials, failing = 2 * simulator_mod._block_trials(base), 5
         unpatched = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        means = trial_class_means(bundled_design, nominal_model, [failing])[0]
-        real = simulator_mod._irls_stack
+        dp = base.dp + np.random.default_rng((bundled_design.seed, failing)).normal(size=base.dp.shape) \
+            * base.sigma[base.row_class]
+        start = estimator_mod._dispersions(base, 0.0, *base.class_plan.moments(dp[None]), DEFAULT_SIGMA0)[0]
+        message = "weighted regressor could not be factored (SVD did not converge)"
+        real = estimator_mod._factor
 
-        def svd_fails(sys, mean, *args):
-            if any(np.array_equal(row, means) for row in mean):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(sys, mean, *args)
+        def svd_fails(sys, w, sigma):
+            f = real(sys, w, sigma)
+            for j in np.flatnonzero((sigma == start).all(axis=1)):  # the failing trial's first solve
+                f.G[j], f.errors[j] = 0.0, RankDeficientError(message)
+            return f
 
-        monkeypatch.setattr(simulator_mod, "_irls_stack", svd_fails)
+        monkeypatch.setattr(estimator_mod, "_factor", svd_fails)
         mc = monte_carlo_compare(bundled_design, nominal_model, trials=trials)
-        assert mc.failures == ((failing, "LinAlgError", "SVD did not converge"),)
+        assert mc.failures == ((failing, "RankDeficientError", message),)
         assert_other_trials_kept(mc, unpatched, failing)
 
     def test_replicate_starved_design_raises_before_any_trial(
